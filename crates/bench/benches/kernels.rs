@@ -10,7 +10,7 @@ use xag_circuits::aes::SboxBuilder;
 use xag_circuits::arith::{add_ripple, input_word, multiply_array, output_word};
 use xag_circuits::keccak::keccak_f;
 use xag_cuts::{enumerate_cuts, CutParams};
-use xag_mc::{McRewrite, OptContext, ParRewrite, Pass};
+use xag_mc::{FlowSpec, OptContext};
 use xag_network::{Signal, Xag};
 use xag_synth::Synthesizer;
 use xag_tt::Tt;
@@ -69,12 +69,20 @@ fn bench_synthesis(g: &mut BenchGroup) {
     });
 }
 
+/// One `mc(cut=6)` round over a fresh copy of `xag` with `threads`
+/// workers and a cold context; returns the AND count after it.
+fn one_round(xag: &Xag, threads: usize) -> usize {
+    let mut xag = xag.cleanup();
+    let round = FlowSpec::parse("mc(cut=6)").expect("valid spec");
+    round
+        .run(&mut xag, &mut OptContext::new(), threads, 1)
+        .ands_after()
+}
+
 fn bench_rewriting(g: &mut BenchGroup) {
+    let adder = adder_circuit(32);
     g.bench_function("rewrite/adder32_one_round", || {
-        let mut xag = adder_circuit(32);
-        let mut ctx = OptContext::new();
-        let stats = McRewrite::new().run(&mut xag, &mut ctx);
-        black_box(stats.ands_after)
+        black_box(one_round(&adder, 1))
     });
 }
 
@@ -92,8 +100,8 @@ fn sbox_bank(instances: usize) -> Xag {
     x
 }
 
-/// Single- vs multi-thread rounds of the sharded engine on the Keccak and
-/// AES kernels. The engine is bit-identical across thread counts, so the
+/// Single- vs multi-thread rewriting rounds on the Keccak and AES
+/// kernels. The engine is bit-identical across thread counts, so the
 /// reported speedup lines compare equal work (they show ~1x on a
 /// single-core host; the propose phase scales with cores).
 fn bench_parallel_rewriting(g: &mut BenchGroup) {
@@ -102,35 +110,15 @@ fn bench_parallel_rewriting(g: &mut BenchGroup) {
         .unwrap_or(1)
         .max(2);
 
-    let keccak = keccak_f(1);
-    let t1 = g.bench_function_timed("par_rewrite/keccak25_1thread", || {
-        let mut xag = keccak.cleanup();
-        let mut ctx = OptContext::new();
-        let stats = ParRewrite::new(1).run(&mut xag, &mut ctx);
-        black_box(stats.ands_after)
-    });
-    let tn = g.bench_function_timed(&format!("par_rewrite/keccak25_{threads}threads"), || {
-        let mut xag = keccak.cleanup();
-        let mut ctx = OptContext::new();
-        let stats = ParRewrite::new(threads).run(&mut xag, &mut ctx);
-        black_box(stats.ands_after)
-    });
-    g.report_ratio("par_rewrite/keccak25_speedup", t1, tn);
-
-    let aes = sbox_bank(8);
-    let t1 = g.bench_function_timed("par_rewrite/aes_sbox8_1thread", || {
-        let mut xag = aes.cleanup();
-        let mut ctx = OptContext::new();
-        let stats = ParRewrite::new(1).run(&mut xag, &mut ctx);
-        black_box(stats.ands_after)
-    });
-    let tn = g.bench_function_timed(&format!("par_rewrite/aes_sbox8_{threads}threads"), || {
-        let mut xag = aes.cleanup();
-        let mut ctx = OptContext::new();
-        let stats = ParRewrite::new(threads).run(&mut xag, &mut ctx);
-        black_box(stats.ands_after)
-    });
-    g.report_ratio("par_rewrite/aes_sbox8_speedup", t1, tn);
+    for (name, xag) in [("keccak25", keccak_f(1)), ("aes_sbox8", sbox_bank(8))] {
+        let t1 = g.bench_function_timed(&format!("par_rewrite/{name}_1thread"), || {
+            black_box(one_round(&xag, 1))
+        });
+        let tn = g.bench_function_timed(&format!("par_rewrite/{name}_{threads}threads"), || {
+            black_box(one_round(&xag, threads))
+        });
+        g.report_ratio(&format!("par_rewrite/{name}_speedup"), t1, tn);
+    }
 }
 
 fn main() {

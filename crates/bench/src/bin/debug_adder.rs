@@ -1,15 +1,19 @@
 //! Developer tool: trace per-round AND counts while optimizing a ripple
-//! adder through the pass pipeline, to inspect convergence behaviour.
+//! adder, to inspect convergence behaviour.
 //!
-//! Usage: `debug_adder [bits] [cut_limit] [cut_size] [exact_vars] [threads] [--json PATH]`
+//! Usage: `debug_adder [bits] [cut_size] [exact_vars] [threads] [--json PATH]`
 //!
-//! With `threads > 1` the flow runs through the sharded parallel engine.
-//! With `--json PATH` one before/after record of the run is written.
+//! The flow is the paper's cut schedule up to `cut_size`
+//! (`{mc(cut=4);mc(cut=N)}*`, or `mc(cut=N)*` for `N <= 4`); `exact_vars`
+//! bounds the synthesizer's exact search. With `--json PATH` one
+//! before/after record of the run is written.
 
+use xag_affine::ClassifyConfig;
 use xag_bench::{json_path_from_args, write_bench_json, BenchRecord};
 use xag_circuits::arith::{add_ripple, input_word, output_word};
-use xag_mc::{OptContext, Pipeline, RewriteParams};
+use xag_mc::{FlowSpec, OptContext};
 use xag_network::{Signal, Xag};
+use xag_synth::SynthConfig;
 
 fn main() {
     let arg = |i: usize, default: usize| -> usize {
@@ -19,10 +23,9 @@ fn main() {
             .unwrap_or(default)
     };
     let bits = arg(1, 16);
-    let cut_limit = arg(2, 12);
-    let cut_size = arg(3, 6);
-    let exact_vars = arg(4, 4);
-    let threads = arg(5, 1);
+    let cut_size = arg(2, 6);
+    let exact_vars = arg(3, 4);
+    let threads = arg(4, 1);
 
     let mut x = Xag::new();
     let a = input_word(&mut x, bits);
@@ -33,19 +36,22 @@ fn main() {
     println!("initial: {} AND {} XOR", x.num_ands(), x.num_xors());
     let (size_before, depth_before, mc_before) = (x.num_gates(), x.and_depth(), x.num_ands());
 
-    let mut params = RewriteParams::default();
-    params.cut_params.cut_limit = cut_limit;
-    params.cut_params.cut_size = cut_size;
-    params.synth_config.exact_search_max_vars = exact_vars;
-    let flow = Pipeline::from_params(&params);
-    println!("flow: {:?}", flow.pass_names());
-
-    let mut ctx = OptContext::with_config(params.classify_config, params.synth_config);
-    let stats = if threads > 1 {
-        flow.run_parallel(&mut x, &mut ctx, threads)
+    let text = if cut_size > 4 {
+        format!("{{mc(cut=4);mc(cut={cut_size})}}*")
     } else {
-        flow.run(&mut x, &mut ctx)
+        format!("mc(cut={cut_size})*")
     };
+    let flow = FlowSpec::parse(&text).unwrap_or_else(|e| {
+        eprintln!("debug_adder: {e}");
+        std::process::exit(2);
+    });
+    println!("flow: {flow}");
+
+    let synth = SynthConfig {
+        exact_search_max_vars: exact_vars,
+    };
+    let mut ctx = OptContext::with_config(ClassifyConfig::default(), synth);
+    let stats = flow.run(&mut x, &mut ctx, threads, 100);
     for (i, r) in stats.passes.iter().enumerate() {
         println!("round {i}: {r}");
     }
@@ -75,14 +81,7 @@ fn main() {
             mc_after: x.num_ands(),
             wall_s: stats.total_time().as_secs_f64(),
             threads,
-            // The spec for the from_params cut schedule actually run
-            // (cut_limit/exact_vars are context knobs outside the spec
-            // language).
-            flow: if cut_size > 4 {
-                format!("{{mc(cut=4);mc(cut={cut_size})}}*")
-            } else {
-                format!("mc(cut={cut_size})*")
-            },
+            flow: flow.normalized(),
         };
         write_bench_json(&path, std::slice::from_ref(&record)).expect("write --json output");
         println!("wrote 1 record to {}", path.display());

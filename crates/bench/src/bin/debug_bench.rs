@@ -1,18 +1,26 @@
 //! Developer tool: run the experiment flow phases on one named EPFL
 //! benchmark with verbose progress, to localize pathological behaviour.
 //!
-//! The phases are driven pass by pass — [`SizeRewrite`] for the baseline,
-//! then [`McRewrite`] rounds — over one shared [`OptContext`], mirroring
-//! what `run_flow` composes into pipelines.
+//! The phases are driven round by round — `size(cut=6)` for the
+//! baseline, then `mc(cut=6)` rounds — over one shared [`OptContext`],
+//! mirroring the stages `run_flow` runs as whole flows.
 //!
 //! Usage: `debug_bench [name] [--threads N] [--json PATH]` — with
-//! `--threads N` each round runs through the sharded parallel engine;
-//! with `--json PATH` one before/after record of the whole phase trace
-//! is written.
+//! `--threads N` each `mc` round proposes on `N` workers; with
+//! `--json PATH` one before/after record of the whole phase trace is
+//! written.
 
 use xag_bench::{json_path_from_args, write_bench_json, BenchRecord};
 use xag_circuits::epfl::{epfl_suite, Scale};
-use xag_mc::{McRewrite, OptContext, Pass, SizeRewrite};
+use xag_mc::{FlowSpec, OptContext, PassStats};
+use xag_network::Xag;
+
+/// Runs the one-atom `flow` once and returns its pass statistics.
+fn round(flow: &str, xag: &mut Xag, ctx: &mut OptContext, threads: usize) -> PassStats {
+    let flow = FlowSpec::parse(flow).expect("valid spec");
+    let mut stats = flow.run(xag, ctx, threads, 1);
+    stats.passes.remove(0)
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -43,20 +51,14 @@ fn main() {
     let t0 = std::time::Instant::now();
     let mut ctx = OptContext::new();
     println!("— size baseline —");
-    let size_pass = SizeRewrite::new();
     for i in 0..2 {
-        let s = size_pass.run(&mut xag, &mut ctx);
+        let s = round("size(cut=6)", &mut xag, &mut ctx, 1);
         println!("size round {i}: {s} (capacity {})", xag.capacity());
     }
     xag = xag.cleanup();
     println!("— mc rewriting —");
-    let mc_pass = McRewrite::new();
     for i in 0..30 {
-        let s = if threads > 1 {
-            mc_pass.run_parallel(&mut xag, &mut ctx, threads)
-        } else {
-            mc_pass.run(&mut xag, &mut ctx)
-        };
+        let s = round("mc(cut=6)", &mut xag, &mut ctx, threads);
         println!(
             "mc round {i}: {s} (capacity {}, db {})",
             xag.capacity(),

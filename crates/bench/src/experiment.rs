@@ -1,17 +1,23 @@
 //! The shared experiment flow and table formatting.
 //!
-//! The flow is expressed with the pass-pipeline API of [`xag_mc`]: a
-//! size-rewriting [`Pipeline`] produces the "Initial" network (the paper
-//! applies an ABC script), a single [`McRewrite`] pass gives the "One
-//! round" columns, and [`Pipeline::paper_flow`] runs until convergence.
-//! All three stages share one [`OptContext`], so the representative
-//! database amortizes across stages — and across benchmarks, when the
-//! caller passes the same context to [`run_flow_with`] repeatedly.
+//! Every stage is a [`FlowSpec`] run over one shared [`OptContext`]:
+//! size rewriting until convergence produces the "Initial" network (the
+//! paper applies an ABC script), one `mc` round gives the "One round"
+//! columns, and the `paper` flow runs until convergence. The context's
+//! representative database amortizes across stages — and across
+//! benchmarks, when the caller passes the same context to
+//! [`run_flow_with`] repeatedly.
 
 use std::time::Instant;
 
-use xag_mc::{McRewrite, OptContext, Pass, Pipeline, RewriteParams};
+use xag_mc::{FlowSpec, FlowStats, OptContext};
 use xag_network::{equiv, write_verilog, Xag};
+
+/// The "Initial" stage: the unit-cost size rewriter, small cuts first.
+const BASELINE_FLOW: &str = "{size(cut=4);size(cut=6)}*";
+
+/// The "One round" stage: one MC round with the paper's 6-cuts.
+const ONE_ROUND_FLOW: &str = "mc(cut=6)";
 
 /// Gate counts and timings for one benchmark through the full flow.
 #[derive(Debug, Clone)]
@@ -30,33 +36,35 @@ pub struct FlowResult {
     /// count columns do not carry — total size, multiplicative depth —
     /// e.g. for the `--json` records of the bench binaries.
     pub optimized: Xag,
-    /// The parallel-engine comparison, present when the flow ran with
+    /// The thread-count comparison, present when the flow ran with
     /// `threads > 1` (see [`run_flow_threads`]).
     pub parallel: Option<ParallelResult>,
 }
 
-/// Single- vs multi-thread comparison of the sharded rewriting engine on
-/// one benchmark: the same until-convergence flow, run once with one
-/// worker and once with `threads` workers. The engine is deterministic
-/// across thread counts, so the two runs must agree bit for bit
-/// (`identical`) and the ratio of their times is a pure speedup.
+/// Single- vs multi-thread comparison of the rewriting round on one
+/// benchmark: the same until-convergence flow, run once with one worker
+/// (the converged stage itself) and once with `threads` workers. The
+/// engine is deterministic across thread counts, so the two runs must
+/// agree bit for bit (`identical`), and both start from the same cache
+/// state, so the ratio of their times is a pure speedup.
 #[derive(Debug, Clone)]
 pub struct ParallelResult {
     /// Worker count of the multi-threaded run.
     pub threads: usize,
-    /// AND/XOR counts after the parallel convergence flow.
+    /// AND/XOR counts after the multi-threaded convergence flow.
     pub counts: (usize, usize),
-    /// Wall-clock seconds of the 1-worker run of the parallel engine.
+    /// Wall-clock seconds of the 1-worker run (the converged stage).
     pub single_time: f64,
     /// Wall-clock seconds of the `threads`-worker run.
     pub multi_time: f64,
-    /// Rounds used by the parallel convergence flow.
+    /// Rounds used by the multi-threaded convergence flow.
     pub rounds: usize,
     /// True iff the multi-thread network is bit-identical to the
     /// single-thread network (byte-equal exported netlists: same gates,
     /// wiring, polarity, and order) — the engine's contract.
     pub identical: bool,
-    /// True iff the parallel result was checked equivalent to the input.
+    /// True iff the multi-thread result was checked equivalent to the
+    /// input.
     pub verified: bool,
 }
 
@@ -91,73 +99,37 @@ fn improvement(before: usize, after: usize) -> f64 {
     }
 }
 
+fn spec(text: &str) -> FlowSpec {
+    FlowSpec::parse(text).expect("experiment flows are valid specs")
+}
+
+/// Runs `flow` on a cleaned copy of `xag` and returns the optimized copy,
+/// the run's statistics and its wall-clock seconds.
+fn timed_run(
+    ctx: &mut OptContext,
+    xag: &Xag,
+    flow: &FlowSpec,
+    threads: usize,
+    max_rounds: usize,
+) -> (Xag, FlowStats, f64) {
+    let mut work = xag.cleanup();
+    let t0 = Instant::now();
+    let stats = flow.run(&mut work, ctx, threads, max_rounds);
+    (work, stats, t0.elapsed().as_secs_f64())
+}
+
+/// Byte image of the cleaned network's Verilog netlist: equal bytes mean
+/// the same gates, wiring, polarity, and order.
+fn netlist(x: &Xag) -> Vec<u8> {
+    let mut buf = Vec::new();
+    write_verilog(&x.cleanup(), "m", &mut buf).expect("in-memory write");
+    buf
+}
+
 /// Runs the paper's experimental flow on one circuit with a fresh
 /// [`OptContext`]. See [`run_flow_with`].
 pub fn run_flow(xag: &Xag, baseline_rounds: usize, max_mc_rounds: usize) -> FlowResult {
     run_flow_with(&mut OptContext::new(), xag, baseline_rounds, max_mc_rounds)
-}
-
-/// [`run_flow_with`] plus — when `threads > 1` — a single- vs
-/// multi-thread comparison of the sharded parallel engine on the
-/// convergence stage, reported in [`FlowResult::parallel`].
-pub fn run_flow_threads(
-    ctx: &mut OptContext,
-    xag: &Xag,
-    baseline_rounds: usize,
-    max_mc_rounds: usize,
-    threads: usize,
-) -> FlowResult {
-    let mut result = run_flow_with(ctx, xag, baseline_rounds, max_mc_rounds);
-    if threads <= 1 {
-        return result;
-    }
-    let reference = xag.cleanup();
-
-    // Re-create the "Initial" network the sequential stages started from.
-    let mut work = xag.cleanup();
-    if baseline_rounds > 0 {
-        Pipeline::from_params(&RewriteParams {
-            max_rounds: baseline_rounds,
-            ..RewriteParams::size_baseline()
-        })
-        .run(&mut work, ctx);
-        work = work.cleanup();
-    }
-
-    let mut single = work.cleanup();
-    let t0 = Instant::now();
-    Pipeline::paper_flow()
-        .max_rounds(max_mc_rounds)
-        .run_parallel(&mut single, ctx, 1);
-    let single_time = t0.elapsed().as_secs_f64();
-
-    let mut multi = work.cleanup();
-    let t1 = Instant::now();
-    let stats = Pipeline::paper_flow()
-        .max_rounds(max_mc_rounds)
-        .run_parallel(&mut multi, ctx, threads);
-    let multi_time = t1.elapsed().as_secs_f64();
-
-    // Bit-identity, not just equal counts: byte-compare the exported
-    // netlists (same gates, wiring, polarity, and order) so a determinism
-    // regression that preserves totals still raises [DIVERGED].
-    let netlist = |x: &Xag| -> Vec<u8> {
-        let mut buf = Vec::new();
-        write_verilog(&x.cleanup(), "m", &mut buf).expect("in-memory write");
-        buf
-    };
-    let identical = netlist(&multi) == netlist(&single);
-    let verified = equiv(&reference, &multi.cleanup(), 0xDAC19, 64);
-    result.parallel = Some(ParallelResult {
-        threads,
-        counts: (multi.num_ands(), multi.num_xors()),
-        single_time,
-        multi_time,
-        rounds: stats.num_rounds(),
-        identical,
-        verified,
-    });
-    result
 }
 
 /// Runs the paper's experimental flow on one circuit.
@@ -169,7 +141,7 @@ pub fn run_flow_threads(
 ///   the "Initial" network (the paper applies its ABC script 10 times; one
 ///   or two rounds of our unit-cost rewriter reach its fixpoint on the
 ///   generated circuits).
-/// * `max_mc_rounds` — cap for the until-convergence pipeline (use a small
+/// * `max_mc_rounds` — cap for the until-convergence flow (use a small
 ///   number for quick runs of the heavy crypto benchmarks).
 pub fn run_flow_with(
     ctx: &mut OptContext,
@@ -177,45 +149,64 @@ pub fn run_flow_with(
     baseline_rounds: usize,
     max_mc_rounds: usize,
 ) -> FlowResult {
+    run_flow_threads(ctx, xag, baseline_rounds, max_mc_rounds, 1)
+}
+
+/// [`run_flow_with`] plus — when `threads > 1` — the convergence stage
+/// run again with `threads` workers, reported in
+/// [`FlowResult::parallel`]. The second run gets a fork of `ctx` taken
+/// just before the first, so both timed runs start from the same cache
+/// state.
+pub fn run_flow_threads(
+    ctx: &mut OptContext,
+    xag: &Xag,
+    baseline_rounds: usize,
+    max_mc_rounds: usize,
+    threads: usize,
+) -> FlowResult {
     let reference = xag.cleanup();
 
-    // "Initial": generic size optimization (the schedule McOptimizer's
-    // size baseline ran before the pass refactor).
-    let mut work = xag.cleanup();
-    if baseline_rounds > 0 {
-        Pipeline::from_params(&RewriteParams {
-            max_rounds: baseline_rounds,
-            ..RewriteParams::size_baseline()
-        })
-        .run(&mut work, ctx);
-        work = work.cleanup();
-    }
+    // "Initial": generic size optimization, compacted.
+    let work = if baseline_rounds > 0 {
+        timed_run(ctx, xag, &spec(BASELINE_FLOW), 1, baseline_rounds)
+            .0
+            .cleanup()
+    } else {
+        xag.cleanup()
+    };
     let initial = (work.num_ands(), work.num_xors());
 
-    // "One round": a single pass with the paper's 6-cut parameters.
-    let one_pass = McRewrite::new();
-    let t0 = Instant::now();
-    let mut one = work.cleanup();
-    one_pass.run(&mut one, ctx);
-    let one_time = t0.elapsed().as_secs_f64();
+    // "One round", from the initial network.
+    let (one, _, one_time) = timed_run(ctx, &work, &spec(ONE_ROUND_FLOW), 1, 1);
     let one_round = (one.num_ands(), one.num_xors(), one_time);
 
     // "Repeat until convergence", from the same initial network.
-    let mut conv = work.cleanup();
-    let t1 = Instant::now();
-    let stats = Pipeline::paper_flow()
-        .max_rounds(max_mc_rounds)
-        .run(&mut conv, ctx);
-    let conv_time = t1.elapsed().as_secs_f64();
+    let paper = FlowSpec::default();
+    let mut fork = (threads > 1).then(|| ctx.fork());
+    let (conv, stats, conv_time) = timed_run(ctx, &work, &paper, 1, max_mc_rounds);
     let converged = (
         conv.num_ands(),
         conv.num_xors(),
         conv_time,
         stats.num_rounds(),
     );
-
     let conv_clean = conv.cleanup();
     let verified = equiv(&reference, &conv_clean, 0xDAC19, 64);
+
+    let parallel = fork.as_mut().map(|fork| {
+        let (multi, stats, multi_time) = timed_run(fork, &work, &paper, threads, max_mc_rounds);
+        ParallelResult {
+            threads,
+            counts: (multi.num_ands(), multi.num_xors()),
+            single_time: conv_time,
+            multi_time,
+            rounds: stats.num_rounds(),
+            // Bit-identity, not just equal counts, so a determinism
+            // regression that preserves totals still raises [DIVERGED].
+            identical: netlist(&multi) == netlist(&conv),
+            verified: equiv(&reference, &multi.cleanup(), 0xDAC19, 64),
+        }
+    });
 
     FlowResult {
         initial,
@@ -223,7 +214,7 @@ pub fn run_flow_with(
         converged,
         verified,
         optimized: conv_clean,
-        parallel: None,
+        parallel,
     }
 }
 

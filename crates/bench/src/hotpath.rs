@@ -411,15 +411,15 @@ pub fn run_hotpath(samples: usize, alloc_check: bool) -> Vec<BenchRecord> {
         group.finish();
     }
 
-    // Profiler overhead: one sequential McRewrite round over fuzz_wide
-    // with the phase profiler on vs off. Phases fire at pass, round, and
+    // Profiler overhead: one `mc` round over fuzz_wide with the phase
+    // profiler on vs off. Phases fire at pass, round, and
     // node granularity — never per cut — so the two runs must be within
     // noise of each other; the trajectory keeps the off/on ratio (~1.0)
     // and the gate holds it to the same floor as the other ratio rows. A
     // profiler change that starts costing real time at pass granularity
     // collapses the ratio and fails the gate.
     {
-        use xag_mc::{McRewrite, OptContext, Pass};
+        use xag_mc::{FlowSpec, OptContext};
         let w = workloads()
             .into_iter()
             .find(|w| w.name == "fuzz_wide")
@@ -427,20 +427,20 @@ pub fn run_hotpath(samples: usize, alloc_check: bool) -> Vec<BenchRecord> {
         let gates = w.xag.live_gates().len();
         let mut group = BenchGroup::new("prof_overhead");
         group.sample_size(samples);
-        let pass = McRewrite::new();
+        let round = FlowSpec::parse("mc(cut=6)").expect("valid spec");
         let mut ctx = OptContext::new();
         // Warm the classifier cache so neither measurement pays the
         // cold-start beam search.
-        let _ = pass.run(&mut w.xag.clone(), &mut ctx);
+        let _ = round.run(&mut w.xag.clone(), &mut ctx, 1, 1);
         mc_obs::prof::set_enabled(true);
         let t_on = group.bench_function_timed("round_prof_on", || {
             let mut xag = w.xag.clone();
-            black_box(pass.run(&mut xag, &mut ctx).rewrites_applied)
+            black_box(round.run(&mut xag, &mut ctx, 1, 1).ands_after())
         });
         mc_obs::prof::set_enabled(false);
         let t_off = group.bench_function_timed("round_prof_off", || {
             let mut xag = w.xag.clone();
-            black_box(pass.run(&mut xag, &mut ctx).rewrites_applied)
+            black_box(round.run(&mut xag, &mut ctx, 1, 1).ands_after())
         });
         mc_obs::prof::set_enabled(true);
         mc_obs::prof::reset();

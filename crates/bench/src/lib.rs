@@ -1,12 +1,12 @@
 //! Experiment harness for the DAC'19 reproduction.
 //!
 //! The [`experiment`] module runs the paper's flow on a benchmark circuit
-//! through the pass-pipeline API: generic size rewriting produces the
+//! as [`xag_mc::FlowSpec`] runs: generic size rewriting produces the
 //! "Initial" column (the paper uses an ABC script; we use the unit-cost
-//! rewriter), one [`xag_mc::McRewrite`] pass gives the "One round"
-//! columns, and [`xag_mc::Pipeline::paper_flow`] runs until convergence
-//! ("Repeat until convergence" columns). The `table1` and `table2`
-//! binaries print the corresponding tables.
+//! rewriter), one `mc` round gives the "One round" columns, and the
+//! `paper` flow runs until convergence ("Repeat until convergence"
+//! columns). The `table1` and `table2` binaries print the corresponding
+//! tables.
 //!
 //! The [`harness`] module is the workspace's dependency-free criterion
 //! stand-in used by the targets under `benches/`. The [`hotpath`] module

@@ -47,7 +47,7 @@ const BITS_PER_AND_PER_REP: usize = 3;
 /// # Examples
 ///
 /// ```
-/// use xag_mc::{protocol_costs, McOptimizer};
+/// use xag_mc::{protocol_costs, run_job, JobSpec, OptContext};
 /// use xag_network::Xag;
 ///
 /// let mut xag = Xag::new();
@@ -57,7 +57,7 @@ const BITS_PER_AND_PER_REP: usize = 3;
 /// let t = xag.xor(ab, ac);
 /// xag.output(t);
 /// let before = protocol_costs(&xag);
-/// McOptimizer::new().run_to_convergence(&mut xag);
+/// run_job(&mut xag, &mut OptContext::new(), &JobSpec::default());
 /// let after = protocol_costs(&xag);
 /// assert!(after.garbled_bytes < before.garbled_bytes);
 /// ```

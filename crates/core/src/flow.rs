@@ -1,11 +1,10 @@
 //! FlowSpec — a small textual DSL and typed AST for optimization flows.
 //!
-//! The service tiers used to expose exactly three hardcoded flows
-//! through a closed enum. A [`FlowSpec`] replaces that with a
-//! *description* of a flow that can be parsed from a string, validated,
-//! normalized to canonical bytes (the cache-key contribution), and
-//! executed through the existing [`Pipeline`] machinery — so arbitrary
-//! client-defined flows travel over the wire, ABC-script style.
+//! A [`FlowSpec`] is a *description* of a flow that can be parsed from a
+//! string, validated, normalized to canonical bytes (the cache-key
+//! contribution), and executed ([`FlowSpec::run`]) — so arbitrary
+//! client-defined flows travel over the wire, ABC-script style, and
+//! library callers, benches and the service all run flows the same way.
 //!
 //! # Grammar
 //!
@@ -32,16 +31,19 @@
 //!
 //! # Semantics
 //!
+//! * Each atom is one pass: `mc`/`size` run one rewriting round over
+//!   every gate ([`crate::shard`]), `xor` runs [`crate::reduce_xors`],
+//!   `cleanup` compacts the arena.
 //! * A bare item runs once; `*k` runs it `k` times.
-//! * `unit*` repeats the unit's passes **until convergence** with the
-//!   exact schedule of [`Pipeline::run`]: the current pass repeats while
-//!   it improves the metric, then the flow advances cyclically, and the
-//!   group has converged once every pass is stale in sequence. The
-//!   metric is [`Objective::Size`] when the unit contains a `size` atom
-//!   and [`Objective::MultiplicativeComplexity`] otherwise. Nesting a
+//! * `unit*` repeats the unit's passes **until convergence**: the
+//!   current pass repeats while it improves the metric, then the flow
+//!   advances cyclically, and the group has converged once every pass is
+//!   stale in sequence. The metric is [`crate::Objective::Size`] when the
+//!   unit contains a `size` atom and
+//!   [`crate::Objective::MultiplicativeComplexity`] otherwise. Nesting a
 //!   `*` inside another `*` group is rejected.
-//! * `par(threads=N){…}` runs its body with `N` worker threads through
-//!   the sharded engine. Thread counts **never change the result**
+//! * `par(threads=N){…}` runs its body with `N` worker threads in the
+//!   rewriting round. Thread counts **never change the result**
 //!   (bit-identical, see [`crate::shard`]) — which is why
 //!   [`FlowSpec::normalize`] erases `par` wrappers entirely.
 //! * The whole run is capped at `max_rounds` total pass executions,
@@ -96,9 +98,7 @@
 use xag_network::Xag;
 
 use crate::context::OptContext;
-use crate::pass::{Cleanup, McRewrite, Pass, PassStats, SizeRewrite, XorReduce};
-use crate::pipeline::{Pipeline, PipelineStats};
-use crate::Objective;
+use crate::stats::FlowStats;
 
 /// Longest accepted spec text, in bytes — enforced on the raw input
 /// (before tokenizing) *and* on the canonical knob-explicit rendering
@@ -201,28 +201,33 @@ pub enum Repeat {
     Once,
     /// A fixed number of times (`*k`).
     Times(usize),
-    /// Until convergence (bare `*`), under the [`Pipeline::run`]
-    /// schedule.
+    /// Until convergence (bare `*`); see the
+    /// [module documentation](self) for the schedule.
     Converge,
 }
 
 /// One unit of a flow: a pass atom or a bracketed sub-flow.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FlowUnit {
-    /// `mc(cut=N)` — cut rewriting minimizing multiplicative complexity
-    /// ([`McRewrite`]).
+    /// `mc(cut=N)` — one round of cut rewriting minimizing
+    /// multiplicative complexity (the paper's Algorithm 1), reported as
+    /// pass `mc-rewrite<N>`.
     Mc {
         /// Cut size, within [`MIN_SPEC_CUT`]..=[`MAX_SPEC_CUT`].
         cut: usize,
     },
-    /// `size(cut=N)` — unit-cost cut rewriting ([`SizeRewrite`]).
+    /// `size(cut=N)` — one round of unit-cost cut rewriting, the
+    /// stand-in for the paper's ABC size baseline (pass
+    /// `size-rewrite<N>`).
     Size {
         /// Cut size, within [`MIN_SPEC_CUT`]..=[`MAX_SPEC_CUT`].
         cut: usize,
     },
-    /// `xor` — Paar linear-layer reduction ([`XorReduce`]).
+    /// `xor` — Paar linear-layer reduction ([`crate::reduce_xors`]; pass
+    /// `xor-reduce`).
     Xor,
-    /// `cleanup` — arena compaction ([`Cleanup`]).
+    /// `cleanup` — arena compaction, dropping dead nodes (pass
+    /// `cleanup`).
     Cleanup,
     /// `{…}` — a sequenced sub-flow.
     Group(Vec<FlowItem>),
@@ -277,32 +282,13 @@ pub const ALIASES: [(&str, &str); 3] = [
     ("from_params", "{mc(cut=4)}*"),
 ];
 
+/// The item an alias stands for: its [`ALIASES`] expansion, parsed
+/// (`paper_flow` resolves to `paper`).
 fn alias_item(name: &str) -> Option<FlowItem> {
-    let converge_group = |units: &[FlowUnit]| FlowItem {
-        unit: FlowUnit::Group(
-            units
-                .iter()
-                .map(|u| FlowItem {
-                    unit: u.clone(),
-                    repeat: Repeat::Once,
-                })
-                .collect(),
-        ),
-        repeat: Repeat::Converge,
-    };
-    match name {
-        "paper" | "paper_flow" => Some(converge_group(&[
-            FlowUnit::Mc { cut: 4 },
-            FlowUnit::Mc { cut: 6 },
-        ])),
-        "compress" => Some(converge_group(&[
-            FlowUnit::Size { cut: 4 },
-            FlowUnit::Size { cut: 6 },
-            FlowUnit::Xor,
-        ])),
-        "from_params" => Some(converge_group(&[FlowUnit::Mc { cut: 4 }])),
-        _ => None,
-    }
+    let name = if name == "paper_flow" { "paper" } else { name };
+    let (_, expansion) = ALIASES.iter().find(|(alias, _)| *alias == name)?;
+    let spec = FlowSpec::parse(expansion).expect("alias expansions are valid specs");
+    spec.items.into_iter().next()
 }
 
 fn alias_spec(name: &str) -> Option<FlowSpec> {
@@ -407,61 +393,21 @@ impl FlowSpec {
         self.normalize().to_string()
     }
 
-    /// Lowers the spec into a single flat [`Pipeline`]: every pass atom
-    /// in order (bounded repetitions expanded, `par` erased), measured on
-    /// [`Objective::Size`] iff the spec contains a `size` atom, capped at
-    /// `max_rounds`.
-    ///
-    /// For a spec that is one until-convergence group — every alias is —
-    /// this is exactly the pipeline [`FlowSpec::run`] executes, which is
-    /// how alias specs stay byte-identical to the historical
-    /// [`crate::FlowKind`] flows. Specs with richer structure (bounded
-    /// repetition, sequenced convergence groups) need [`FlowSpec::run`],
-    /// which honors per-item repetition; this lowering only preserves
-    /// their pass multiset.
-    pub fn to_pipeline(&self, max_rounds: usize) -> Pipeline {
-        let mut passes = Vec::new();
-        collect_passes(&self.items, None, &mut passes);
-        let mut flow = Pipeline::new()
-            .metric(items_metric(&self.items))
-            .max_rounds(max_rounds.max(1));
-        for pass in passes {
-            flow = flow.add_boxed(pass);
-        }
-        flow
-    }
-
     /// Executes the spec on `xag` with up to `threads` workers (`par`
     /// blocks override locally) and at most `max_rounds` total pass
     /// executions.
     ///
     /// The optimized network depends only on `(xag, self.normalized(),
-    /// max_rounds)` — never on any thread count — because every pass runs
-    /// through [`Pass::run_parallel`] and the sharded engine is
-    /// bit-identical across worker counts.
+    /// max_rounds)` — never on any thread count — because the rewriting
+    /// round is bit-identical across worker counts ([`crate::shard`]).
     pub fn run(
         &self,
         xag: &mut Xag,
         ctx: &mut OptContext,
         threads: usize,
         max_rounds: usize,
-    ) -> PipelineStats {
-        let budget = max_rounds.max(1);
-        let mut executed: Vec<PassStats> = Vec::new();
-        let mut converged = true;
-        run_items(
-            &self.items,
-            xag,
-            ctx,
-            threads.max(1),
-            budget,
-            &mut executed,
-            &mut converged,
-        );
-        PipelineStats {
-            passes: executed,
-            converged,
-        }
+    ) -> FlowStats {
+        crate::pipeline::run(&self.items, xag, ctx, threads, max_rounds)
     }
 }
 
@@ -575,161 +521,6 @@ fn normalize_items(items: &[FlowItem]) -> Vec<FlowItem> {
         }
     }
     out
-}
-
-// ---------------------------------------------------------------------
-// Lowering and execution
-
-fn atom_pass(unit: &FlowUnit) -> Option<Box<dyn Pass>> {
-    match unit {
-        FlowUnit::Mc { cut } => Some(Box::new(McRewrite::with_cut_size(*cut))),
-        FlowUnit::Size { cut } => Some(Box::new(SizeRewrite::with_cut_size(*cut))),
-        FlowUnit::Xor => Some(Box::new(XorReduce::new())),
-        FlowUnit::Cleanup => Some(Box::new(Cleanup::new())),
-        FlowUnit::Group(_) | FlowUnit::Par { .. } => None,
-    }
-}
-
-/// A pass that always runs with its own worker count, ignoring the
-/// pipeline-level thread count — how a `par{}` block keeps its override
-/// when its body is flattened into a [`Pipeline`] (e.g. inside an
-/// until-convergence group). Purely a scheduling wrapper: results stay
-/// bit-identical (see [`crate::shard`]), and the pass name is unchanged
-/// so statistics rows are unaffected.
-struct PinnedThreads {
-    pass: Box<dyn Pass>,
-    threads: usize,
-}
-
-impl Pass for PinnedThreads {
-    fn name(&self) -> &str {
-        self.pass.name()
-    }
-
-    fn run(&self, xag: &mut Xag, ctx: &mut OptContext) -> PassStats {
-        self.pass.run_parallel(xag, ctx, self.threads)
-    }
-
-    fn run_parallel(&self, xag: &mut Xag, ctx: &mut OptContext, _threads: usize) -> PassStats {
-        self.pass.run_parallel(xag, ctx, self.threads)
-    }
-}
-
-/// Flattens `items` into pass objects, expanding bounded repetitions.
-/// `pin` carries the innermost enclosing `par{}` thread count, so a
-/// `par` block nested anywhere — including inside a convergence group —
-/// keeps its worker-count override through the flattening.
-fn collect_passes(items: &[FlowItem], pin: Option<usize>, out: &mut Vec<Box<dyn Pass>>) {
-    for item in items {
-        let times = match item.repeat {
-            Repeat::Once | Repeat::Converge => 1,
-            Repeat::Times(k) => k,
-        };
-        for _ in 0..times {
-            match &item.unit {
-                FlowUnit::Group(body) => collect_passes(body, pin, out),
-                FlowUnit::Par { threads, body } => collect_passes(body, Some(*threads), out),
-                atom => {
-                    let pass = atom_pass(atom).expect("atoms lower to passes");
-                    out.push(match pin {
-                        Some(threads) => Box::new(PinnedThreads { pass, threads }),
-                        None => pass,
-                    });
-                }
-            }
-        }
-    }
-}
-
-fn items_metric(items: &[FlowItem]) -> Objective {
-    fn has_size(items: &[FlowItem]) -> bool {
-        items.iter().any(|item| match &item.unit {
-            FlowUnit::Size { .. } => true,
-            FlowUnit::Group(body) | FlowUnit::Par { body, .. } => has_size(body),
-            _ => false,
-        })
-    }
-    if has_size(items) {
-        Objective::Size
-    } else {
-        Objective::MultiplicativeComplexity
-    }
-}
-
-fn unit_metric(unit: &FlowUnit) -> Objective {
-    items_metric(core::slice::from_ref(&FlowItem {
-        unit: unit.clone(),
-        repeat: Repeat::Once,
-    }))
-}
-
-fn run_items(
-    items: &[FlowItem],
-    xag: &mut Xag,
-    ctx: &mut OptContext,
-    threads: usize,
-    budget: usize,
-    executed: &mut Vec<PassStats>,
-    converged: &mut bool,
-) {
-    for item in items {
-        match item.repeat {
-            Repeat::Once => run_unit(&item.unit, xag, ctx, threads, budget, executed, converged),
-            Repeat::Times(k) => {
-                for _ in 0..k {
-                    run_unit(&item.unit, xag, ctx, threads, budget, executed, converged);
-                }
-            }
-            Repeat::Converge => {
-                if executed.len() >= budget {
-                    *converged = false;
-                    continue;
-                }
-                // Reuse the Pipeline convergence schedule verbatim: this
-                // is what keeps alias specs byte-identical to the
-                // historical FlowKind flows.
-                let remaining = budget - executed.len();
-                let mut flow = Pipeline::new()
-                    .metric(unit_metric(&item.unit))
-                    .max_rounds(remaining);
-                let mut passes = Vec::new();
-                collect_passes(core::slice::from_ref(item), None, &mut passes);
-                for pass in passes {
-                    flow = flow.add_boxed(pass);
-                }
-                let stats = flow.run_parallel(xag, ctx, threads);
-                *converged &= stats.converged;
-                executed.extend(stats.passes);
-            }
-        }
-    }
-}
-
-fn run_unit(
-    unit: &FlowUnit,
-    xag: &mut Xag,
-    ctx: &mut OptContext,
-    threads: usize,
-    budget: usize,
-    executed: &mut Vec<PassStats>,
-    converged: &mut bool,
-) {
-    match unit {
-        FlowUnit::Group(body) => run_items(body, xag, ctx, threads, budget, executed, converged),
-        FlowUnit::Par { threads: t, body } => {
-            run_items(body, xag, ctx, *t, budget, executed, converged);
-        }
-        atom => {
-            if executed.len() >= budget {
-                *converged = false;
-                return;
-            }
-            let pass = atom_pass(atom).expect("atoms lower to passes");
-            let stats = pass.run_parallel(xag, ctx, threads);
-            crate::observe::pass_boundary(&stats);
-            executed.push(stats);
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -1267,17 +1058,6 @@ mod tests {
     }
 
     #[test]
-    fn alias_pipelines_match_the_flowkind_flows() {
-        use crate::FlowKind;
-        for kind in FlowKind::ALL {
-            let spec = FlowSpec::named(kind.name()).unwrap();
-            let ours = spec.to_pipeline(100);
-            let theirs = kind.pipeline(100);
-            assert_eq!(ours.pass_names(), theirs.pass_names(), "{kind}");
-        }
-    }
-
-    #[test]
     fn execution_preserves_function_and_honors_the_round_budget() {
         for text in [
             "paper",
@@ -1344,32 +1124,30 @@ mod tests {
     }
 
     /// A `par{}` nested inside a convergence group keeps its worker
-    /// override through the pipeline flattening (the PinnedThreads
-    /// wrapper) without changing names, results, or the normalized key.
+    /// override through the flattening without changing names, results,
+    /// or the normalized key.
     #[test]
     fn nested_par_in_convergence_group_runs_and_stays_canonical() {
         let nested = FlowSpec::parse("{par(threads=4){mc(cut=4)};mc(cut=6)}*").unwrap();
         assert_eq!(nested.normalized(), "{mc(cut=4);mc(cut=6)}*");
-        assert_eq!(
-            nested.to_pipeline(100).pass_names(),
-            FlowSpec::parse("paper")
-                .unwrap()
-                .to_pipeline(100)
-                .pass_names(),
-            "the pinning wrapper must not rename passes"
-        );
-        let netlist = |spec: &FlowSpec| {
+        let run = |spec: &FlowSpec| {
             let mut xag = full_adder();
             let mut ctx = OptContext::new();
             let stats = spec.run(&mut xag, &mut ctx, 1, 100);
             assert!(stats.converged);
             let mut buf = Vec::new();
             write_verilog(&xag.cleanup(), "m", &mut buf).expect("in-memory write");
-            buf
+            let names: Vec<String> = stats.passes.into_iter().map(|p| p.pass).collect();
+            (names, buf)
         };
+        let (nested_names, nested_netlist) = run(&nested);
+        let (paper_names, paper_netlist) = run(&FlowSpec::parse("paper").unwrap());
         assert_eq!(
-            netlist(&nested),
-            netlist(&FlowSpec::parse("paper").unwrap()),
+            nested_names, paper_names,
+            "the par override must not rename passes"
+        );
+        assert_eq!(
+            nested_netlist, paper_netlist,
             "nested par is scheduling only — results stay byte-identical"
         );
     }

@@ -1,27 +1,18 @@
 //! The job-level API of the optimizer: one network in, one optimized
 //! network plus a [`JobResult`] out.
 //!
-//! Service layers (the `mc-serve` daemon, batch drivers) should speak
-//! this API instead of composing passes themselves: a [`JobSpec`]
-//! describes a flow as a [`FlowSpec`] (parsed from the wire, alias or
-//! full spec) and carries the two knobs a remote caller may reasonably
-//! pick (worker threads, round cap), and [`run_job`] executes it without
-//! exposing pass internals.
+//! Everything that optimizes a network — the `mc-serve` daemon, batch
+//! drivers, the bench tables, the examples — speaks this API: a
+//! [`JobSpec`] describes a flow as a [`FlowSpec`] (parsed from the wire,
+//! alias or full spec) and carries the two knobs a remote caller may
+//! reasonably pick (worker threads, round cap), and [`run_job`] executes
+//! it through [`FlowSpec::run`].
 //!
-//! Every pass of a flow runs through [`Pass::run_parallel`] — even with
-//! one thread — because the parallel engine is bit-identical across
-//! thread counts. That makes the optimized network a function of
+//! The rewriting round is bit-identical across thread counts
+//! ([`crate::shard`]). That makes the optimized network a function of
 //! `(circuit, flow.normalized(), max_rounds)` alone, which is exactly
 //! the property a semantic result cache needs: thread counts (the job's
 //! or a `par{}` block's) may change wall-clock, never the answer.
-//!
-//! [`FlowKind`] — the closed three-flow enum this API exposed before the
-//! FlowSpec redesign — survives as a **deprecated thin shim**: each
-//! variant parses to its alias spec ([`FlowKind::spec`], or `.into()`),
-//! so historical call sites keep compiling while new code speaks
-//! [`FlowSpec`] directly.
-//!
-//! [`Pass::run_parallel`]: crate::Pass::run_parallel
 //!
 //! # Examples
 //!
@@ -71,105 +62,13 @@ use xag_network::Xag;
 
 use crate::context::OptContext;
 use crate::flow::FlowSpec;
-use crate::pipeline::Pipeline;
-
-/// The historical named optimization flows.
-///
-/// **Deprecated shim**: the job API speaks [`FlowSpec`] now, and each
-/// variant here is nothing but a name for its alias spec — use
-/// [`FlowKind::spec`] (or `FlowSpec::from(kind)`) to convert, and prefer
-/// [`FlowSpec::parse`] for anything new. The enum remains because the
-/// service tiers still enumerate the canonical flows for zero-filled
-/// statistics rows ([`FlowKind::ALL`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FlowKind {
-    /// Alias `paper` — minimize multiplicative complexity until
-    /// convergence (the DAC'19 flow): `{mc(cut=4);mc(cut=6)}*`.
-    #[default]
-    Paper,
-    /// Alias `compress` — generic size compression (the ABC-script
-    /// stand-in): `{size(cut=4);size(cut=6);xor}*`.
-    Compress,
-    /// Alias `from_params` — the fast 4-cut flow the
-    /// [`crate::McOptimizer`] facade builds: `{mc(cut=4)}*`.
-    FromParams,
-}
-
-impl FlowKind {
-    /// The stable alias used on the wire and on CLI flags.
-    pub fn name(self) -> &'static str {
-        match self {
-            FlowKind::Paper => "paper",
-            FlowKind::Compress => "compress",
-            FlowKind::FromParams => "from_params",
-        }
-    }
-
-    /// Every canonical flow, in wire-name order — service tiers use this
-    /// to report a complete per-flow breakdown (zero-filled for flows
-    /// not yet run).
-    pub const ALL: [FlowKind; 3] = [FlowKind::Paper, FlowKind::Compress, FlowKind::FromParams];
-
-    /// Parses a flow alias; accepts the historical `paper_flow`
-    /// spelling. For full spec strings use [`FlowSpec::parse`].
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "paper" | "paper_flow" => Some(FlowKind::Paper),
-            "compress" => Some(FlowKind::Compress),
-            "from_params" => Some(FlowKind::FromParams),
-            _ => None,
-        }
-    }
-
-    /// The [`FlowSpec`] this alias expands to.
-    pub fn spec(self) -> FlowSpec {
-        FlowSpec::named(self.name()).expect("every FlowKind names a canonical alias")
-    }
-
-    /// Builds the corresponding pipeline, capped at `max_rounds`.
-    ///
-    /// Kept for the shim's byte-identity contract:
-    /// `kind.pipeline(r)` and `kind.spec().to_pipeline(r)` construct the
-    /// same pass sequence, so pre-FlowSpec callers and spec-driven
-    /// callers optimize identically.
-    pub fn pipeline(self, max_rounds: usize) -> Pipeline {
-        let flow = match self {
-            FlowKind::Paper => Pipeline::paper_flow(),
-            FlowKind::Compress => Pipeline::compress(),
-            FlowKind::FromParams => {
-                let defaults = crate::RewriteParams::default();
-                let params = crate::RewriteParams {
-                    cut_params: xag_cuts::CutParams {
-                        cut_size: 4,
-                        ..defaults.cut_params
-                    },
-                    ..defaults
-                };
-                Pipeline::from_params(&params)
-            }
-        };
-        flow.max_rounds(max_rounds.max(1))
-    }
-}
-
-impl From<FlowKind> for FlowSpec {
-    fn from(kind: FlowKind) -> Self {
-        kind.spec()
-    }
-}
-
-impl core::fmt::Display for FlowKind {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.write_str(self.name())
-    }
-}
 
 /// What to run on a submitted network.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobSpec {
     /// The flow to run.
     pub flow: FlowSpec,
-    /// Worker threads for the sharded engine (≥ 1; does not change the
+    /// Worker threads of the rewriting round (≥ 1; does not change the
     /// result, only wall-clock). `par{}` blocks in the flow override it
     /// locally.
     pub threads: usize,
@@ -214,8 +113,8 @@ pub struct JobResult {
 /// Runs `spec` on `xag` in place and reports the summary.
 ///
 /// The result network depends only on
-/// `(xag, spec.flow.normalized(), spec.max_rounds)` — see the
-/// [module documentation](self) for why no thread count can affect it.
+/// `(xag, spec.flow.normalized(), spec.max_rounds)`: the rewriting
+/// round is bit-identical for every thread count ([`crate::shard`]).
 pub fn run_job(xag: &mut Xag, ctx: &mut OptContext, spec: &JobSpec) -> JobResult {
     let ands_before = xag.num_ands();
     let xors_before = xag.num_xors();
@@ -260,16 +159,17 @@ mod tests {
 
     #[test]
     fn flow_names_round_trip_and_accept_alias() {
-        for f in FlowKind::ALL {
-            assert_eq!(FlowKind::from_name(f.name()), Some(f));
+        for (name, _) in FlowSpec::aliases() {
+            let spec = FlowSpec::named(name).expect("every listed alias resolves");
+            assert_eq!(FlowSpec::parse(name), Ok(spec));
         }
-        assert_eq!(FlowKind::from_name("paper_flow"), Some(FlowKind::Paper));
-        assert_eq!(FlowKind::from_name("resub"), None);
+        assert_eq!(FlowSpec::named("paper_flow"), FlowSpec::named("paper"));
+        assert_eq!(FlowSpec::named("resub"), None);
     }
 
     #[test]
     fn every_flow_preserves_function_and_reports_counts() {
-        for flow in FlowKind::ALL {
+        for (flow, _) in FlowSpec::aliases() {
             let mut xag = redundant_network();
             let reference = xag.cleanup();
             let mut ctx = OptContext::new();
@@ -277,7 +177,7 @@ mod tests {
                 &mut xag,
                 &mut ctx,
                 &JobSpec {
-                    flow: flow.into(),
+                    flow: FlowSpec::named(flow).expect("listed alias"),
                     ..JobSpec::default()
                 },
             );
@@ -306,42 +206,5 @@ mod tests {
         let one = netlist(1);
         assert_eq!(one, netlist(2));
         assert_eq!(one, netlist(4));
-    }
-
-    /// The shim's acceptance contract: every historical `FlowKind` flow
-    /// produces a byte-identical netlist to its FlowSpec alias expansion
-    /// (both its alias name and the written-out spec text).
-    #[test]
-    fn flowkind_flows_match_their_spec_expansions_byte_for_byte() {
-        for kind in FlowKind::ALL {
-            let via_pipeline = {
-                let mut xag = redundant_network();
-                let mut ctx = OptContext::new();
-                kind.pipeline(100).run_parallel(&mut xag, &mut ctx, 1);
-                netlist_of(&xag)
-            };
-            let (_, expansion) = crate::flow::ALIASES
-                .iter()
-                .find(|(name, _)| *name == kind.name())
-                .expect("every FlowKind is listed in ALIASES");
-            for text in [kind.name(), *expansion] {
-                let mut xag = redundant_network();
-                let mut ctx = OptContext::new();
-                let result = run_job(
-                    &mut xag,
-                    &mut ctx,
-                    &JobSpec {
-                        flow: text.parse().expect("canonical specs parse"),
-                        ..JobSpec::default()
-                    },
-                );
-                assert!(result.converged, "{kind} via {text}");
-                assert_eq!(
-                    netlist_of(&xag),
-                    via_pipeline,
-                    "{kind} via {text} diverged from the FlowKind pipeline"
-                );
-            }
-        }
     }
 }

@@ -1,5 +1,5 @@
 //! Cut rewriting to minimize multiplicative complexity — the DAC'19
-//! contribution — organized as a pass-based optimization pipeline.
+//! contribution — run as flows of passes over one rewriting engine.
 //!
 //! The building blocks:
 //!
@@ -8,23 +8,21 @@
 //!   ([`xag_synth`]), and the on-demand representative database (the
 //!   paper's `XAG_DB`). One context amortizes across passes *and*
 //!   networks.
-//! * [`Pass`] — one step of a flow: [`McRewrite`] (the paper's
-//!   Algorithm 1), [`SizeRewrite`] (the unit-cost ABC-baseline stand-in),
-//!   [`ParRewrite`] (sharded parallel rewriting with a fixed worker
-//!   count), [`XorReduce`] (Paar linear-layer compression), and
-//!   [`Cleanup`] (arena compaction).
-//! * [`Pipeline`] — ABC-script-style flow construction
-//!   ([`Pipeline::paper_flow`], [`Pipeline::compress`], or pass by pass
-//!   with [`Pipeline::add`]) with until-convergence repetition and
-//!   per-pass statistics; [`Pipeline::run_parallel`] runs the same flow
-//!   on a worker pool through the sharded engine ([`shard`]), producing
-//!   bit-identical results for every thread count.
-//! * [`McOptimizer`] — a thin facade running [`Pipeline::paper_flow`]
-//!   with one call, for the common case ([`RewriteParams::threads`]
-//!   routes it through the parallel engine).
+//! * [`shard`] — the rewriting round, the crate's only engine: every
+//!   gate's best replacement is proposed against a frozen snapshot of the
+//!   network (inline with one thread, on a worker pool with more), then
+//!   the proposals are committed in topological order. The result is
+//!   bit-identical for every thread count.
+//! * [`FlowSpec`] — the one flow representation: a parsed, normalized
+//!   spec such as `{mc(cut=4);mc(cut=6)}*` (alias `paper`), and its one
+//!   executor, [`FlowSpec::run`], which reports every executed pass
+//!   ([`FlowStats`], [`PassStats`]).
+//! * [`run_job`] — one call from a network and a [`JobSpec`] to the
+//!   optimized network and a [`JobResult`]. The service tiers, the bench
+//!   tables and the examples all optimize through it.
 //!
-//! One [`McRewrite`] round implements the paper's Algorithm 1 on top of
-//! the supporting crates:
+//! One `mc` round implements the paper's Algorithm 1 on top of the
+//! supporting crates:
 //!
 //! 1. enumerate 6-feasible cuts of every gate ([`xag_cuts`]);
 //! 2. compute each cut's function as a truth table;
@@ -38,16 +36,21 @@
 //! 6. accept the replacement when it strictly decreases the number of AND
 //!    gates, taking structural sharing into account (MFFC dereferencing for
 //!    the removed logic, hash-aware dry-run for the added logic);
-//! 7. iterate over all nodes, and — under [`Pipeline::run`] — until
-//!    convergence.
+//! 7. iterate over all nodes, and — under an until-convergence flow such
+//!    as `paper` — until convergence.
+//!
+//! Unlike the paper, which rewrites in place node by node, a round
+//! evaluates every node against the network as it was when the round
+//! began, and re-validates each proposal at commit time; a rewrite that
+//! only pays off after another one has been applied waits for the next
+//! round (see [`shard`]).
 //!
 //! # Examples
 //!
-//! Optimize the textbook full adder to a single AND gate (paper Fig. 1/2)
-//! through the facade:
+//! Optimize the textbook full adder to a single AND gate (paper Fig. 1/2):
 //!
 //! ```
-//! use xag_mc::McOptimizer;
+//! use xag_mc::{run_job, JobSpec, OptContext};
 //! use xag_network::Xag;
 //!
 //! let mut xag = Xag::new();
@@ -63,16 +66,15 @@
 //! xag.output(cout);
 //! assert_eq!(xag.num_ands(), 3);
 //!
-//! let mut opt = McOptimizer::new();
-//! opt.run_to_convergence(&mut xag);
+//! let result = run_job(&mut xag, &mut OptContext::new(), &JobSpec::default());
+//! assert!(result.converged);
 //! assert_eq!(xag.num_ands(), 1);
 //! ```
 //!
-//! The same run as an explicit pipeline, keeping the per-pass breakdown
-//! (see [`Pipeline`] for flow construction):
+//! The same flow run directly, keeping the per-pass breakdown:
 //!
 //! ```
-//! # use xag_mc::{OptContext, Pipeline};
+//! # use xag_mc::{FlowSpec, OptContext};
 //! # use xag_network::Xag;
 //! # let mut xag = Xag::new();
 //! # let (a, b, cin) = (xag.input(), xag.input(), xag.input());
@@ -85,19 +87,14 @@
 //! # let sum = xag.xor(axb, cin);
 //! # xag.output(sum);
 //! # xag.output(cout);
+//! let paper = FlowSpec::named("paper").expect("canonical alias");
 //! let mut ctx = OptContext::new();
-//! let stats = Pipeline::paper_flow().run(&mut xag, &mut ctx);
+//! let stats = paper.run(&mut xag, &mut ctx, 1, 100);
 //! assert_eq!(xag.num_ands(), 1);
 //! for pass in stats.per_pass() {
 //!     println!("{}: {} runs, {} ANDs saved", pass.name, pass.runs, pass.ands_saved);
 //! }
 //! ```
-
-use xag_affine::ClassifyConfig;
-use xag_cuts::CutParams;
-use xag_network::{Xag, XagFragment};
-use xag_synth::SynthConfig;
-use xag_tt::Tt;
 
 pub mod canon;
 mod context;
@@ -105,7 +102,6 @@ mod cost;
 pub mod flow;
 mod job;
 mod observe;
-mod pass;
 mod pipeline;
 pub mod shard;
 mod stats;
@@ -115,14 +111,12 @@ pub use canon::{canonical_form, fingerprint, job_key};
 pub use context::OptContext;
 pub use cost::{protocol_costs, ProtocolCosts};
 pub use flow::{FlowError, FlowItem, FlowSpec, FlowUnit, Repeat};
-pub use job::{run_job, FlowKind, JobResult, JobSpec};
-pub use pass::{Cleanup, McRewrite, ParRewrite, Pass, PassStats, SizeRewrite, XorReduce};
-pub use pipeline::{PassSummary, Pipeline, PipelineStats};
+pub use job::{run_job, JobResult, JobSpec};
 pub use shard::{partition_windows, Shard};
-pub use stats::{RewriteStats, RoundStats};
+pub use stats::{FlowStats, PassStats, PassSummary};
 pub use xor_reduce::reduce_xors;
 
-/// What the rewriter minimizes.
+/// What a rewriting round minimizes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Objective {
     /// Minimize AND gates (multiplicative complexity) — the paper's goal.
@@ -133,130 +127,11 @@ pub enum Objective {
     Size,
 }
 
-/// Parameters of the rewriting loop.
-#[derive(Debug, Clone, Copy)]
-pub struct RewriteParams {
-    /// Objective function.
-    pub objective: Objective,
-    /// Cut enumeration parameters (paper defaults: 6-cuts, limit 12).
-    pub cut_params: CutParams,
-    /// Heuristic classifier configuration for 5-/6-input cut functions.
-    pub classify_config: ClassifyConfig,
-    /// Database synthesizer configuration.
-    pub synth_config: SynthConfig,
-    /// Maximum number of rounds in [`McOptimizer::run_to_convergence`]
-    /// (the paper observed convergence within 58 rounds on all benchmarks).
-    pub max_rounds: usize,
-    /// Worker threads for the rewriting passes. `1` (the default) runs the
-    /// classic sequential rounds; `> 1` routes every round through the
-    /// sharded propose/commit engine ([`shard`]), whose result is
-    /// bit-identical for every thread count.
-    pub threads: usize,
-}
-
-impl Default for RewriteParams {
-    fn default() -> Self {
-        Self {
-            objective: Objective::MultiplicativeComplexity,
-            cut_params: CutParams::default(),
-            classify_config: ClassifyConfig::default(),
-            synth_config: SynthConfig::default(),
-            max_rounds: 100,
-            threads: 1,
-        }
-    }
-}
-
-impl RewriteParams {
-    /// Parameters for the generic size-rewriting baseline.
-    pub fn size_baseline() -> Self {
-        Self {
-            objective: Objective::Size,
-            ..Self::default()
-        }
-    }
-}
-
-/// The one-call facade over the pass pipeline: owns an [`OptContext`] and
-/// runs the flow [`Pipeline::from_params`] builds for its parameters.
-///
-/// Keeping one optimizer alive across many networks amortizes the
-/// database: representatives synthesized for one benchmark are reused by
-/// the next. For custom flows, per-pass statistics, or sharing the
-/// context with other passes, use [`Pipeline`] and [`OptContext`]
-/// directly.
-#[derive(Debug, Default)]
-pub struct McOptimizer {
-    params: RewriteParams,
-    ctx: OptContext,
-}
-
-impl McOptimizer {
-    /// Creates an optimizer with default (paper) parameters.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates an optimizer with custom parameters.
-    pub fn with_params(params: RewriteParams) -> Self {
-        Self {
-            params,
-            ctx: OptContext::with_config(params.classify_config, params.synth_config),
-        }
-    }
-
-    /// Number of distinct representatives currently in the database.
-    pub fn db_size(&self) -> usize {
-        self.ctx.db_size()
-    }
-
-    /// The shared optimization context, e.g. to hand to a [`Pipeline`] so
-    /// that facade runs and custom flows share one database.
-    pub fn context_mut(&mut self) -> &mut OptContext {
-        &mut self.ctx
-    }
-
-    /// Runs one rewriting round over all gates (the paper's "One round"
-    /// columns) and returns its statistics.
-    pub fn run_once(&mut self, xag: &mut Xag) -> RoundStats {
-        pass::rewrite_round(
-            xag,
-            &mut self.ctx,
-            &self.params.cut_params,
-            self.params.objective,
-            "facade",
-        )
-        .into()
-    }
-
-    /// Repeats rewriting rounds until the objective stops improving (the
-    /// paper's "Repeat until convergence" columns) or
-    /// [`RewriteParams::max_rounds`] is reached, by running the
-    /// [`Pipeline::from_params`] flow — 4-feasible cuts alternated with
-    /// the configured cut size, smaller first (see
-    /// [`Pipeline::paper_flow`] for why).
-    pub fn run_to_convergence(&mut self, xag: &mut Xag) -> RewriteStats {
-        let flow = Pipeline::from_params(&self.params);
-        let stats = if self.params.threads > 1 {
-            flow.run_parallel(xag, &mut self.ctx, self.params.threads)
-        } else {
-            flow.run(xag, &mut self.ctx)
-        };
-        stats.into_rewrite_stats()
-    }
-
-    /// Algorithm 1 of the paper: build the replacement circuit for a cut
-    /// function — classify, look the representative up in the database
-    /// (synthesizing on a miss), then replay the affine operations.
-    pub fn candidate_for_cut(&mut self, tt: Tt) -> XagFragment {
-        self.ctx.candidate_for_cut(tt)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xag_network::{equiv_exhaustive, Signal};
+    use xag_network::{equiv_exhaustive, Signal, Xag};
+    use xag_tt::Tt;
 
     fn textbook_full_adder() -> Xag {
         let mut xag = Xag::new();
@@ -273,55 +148,55 @@ mod tests {
         xag
     }
 
+    fn job(flow: &str) -> JobSpec {
+        JobSpec {
+            flow: FlowSpec::parse(flow).expect("valid spec"),
+            ..JobSpec::default()
+        }
+    }
+
+    /// One `mc` round with the paper's 6-cuts (the "One round" columns).
+    fn one_round(xag: &mut Xag, ctx: &mut OptContext) -> PassStats {
+        let stats = FlowSpec::parse("mc")
+            .expect("valid spec")
+            .run(xag, ctx, 1, 1);
+        stats.passes.into_iter().next().expect("one pass ran")
+    }
+
     #[test]
     fn full_adder_reaches_mc_one() {
         let mut xag = textbook_full_adder();
         let reference = xag.cleanup();
-        let mut opt = McOptimizer::new();
-        let stats = opt.run_to_convergence(&mut xag);
-        assert!(stats.converged);
+        let result = run_job(&mut xag, &mut OptContext::new(), &JobSpec::default());
+        assert!(result.converged);
         assert_eq!(xag.num_ands(), 1, "paper: full adder has MC 1");
         assert!(equiv_exhaustive(&reference, &xag.cleanup()));
     }
 
     #[test]
     fn candidate_matches_cut_function() {
-        let mut opt = McOptimizer::new();
+        let mut ctx = OptContext::new();
         for bits in [0xe8u64, 0x96, 0x17, 0x80] {
             let tt = Tt::from_bits(bits, 3);
-            let frag = opt.candidate_for_cut(tt);
+            let frag = ctx.candidate_for_cut(tt);
             assert_eq!(frag.eval_tt(), tt);
         }
         // 6-input functions go through the heuristic classifier.
         let tt = Tt::from_bits(0xdead_beef_cafe_1234, 6);
-        let frag = opt.candidate_for_cut(tt);
+        let frag = ctx.candidate_for_cut(tt);
         assert_eq!(frag.eval_tt(), tt);
     }
 
     #[test]
     fn database_is_shared_across_calls() {
-        let mut opt = McOptimizer::new();
+        let mut ctx = OptContext::new();
         let maj = Tt::from_bits(0xe8, 3);
-        let _ = opt.candidate_for_cut(maj);
-        let after_first = opt.db_size();
+        let _ = ctx.candidate_for_cut(maj);
+        let after_first = ctx.db_size();
         // Same class, different (full-support) member: no new entry.
         let member = maj.flip_var(0).translate(1, 2);
-        let _ = opt.candidate_for_cut(member);
-        assert_eq!(opt.db_size(), after_first);
-    }
-
-    #[test]
-    fn facade_and_pipeline_share_a_database() {
-        let mut opt = McOptimizer::new();
-        let mut xag = textbook_full_adder();
-        opt.run_to_convergence(&mut xag);
-        let db_after_facade = opt.db_size();
-        assert!(db_after_facade > 0);
-        // A pipeline run over the facade's context reuses its entries.
-        let mut again = textbook_full_adder();
-        Pipeline::paper_flow().run(&mut again, opt.context_mut());
-        assert_eq!(again.num_ands(), 1);
-        assert_eq!(opt.db_size(), db_after_facade);
+        let _ = ctx.candidate_for_cut(member);
+        assert_eq!(ctx.db_size(), after_first);
     }
 
     #[test]
@@ -336,8 +211,8 @@ mod tests {
         xag.output(o);
         let reference = xag.cleanup();
         let before = xag.num_gates();
-        let mut opt = McOptimizer::with_params(RewriteParams::size_baseline());
-        opt.run_to_convergence(&mut xag);
+        let mut ctx = OptContext::new();
+        run_job(&mut xag, &mut ctx, &job("{size(cut=4);size(cut=6)}*"));
         assert!(xag.num_gates() <= before);
         assert!(equiv_exhaustive(&reference, &xag.cleanup()));
     }
@@ -365,11 +240,10 @@ mod tests {
         }
         let reference = xag.cleanup();
         let before = xag.num_ands();
-        let mut opt = McOptimizer::new();
-        let stats = opt.run_to_convergence(&mut xag);
+        let result = run_job(&mut xag, &mut OptContext::new(), &JobSpec::default());
         assert!(xag.num_ands() <= before);
         assert!(equiv_exhaustive(&reference, &xag.cleanup()));
-        assert!(!stats.rounds.is_empty());
+        assert!(result.rounds > 0);
     }
 
     #[test]
@@ -378,11 +252,11 @@ mod tests {
         // network every instantiated candidate is rejected (or none is
         // instantiated at all), so repeated rounds must not allocate.
         let mut xag = textbook_full_adder();
-        let mut opt = McOptimizer::new();
-        opt.run_to_convergence(&mut xag);
+        let mut ctx = OptContext::new();
+        run_job(&mut xag, &mut ctx, &JobSpec::default());
         let capacity = xag.capacity();
         for _ in 0..3 {
-            let stats = opt.run_once(&mut xag);
+            let stats = one_round(&mut xag, &mut ctx);
             assert_eq!(stats.rewrites_applied, 0);
         }
         assert_eq!(

@@ -11,14 +11,13 @@
 //! overhead is a few relaxed atomics and one ring push per round,
 //! invisible next to a rewriting round's millions of cut evaluations.
 //! The phase profiler (`mc_obs::prof`) is the other instrumentation
-//! surface: passes and the shard engine enter phases directly at pass,
-//! round, shard, and node granularity.
+//! surface: the flow executor and the rewriting round enter phases
+//! directly at pass, round, and shard granularity.
 
-use crate::pass::PassStats;
+use crate::stats::PassStats;
 
 /// Records one executed pass: metrics, a trace span, and a progress
-/// update. Called by the pipeline convergence loop, `run_once`, and the
-/// flow interpreter's direct pass execution.
+/// update. Called by the flow executor after every pass.
 pub(crate) fn pass_boundary(stats: &PassStats) {
     let elapsed_us = stats.elapsed.as_micros() as u64;
     let reg = mc_obs::registry();

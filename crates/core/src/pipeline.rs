@@ -1,10 +1,18 @@
-//! Composable optimization flows, ABC-script style.
+//! The flow executor: runs a [`FlowSpec`](crate::FlowSpec) as a
+//! pipeline of passes, with the semantics documented in [`crate::flow`].
+//! [`FlowSpec::run`](crate::FlowSpec::run) is its only entry point, and
+//! the only way any flow executes.
 //!
-//! A [`Pipeline`] is an ordered list of [`Pass`]es plus a convergence
-//! policy. It can run the passes once, in order ([`Pipeline::run_once`]),
-//! or repeat them until the objective stops improving ([`Pipeline::run`]),
-//! which subsumes the cut-size alternation schedule the optimizer used
-//! before the pass refactor.
+//! The executor walks the spec's items recursively and matches on the
+//! atom: `mc`/`size` run one rewriting round ([`crate::shard`]), `xor`
+//! runs [`reduce_xors`], `cleanup` compacts the arena. A `par{}` block
+//! only changes the thread count handed down. A `*` item flattens its
+//! atoms, bounded repetitions expanded, and runs them under the
+//! convergence schedule. All items share one round budget.
+//!
+//! Every executed atom is one pass: it runs under the profiler's
+//! `pipeline` phase, is reported through [`crate::observe`], and yields
+//! one [`PassStats`] in the run's [`FlowStats`].
 //!
 //! # Examples
 //!
@@ -12,7 +20,7 @@
 //! multiplicative complexity of 1:
 //!
 //! ```
-//! use xag_mc::{OptContext, Pipeline};
+//! use xag_mc::{FlowSpec, OptContext};
 //! use xag_network::Xag;
 //!
 //! let mut xag = Xag::new();
@@ -28,355 +36,210 @@
 //! xag.output(cout);
 //!
 //! let mut ctx = OptContext::new();
-//! let stats = Pipeline::paper_flow().run(&mut xag, &mut ctx);
+//! let stats = FlowSpec::default().run(&mut xag, &mut ctx, 1, 100);
 //! assert!(stats.converged);
 //! assert_eq!(xag.num_ands(), 1);
 //! ```
 //!
-//! A custom flow built pass by pass:
+//! A custom sequence, each pass run once:
 //!
 //! ```
-//! use xag_mc::{Cleanup, McRewrite, OptContext, Pipeline, XorReduce};
+//! use xag_mc::{FlowSpec, OptContext};
 //! # use xag_network::Xag;
 //! # let mut xag = Xag::new();
 //! # let a = xag.input();
 //! # let b = xag.input();
 //! # let g = xag.and(a, b);
 //! # xag.output(g);
-//! let flow = Pipeline::new()
-//!     .add(McRewrite::new())
-//!     .add(XorReduce::new())
-//!     .add(Cleanup::new());
-//! let mut ctx = OptContext::new();
-//! let stats = flow.run_once(&mut xag, &mut ctx);
-//! assert_eq!(stats.passes.len(), 3);
+//! let flow = FlowSpec::parse("mc;xor;cleanup").unwrap();
+//! let stats = flow.run(&mut xag, &mut OptContext::new(), 1, 100);
+//! let names: Vec<&str> = stats.passes.iter().map(|p| p.pass.as_str()).collect();
+//! assert_eq!(names, ["mc-rewrite<6>", "xor-reduce", "cleanup"]);
 //! ```
 
-use std::time::Duration;
+use std::time::Instant;
 
 use xag_cuts::CutParams;
 use xag_network::Xag;
 
 use crate::context::OptContext;
-use crate::pass::{McRewrite, Pass, PassStats, SizeRewrite, XorReduce};
-use crate::stats::{RewriteStats, RoundStats};
-use crate::{Objective, RewriteParams};
+use crate::flow::{FlowItem, FlowUnit, Repeat};
+use crate::shard;
+use crate::stats::{FlowStats, PassStats};
+use crate::xor_reduce::reduce_xors;
+use crate::Objective;
 
-/// An ordered list of passes with a convergence policy.
-///
-/// See the [module documentation](self) for examples.
-pub struct Pipeline {
-    passes: Vec<Box<dyn Pass>>,
-    metric: Objective,
+/// Runs `items` on `xag` with `threads` workers outside any `par{}`
+/// block and at most `max_rounds` pass executions in total.
+pub(crate) fn run(
+    items: &[FlowItem],
+    xag: &mut Xag,
+    ctx: &mut OptContext,
+    threads: usize,
     max_rounds: usize,
-}
-
-impl core::fmt::Debug for Pipeline {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("Pipeline")
-            .field("passes", &self.pass_names())
-            .field("metric", &self.metric)
-            .field("max_rounds", &self.max_rounds)
-            .finish()
+) -> FlowStats {
+    let mut run = Executor {
+        xag,
+        ctx,
+        budget: max_rounds.max(1),
+        passes: Vec::new(),
+        converged: true,
+    };
+    run.items(items, threads.max(1));
+    FlowStats {
+        passes: run.passes,
+        converged: run.converged,
     }
 }
 
-impl Default for Pipeline {
-    fn default() -> Self {
-        Self::new()
-    }
+/// The flow executor: walks the spec's items, runs every atom, and
+/// charges each pass against the run's shared round budget.
+struct Executor<'a> {
+    xag: &'a mut Xag,
+    ctx: &'a mut OptContext,
+    budget: usize,
+    passes: Vec<PassStats>,
+    converged: bool,
 }
 
-impl Pipeline {
-    /// An empty pipeline minimizing multiplicative complexity, capped at
-    /// 100 rounds (the paper observed convergence within 58 on all
-    /// benchmarks).
-    pub fn new() -> Self {
-        Self {
-            passes: Vec::new(),
-            metric: Objective::MultiplicativeComplexity,
-            max_rounds: 100,
-        }
-    }
-
-    /// Appends a pass.
-    #[allow(clippy::should_implement_trait)] // builder step, not arithmetic
-    pub fn add(mut self, pass: impl Pass + 'static) -> Self {
-        self.passes.push(Box::new(pass));
-        self
-    }
-
-    /// Appends an already boxed pass (useful when building flows
-    /// dynamically).
-    pub fn add_boxed(mut self, pass: Box<dyn Pass>) -> Self {
-        self.passes.push(pass);
-        self
-    }
-
-    /// Sets the objective [`Pipeline::run`] measures convergence against.
-    pub fn metric(mut self, metric: Objective) -> Self {
-        self.metric = metric;
-        self
-    }
-
-    /// Caps the total number of pass executions in [`Pipeline::run`].
-    pub fn max_rounds(mut self, max_rounds: usize) -> Self {
-        self.max_rounds = max_rounds;
-        self
-    }
-
-    /// Number of passes in the flow.
-    pub fn num_passes(&self) -> usize {
-        self.passes.len()
-    }
-
-    /// The pass names, in flow order.
-    pub fn pass_names(&self) -> Vec<&str> {
-        self.passes.iter().map(|p| p.name()).collect()
-    }
-
-    /// The paper's until-convergence flow: 4-feasible-cut rewriting
-    /// alternated with 6-feasible-cut rewriting, smaller cuts first.
-    ///
-    /// For functions of up to four inputs the database is provably
-    /// MC-optimal (affine + symplectic + exact MC ≤ 2 search + the
-    /// three-AND worst case), so small-cut rounds establish locally
-    /// optimal structures that heuristic 5-/6-input database entries
-    /// would otherwise destroy, and wide-cut rounds then only fire on
-    /// genuine cross-boundary gains. This compensates for substituting
-    /// the paper's exact NIST database with on-demand synthesis
-    /// (DESIGN.md §3).
-    pub fn paper_flow() -> Self {
-        Self::from_params(&RewriteParams::default())
-    }
-
-    /// A generic compression flow: unit-cost size rewriting (4-cut, then
-    /// 6-cut) followed by XOR reduction, measured on total gate count —
-    /// the stand-in for the ABC script the paper uses to produce its
-    /// "Initial" networks.
-    pub fn compress() -> Self {
-        Self::new()
-            .metric(Objective::Size)
-            .add(SizeRewrite::with_cut_size(4))
-            .add(SizeRewrite::new())
-            .add(XorReduce::new())
-    }
-
-    /// Builds the flow [`crate::McOptimizer`] runs for the given
-    /// parameters: the cut-size schedule of [`Pipeline::paper_flow`] under
-    /// `params.objective`, honoring `params.cut_params` and
-    /// `params.max_rounds`.
-    pub fn from_params(params: &RewriteParams) -> Self {
-        let big = params.cut_params.cut_size;
-        let sizes: &[usize] = if big > 4 { &[4, big] } else { &[big] };
-        let mut flow = Self::new()
-            .metric(params.objective)
-            .max_rounds(params.max_rounds);
-        for &size in sizes {
-            let cut_params = CutParams {
-                cut_size: size,
-                ..params.cut_params
-            };
-            flow = match params.objective {
-                Objective::MultiplicativeComplexity => flow.add(McRewrite::with_params(cut_params)),
-                Objective::Size => flow.add(SizeRewrite::with_params(cut_params)),
-            };
-        }
-        flow
-    }
-
-    /// Runs every pass exactly once, in order.
-    pub fn run_once(&self, xag: &mut Xag, ctx: &mut OptContext) -> PipelineStats {
-        let passes = self
-            .passes
-            .iter()
-            .map(|pass| {
-                let _root = mc_obs::prof::phase("pipeline");
-                let stats = pass.run(xag, ctx);
-                crate::observe::pass_boundary(&stats);
-                stats
-            })
-            .collect();
-        PipelineStats {
-            passes,
-            converged: false,
-        }
-    }
-
-    /// Repeats the flow until convergence: the current pass runs again
-    /// while it improves the metric; once stale, the flow advances to the
-    /// next pass (cyclically); once *every* pass in sequence is stale, the
-    /// flow has converged. Capped at [`Pipeline::max_rounds`] total pass
-    /// executions.
-    ///
-    /// With the [`Pipeline::paper_flow`] passes this is exactly the
-    /// paper's "repeat until convergence" loop with the small-cut-first
-    /// schedule.
-    pub fn run(&self, xag: &mut Xag, ctx: &mut OptContext) -> PipelineStats {
-        self.run_with_threads(xag, ctx, None)
-    }
-
-    /// [`Pipeline::run`] with up to `threads` worker threads per pass.
-    ///
-    /// Rewriting passes execute through the sharded propose/commit engine
-    /// (see [`crate::shard`]); passes without a parallel implementation
-    /// run sequentially. The convergence schedule is identical to
-    /// [`Pipeline::run`], and the optimized network is **bit-identical for
-    /// every thread count** — only wall-clock changes. Note that the
-    /// parallel engine's round semantics (propose against a frozen
-    /// snapshot, then commit) differ from the sequential in-place round,
-    /// so `run_parallel(.., 1)` and `run(..)` may converge to different —
-    /// equally valid — networks.
-    pub fn run_parallel(
-        &self,
-        xag: &mut Xag,
-        ctx: &mut OptContext,
-        threads: usize,
-    ) -> PipelineStats {
-        self.run_with_threads(xag, ctx, Some(threads.max(1)))
-    }
-
-    fn run_with_threads(
-        &self,
-        xag: &mut Xag,
-        ctx: &mut OptContext,
-        threads: Option<usize>,
-    ) -> PipelineStats {
-        assert!(!self.passes.is_empty(), "cannot run an empty pipeline");
-        let mut executed: Vec<PassStats> = Vec::new();
-        let mut converged = false;
-        let mut phase = 0usize;
-        let mut stale = 0usize;
-        while executed.len() < self.max_rounds {
-            let pass = &self.passes[phase % self.passes.len()];
-            let stats = {
-                let _root = mc_obs::prof::phase("pipeline");
-                match threads {
-                    Some(t) => pass.run_parallel(xag, ctx, t),
-                    None => pass.run(xag, ctx),
+impl Executor<'_> {
+    fn items(&mut self, items: &[FlowItem], threads: usize) {
+        for item in items {
+            match item.repeat {
+                Repeat::Once => self.unit(&item.unit, threads),
+                Repeat::Times(k) => {
+                    for _ in 0..k {
+                        self.unit(&item.unit, threads);
+                    }
                 }
-            };
-            crate::observe::pass_boundary(&stats);
-            let improved = stats.improved(self.metric);
-            executed.push(stats);
-            if improved {
+                Repeat::Converge => self.converge(item, threads),
+            }
+        }
+    }
+
+    fn unit(&mut self, unit: &FlowUnit, threads: usize) {
+        match unit {
+            FlowUnit::Group(body) => self.items(body, threads),
+            FlowUnit::Par { threads, body } => self.items(body, *threads),
+            atom if self.passes.len() < self.budget => {
+                self.atom(atom, threads);
+            }
+            _ => self.converged = false,
+        }
+    }
+
+    /// Runs an until-convergence item: its atoms, flattened in order,
+    /// run while the round budget lasts. The current atom runs again
+    /// while it improves the group's metric (total gates if the group
+    /// holds a `size` atom, ANDs otherwise); once it is stale the
+    /// schedule advances cyclically, and the group has converged once
+    /// every atom is stale in sequence.
+    fn converge(&mut self, item: &FlowItem, threads: usize) {
+        let mut atoms = Vec::new();
+        flatten(core::slice::from_ref(item), threads, &mut atoms);
+        let has_size = atoms
+            .iter()
+            .any(|(a, _)| matches!(a, FlowUnit::Size { .. }));
+        let metric = if has_size {
+            Objective::Size
+        } else {
+            Objective::MultiplicativeComplexity
+        };
+        let (mut phase, mut stale) = (0, 0);
+        while self.passes.len() < self.budget {
+            let (atom, threads) = atoms[phase % atoms.len()];
+            if self.atom(atom, threads).improved(metric) {
                 stale = 0;
             } else {
                 stale += 1;
                 phase += 1;
-                if stale >= self.passes.len() {
-                    converged = true;
-                    break;
+                if stale == atoms.len() {
+                    return;
                 }
             }
         }
-        PipelineStats {
-            passes: executed,
-            converged,
+        self.converged = false;
+    }
+
+    /// Runs one atom as a pass and records it.
+    fn atom(&mut self, atom: &FlowUnit, threads: usize) -> &PassStats {
+        let stats = {
+            let _root = mc_obs::prof::phase("pipeline");
+            run_atom(atom, self.xag, self.ctx, threads)
+        };
+        crate::observe::pass_boundary(&stats);
+        self.passes.push(stats);
+        self.passes.last().expect("just pushed")
+    }
+}
+
+/// Flattens `items` into `(atom, threads)` pairs in execution order,
+/// expanding bounded repetitions. Each atom carries the thread count of
+/// its innermost enclosing `par{}` block, or `threads` outside any.
+fn flatten<'s>(items: &'s [FlowItem], threads: usize, out: &mut Vec<(&'s FlowUnit, usize)>) {
+    for item in items {
+        let times = match item.repeat {
+            Repeat::Once | Repeat::Converge => 1,
+            Repeat::Times(k) => k,
+        };
+        for _ in 0..times {
+            match &item.unit {
+                FlowUnit::Group(body) => flatten(body, threads, out),
+                FlowUnit::Par { threads, body } => flatten(body, *threads, out),
+                atom => out.push((atom, threads)),
+            }
         }
     }
 }
 
-/// Statistics of a pipeline run: every executed pass, in order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PipelineStats {
-    /// Per-execution statistics, in execution order.
-    pub passes: Vec<PassStats>,
-    /// True iff [`Pipeline::run`] stopped because no pass improved the
-    /// metric anymore (as opposed to hitting the round cap; always false
-    /// for [`Pipeline::run_once`]).
-    pub converged: bool,
+/// Executes one pass atom: `mc`/`size` as a rewriting round
+/// ([`shard`]), `xor` and `cleanup` as whole-network rebuilds.
+fn run_atom(atom: &FlowUnit, xag: &mut Xag, ctx: &mut OptContext, threads: usize) -> PassStats {
+    let (objective, cut, name) = match *atom {
+        FlowUnit::Mc { cut } => (Objective::MultiplicativeComplexity, cut, "mc-rewrite"),
+        FlowUnit::Size { cut } => (Objective::Size, cut, "size-rewrite"),
+        _ => return rebuild(atom, xag),
+    };
+    let cut_params = CutParams {
+        cut_size: cut,
+        ..CutParams::default()
+    };
+    let name = format!("{name}<{cut}>");
+    shard::round(xag, ctx, &cut_params, objective, threads, &name)
 }
 
-impl PipelineStats {
-    /// Number of pass executions.
-    pub fn num_rounds(&self) -> usize {
-        self.passes.len()
-    }
-
-    /// AND count before the first pass.
-    pub fn ands_before(&self) -> usize {
-        self.passes.first().map(|r| r.ands_before).unwrap_or(0)
-    }
-
-    /// AND count after the last pass.
-    pub fn ands_after(&self) -> usize {
-        self.passes.last().map(|r| r.ands_after).unwrap_or(0)
-    }
-
-    /// Total wall-clock time across passes.
-    pub fn total_time(&self) -> Duration {
-        self.passes.iter().map(|r| r.elapsed).sum()
-    }
-
-    /// Overall AND improvement, in percent (negative if a flow traded
-    /// ANDs up, which Size-objective flows may).
-    pub fn improvement_pct(&self) -> f64 {
-        let before = self.ands_before();
-        if before == 0 {
-            0.0
+/// `xor` (Paar reduction; `rewrites_applied` counts removed XOR gates)
+/// or `cleanup` (arena compaction; it counts reclaimed node slots).
+/// Neither touches the AND gates.
+fn rebuild(atom: &FlowUnit, xag: &mut Xag) -> PassStats {
+    let xor = matches!(atom, FlowUnit::Xor);
+    let _phase = mc_obs::prof::phase(if xor { "xor_reduce" } else { "cleanup" });
+    // lint: allow(determinism): wall-clock feeds PassStats/metrics timing only; never branches on it
+    let start = Instant::now();
+    let (ands_before, xors_before) = (xag.num_ands(), xag.num_xors());
+    let capacity_before = xag.capacity();
+    *xag = if xor { reduce_xors(xag) } else { xag.cleanup() };
+    let xors_after = xag.num_xors();
+    PassStats {
+        pass: if xor { "xor-reduce" } else { "cleanup" }.to_string(),
+        ands_before,
+        xors_before,
+        ands_after: xag.num_ands(),
+        xors_after,
+        rewrites_applied: if xor {
+            xors_before.saturating_sub(xors_after)
         } else {
-            100.0 * (before as f64 - self.ands_after() as f64) / before as f64
-        }
-    }
-
-    /// Accumulates the statistics per pass name, in first-execution order
-    /// — the per-pass breakdown of a flow.
-    pub fn per_pass(&self) -> Vec<PassSummary> {
-        let mut order: Vec<PassSummary> = Vec::new();
-        for s in &self.passes {
-            let entry = match order.iter_mut().find(|e| e.name == s.pass) {
-                Some(entry) => entry,
-                None => {
-                    order.push(PassSummary {
-                        name: s.pass.clone(),
-                        runs: 0,
-                        ands_saved: 0,
-                        xors_saved: 0,
-                        rewrites_applied: 0,
-                        cuts_considered: 0,
-                        elapsed: Duration::ZERO,
-                    });
-                    order.last_mut().expect("just pushed")
-                }
-            };
-            entry.runs += 1;
-            entry.ands_saved += s.ands_before as i64 - s.ands_after as i64;
-            entry.xors_saved += s.xors_before as i64 - s.xors_after as i64;
-            entry.rewrites_applied += s.rewrites_applied;
-            entry.cuts_considered += s.cuts_considered;
-            entry.elapsed += s.elapsed;
-        }
-        order
-    }
-
-    /// Converts into the facade's [`RewriteStats`] (pass names are
-    /// dropped; each execution becomes one round).
-    pub fn into_rewrite_stats(self) -> RewriteStats {
-        RewriteStats {
-            rounds: self.passes.into_iter().map(RoundStats::from).collect(),
-            converged: self.converged,
-        }
-    }
-}
-
-impl core::fmt::Display for PipelineStats {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(
-            f,
-            "{} rounds, AND {} → {} ({:.1}% improvement), {:.2}s{}",
-            self.num_rounds(),
-            self.ands_before(),
-            self.ands_after(),
-            self.improvement_pct(),
-            self.total_time().as_secs_f64(),
-            if self.converged { "" } else { " (round limit)" }
-        )
+            capacity_before.saturating_sub(xag.capacity())
+        },
+        cuts_considered: 0,
+        elapsed: start.elapsed(),
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::time::Duration;
+
     use super::*;
 
     fn pass_stats(name: &str, before: usize, after: usize) -> PassStats {
@@ -392,33 +255,32 @@ mod tests {
         }
     }
 
+    fn run(passes: Vec<PassStats>, converged: bool) -> FlowStats {
+        FlowStats { passes, converged }
+    }
+
     #[test]
     fn empty_pipeline_stats_aggregate_to_zero() {
-        let s = PipelineStats {
-            passes: Vec::new(),
-            converged: false,
-        };
+        let s = run(Vec::new(), false);
         assert_eq!(s.num_rounds(), 0);
         assert_eq!(s.ands_before(), 0);
         assert_eq!(s.ands_after(), 0);
         assert_eq!(s.total_time(), Duration::ZERO);
         assert!((s.improvement_pct()).abs() < 1e-9);
         assert!(s.per_pass().is_empty());
-        let rw = s.into_rewrite_stats();
-        assert_eq!(rw.num_rounds(), 0);
-        assert!(!rw.converged);
+        assert!(!s.converged);
     }
 
     #[test]
     fn per_pass_groups_by_name_in_first_execution_order() {
-        let s = PipelineStats {
-            passes: vec![
+        let s = run(
+            vec![
                 pass_stats("mc", 10, 8),
                 pass_stats("xor", 8, 8),
                 pass_stats("mc", 8, 7),
             ],
-            converged: true,
-        };
+            true,
+        );
         let summary = s.per_pass();
         assert_eq!(summary.len(), 2);
         assert_eq!(summary[0].name, "mc");
@@ -435,45 +297,8 @@ mod tests {
     fn per_pass_tracks_negative_savings() {
         // A Size-objective pass may add ANDs; the summary must go
         // negative, not saturate.
-        let s = PipelineStats {
-            passes: vec![pass_stats("size", 5, 9)],
-            converged: true,
-        };
+        let s = run(vec![pass_stats("size", 5, 9)], true);
         assert_eq!(s.per_pass()[0].ands_saved, -4);
         assert!(s.improvement_pct() < 0.0);
     }
-
-    #[test]
-    fn into_rewrite_stats_preserves_rounds_and_convergence() {
-        let s = PipelineStats {
-            passes: vec![pass_stats("mc", 10, 8), pass_stats("mc", 8, 8)],
-            converged: true,
-        };
-        let rw = s.clone().into_rewrite_stats();
-        assert_eq!(rw.num_rounds(), 2);
-        assert!(rw.converged);
-        assert_eq!(rw.ands_before(), s.ands_before());
-        assert_eq!(rw.ands_after(), s.ands_after());
-        assert_eq!(rw.total_time(), s.total_time());
-    }
-}
-
-/// Accumulated statistics of all executions of one pass in a flow.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PassSummary {
-    /// The pass name.
-    pub name: String,
-    /// How many times the pass executed.
-    pub runs: usize,
-    /// Net AND gates removed across all executions (negative if the pass
-    /// added ANDs).
-    pub ands_saved: i64,
-    /// Net XOR gates removed across all executions.
-    pub xors_saved: i64,
-    /// Total applied changes.
-    pub rewrites_applied: usize,
-    /// Total cut candidates evaluated.
-    pub cuts_considered: usize,
-    /// Total wall-clock time.
-    pub elapsed: Duration,
 }

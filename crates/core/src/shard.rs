@@ -1,23 +1,26 @@
-//! The parallel sharded rewriting engine.
+//! The cut-rewriting round — the paper's Algorithm 1 over every gate —
+//! and the only rewriting engine of the crate.
 //!
-//! The paper's cut-rewriting loop is embarrassingly parallel at the cut
-//! level: candidate cuts are classified, resynthesized, and evaluated
+//! The paper's loop is embarrassingly parallel at the cut level:
+//! candidate cuts are classified, resynthesized, and evaluated
 //! independently. Concurrent *mutation* of one strashed network is where
-//! semantic corruption creeps in, though, so this engine splits every
-//! round into three phases with very different concurrency regimes:
+//! semantic corruption creeps in, though, so every round is split into
+//! three phases with very different concurrency regimes:
 //!
 //! 1. **Shard** — the frozen network is partitioned into disjoint
 //!    fanout-free windows ([`partition_windows`]): every single-fanout gate
 //!    is grouped with the gate that consumes it, so each window is an
 //!    MFFC-style cluster that one rewrite is likely to touch as a whole.
 //!    Windows are packed into shards balanced by estimated cut work.
-//! 2. **Propose** — a worker pool on [`std::thread::scope`] claims shards
-//!    off a shared queue. Each worker owns a thread-local [`OptContext`]
-//!    fork and, for every root in its shards, evaluates all enumerated
-//!    cuts *read-only* against the frozen network, producing the best
-//!    [`Proposal`] per root. Because classification and synthesis are
-//!    deterministic, a proposal depends only on the frozen network — never
-//!    on which worker computed it or on cache state.
+//! 2. **Propose** — every root's enumerated cuts are evaluated
+//!    *read-only* against the frozen network, producing the best
+//!    proposal per root. With one thread this runs inline on the
+//!    caller's [`OptContext`]; with more, a worker pool on
+//!    [`std::thread::scope`] claims shards off a shared queue, each worker
+//!    owning a thread-local [`OptContext`] fork. Because classification
+//!    and synthesis are deterministic, a proposal depends only on the
+//!    frozen network — never on which worker computed it or on cache
+//!    state.
 //! 3. **Commit** — back on one thread, proposals are applied in
 //!    topological order with full re-validation against the live network
 //!    (leaves alive, cut function unchanged, gain re-computed with exact
@@ -28,8 +31,15 @@
 //! The commit order and every accept decision are pure functions of the
 //! frozen snapshot, so the result is **bit-identical for every thread
 //! count** — the property `tests/parallel.rs` pins down. The only
-//! randomness is the seeded shard-claim shuffle (load balancing), which
-//! affects wall-clock only; it draws from [`mc_rng`], never wall-clock.
+//! randomness is the shard-claim shuffle (load balancing) under a fixed
+//! seed, which affects wall-clock only; it draws from [`mc_rng`], never
+//! wall-clock.
+//!
+//! Proposing against a frozen snapshot is not the paper's in-place
+//! Algorithm 1, which re-derives each node's cuts on the network as
+//! left by the rewrites before it: here a rewrite committed early in a
+//! round cannot enable a proposal later in the same round, so some
+//! gains wait for the next round (DESIGN.md §5).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
@@ -41,12 +51,17 @@ use xag_tt::hash::{FxHashMap, FxHashSet};
 use xag_tt::Tt;
 
 use crate::context::OptContext;
-use crate::pass::PassStats;
+use crate::stats::PassStats;
 use crate::Objective;
 
 /// How many shards to cut the work into: a few per thread, so the shared
 /// queue can rebalance when windows have uneven rewrite cost.
 const SHARDS_PER_THREAD: usize = 4;
+
+/// Seed of the shard-claim shuffle. Fixed — never wall-clock — so
+/// parallel runs are reproducible; it cannot affect results, only
+/// scheduling.
+const CLAIM_SEED: u64 = 0xDAC1_9DAC_19DA_C19D;
 
 /// One unit of proposal work: a topologically contiguous set of window
 /// roots with their member gates.
@@ -348,8 +363,8 @@ fn propose_shard(
 /// A proposal wins iff, *on the network as left by the previous winners*:
 /// its root and all leaves are still alive, the cut still computes the
 /// proposed function, the exact gain (MFFC dereferencing + hash-aware
-/// dry-run, identical to the sequential round) is still positive, and the
-/// substitution is acyclic. Everything else is rolled back to the arena
+/// dry-run on the live network) is still positive, and the substitution
+/// is acyclic. Everything else is rolled back to the arena
 /// watermark recorded before instantiation.
 fn commit_proposals(xag: &mut Xag, mut proposals: Vec<Proposal>, objective: Objective) -> usize {
     proposals.sort_by_key(|p| p.pos);
@@ -390,24 +405,33 @@ fn commit_proposals(xag: &mut Xag, mut proposals: Vec<Proposal>, objective: Obje
     applied
 }
 
-/// One parallel rewriting round: shard, propose on `threads` workers,
-/// commit deterministically. With `threads <= 1` the proposal phase runs
-/// inline on the caller's context; results are bit-identical either way.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn parallel_rewrite_round(
+/// Counts `(AND, XOR)` gates of a topological order in one walk, instead of
+/// two full `num_ands`/`num_xors` DFS passes.
+fn count_gates(xag: &Xag, order: &[NodeId]) -> (usize, usize) {
+    let ands = order
+        .iter()
+        .filter(|&&n| xag.kind(n) == NodeKind::And)
+        .count();
+    (ands, order.len() - ands)
+}
+
+/// One rewriting round over every gate: shard, propose on `threads`
+/// workers, commit deterministically. With `threads <= 1` the proposal
+/// phase runs inline on the caller's context; results are bit-identical
+/// either way.
+pub(crate) fn round(
     xag: &mut Xag,
     ctx: &mut OptContext,
     cut_params: &CutParams,
     objective: Objective,
     threads: usize,
-    seed: u64,
     pass_name: &str,
 ) -> PassStats {
     let _round = mc_obs::prof::phase("par_rewrite");
     // lint: allow(determinism): wall-clock feeds PassStats/metrics timing only; never branches on it
     let start = Instant::now();
     let order = xag.live_gates();
-    let (ands_before, xors_before) = crate::pass::count_gates(xag, &order);
+    let (ands_before, xors_before) = count_gates(xag, &order);
 
     let sets = {
         let _p = mc_obs::prof::phase("cut_enum");
@@ -445,7 +469,7 @@ pub(crate) fn parallel_rewrite_round(
         // Claim order is shuffled (seeded) so long windows spread across
         // workers; the claim order cannot affect results, only wall-clock.
         let mut claim: Vec<usize> = (0..shards.len()).collect();
-        Rng::seed_from_u64(seed).shuffle(&mut claim);
+        Rng::seed_from_u64(CLAIM_SEED).shuffle(&mut claim);
         let next = AtomicUsize::new(0);
         let frozen: &Xag = xag;
         // Trace IDs live in a thread-local; carry the round's ID into the
@@ -667,13 +691,12 @@ mod tests {
             let reference = xag.cleanup();
             let before = xag.num_ands();
             let mut ctx = OptContext::new();
-            let stats = parallel_rewrite_round(
+            let stats = round(
                 &mut xag,
                 &mut ctx,
                 &CutParams::default(),
                 Objective::MultiplicativeComplexity,
                 2,
-                0xDAC19,
                 "par-test",
             );
             assert!(xag.num_ands() <= before);
@@ -690,13 +713,12 @@ mod tests {
             for threads in [1usize, 2, 4] {
                 let mut xag = base.cleanup();
                 let mut ctx = OptContext::new();
-                parallel_rewrite_round(
+                round(
                     &mut xag,
                     &mut ctx,
                     &CutParams::default(),
                     Objective::MultiplicativeComplexity,
                     threads,
-                    0xDAC19,
                     "par-test",
                 );
                 let clean = xag.cleanup();

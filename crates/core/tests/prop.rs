@@ -5,13 +5,23 @@
 //! property-testing dependency); every case is reproducible from its seed.
 
 use mc_rng::Rng;
-use xag_mc::{
-    reduce_xors, Cleanup, McOptimizer, McRewrite, Objective, OptContext, Pipeline, RewriteParams,
-    SizeRewrite, XorReduce,
-};
+use xag_mc::{reduce_xors, run_job, FlowSpec, JobSpec, OptContext, PassStats};
 use xag_network::{equiv_exhaustive, Signal, Xag};
 
-type FlowFactory = fn() -> Pipeline;
+fn job(flow: &str) -> JobSpec {
+    JobSpec {
+        flow: FlowSpec::parse(flow).expect("valid spec"),
+        ..JobSpec::default()
+    }
+}
+
+/// One `mc` round with the paper's 6-cuts.
+fn one_round(xag: &mut Xag, ctx: &mut OptContext) -> PassStats {
+    let stats = FlowSpec::parse("mc")
+        .expect("valid spec")
+        .run(xag, ctx, 1, 1);
+    stats.passes.into_iter().next().expect("one pass ran")
+}
 
 #[derive(Debug, Clone)]
 struct Recipe {
@@ -75,17 +85,17 @@ fn mc_rewriting_preserves_function_and_reduces_ands() {
         let mut xag = build(&recipe);
         let reference = xag.cleanup();
         let before = xag.num_ands();
-        let mut opt = McOptimizer::new();
-        let stats = opt.run_to_convergence(&mut xag);
+        let mut ctx = OptContext::new();
+        let stats = run_job(&mut xag, &mut ctx, &JobSpec::default());
         assert!(xag.num_ands() <= before, "case {case}: AND count increased");
         assert!(
             equiv_exhaustive(&reference, &xag.cleanup()),
             "case {case}: function changed"
         );
-        assert!(stats.num_rounds() >= 1);
+        assert!(stats.rounds >= 1);
         // A converged network gains nothing from another round.
         if stats.converged {
-            let again = opt.run_once(&mut xag);
+            let again = one_round(&mut xag, &mut ctx);
             assert_eq!(again.ands_after, again.ands_before, "case {case}");
         }
     }
@@ -98,8 +108,7 @@ fn xor_reduction_preserves_function_and_ands() {
         let recipe = arb_recipe(&mut rng);
         let mut xag = build(&recipe);
         // Inflate XORs the way rewriting does, then reduce.
-        let mut opt = McOptimizer::new();
-        opt.run_once(&mut xag);
+        one_round(&mut xag, &mut OptContext::new());
         let reduced = reduce_xors(&xag);
         assert!(
             reduced.num_xors() <= xag.cleanup().num_xors(),
@@ -124,11 +133,11 @@ fn size_rewriting_preserves_function_and_reduces_size() {
         let mut xag = build(&recipe);
         let reference = xag.cleanup();
         let before = xag.num_gates();
-        let mut opt = McOptimizer::with_params(RewriteParams {
-            objective: Objective::Size,
-            ..RewriteParams::default()
-        });
-        opt.run_to_convergence(&mut xag);
+        run_job(
+            &mut xag,
+            &mut OptContext::new(),
+            &job("{size(cut=4);size(cut=6)}*"),
+        );
         assert!(
             xag.num_gates() <= before,
             "case {case}: gate count increased"
@@ -144,37 +153,24 @@ fn size_rewriting_preserves_function_and_reduces_size() {
 fn composed_pipelines_preserve_function() {
     // Every flow in this catalogue — whatever the pass order — must keep
     // the network equivalent and never raise the AND count.
-    let flows: Vec<(&str, FlowFactory)> = vec![
-        ("paper_flow", Pipeline::paper_flow),
-        ("compress", Pipeline::compress),
-        ("mc+xor+cleanup", || {
-            Pipeline::new()
-                .add(McRewrite::new())
-                .add(XorReduce::new())
-                .add(Cleanup::new())
-        }),
-        ("xor-first", || {
-            Pipeline::new()
-                .add(XorReduce::new())
-                .add(McRewrite::with_cut_size(4))
-                .add(McRewrite::new())
-        }),
-        ("size-then-mc", || {
-            Pipeline::new()
-                .add(SizeRewrite::new())
-                .add(McRewrite::new())
-                .add(Cleanup::new())
-        }),
+    let flows = [
+        ("paper_flow", "paper"),
+        ("compress", "compress"),
+        ("mc+xor+cleanup", "{mc;xor;cleanup}*"),
+        ("xor-first", "{xor;mc(cut=4);mc}*"),
+        ("size-then-mc", "{size;mc;cleanup}*"),
     ];
     let mut rng = Rng::seed_from_u64(0xDAC1_9004);
     let mut ctx = OptContext::new();
     for case in 0..10 {
         let recipe = arb_recipe(&mut rng);
-        for (name, make) in &flows {
+        for (name, spec) in flows {
             let mut xag = build(&recipe);
             let reference = xag.cleanup();
             let before = xag.num_ands();
-            let stats = make().run(&mut xag, &mut ctx);
+            let stats = FlowSpec::parse(spec)
+                .expect("valid spec")
+                .run(&mut xag, &mut ctx, 1, 100);
             assert!(
                 xag.num_ands() <= before,
                 "case {case}, flow {name}: AND count increased"
@@ -198,13 +194,13 @@ fn rejected_candidates_never_leak_arena_nodes() {
     for case in 0..12 {
         let recipe = arb_recipe(&mut rng);
         let mut xag = build(&recipe);
-        let mut opt = McOptimizer::new();
-        let stats = opt.run_to_convergence(&mut xag);
+        let mut ctx = OptContext::new();
+        let stats = run_job(&mut xag, &mut ctx, &JobSpec::default());
         if !stats.converged {
             continue;
         }
         let capacity = xag.capacity();
-        let again = opt.run_once(&mut xag);
+        let again = one_round(&mut xag, &mut ctx);
         if again.rewrites_applied == 0 {
             assert_eq!(
                 xag.capacity(),

@@ -3,7 +3,7 @@
 //! The DAC'19 engine in this workspace optimizes one circuit per process
 //! invocation; this crate turns it into a long-running daemon so many
 //! clients can share one warm process: one TCP listener, a bounded job
-//! queue, a pool of worker threads running the pass pipeline, and a
+//! queue, a pool of worker threads running `run_job`, and a
 //! **semantic result cache** in front of them — a resubmitted or
 //! structurally identical circuit is answered from the cache without
 //! recomputation.

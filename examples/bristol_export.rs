@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release --example bristol_export`
 
 use mc_repro::circuits::arith::{input_word, less_than_unsigned};
-use mc_repro::mc::McOptimizer;
+use mc_repro::mc::{run_job, JobSpec, OptContext};
 use mc_repro::network::{equiv_random, read_bristol, write_bristol, Xag};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -19,7 +19,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         xag.num_ands()
     );
 
-    McOptimizer::new().run_to_convergence(&mut xag);
+    run_job(&mut xag, &mut OptContext::new(), &JobSpec::default());
     let xag = xag.cleanup();
     println!(
         "comparator: {} AND gates after optimization",

@@ -6,7 +6,7 @@
 //! Run with: `cargo run --release --example full_adder`
 
 use mc_repro::affine::AffineClassifier;
-use mc_repro::mc::McOptimizer;
+use mc_repro::mc::{run_job, JobSpec, OptContext};
 use mc_repro::network::{equiv_exhaustive, Xag};
 use mc_repro::tt::{AffineOp, Tt};
 
@@ -54,7 +54,7 @@ fn main() {
 
     // Example 3.1 / Figure 2: rewriting brings the adder to one AND gate.
     let reference = xag.cleanup();
-    McOptimizer::new().run_to_convergence(&mut xag);
+    run_job(&mut xag, &mut OptContext::new(), &JobSpec::default());
     println!(
         "Fig. 2: optimized full adder has {} AND, {} XOR",
         xag.num_ands(),

@@ -6,7 +6,7 @@
 //! a single rewriting round).
 
 use mc_repro::circuits::hash::sha256;
-use mc_repro::mc::{McOptimizer, RewriteParams};
+use mc_repro::mc::{run_job, JobSpec, OptContext};
 use mc_repro::network::equiv_random;
 
 /// Half-gates garbling: 2 ciphertexts (32 bytes) per AND, 0 per XOR.
@@ -25,12 +25,11 @@ fn main() {
         garbled_bytes(a0)
     );
 
-    let rounds = if fast { 1 } else { 3 };
-    let mut opt = McOptimizer::with_params(RewriteParams {
-        max_rounds: rounds,
-        ..RewriteParams::default()
-    });
-    let stats = opt.run_to_convergence(&mut xag);
+    let job = JobSpec {
+        max_rounds: if fast { 1 } else { 3 },
+        ..JobSpec::default()
+    };
+    let result = run_job(&mut xag, &mut OptContext::new(), &job);
     let (a1, x1) = (xag.num_ands(), xag.num_xors());
     println!(
         "optimized: {a1} AND, {x1} XOR → {} bytes of garbled tables",
@@ -39,8 +38,8 @@ fn main() {
     println!(
         "saving: {:.1}% of the garbler's bandwidth ({} rounds, {:.1}s)",
         100.0 * (a0 - a1) as f64 / a0 as f64,
-        stats.num_rounds(),
-        stats.total_time().as_secs_f64()
+        result.rounds,
+        result.elapsed.as_secs_f64()
     );
 
     assert!(equiv_random(&reference, &xag.cleanup(), 7, 32));

@@ -4,7 +4,7 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use mc_repro::circuits::arith::{add_ripple, input_word, output_word};
-use mc_repro::mc::{reduce_xors, McOptimizer};
+use mc_repro::mc::{reduce_xors, run_job, JobSpec, OptContext};
 use mc_repro::network::{equiv_exhaustive, Signal, Xag};
 
 fn main() {
@@ -23,15 +23,16 @@ fn main() {
         xag.num_xors()
     );
 
-    // 2. Optimize: cut rewriting with affine classification (DAC'19).
-    let mut opt = McOptimizer::new();
-    let stats = opt.run_to_convergence(&mut xag);
+    // 2. Optimize: cut rewriting with affine classification (DAC'19),
+    //    the `paper` flow until convergence.
+    let result = run_job(&mut xag, &mut OptContext::new(), &JobSpec::default());
     println!(
-        "after:  {} AND, {} XOR gates",
+        "after:  {} AND, {} XOR gates ({} rounds, {:.2}s)",
         xag.num_ands(),
-        xag.num_xors()
+        xag.num_xors(),
+        result.rounds,
+        result.elapsed.as_secs_f64()
     );
-    println!("{stats}");
 
     // 3. Verify: exhaustive equivalence check over all 2^16 inputs.
     assert!(equiv_exhaustive(&reference, &xag.cleanup()));

@@ -14,20 +14,19 @@
 //! * [`affine`] — affine-equivalence classification;
 //! * [`synth`] — MC-oriented synthesis (the on-demand database);
 //! * [`cuts`] — k-feasible cut enumeration;
-//! * [`mc`] — the cut-rewriting optimizer (the paper's Algorithm 1) as a
-//!   pass-based pipeline: [`mc::Pass`] implementations
-//!   ([`mc::McRewrite`], [`mc::SizeRewrite`], [`mc::XorReduce`],
-//!   [`mc::Cleanup`]) composed by [`mc::Pipeline`] over a shared
-//!   [`mc::OptContext`], with [`mc::McOptimizer`] as the one-call facade
-//!   and [`mc::FlowSpec`] as the serializable flow-description language
-//!   the service tiers speak (`mc(cut=6);xor;cleanup*`-style specs,
-//!   DESIGN.md §8);
+//! * [`mc`] — the cut-rewriting optimizer (the paper's Algorithm 1): one
+//!   rewriting round ([`mc::shard`]) that proposes against a snapshot of
+//!   the network and commits deterministically, flows of passes described
+//!   by [`mc::FlowSpec`] (`{mc(cut=4);mc(cut=6)}*`-style specs, or an
+//!   alias such as `paper`; DESIGN.md §8) and run by its one executor,
+//!   and [`mc::run_job`], the one call every caller uses, over a shared
+//!   [`mc::OptContext`];
 //! * [`circuits`] — EPFL-style and MPC/FHE benchmark generators.
 //!
 //! # Quickstart
 //!
 //! ```
-//! use mc_repro::mc::McOptimizer;
+//! use mc_repro::mc::{run_job, JobSpec, OptContext};
 //! use mc_repro::network::Xag;
 //!
 //! // A textbook full adder: 3 AND gates.
@@ -43,8 +42,8 @@
 //! xag.output(sum);
 //! xag.output(cout);
 //!
-//! // One optimizer call later: multiplicative complexity 1.
-//! McOptimizer::new().run_to_convergence(&mut xag);
+//! // One job later (the `paper` flow): multiplicative complexity 1.
+//! run_job(&mut xag, &mut OptContext::new(), &JobSpec::default());
 //! assert_eq!(xag.num_ands(), 1);
 //! ```
 

@@ -1,8 +1,8 @@
 //! Differential fuzzing of every optimization flow.
 //!
 //! In the spirit of sampler-testing oracles: instead of trusting the
-//! rewriting engine because its unit tests pass, drive every `Pipeline`
-//! flow — sequential and parallel — with a stream of seeded random
+//! rewriting engine because its unit tests pass, drive every canonical
+//! flow — on one worker and on several — with a stream of seeded random
 //! networks and check each result against the `equiv` oracle. All
 //! networks stay within the exhaustive range of the oracle, so a pass
 //! here is a proof of functional preservation for every generated case,
@@ -12,7 +12,7 @@
 //! so a failure in CI replays locally from the log.
 
 use mc_repro::mc::flow::sample_spec_text;
-use mc_repro::mc::{Cleanup, FlowSpec, McRewrite, OptContext, ParRewrite, Pipeline, XorReduce};
+use mc_repro::mc::{FlowSpec, OptContext};
 use mc_repro::network::fuzz::{random_xag, FuzzConfig};
 use mc_repro::network::{equiv_exhaustive, write_bristol, Xag};
 
@@ -40,18 +40,15 @@ fn network(seed: u64) -> Xag {
     random_xag(&cfg, seed)
 }
 
-fn check_flow(name: &str, make_flow: impl Fn() -> Pipeline, parallel_threads: Option<usize>) {
+fn check_flow(name: &str, spec: &str, threads: usize) {
     let mut ctx = OptContext::new();
-    let flow = make_flow();
+    let flow = FlowSpec::parse(spec).expect("valid spec");
     let base = base_seed();
     for i in 0..NETWORKS_PER_FLOW {
         let seed = base.wrapping_add(i as u64);
         let mut xag = network(seed);
         let reference = xag.cleanup();
-        match parallel_threads {
-            Some(t) => flow.run_parallel(&mut xag, &mut ctx, t),
-            None => flow.run(&mut xag, &mut ctx),
-        };
+        flow.run(&mut xag, &mut ctx, threads, 100);
         assert!(
             equiv_exhaustive(&reference, &xag.cleanup()),
             "flow {name} broke equivalence on fuzz seed {seed}"
@@ -61,49 +58,31 @@ fn check_flow(name: &str, make_flow: impl Fn() -> Pipeline, parallel_threads: Op
 
 #[test]
 fn paper_flow_preserves_function_on_random_networks() {
-    check_flow("paper", Pipeline::paper_flow, None);
+    check_flow("paper", "paper", 1);
 }
 
 #[test]
 fn compress_flow_preserves_function_on_random_networks() {
-    check_flow("compress", Pipeline::compress, None);
+    check_flow("compress", "compress", 1);
 }
 
 #[test]
 fn custom_flow_preserves_function_on_random_networks() {
-    check_flow(
-        "custom",
-        || {
-            Pipeline::new()
-                .add(McRewrite::with_cut_size(4))
-                .add(XorReduce::new())
-                .add(Cleanup::new())
-        },
-        None,
-    );
+    check_flow("custom", "{mc(cut=4);xor;cleanup}*", 1);
 }
 
 #[test]
 fn parallel_paper_flow_preserves_function_on_random_networks() {
-    check_flow("paper(3 threads)", Pipeline::paper_flow, Some(3));
+    check_flow("paper(3 threads)", "paper", 3);
 }
 
 #[test]
 fn parallel_pass_flow_preserves_function_on_random_networks() {
-    check_flow(
-        "par-rewrite pass",
-        || {
-            Pipeline::new()
-                .add(ParRewrite::new(2))
-                .add(XorReduce::new())
-                .add(Cleanup::new())
-        },
-        None,
-    );
+    check_flow("par block", "{par(threads=2){mc};xor;cleanup}*", 1);
 }
 
 // ---------------------------------------------------------------------
-// FlowSpec sampling: instead of fuzzing only the four built-in flows,
+// FlowSpec sampling: instead of fuzzing only the fixed flows above,
 // sample the *space of flows* itself — seeded random FlowSpecs (atoms,
 // knobs, groups, `par{}` blocks, bounded and until-convergence
 // repetition) — and run every sampled spec over fuzz networks against

@@ -16,12 +16,11 @@
 //! thread-count determinism have their own suites (`fuzz_equiv.rs`,
 //! `parallel.rs`).
 
-// Note: the goldens pin the *sequential* flow. `Pipeline::run_parallel`
-// uses propose/commit round semantics that may converge to a different —
-// equally valid — network, so it is pinned separately: bit-identical
-// across thread counts by `tests/parallel.rs`.
+// Note: the goldens pin the paper flow at one thread. The rewriting round
+// is bit-identical across thread counts, which `tests/parallel.rs` pins
+// separately.
 
-use mc_repro::mc::{OptContext, Pipeline};
+use mc_repro::mc::{FlowSpec, OptContext};
 use mc_repro::network::fuzz::{random_xag, FuzzConfig};
 use mc_repro::network::{equiv, write_verilog, Xag};
 
@@ -48,9 +47,7 @@ fn optimize(seed: u64) -> (Xag, Xag) {
     let reference = random_xag(&golden_config(seed), seed).cleanup();
     let mut work = reference.clone();
     let mut ctx = OptContext::new();
-    Pipeline::paper_flow()
-        .max_rounds(30)
-        .run(&mut work, &mut ctx);
+    FlowSpec::default().run(&mut work, &mut ctx, 1, 30);
     (reference, work.cleanup())
 }
 

@@ -3,7 +3,7 @@
 
 use mc_repro::affine::AffineClassifier;
 use mc_repro::circuits::arith::{input_word, multiply_array, mux_textbook, output_word};
-use mc_repro::mc::{reduce_xors, McOptimizer};
+use mc_repro::mc::{reduce_xors, run_job, JobSpec, OptContext};
 use mc_repro::network::{equiv_exhaustive, Xag};
 use mc_repro::synth::Synthesizer;
 use mc_repro::tt::Tt;
@@ -24,7 +24,7 @@ fn full_adder_mc_is_one() {
     xag.output(sum);
     xag.output(cout);
     let reference = xag.cleanup();
-    McOptimizer::new().run_to_convergence(&mut xag);
+    run_job(&mut xag, &mut OptContext::new(), &JobSpec::default());
     assert_eq!(xag.num_ands(), 1);
     assert_eq!(xag.and_depth(), 1);
     assert!(equiv_exhaustive(&reference, &xag.cleanup()));
@@ -72,7 +72,7 @@ fn mux_collapses_to_single_and() {
     xag.output(m);
     assert_eq!(xag.num_ands(), 3);
     let reference = xag.cleanup();
-    McOptimizer::new().run_to_convergence(&mut xag);
+    run_job(&mut xag, &mut OptContext::new(), &JobSpec::default());
     assert_eq!(xag.num_ands(), 1);
     assert!(equiv_exhaustive(&reference, &xag.cleanup()));
 }
@@ -89,7 +89,7 @@ fn multiplier_improves_but_keeps_partial_products() {
     output_word(&mut xag, &p);
     let initial = xag.num_ands();
     let reference = xag.cleanup();
-    McOptimizer::new().run_to_convergence(&mut xag);
+    run_job(&mut xag, &mut OptContext::new(), &JobSpec::default());
     assert!(xag.num_ands() < initial, "multiplier must improve");
     assert!(
         xag.num_ands() >= 36,
@@ -111,7 +111,7 @@ fn xor_reduction_after_rewriting() {
     output_word(&mut xag, &s);
     xag.output(c);
     let reference = xag.cleanup();
-    McOptimizer::new().run_to_convergence(&mut xag);
+    run_job(&mut xag, &mut OptContext::new(), &JobSpec::default());
     let before = xag.cleanup();
     let reduced = reduce_xors(&before);
     assert!(reduced.num_xors() <= before.num_xors());

@@ -1,12 +1,12 @@
-//! Determinism of the parallel sharded rewriting engine: the optimized
-//! network must be bit-identical for every thread count — same AND count,
+//! Determinism of the rewriting engine across worker counts: the
+//! optimized network must be bit-identical for every thread count — same AND count,
 //! same XOR count, same output truth tables, and byte-identical exported
 //! netlists. This is the contract that makes `--threads N` safe to use in
 //! production: thread count may only change wall-clock, never results.
 
 use mc_repro::circuits::arith::{add_ripple, input_word, output_word};
 use mc_repro::circuits::keccak::keccak_f;
-use mc_repro::mc::{McOptimizer, OptContext, ParRewrite, Pass, Pipeline, RewriteParams};
+use mc_repro::mc::{run_job, FlowSpec, JobSpec, OptContext};
 use mc_repro::network::fuzz::{random_xag, FuzzConfig};
 use mc_repro::network::{equiv_exhaustive, write_verilog, Signal, Xag};
 
@@ -50,7 +50,14 @@ fn fuzz_networks_are_bit_identical_across_thread_counts() {
         for threads in [1usize, 2, 4] {
             let mut xag = base.cleanup();
             let mut ctx = OptContext::new();
-            Pipeline::paper_flow().run_parallel(&mut xag, &mut ctx, threads);
+            run_job(
+                &mut xag,
+                &mut ctx,
+                &JobSpec {
+                    threads,
+                    ..JobSpec::default()
+                },
+            );
             runs.push((
                 threads,
                 xag.num_ands(),
@@ -93,34 +100,34 @@ fn adder_optimum_is_reached_identically_at_every_thread_count() {
     let mut results = Vec::new();
     for threads in [1usize, 2, 4] {
         let mut xag = build();
-        let mut opt = McOptimizer::with_params(RewriteParams {
+        let job = JobSpec {
             threads,
-            ..RewriteParams::default()
-        });
-        opt.run_to_convergence(&mut xag);
+            ..JobSpec::default()
+        };
+        run_job(&mut xag, &mut OptContext::new(), &job);
         results.push((xag.num_ands(), netlist(&xag)));
         assert!(equiv_exhaustive(&build(), &xag.cleanup()));
     }
-    // threads == 1 takes the sequential path, > 1 the sharded engine; the
-    // parallel results must agree with each other bit for bit, and both
-    // paths must reach the known optimum.
-    assert_eq!(results[1], results[2], "2 vs 4 threads");
-    assert_eq!(results[0].0, 8, "sequential: n-bit adder has MC n");
-    assert_eq!(results[1].0, 8, "parallel: n-bit adder has MC n");
+    // One engine at every thread count: the results must agree bit for
+    // bit and reach the known optimum.
+    assert_eq!(results[0], results[1], "1 vs 2 threads");
+    assert_eq!(results[0], results[2], "1 vs 4 threads");
+    assert_eq!(results[0].0, 8, "n-bit adder has MC n");
 }
 
 #[test]
 fn keccak_round_function_rewrites_identically_across_thread_counts() {
-    // One parallel MC round over Keccak-f[25] (the χ layer is the AND
-    // bottleneck the paper targets). A single round keeps the test fast
-    // while still covering a real crypto kernel with shared fanout.
+    // One MC round over Keccak-f[25] (the χ layer is the AND bottleneck
+    // the paper targets). A single round keeps the test fast while still
+    // covering a real crypto kernel with shared fanout.
     let base = keccak_f(1);
+    let round = FlowSpec::parse("mc").expect("valid spec");
     let mut texts = Vec::new();
     for threads in [1usize, 2, 4] {
         let mut xag = base.cleanup();
         let mut ctx = OptContext::new();
-        let stats = ParRewrite::new(threads).run(&mut xag, &mut ctx);
-        assert_eq!(stats.ands_after, xag.num_ands());
+        let stats = round.run(&mut xag, &mut ctx, threads, 1);
+        assert_eq!(stats.ands_after(), xag.num_ands());
         texts.push(netlist(&xag));
     }
     assert_eq!(texts[0], texts[1], "1 vs 2 threads");

@@ -1,11 +1,13 @@
-//! Behavioural tests for the pass-pipeline API: flow construction, pass
+//! Behavioural tests for flows of passes run by `FlowSpec::run`: pass
 //! ordering, per-pass statistics accumulation, and equivalence after
 //! every composed flow.
 
-use mc_repro::mc::{Cleanup, McRewrite, OptContext, Pipeline, SizeRewrite, XorReduce};
+use mc_repro::mc::{FlowSpec, OptContext};
 use mc_repro::network::{equiv_exhaustive, Signal, Xag};
 
-type FlowFactory = fn() -> Pipeline;
+fn flow(spec: &str) -> FlowSpec {
+    FlowSpec::parse(spec).expect("valid spec")
+}
 
 fn textbook_full_adder() -> Xag {
     let mut xag = Xag::new();
@@ -23,7 +25,7 @@ fn textbook_full_adder() -> Xag {
 }
 
 /// A chain of adders: enough XOR-heavy structure that rewriting inflates
-/// the linear layers and XorReduce has something to compress.
+/// the linear layers and `xor` has something to compress.
 fn adder_chain(bits: usize) -> Xag {
     use mc_repro::circuits::arith::{add_ripple, input_word, output_word};
     let mut x = Xag::new();
@@ -42,7 +44,7 @@ fn paper_flow_drives_full_adder_to_mc_one() {
     let mut xag = textbook_full_adder();
     let reference = xag.cleanup();
     let mut ctx = OptContext::new();
-    let stats = Pipeline::paper_flow().run(&mut xag, &mut ctx);
+    let stats = flow("paper").run(&mut xag, &mut ctx, 1, 100);
     assert!(stats.converged);
     assert_eq!(xag.num_ands(), 1, "paper: full adder has MC 1");
     assert!(equiv_exhaustive(&reference, &xag.cleanup()));
@@ -50,15 +52,14 @@ fn paper_flow_drives_full_adder_to_mc_one() {
 
 #[test]
 fn xor_reduce_after_mc_rewrite_shrinks_xors_without_touching_ands() {
-    // Pass ordering matters: McRewrite only minimizes AND gates and
-    // leaves the linear layers however they fall; a subsequent XorReduce
-    // compresses them and must leave the AND count exactly where
-    // McRewrite put it.
+    // Pass ordering matters: `mc` only minimizes AND gates and leaves
+    // the linear layers however they fall; a subsequent `xor` compresses
+    // them and must leave the AND count exactly where `mc` put it.
     //
     // y1 = a⊕b⊕c, y2 = a⊕b⊕d, y3 = a⊕b⊕e, each associated differently so
     // structural hashing shares no XOR gate (6 gates); Paar extraction
     // shares a⊕b (4 gates). The sums feed AND gates, which are already
-    // MC-optimal, so McRewrite must not change them.
+    // MC-optimal, so `mc` must not change them.
     let mut xag = Xag::new();
     let (a, b, c) = (xag.input(), xag.input(), xag.input());
     let (d, e) = (xag.input(), xag.input());
@@ -76,11 +77,7 @@ fn xor_reduce_after_mc_rewrite_shrinks_xors_without_touching_ands() {
     let reference = xag.cleanup();
     let mut ctx = OptContext::new();
 
-    let stats = Pipeline::new()
-        .add(McRewrite::with_cut_size(4))
-        .add(McRewrite::new())
-        .add(XorReduce::new())
-        .run_once(&mut xag, &mut ctx);
+    let stats = flow("mc(cut=4);mc(cut=6);xor").run(&mut xag, &mut ctx, 1, 100);
 
     for pass in &stats.passes {
         assert_eq!(
@@ -94,7 +91,7 @@ fn xor_reduce_after_mc_rewrite_shrinks_xors_without_touching_ands() {
     assert_eq!(xor_pass.pass, "xor-reduce");
     assert!(
         xor_pass.xors_after < xor_pass.xors_before,
-        "XorReduce found nothing to compress ({} XORs)",
+        "xor found nothing to compress ({} XORs)",
         xor_pass.xors_before
     );
     assert_eq!(
@@ -109,12 +106,7 @@ fn xor_reduce_after_mc_rewrite_shrinks_xors_without_touching_ands() {
 fn stats_accumulate_per_pass() {
     let mut xag = adder_chain(6);
     let mut ctx = OptContext::new();
-    let flow = Pipeline::new()
-        .add(McRewrite::with_cut_size(4))
-        .add(McRewrite::new())
-        .add(XorReduce::new())
-        .add(Cleanup::new());
-    let stats = flow.run(&mut xag, &mut ctx);
+    let stats = flow("{mc(cut=4);mc(cut=6);xor;cleanup}*").run(&mut xag, &mut ctx, 1, 100);
 
     let summary = stats.per_pass();
     // Every executed pass shows up, keyed by name, in first-run order.
@@ -147,29 +139,19 @@ fn stats_accumulate_per_pass() {
 
 #[test]
 fn composed_flows_preserve_equivalence() {
-    let build: Vec<(&str, FlowFactory)> = vec![
-        ("paper_flow", Pipeline::paper_flow),
-        ("compress", Pipeline::compress),
-        ("rewrite+xor+cleanup", || {
-            Pipeline::new()
-                .add(McRewrite::new())
-                .add(XorReduce::new())
-                .add(Cleanup::new())
-        }),
-        ("size-first", || {
-            Pipeline::new()
-                .add(SizeRewrite::with_cut_size(4))
-                .add(McRewrite::new())
-                .add(XorReduce::new())
-        }),
+    let build = [
+        ("paper_flow", "paper"),
+        ("compress", "compress"),
+        ("rewrite+xor+cleanup", "{mc;xor;cleanup}*"),
+        ("size-first", "{size(cut=4);mc;xor}*"),
     ];
     let mut ctx = OptContext::new();
-    for (name, make) in build {
+    for (name, spec) in build {
         for source in [textbook_full_adder(), adder_chain(5)] {
             let reference = source.cleanup();
             let mut xag = source;
             let before = xag.num_ands();
-            make().run(&mut xag, &mut ctx);
+            flow(spec).run(&mut xag, &mut ctx, 1, 100);
             assert!(xag.num_ands() <= before, "flow {name} raised the AND count");
             assert!(
                 equiv_exhaustive(&reference, &xag.cleanup()),
@@ -186,10 +168,11 @@ fn compress_reduces_total_gates_and_run_once_runs_each_pass_once() {
     let before = xag.num_gates();
     let mut ctx = OptContext::new();
 
-    let flow = Pipeline::compress();
-    let sweep = flow.run_once(&mut xag, &mut ctx);
-    assert_eq!(sweep.passes.len(), flow.num_passes());
-    assert!(!sweep.converged, "run_once never claims convergence");
+    // The compress passes, each run once.
+    let once = flow("size(cut=4);size(cut=6);xor");
+    let sweep = once.run(&mut xag, &mut ctx, 1, 100);
+    assert_eq!(sweep.passes.len() as u64, once.worst_case_passes());
+    assert!(sweep.converged, "a plain sequence runs to completion");
     assert!(xag.num_gates() <= before);
     assert!(equiv_exhaustive(&reference, &xag.cleanup()));
 }

@@ -23,7 +23,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread;
 
-use mc_repro::mc::{OptContext, Pipeline};
+use mc_repro::mc::{run_job, JobSpec, OptContext};
 use mc_repro::network::fuzz::{random_xag, FuzzConfig};
 use mc_repro::network::{write_verilog, Xag};
 use mc_rng::sched;
@@ -177,8 +177,11 @@ fn netlist(xag: &Xag) -> Vec<u8> {
 
 fn optimize(base: &Xag, threads: usize) -> Vec<u8> {
     let mut xag = base.cleanup();
-    let mut ctx = OptContext::new();
-    Pipeline::paper_flow().run_parallel(&mut xag, &mut ctx, threads);
+    let job = JobSpec {
+        threads,
+        ..JobSpec::default()
+    };
+    run_job(&mut xag, &mut OptContext::new(), &job);
     netlist(&xag)
 }
 

@@ -6,7 +6,7 @@
 use std::time::Instant;
 
 use mc_serve::{Client, OptimizeRequest, ServeConfig, Server};
-use xag_mc::{FlowKind, FlowSpec};
+use xag_mc::FlowSpec;
 use xag_network::fuzz::{random_xag, FuzzConfig};
 use xag_network::{equiv_exhaustive, read_bristol, write_bristol, Xag};
 
@@ -150,12 +150,11 @@ fn isomorphic_submission_is_a_cache_hit() {
     assert_eq!(second.job_id, first.job_id);
     assert_eq!(second.netlist, first.netlist);
 
-    // A different flow is a different job, not a hit (via the deprecated
-    // FlowKind shim, which must keep compiling and keep its wire name).
+    // A different flow is a different job, not a hit.
     let compress = client
         .optimize(OptimizeRequest {
             circuit: bristol_text(&p),
-            flow: FlowKind::Compress.into(),
+            flow: FlowSpec::named("compress").expect("canonical alias"),
             ..OptimizeRequest::default()
         })
         .expect("compress");
