@@ -35,7 +35,7 @@ use std::path::PathBuf;
 
 use xag_bench::gate::{compare, read_bench_json, GateTolerance};
 use xag_bench::hotpath::run_hotpath;
-use xag_bench::{run_flow_threads, write_bench_json, BenchRecord};
+use xag_bench::{run_flow_threads, write_bench_json};
 use xag_circuits::epfl::{epfl_suite, Scale};
 use xag_mc::OptContext;
 
@@ -112,19 +112,7 @@ fn main() {
                 "table1/{}: {} -> {} ANDs in {:.2}s",
                 bench.name, flow.initial.0, flow.converged.0, flow.converged.2
             );
-            replay.push(BenchRecord {
-                bench: "table1".to_string(),
-                name: bench.name.to_string(),
-                size_before: bench.xag.num_gates(),
-                size_after: flow.optimized.num_gates(),
-                depth_before: bench.xag.and_depth(),
-                depth_after: flow.optimized.and_depth(),
-                mc_before: bench.xag.num_ands(),
-                mc_after: flow.converged.0,
-                wall_s: flow.converged.2,
-                threads: 1,
-                flow: xag_mc::FlowSpec::default().normalized(),
-            });
+            replay.extend(flow.records("table1", bench.name, &bench.xag, 1));
         }
     }
 

@@ -17,8 +17,7 @@
 //! the printed table.
 
 use xag_bench::{
-    json_path_from_args, normalized_geomean, run_flow_threads, write_bench_json, BenchRecord,
-    TableRow,
+    json_path_from_args, normalized_geomean, run_flow_threads, write_bench_json, TableRow,
 };
 use xag_circuits::mpc::mpc_suite;
 use xag_mc::OptContext;
@@ -55,38 +54,8 @@ fn main() {
         // baseline pass; heavy entries get a capped convergence loop.
         let max_rounds = if bench.heavy { rounds } else { 50 };
         let flow = run_flow_threads(&mut ctx, &bench.xag, 0, max_rounds, threads);
-        if let Some(p) = &flow.parallel {
-            speedups.push(p.speedup());
-            // The 1-vs-N wall-time ratio as its own trajectory row:
-            // `wall_s` carries the speedup, the count fields the
-            // (bit-identical) parallel result.
-            records.push(BenchRecord {
-                bench: "table2".to_string(),
-                name: format!("{}/par_speedup", bench.name),
-                size_before: bench.xag.num_gates(),
-                size_after: flow.optimized.num_gates(),
-                depth_before: 0,
-                depth_after: 0,
-                mc_before: bench.xag.num_ands(),
-                mc_after: p.counts.0,
-                wall_s: p.speedup(),
-                threads,
-                flow: xag_mc::FlowSpec::default().normalized(),
-            });
-        }
-        records.push(BenchRecord {
-            bench: "table2".to_string(),
-            name: bench.name.to_string(),
-            size_before: bench.xag.num_gates(),
-            size_after: flow.optimized.num_gates(),
-            depth_before: bench.xag.and_depth(),
-            depth_after: flow.optimized.and_depth(),
-            mc_before: bench.xag.num_ands(),
-            mc_after: flow.converged.0,
-            wall_s: flow.converged.2,
-            threads,
-            flow: xag_mc::FlowSpec::default().normalized(),
-        });
+        speedups.extend(flow.parallel.as_ref().map(|p| p.speedup()));
+        records.extend(flow.records("table2", bench.name, &bench.xag, threads));
         let row = TableRow {
             name: bench.name.to_string(),
             inputs: bench.xag.num_inputs(),

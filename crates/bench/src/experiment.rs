@@ -13,6 +13,8 @@ use std::time::Instant;
 use xag_mc::{FlowSpec, FlowStats, OptContext};
 use xag_network::{equiv, write_verilog, Xag};
 
+use crate::harness::BenchRecord;
+
 /// The "Initial" stage: the unit-cost size rewriter, small cuts first.
 const BASELINE_FLOW: &str = "{size(cut=4);size(cut=6)}*";
 
@@ -88,6 +90,50 @@ impl FlowResult {
     /// Convergence improvement over the initial AND count, in percent.
     pub fn converged_impr(&self) -> f64 {
         improvement(self.initial.0, self.converged.0)
+    }
+
+    /// The `--json` records of this flow as row `name` of `table`, run on
+    /// `input`: the converged row (counts and depth before vs after,
+    /// convergence wall time) and, when the flow ran a thread
+    /// comparison, a `<name>/par_speedup` row whose `wall_s` is the
+    /// 1-vs-N speedup and whose counts are the multi-thread result.
+    pub fn records(
+        &self,
+        table: &str,
+        name: &str,
+        input: &Xag,
+        threads: usize,
+    ) -> Vec<BenchRecord> {
+        let record =
+            |name: String, depth: (usize, usize), mc_after: usize, wall_s: f64| BenchRecord {
+                bench: table.to_string(),
+                name,
+                size_before: input.num_gates(),
+                size_after: self.optimized.num_gates(),
+                depth_before: depth.0,
+                depth_after: depth.1,
+                mc_before: input.num_ands(),
+                mc_after,
+                wall_s,
+                threads,
+                flow: FlowSpec::default().normalized(),
+            };
+        let mut records = Vec::new();
+        if let Some(p) = &self.parallel {
+            records.push(record(
+                format!("{name}/par_speedup"),
+                (0, 0),
+                p.counts.0,
+                p.speedup(),
+            ));
+        }
+        records.push(record(
+            name.to_string(),
+            (input.and_depth(), self.optimized.and_depth()),
+            self.converged.0,
+            self.converged.2,
+        ));
+        records
     }
 }
 
@@ -166,7 +212,10 @@ pub fn run_flow_threads(
 ) -> FlowResult {
     let reference = xag.cleanup();
 
-    // "Initial": generic size optimization, compacted.
+    // "Initial": generic size optimization, compacted. Every stage below
+    // compacts its own copy again; compaction renumbers nodes and node
+    // order steers the rewriting round, so both compactions are part of
+    // the recorded table results.
     let work = if baseline_rounds > 0 {
         timed_run(ctx, xag, &spec(BASELINE_FLOW), 1, baseline_rounds)
             .0

@@ -261,7 +261,7 @@ pub struct FlowSpec {
 impl Default for FlowSpec {
     /// The `paper` flow — the DAC'19 until-convergence schedule.
     fn default() -> Self {
-        alias_spec("paper").expect("the paper alias always exists")
+        FlowSpec::named("paper").expect("the paper alias always exists")
     }
 }
 
@@ -289,10 +289,6 @@ fn alias_item(name: &str) -> Option<FlowItem> {
     let (_, expansion) = ALIASES.iter().find(|(alias, _)| *alias == name)?;
     let spec = FlowSpec::parse(expansion).expect("alias expansions are valid specs");
     spec.items.into_iter().next()
-}
-
-fn alias_spec(name: &str) -> Option<FlowSpec> {
-    alias_item(name).map(|item| FlowSpec { items: vec![item] })
 }
 
 impl FlowSpec {
@@ -334,7 +330,7 @@ impl FlowSpec {
     /// Looks a canonical flow up by its alias ([`ALIASES`], plus the
     /// historical `paper_flow` spelling).
     pub fn named(alias: &str) -> Option<FlowSpec> {
-        alias_spec(alias)
+        alias_item(alias).map(|item| FlowSpec { items: vec![item] })
     }
 
     /// The canonical named flows: `(alias, expansion text)` pairs.

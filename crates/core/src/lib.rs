@@ -117,10 +117,9 @@ pub use stats::{FlowStats, PassStats, PassSummary};
 pub use xor_reduce::reduce_xors;
 
 /// What a rewriting round minimizes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Objective {
     /// Minimize AND gates (multiplicative complexity) — the paper's goal.
-    #[default]
     MultiplicativeComplexity,
     /// Minimize total gate count with unit costs, standing in for generic
     /// size optimization (the paper's ABC baseline).

@@ -255,13 +255,13 @@ mod tests {
         }
     }
 
-    fn run(passes: Vec<PassStats>, converged: bool) -> FlowStats {
+    fn flow_stats(passes: Vec<PassStats>, converged: bool) -> FlowStats {
         FlowStats { passes, converged }
     }
 
     #[test]
     fn empty_pipeline_stats_aggregate_to_zero() {
-        let s = run(Vec::new(), false);
+        let s = flow_stats(Vec::new(), false);
         assert_eq!(s.num_rounds(), 0);
         assert_eq!(s.ands_before(), 0);
         assert_eq!(s.ands_after(), 0);
@@ -273,7 +273,7 @@ mod tests {
 
     #[test]
     fn per_pass_groups_by_name_in_first_execution_order() {
-        let s = run(
+        let s = flow_stats(
             vec![
                 pass_stats("mc", 10, 8),
                 pass_stats("xor", 8, 8),
@@ -297,7 +297,7 @@ mod tests {
     fn per_pass_tracks_negative_savings() {
         // A Size-objective pass may add ANDs; the summary must go
         // negative, not saturate.
-        let s = run(vec![pass_stats("size", 5, 9)], true);
+        let s = flow_stats(vec![pass_stats("size", 5, 9)], true);
         assert_eq!(s.per_pass()[0].ands_saved, -4);
         assert!(s.improvement_pct() < 0.0);
     }

@@ -36,10 +36,10 @@
 //! wall-clock.
 //!
 //! Proposing against a frozen snapshot is not the paper's in-place
-//! Algorithm 1, which re-derives each node's cuts on the network as
-//! left by the rewrites before it: here a rewrite committed early in a
-//! round cannot enable a proposal later in the same round, so some
-//! gains wait for the next round (DESIGN.md §5).
+//! Algorithm 1, which evaluates each node's cut functions and gains on
+//! the network as the rewrites before it have left it: here a rewrite
+//! committed early in a round cannot enable a proposal later in the same
+//! round, so some gains wait for the next round (DESIGN.md §5).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;

@@ -182,15 +182,15 @@ mod tests {
         }
     }
 
-    fn run(passes: Vec<PassStats>, converged: bool) -> FlowStats {
+    fn flow_stats(passes: Vec<PassStats>, converged: bool) -> FlowStats {
         FlowStats { passes, converged }
     }
 
     #[test]
     fn improvement_percentages() {
-        let r = run(vec![round(100, 66)], true);
+        let r = flow_stats(vec![round(100, 66)], true);
         assert!((r.improvement_pct() - 34.0).abs() < 1e-9);
-        let s = run(vec![round(100, 80), round(80, 50)], true);
+        let s = flow_stats(vec![round(100, 80), round(80, 50)], true);
         assert_eq!(s.ands_before(), 100);
         assert_eq!(s.ands_after(), 50);
         assert!((s.improvement_pct() - 50.0).abs() < 1e-9);
@@ -201,7 +201,7 @@ mod tests {
     fn negative_improvement_does_not_underflow() {
         // Size-objective rounds may trade ANDs up; formatting the stats
         // must yield a negative percentage, not an underflow panic.
-        let s = run(vec![round(5, 8)], true);
+        let s = flow_stats(vec![round(5, 8)], true);
         assert!((s.improvement_pct() + 60.0).abs() < 1e-9);
         assert!(s.improvement_pct() < 0.0);
         assert!(format!("{s}").contains("-60.0%"));
@@ -211,19 +211,19 @@ mod tests {
     fn empty_stats_are_all_zero() {
         // A run with no rounds (e.g. a zero-round budget) must aggregate
         // to zeros, not panic on first()/last().
-        let s = run(Vec::new(), true);
+        let s = flow_stats(Vec::new(), true);
         assert_eq!(s.num_rounds(), 0);
         assert_eq!(s.ands_before(), 0);
         assert_eq!(s.ands_after(), 0);
         assert_eq!(s.total_time(), Duration::ZERO);
         assert!((s.improvement_pct()).abs() < 1e-9);
         // And an AND-free round (pure linear layer) divides by zero ANDs.
-        assert!((run(vec![round(0, 0)], true).improvement_pct()).abs() < 1e-9);
+        assert!((flow_stats(vec![round(0, 0)], true).improvement_pct()).abs() < 1e-9);
     }
 
     #[test]
     fn single_round_aggregation_uses_that_round_twice() {
-        let s = run(vec![round(7, 7)], true);
+        let s = flow_stats(vec![round(7, 7)], true);
         // first() and last() are the same round: before/after both read it.
         assert_eq!(s.ands_before(), 7);
         assert_eq!(s.ands_after(), 7);
@@ -233,7 +233,7 @@ mod tests {
 
     #[test]
     fn display_is_informative() {
-        let s = run(vec![round(10, 5)], false);
+        let s = flow_stats(vec![round(10, 5)], false);
         let text = format!("{s}");
         assert!(text.contains("10 → 5"));
         assert!(text.contains("round limit"));
