@@ -113,6 +113,7 @@ impl Config {
         Self {
             panic_path_files: [
                 "crates/serve/src/server.rs",
+                "crates/serve/src/endpoint.rs",
                 "crates/serve/src/protocol.rs",
                 "crates/serve/src/cache.rs",
                 "crates/serve/src/queue.rs",

@@ -1,10 +1,10 @@
-//! CI bench-regression gate: replays a fast subset of the benchmarks and
-//! holds the results to the committed `BENCH_*.json` perf trajectory.
+//! CI bench-regression gate: replays the benchmarks and holds the
+//! results to the committed `BENCH_*.json` perf trajectory.
 //!
 //! Usage:
 //!
 //! ```text
-//! bench_gate --baseline BENCH_6.json [--samples N] [--wall-tol F] [--ratio-tol F] [--skip-table1]
+//! bench_gate --baseline BENCH_14.json [--samples N] [--wall-tol F] [--ratio-tol F]
 //! bench_gate --merge OUT.json IN1.json IN2.json ...
 //! ```
 //!
@@ -12,19 +12,21 @@
 //!
 //! * the full hot-path microbenchmark ([`xag_bench::hotpath::run_hotpath`],
 //!   with the allocation guarantee asserted), and
-//! * a two-benchmark subset of Table 1 (`adder`, `int2float` at reduced
-//!   scale) through the same flow the `table1` binary records,
+//! * every row of Table 1 at reduced scale and of the light Table 2,
+//!   through the same [`xag_bench::run_table1`] / [`xag_bench::run_table2`]
+//!   the `table1` and `table2` binaries run, on one thread,
 //!
 //! then compares row by row ([`xag_bench::gate::compare`]): gate counts,
 //! depths, cut totals, and allocation counts must match the baseline
 //! **exactly** (the engine is deterministic — drift means a correctness
-//! or quality regression, not noise); hot-path wall-clock times may not
-//! exceed the baseline by more than `--wall-tol` (default 4×), and
-//! speedup ratios may not fall below baseline divided by `--ratio-tol`
-//! (default 2×). Table-row wall times are informational only — their
-//! baseline comes from a warm full-suite run (see
-//! [`xag_bench::gate::is_table_row`]). Any violation prints one line
-//! and the process exits nonzero.
+//! or quality regression, not noise), and every table row of the
+//! baseline must be replayed; hot-path wall-clock times may not exceed
+//! the baseline by more than `--wall-tol` (default 4×), and speedup
+//! ratios may not fall below baseline divided by `--ratio-tol` (default
+//! 2×). Table-row wall times are informational only (see
+//! [`xag_bench::gate::is_table_row`]). Any violation prints one line and
+//! the process exits nonzero; an unparsable option prints the usage and
+//! exits with status 2.
 //!
 //! Merge mode concatenates several `--json` outputs (e.g. from `table1`,
 //! `table2`, and `hotpath_bench`) into one committed trajectory file,
@@ -35,30 +37,18 @@ use std::path::PathBuf;
 
 use xag_bench::gate::{compare, read_bench_json, GateTolerance};
 use xag_bench::hotpath::run_hotpath;
-use xag_bench::{run_flow_threads, write_bench_json};
-use xag_circuits::epfl::{epfl_suite, Scale};
-use xag_mc::OptContext;
+use xag_bench::{exit_usage, flag_value, run_table1, run_table2, write_bench_json};
+use xag_circuits::epfl::Scale;
 
-/// The Table 1 rows the gate replays: small enough for CI, and covering
-/// one arithmetic and one random-control benchmark.
-const TABLE1_SUBSET: &[&str] = &["adder", "int2float"];
-
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
+const USAGE: &str = "usage: bench_gate --baseline BENCH_14.json [--samples N] [--wall-tol F] [--ratio-tol F]\n       \
+                     bench_gate --merge OUT.json IN1.json [IN2.json ...]";
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
 
     if let Some(i) = args.iter().position(|a| a == "--merge") {
         let paths: Vec<PathBuf> = args[i + 1..].iter().map(PathBuf::from).collect();
-        let (out, inputs) = paths.split_first().unwrap_or_else(|| {
-            eprintln!("usage: bench_gate --merge OUT.json IN1.json [IN2.json ...]");
-            std::process::exit(2);
-        });
+        let (out, inputs) = paths.split_first().unwrap_or_else(|| exit_usage(USAGE));
         let mut records = Vec::new();
         for input in inputs {
             let part = read_bench_json(input).unwrap_or_else(|e| {
@@ -73,20 +63,15 @@ fn main() {
         return;
     }
 
-    let Some(baseline_path) = flag_value(&args, "--baseline") else {
-        eprintln!("usage: bench_gate --baseline BENCH_6.json [--samples N] [--wall-tol F] [--ratio-tol F] [--skip-table1]");
-        std::process::exit(2);
+    let Some(baseline_path) = flag_value::<String>(&args, "--baseline", USAGE) else {
+        exit_usage(USAGE)
     };
-    let samples: usize = flag_value(&args, "--samples")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3);
+    let samples = flag_value(&args, "--samples", USAGE).unwrap_or(3);
+    let defaults = GateTolerance::default();
     let tol = GateTolerance {
-        wall_tolerance: flag_value(&args, "--wall-tol")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(4.0),
-        ratio_tolerance: flag_value(&args, "--ratio-tol")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(2.0),
+        wall_tolerance: flag_value(&args, "--wall-tol", USAGE).unwrap_or(defaults.wall_tolerance),
+        ratio_tolerance: flag_value(&args, "--ratio-tol", USAGE)
+            .unwrap_or(defaults.ratio_tolerance),
     };
 
     let baseline = read_bench_json(&PathBuf::from(&baseline_path)).unwrap_or_else(|e| {
@@ -95,26 +80,11 @@ fn main() {
     });
 
     // Replay the hot-path microbenchmark with the allocation guarantee
-    // asserted.
+    // asserted, then both tables on one thread, as the baseline was
+    // recorded.
     let mut replay = run_hotpath(samples, true);
-
-    // Replay the Table 1 subset through the same flow `table1` records.
-    // Determinism makes the counts comparable to a full-suite baseline
-    // run: context cache state and thread counts never change results.
-    if !args.iter().any(|a| a == "--skip-table1") {
-        let mut ctx = OptContext::new();
-        for bench in epfl_suite(Scale::Reduced) {
-            if !TABLE1_SUBSET.contains(&bench.name) {
-                continue;
-            }
-            let flow = run_flow_threads(&mut ctx, &bench.xag, 2, 30, 1);
-            println!(
-                "table1/{}: {} -> {} ANDs in {:.2}s",
-                bench.name, flow.initial.0, flow.converged.0, flow.converged.2
-            );
-            replay.extend(flow.records("table1", bench.name, &bench.xag, 1));
-        }
-    }
+    replay.extend(run_table1(Scale::Reduced, 1));
+    replay.extend(run_table2(None, 1));
 
     let violations = compare(&baseline, &replay, tol);
     if violations.is_empty() {

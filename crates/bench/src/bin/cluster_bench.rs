@@ -1,8 +1,7 @@
 //! Load benchmark for the `mc-cluster` router: M concurrent clients
 //! drive an in-process cluster of K `mc-serve` backends through a real
 //! router, and the run reports the throughput scaling curve over the
-//! backend count plus the cache-affinity hit rate of affine routing
-//! against the random-placement baseline.
+//! backend count plus the warm-phase cache hit rate of affine routing.
 //!
 //! Usage:
 //!
@@ -22,21 +21,21 @@
 //! * **warm** — the same submissions again; under affine routing every
 //!   job should land on the backend that cached it.
 //!
-//! At the full backend count the warm phase is repeated against a
-//! `random`-policy router over fresh backends: the drop in warm hit
-//! rate (and throughput) is exactly what cache-affine scheduling buys.
 //! With `--json PATH` one record per phase is written (`threads` carries
 //! the backend count).
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use mc_cluster::{RoutePolicy, Router, RouterConfig, RouterHandle};
+use mc_cluster::{Router, RouterConfig, RouterHandle};
 use mc_serve::{Client, OptimizeRequest, ServeConfig, Server, ServerHandle};
-use xag_bench::{json_path_from_args, write_bench_json, BenchRecord};
+use xag_bench::{flag_value, json_path_from_args, write_bench_json, BenchRecord};
 use xag_mc::FlowSpec;
 use xag_network::fuzz::{random_xag, FuzzConfig};
 use xag_network::write_bristol;
+
+const USAGE: &str =
+    "usage: cluster_bench [--backends K] [--clients M] [--jobs J] [--workers W] [--flow SPEC] [--json PATH]";
 
 fn bristol_text(seed: u64, cfg: &FuzzConfig) -> String {
     let xag = random_xag(cfg, seed);
@@ -45,13 +44,8 @@ fn bristol_text(seed: u64, cfg: &FuzzConfig) -> String {
     String::from_utf8(buf).expect("bristol writer emits ASCII")
 }
 
-fn boot_cluster(
-    backends: usize,
-    workers: usize,
-    policy: RoutePolicy,
-) -> (RouterHandle, Vec<ServerHandle>) {
+fn boot_cluster(backends: usize, workers: usize) -> (RouterHandle, Vec<ServerHandle>) {
     let router = Router::bind(RouterConfig {
-        policy,
         // Lenient health bounds: bench boxes may stall arbitrarily, and
         // a spuriously downed backend would corrupt the measurement.
         heartbeat_timeout: Duration::from_secs(60),
@@ -144,13 +138,7 @@ struct PhaseRow {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let flag = |name: &str, default: usize| -> usize {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    };
+    let flag = |name: &str, default: usize| flag_value(&args, name, USAGE).unwrap_or(default);
     let max_backends = flag("--backends", 3).max(1);
     let clients = flag("--clients", 4).max(1);
     let jobs = flag("--jobs", 8).max(1);
@@ -183,7 +171,7 @@ fn main() {
     let mut rows: Vec<PhaseRow> = Vec::new();
     let mut scaling: Vec<(usize, f64, f64, f64)> = Vec::new();
     for k in 1..=max_backends {
-        let (router, backends) = boot_cluster(k, workers, RoutePolicy::Affine);
+        let (router, backends) = boot_cluster(k, workers);
         let addr = router.local_addr();
         let (cold_s, cold_cached, before, after) = run_phase(addr, &circuits, &flow);
         assert_eq!(cold_cached, 0, "cold phase must be all misses");
@@ -225,50 +213,12 @@ fn main() {
         router.shutdown();
     }
 
-    // The affinity-oblivious baseline at full width: same workload, a
-    // `random`-policy router, fresh caches.
-    let (router, backends) = boot_cluster(max_backends, workers, RoutePolicy::Random);
-    let addr = router.local_addr();
-    let (cold_s, _, before, after) = run_phase(addr, &circuits, &flow);
-    let (warm_s, warm_cached, _, _) = run_phase(addr, &circuits, &flow);
-    let random_hit_rate = warm_cached as f64 / total_jobs;
-    let mut probe = Client::connect(addr).expect("connect for stats");
-    let cstats = probe.cluster_stats().expect("cluster_stats");
-    println!(
-        "random baseline (k={max_backends}): cold {:6.1} jobs/s, warm {:7.1} jobs/s, \
-         warm hits {:5.1}%, affinity {:5.1}%",
-        total_jobs / cold_s,
-        total_jobs / warm_s,
-        100.0 * random_hit_rate,
-        100.0 * cstats.affinity_rate(),
-    );
-    rows.push(PhaseRow {
-        name: format!("warm_random_k{max_backends}"),
-        wall_s: warm_s,
-        ands_before: before,
-        ands_after: after,
-        backends: max_backends,
-    });
-    for b in backends {
-        b.shutdown();
-    }
-    router.shutdown();
-
     println!("\nscaling curve (affine routing):");
     println!("  backends  cold jobs/s  warm jobs/s  warm hit rate");
     for (k, cold_rate, warm_rate, hit) in &scaling {
         println!(
             "  {k:>8}  {cold_rate:>11.1}  {warm_rate:>11.1}  {:>12.1}%",
             100.0 * hit
-        );
-    }
-    if let Some((_, _, affine_warm, affine_hits)) = scaling.last() {
-        println!(
-            "affinity vs random at k={max_backends}: hit rate {:.1}% vs {:.1}%, \
-             warm throughput {:.2}x",
-            100.0 * affine_hits,
-            100.0 * random_hit_rate,
-            affine_warm / (total_jobs / warm_s).max(1e-9),
         );
     }
 

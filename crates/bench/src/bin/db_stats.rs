@@ -8,19 +8,17 @@
 //! histogram per classified function, and the AND-gate histogram of the
 //! distinct database entries.
 //!
-//! Usage: `cargo run --release -p xag-bench --bin db_stats [samples] [--threads N] [--json PATH]`
+//! Usage: `cargo run --release -p xag-bench --bin db_stats [samples] [--json PATH]`
 //!
-//! With `--threads N` the random sample is classified on `N` workers with
-//! forked contexts that are absorbed back afterwards — the same
-//! fork/absorb protocol the parallel rewriting engine uses, so the final
-//! database is identical to a sequential run's. With `--json PATH` one
-//! record is written: `size_before` is the number of functions
-//! classified, `size_after` the resulting database entry count (the
-//! depth/mc fields do not apply to this tool and are 0).
+//! With `--json PATH` one record is written: `size_before` is the number
+//! of functions classified, `size_after` the resulting database entry
+//! count (the depth/mc fields do not apply to this tool and are 0).
 
-use xag_bench::{json_path_from_args, write_bench_json, BenchRecord};
+use xag_bench::{json_path_from_args, parse_arg, write_bench_json, BenchRecord};
 use xag_mc::OptContext;
 use xag_tt::Tt;
+
+const USAGE: &str = "usage: db_stats [samples] [--json PATH]";
 
 /// The deterministic sample stream: `(truth table index i) → function`.
 fn sample(i: usize) -> Tt {
@@ -29,8 +27,7 @@ fn sample(i: usize) -> Tt {
         .rotate_left(23)
         .wrapping_mul(0x2545_f491_4f6c_dd1d)
         .wrapping_add(i as u64);
-    // Mix the index in properly so samples differ without a running state
-    // (workers classify disjoint stripes of the stream).
+    // Mix the index in properly so samples differ without a running state.
     state ^= (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
     let vars = 4 + (i % 3); // 4, 5, 6
     Tt::from_bits(state.rotate_left((i % 64) as u32), vars)
@@ -38,69 +35,22 @@ fn sample(i: usize) -> Tt {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let samples: usize = args
+    let samples = args
         .get(1)
         .filter(|a| !a.starts_with("--"))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2_000);
-    let threads: usize = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
-        .max(1);
+        .map_or(2_000, |v| parse_arg(v, "sample count", USAGE));
 
     let mut ctx = OptContext::new();
     let t0 = std::time::Instant::now();
 
     // Exhaustive over ≤3-variable functions, then pseudo-random wider ones.
     let mut histogram = std::collections::BTreeMap::<usize, usize>::new();
-    for bits in 0..256u64 {
-        let frag = ctx.candidate_for_cut(Tt::from_bits(bits, 3));
+    let functions = (0..256u64)
+        .map(|bits| Tt::from_bits(bits, 3))
+        .chain((0..samples).map(sample));
+    for f in functions {
+        let frag = ctx.candidate_for_cut(f);
         *histogram.entry(frag.num_ands()).or_insert(0) += 1;
-    }
-    if threads <= 1 {
-        for i in 0..samples {
-            let frag = ctx.candidate_for_cut(sample(i));
-            *histogram.entry(frag.num_ands()).or_insert(0) += 1;
-        }
-    } else {
-        // Stripe the sample stream over forked worker contexts; absorb the
-        // forks back so the merged database matches a sequential run.
-        let (counts, forks) = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|w| {
-                    let mut wctx = ctx.fork();
-                    s.spawn(move || {
-                        let mut counts = std::collections::BTreeMap::<usize, usize>::new();
-                        let mut i = w;
-                        while i < samples {
-                            let frag = wctx.candidate_for_cut(sample(i));
-                            *counts.entry(frag.num_ands()).or_insert(0) += 1;
-                            i += threads;
-                        }
-                        (counts, wctx)
-                    })
-                })
-                .collect();
-            let mut counts = std::collections::BTreeMap::<usize, usize>::new();
-            let mut forks = Vec::new();
-            for h in handles {
-                let (c, wctx) = h.join().expect("db worker panicked");
-                for (k, v) in c {
-                    *counts.entry(k).or_insert(0) += v;
-                }
-                forks.push(wctx);
-            }
-            (counts, forks)
-        });
-        for fork in forks {
-            ctx.absorb(fork);
-        }
-        for (k, v) in counts {
-            *histogram.entry(k).or_insert(0) += v;
-        }
     }
 
     println!("functions classified : {}", 256 + samples);
@@ -130,7 +80,7 @@ fn main() {
             mc_before: 0,
             mc_after: 0,
             wall_s: t0.elapsed().as_secs_f64(),
-            threads,
+            threads: 1,
             // db_stats measures classification, not a flow.
             flow: String::new(),
         };

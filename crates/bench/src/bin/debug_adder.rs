@@ -9,23 +9,34 @@
 //! before/after record of the run is written.
 
 use xag_affine::ClassifyConfig;
-use xag_bench::{json_path_from_args, write_bench_json, BenchRecord};
+use xag_bench::{exit_usage, json_path_from_args, parse_arg, write_bench_json, BenchRecord};
 use xag_circuits::arith::{add_ripple, input_word, output_word};
 use xag_mc::{FlowSpec, OptContext};
 use xag_network::{Signal, Xag};
 use xag_synth::SynthConfig;
 
+const USAGE: &str = "usage: debug_adder [bits] [cut_size] [exact_vars] [threads] [--json PATH]";
+
 fn main() {
+    let argv: Vec<String> = std::env::args().collect();
+    // Positional arguments end at the first option.
+    let positional: Vec<&String> = argv[1..]
+        .iter()
+        .take_while(|a| !a.starts_with("--"))
+        .collect();
+    let names = ["bits", "cut_size", "exact_vars", "threads"];
+    if positional.len() > names.len() {
+        exit_usage(USAGE);
+    }
     let arg = |i: usize, default: usize| -> usize {
-        std::env::args()
-            .nth(i)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+        positional
+            .get(i)
+            .map_or(default, |v| parse_arg(v, names[i], USAGE))
     };
-    let bits = arg(1, 16);
-    let cut_size = arg(2, 6);
-    let exact_vars = arg(3, 4);
-    let threads = arg(4, 1);
+    let bits = arg(0, 16);
+    let cut_size = arg(1, 6);
+    let exact_vars = arg(2, 4);
+    let threads = arg(3, 1);
 
     let mut x = Xag::new();
     let a = input_word(&mut x, bits);
@@ -68,7 +79,6 @@ fn main() {
         );
     }
     println!("final: {} AND {} XOR ({stats})", x.num_ands(), x.num_xors());
-    let argv: Vec<String> = std::env::args().collect();
     if let Some(path) = json_path_from_args(&argv) {
         let record = BenchRecord {
             bench: "debug_adder".to_string(),

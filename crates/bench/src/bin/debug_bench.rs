@@ -10,10 +10,12 @@
 //! `--json PATH` one before/after record of the whole phase trace is
 //! written.
 
-use xag_bench::{json_path_from_args, write_bench_json, BenchRecord};
+use xag_bench::{exit_usage, flag_value, json_path_from_args, write_bench_json, BenchRecord};
 use xag_circuits::epfl::{epfl_suite, Scale};
 use xag_mc::{FlowSpec, OptContext, PassStats};
 use xag_network::Xag;
+
+const USAGE: &str = "usage: debug_bench [name] [--threads N] [--json PATH]";
 
 /// Runs the one-atom `flow` once and returns its pass statistics.
 fn round(flow: &str, xag: &mut Xag, ctx: &mut OptContext, threads: usize) -> PassStats {
@@ -29,17 +31,13 @@ fn main() {
         .filter(|a| !a.starts_with("--"))
         .cloned()
         .unwrap_or_else(|| "div".into());
-    let threads: usize = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
+    let threads = flag_value(&args, "--threads", USAGE).unwrap_or(1);
     let suite = epfl_suite(Scale::Reduced);
-    let bench = suite
-        .iter()
-        .find(|b| b.name == name)
-        .expect("unknown benchmark");
+    let Some(bench) = suite.iter().find(|b| b.name == name) else {
+        let known: Vec<&str> = suite.iter().map(|b| b.name).collect();
+        eprintln!("unknown benchmark {name:?}; known: {}", known.join(", "));
+        exit_usage(USAGE)
+    };
     let mut xag = bench.xag.cleanup();
     println!(
         "{name}: {} AND {} XOR ({} nodes)",

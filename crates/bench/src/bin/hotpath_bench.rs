@@ -15,7 +15,7 @@
 //!   ([`xag_cuts::enumerate_cuts_for`] returns every cut *and* its truth
 //!   table);
 //! * `enum_legacy` — a faithful reimplementation of the pre-overhaul hot
-//!   path ([`xag_bench::hotpath::legacy`]): `HashMap<NodeId, Vec<Cut>>`
+//!   path ([`xag_cuts::legacy`]): `HashMap<NodeId, Vec<Cut>>`
 //!   cut sets with heap-allocated leaf vectors, followed by a per-cut
 //!   recursive cone traversal with a fresh `HashMap` memo per call;
 //! * `speedup` — the ratio of the two medians (recorded in `wall_s` of

@@ -28,10 +28,13 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use mc_serve::{Client, OptimizeRequest, ServeConfig, Server};
-use xag_bench::{json_path_from_args, write_bench_json, BenchRecord};
+use xag_bench::{flag_value, json_path_from_args, write_bench_json, BenchRecord};
 use xag_mc::FlowSpec;
 use xag_network::fuzz::{random_xag, FuzzConfig};
 use xag_network::write_bristol;
+
+const USAGE: &str =
+    "usage: serve_bench [--clients N] [--jobs M] [--workers W] [--flow SPEC] [--json PATH]";
 
 fn bristol_text(seed: u64, cfg: &FuzzConfig) -> String {
     let xag = random_xag(cfg, seed);
@@ -88,13 +91,7 @@ fn run_phase(
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let flag = |name: &str, default: usize| -> usize {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    };
+    let flag = |name: &str, default: usize| flag_value(&args, name, USAGE).unwrap_or(default);
     let clients = flag("--clients", 4).max(1);
     let jobs = flag("--jobs", 8).max(1);
     let workers = flag("--workers", 4).max(1);

@@ -14,69 +14,19 @@
 //! runs the sharded parallel engine with one and with `N` workers and
 //! reports the (bit-identical) result and the wall-clock speedup. With
 //! `--json PATH` a machine-readable record per row is written alongside
-//! the printed table.
+//! the printed table. The rows come from [`xag_bench::run_table2`],
+//! which the bench gate replays too.
 
-use xag_bench::{
-    json_path_from_args, normalized_geomean, run_flow_threads, write_bench_json, TableRow,
-};
-use xag_circuits::mpc::mpc_suite;
-use xag_mc::OptContext;
+use xag_bench::{flag_value, json_path_from_args, run_table2, write_bench_json};
+
+const USAGE: &str = "usage: table2 [--heavy] [--rounds N] [--threads N] [--json PATH]";
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let heavy = args.iter().any(|a| a == "--heavy");
-    let rounds: usize = args
-        .iter()
-        .position(|a| a == "--rounds")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3);
-    let threads: usize = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
-
-    println!("Table 2: MPC and FHE benchmarks");
-    println!("{}", TableRow::header());
-    println!("{}", "-".repeat(TableRow::header().len()));
-
-    let mut pairs_one = Vec::new();
-    let mut pairs_conv = Vec::new();
-    // One context for the whole suite: representatives synthesized for one
-    // benchmark are reused by every later one.
-    let mut ctx = OptContext::new();
-    let mut speedups = Vec::new();
-    let mut records = Vec::new();
-    for bench in mpc_suite(heavy) {
-        // The published MPC circuits are already size-optimized, so no
-        // baseline pass; heavy entries get a capped convergence loop.
-        let max_rounds = if bench.heavy { rounds } else { 50 };
-        let flow = run_flow_threads(&mut ctx, &bench.xag, 0, max_rounds, threads);
-        speedups.extend(flow.parallel.as_ref().map(|p| p.speedup()));
-        records.extend(flow.records("table2", bench.name, &bench.xag, threads));
-        let row = TableRow {
-            name: bench.name.to_string(),
-            inputs: bench.xag.num_inputs(),
-            outputs: bench.xag.num_outputs(),
-            flow: flow.clone(),
-        };
-        println!("{}", row.format());
-        pairs_one.push((flow.initial.0, flow.one_round.0));
-        pairs_conv.push((flow.initial.0, flow.converged.0));
-    }
-
-    println!();
-    println!(
-        "Normalized geometric mean: one round {:.2}, convergence {:.2}  (paper: 0.68 / 0.56)",
-        normalized_geomean(&pairs_one),
-        normalized_geomean(&pairs_conv)
-    );
-    if !speedups.is_empty() {
-        let mean = speedups.iter().sum::<f64>() / speedups.len() as f64;
-        println!("Mean parallel speedup at {threads} threads: {mean:.2}x");
-    }
+    let rounds = flag_value(&args, "--rounds", USAGE).unwrap_or(3);
+    let threads = flag_value(&args, "--threads", USAGE).unwrap_or(1);
+    let records = run_table2(heavy.then_some(rounds), threads);
     if let Some(path) = json_path_from_args(&args) {
         write_bench_json(&path, &records).expect("write --json output");
         println!("wrote {} records to {}", records.len(), path.display());

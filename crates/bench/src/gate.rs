@@ -15,9 +15,9 @@
 //!   may not fall below the committed ratio divided by
 //!   `ratio_tolerance`.
 //!
-//! The `bench_gate` binary replays a fast subset of the workloads,
-//! matches rows by `(bench, name)`, and exits nonzero with one line per
-//! violation — see its docs for the CI wiring.
+//! The `bench_gate` binary replays the hot-path microbenchmark and every
+//! table row, matches rows by `(bench, name)`, and exits nonzero with one
+//! line per violation — see its docs for the CI wiring.
 
 use std::path::Path;
 
@@ -107,13 +107,11 @@ pub fn is_counted_row(r: &BenchRecord) -> bool {
 }
 
 /// True for `table1`/`table2` rows, whose wall times the gate treats as
-/// informational: the committed times come from a full-suite run whose
-/// shared `OptContext` was warm by the time later benchmarks ran, while
-/// the gate replays a subset from a cold context — a systematic bias,
-/// not a regression signal. Their *quality* fields (sizes, depths,
-/// multiplicative complexity) are still compared exactly; timing
-/// regressions are caught by the hot-path rows, which are replayed
-/// under the same conditions that produced the baseline.
+/// informational: a table's rows share one warm `OptContext`, and a
+/// row's time depends on what earlier rows left in it — a systematic
+/// effect of suite composition, not a regression signal. Their *quality*
+/// fields (sizes, depths, multiplicative complexity) are still compared
+/// exactly; timing regressions are caught by the hot-path rows.
 pub fn is_table_row(r: &BenchRecord) -> bool {
     r.bench.starts_with("table")
 }
@@ -121,10 +119,12 @@ pub fn is_table_row(r: &BenchRecord) -> bool {
 /// Compares a replayed run against a committed baseline, returning one
 /// human-readable line per violation (empty = gate passes).
 ///
-/// Rows are matched by `(bench, name)`. Baseline rows the replay did not
-/// produce are ignored — the gate replays a *subset* — but every
-/// replayed row must have a baseline counterpart: a replay row with no
-/// baseline means the committed trajectory file is stale.
+/// Rows are matched by `(bench, name)`. Every replayed row must have a
+/// baseline counterpart: a replay row with no baseline means the
+/// committed trajectory file is stale. Every non-ratio table row of the
+/// baseline must be replayed, so a row that drops out of a table cannot
+/// pass unnoticed; other baseline rows the replay did not produce (the
+/// `par_speedup` rows of multi-thread runs) are ignored.
 pub fn compare(
     baseline: &[BenchRecord],
     replay: &[BenchRecord],
@@ -183,6 +183,19 @@ pub fn compare(
                     r.bench, r.name, r.wall_s, ceiling, b.wall_s, tol.wall_tolerance
                 ));
             }
+        }
+    }
+    for b in baseline {
+        if is_table_row(b)
+            && !is_ratio_row(b)
+            && !replay
+                .iter()
+                .any(|r| r.bench == b.bench && r.name == b.name)
+        {
+            violations.push(format!(
+                "{}/{}: baseline row was not replayed",
+                b.bench, b.name
+            ));
         }
     }
     violations
@@ -278,6 +291,24 @@ mod tests {
         let v = compare(&base, &replay, GateTolerance::default());
         assert_eq!(v.len(), 1);
         assert!(v[0].contains("no baseline row"));
+    }
+
+    #[test]
+    fn unreplayed_table_rows_are_violations() {
+        let base = vec![
+            rec("table1", "adder", 40, 0.5),
+            rec("table1", "int2float", 70, 0.5),
+            rec("table1", "adder/par_speedup", 40, 1.5),
+            rec("hotpath", "enum/x", 40, 0.5),
+        ];
+        // Neither the ratio row nor the hot-path row is required...
+        let replay = vec![base[0].clone(), base[1].clone()];
+        assert!(compare(&base, &replay, GateTolerance::default()).is_empty());
+        // ...but a table row the replay dropped is reported by name.
+        let v = compare(&base, &base[..1], GateTolerance::default());
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].contains("table1/int2float"), "{v:?}");
+        assert!(v[0].contains("not replayed"), "{v:?}");
     }
 
     #[test]

@@ -16,10 +16,15 @@
 //!
 //! * `MC_BENCH_SAMPLES` — overrides every group's sample size (e.g. `=3`
 //!   for a smoke run).
+//!
+//! The bench binaries parse their options with [`flag_value`] and
+//! [`parse_arg`]: an unparsable value prints the binary's usage and exits
+//! with status 2 instead of silently falling back to a default.
 
 use std::hint::black_box as std_black_box;
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::str::FromStr;
 use std::time::{Duration, Instant};
 
 use mc_serve::json::Json;
@@ -40,10 +45,7 @@ impl BenchGroup {
     /// Creates a group; `sample_size` defaults to 10 (or
     /// `MC_BENCH_SAMPLES`).
     pub fn new(name: &str) -> Self {
-        let sample_size = std::env::var("MC_BENCH_SAMPLES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(10);
+        let sample_size = samples_override().unwrap_or(10);
         println!("benchmark group: {name}");
         Self {
             name: name.to_string(),
@@ -53,7 +55,7 @@ impl BenchGroup {
 
     /// Sets the number of timed iterations per function.
     pub fn sample_size(&mut self, n: usize) -> &mut Self {
-        if std::env::var("MC_BENCH_SAMPLES").is_err() {
+        if samples_override().is_none() {
             self.sample_size = n.max(1);
         }
         self
@@ -108,6 +110,43 @@ impl BenchGroup {
     pub fn finish(&mut self) {
         println!();
     }
+}
+
+/// The `MC_BENCH_SAMPLES` override, when set.
+fn samples_override() -> Option<usize> {
+    let value = std::env::var("MC_BENCH_SAMPLES").ok()?;
+    Some(parse_arg(
+        &value,
+        "MC_BENCH_SAMPLES",
+        "usage: MC_BENCH_SAMPLES=N (timed iterations per benchmark)",
+    ))
+}
+
+/// Prints `usage` to stderr and exits with status 2.
+pub fn exit_usage(usage: &str) -> ! {
+    eprintln!("{usage}");
+    std::process::exit(2)
+}
+
+/// Parses `value`, the argument named `what`; an unparsable value prints
+/// `usage` and exits with status 2.
+pub fn parse_arg<T: FromStr>(value: &str, what: &str, usage: &str) -> T {
+    value.parse().unwrap_or_else(|_| {
+        eprintln!("invalid {what}: {value:?}");
+        exit_usage(usage)
+    })
+}
+
+/// The value of `flag` in `args` parsed as `T`; `None` when the flag is
+/// absent. A flag without a value or with an unparsable one prints
+/// `usage` and exits with status 2.
+pub fn flag_value<T: FromStr>(args: &[String], flag: &str, usage: &str) -> Option<T> {
+    let i = args.iter().position(|a| a == flag)?;
+    let Some(value) = args.get(i + 1) else {
+        eprintln!("{flag} needs a value");
+        exit_usage(usage)
+    };
+    Some(parse_arg(value, flag, usage))
 }
 
 /// One machine-readable benchmark record: the metrics every experiment

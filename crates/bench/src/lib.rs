@@ -11,7 +11,7 @@
 //! The [`harness`] module is the workspace's dependency-free criterion
 //! stand-in used by the targets under `benches/`. The [`hotpath`] module
 //! holds the shared machinery of the hot-path microbenchmarks (workload
-//! set, pre-overhaul baseline, counting allocator), and [`gate`] the
+//! set, counting allocator), and [`gate`] the
 //! comparator the `bench_gate` binary uses to hold every PR to the
 //! committed `BENCH_*.json` perf trajectory.
 
@@ -21,8 +21,10 @@ pub mod harness;
 pub mod hotpath;
 
 pub use experiment::{
-    normalized_geomean, run_flow, run_flow_threads, run_flow_with, FlowResult, ParallelResult,
-    TableRow,
+    normalized_geomean, run_flow, run_flow_threads, run_flow_with, run_table1, run_table2,
+    FlowResult, ParallelResult, TableRow,
 };
 pub use gate::{compare, read_bench_json, GateTolerance};
-pub use harness::{json_path_from_args, write_bench_json, BenchRecord};
+pub use harness::{
+    exit_usage, flag_value, json_path_from_args, parse_arg, write_bench_json, BenchRecord,
+};

@@ -3,7 +3,7 @@
 //! Usage:
 //!
 //! ```text
-//! mc-cluster [--addr HOST:PORT] [--port-file PATH] [--policy affine|random]
+//! mc-cluster [--addr HOST:PORT] [--port-file PATH]
 //!            [--replicas N] [--saturation N] [--retries N]
 //!            [--heartbeat-timeout-ms N] [--health-interval-ms N]
 //!            [--sample-ms N] [--slo SPEC] [--slo-eval-ms N]
@@ -13,8 +13,6 @@
 //!   (default `127.0.0.1:4520`).
 //! * `--port-file` — write the bound address to this file once
 //!   listening, for scripts that start the router with port 0.
-//! * `--policy` — job placement: `affine` (cache-affine consistent
-//!   hashing, default) or `random` (the affinity-oblivious baseline).
 //! * `--replicas` — virtual points per backend on the hash ring.
 //! * `--saturation` — in-flight jobs per capacity unit before an affine
 //!   target spills to least-loaded placement.
@@ -38,11 +36,11 @@
 
 use std::time::Duration;
 
-use mc_cluster::{RoutePolicy, Router, RouterConfig};
+use mc_cluster::{Router, RouterConfig};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: mc-cluster [--addr HOST:PORT] [--port-file PATH] [--policy affine|random] \
+        "usage: mc-cluster [--addr HOST:PORT] [--port-file PATH] \
          [--replicas N] [--saturation N] [--retries N] [--heartbeat-timeout-ms N] \
          [--health-interval-ms N] [--sample-ms N] [--slo SPEC] [--slo-eval-ms N]"
     );
@@ -63,9 +61,6 @@ fn main() {
         match arg.as_str() {
             "--addr" => config.addr = value(),
             "--port-file" => port_file = Some(value()),
-            "--policy" => {
-                config.policy = RoutePolicy::from_name(&value()).unwrap_or_else(|| usage())
-            }
             "--replicas" => config.replicas = value().parse().unwrap_or_else(|_| usage()),
             "--saturation" => config.saturation = value().parse().unwrap_or_else(|_| usage()),
             "--retries" => config.retry_limit = value().parse().unwrap_or_else(|_| usage()),
@@ -95,7 +90,6 @@ fn main() {
         }
     }
 
-    let policy = config.policy;
     let slo = config.slo;
     let handle = match Router::bind(config) {
         Ok(handle) => handle,
@@ -105,10 +99,7 @@ fn main() {
         }
     };
     let addr = handle.local_addr();
-    println!(
-        "mc-cluster routing on {addr} (policy {}); join backends with: mc-serve --join {addr}",
-        policy.name()
-    );
+    println!("mc-cluster routing on {addr}; join backends with: mc-serve --join {addr}");
     if !slo.is_empty() {
         println!("mc-cluster SLO watchdog armed: {slo:?}");
     }

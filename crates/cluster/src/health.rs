@@ -22,6 +22,7 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
+use mc_serve::endpoint::sliced_sleep;
 use mc_serve::protocol::{read_frame, write_frame, Request, Response};
 
 use crate::registry::Registry;
@@ -85,14 +86,8 @@ pub(crate) fn health_loop(
     config: &HealthConfig,
     on_down: &dyn Fn(u64),
 ) {
-    const POLL: Duration = Duration::from_millis(50);
     while !shutdown.load(Ordering::SeqCst) {
-        let mut remaining = config.interval;
-        while !shutdown.load(Ordering::SeqCst) && !remaining.is_zero() {
-            let slice = remaining.min(POLL);
-            std::thread::sleep(slice);
-            remaining = remaining.saturating_sub(slice);
-        }
+        sliced_sleep(shutdown, config.interval);
         if shutdown.load(Ordering::SeqCst) {
             return;
         }

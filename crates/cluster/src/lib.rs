@@ -29,8 +29,9 @@
 //! * [`registry`] — membership, the heartbeat/ping health state
 //!   machine, load tracking, and backend selection;
 //! * [`health`] — the router-initiated probe loop;
-//! * [`router`] — listener, connection handling, dispatch with
-//!   failover, and stats aggregation; the `mc-cluster` binary wraps it.
+//! * [`router`] — request dispatch on mc-serve's frame endpoint,
+//!   placement with failover, and stats aggregation; the `mc-cluster`
+//!   binary wraps it.
 //!
 //! # Examples
 //!
@@ -85,5 +86,5 @@ pub(crate) mod sync;
 pub use health::{ping_addr, HealthConfig};
 pub use registry::{Backend, Choice, Registry};
 pub use ring::{HashRing, DEFAULT_REPLICAS};
-pub use router::{RoutePolicy, Router, RouterConfig, RouterHandle};
+pub use router::{Router, RouterConfig, RouterHandle};
 pub use slo::{SloMachine, SloState, SloThresholds};

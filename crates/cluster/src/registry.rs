@@ -309,29 +309,6 @@ impl Registry {
             })
     }
 
-    /// Affinity-oblivious selection among up, non-excluded backends —
-    /// the `random` routing policy (`pick` is a caller-supplied draw).
-    /// Affinity is still *scored* against the ring so the two policies'
-    /// hit rates are comparable.
-    pub fn choose_random(&self, hash: u64, exclude: &[u64], pick: u64) -> Option<Choice> {
-        let s = self.lock();
-        let up: Vec<&Backend> = s
-            .backends
-            .values()
-            .filter(|b| b.up && !exclude.contains(&b.id))
-            .collect();
-        if up.is_empty() {
-            return None;
-        }
-        // lint: allow(no-panic-in-request-path): index is modulo the non-empty vec length
-        let b = up[(pick % up.len() as u64) as usize];
-        Some(Choice {
-            id: b.id,
-            addr: b.addr.clone(),
-            affine: s.ring.primary(hash) == Some(b.id),
-        })
-    }
-
     /// All registered backends, id order.
     pub fn snapshot(&self) -> Vec<Backend> {
         self.lock().backends.values().cloned().collect()
@@ -452,23 +429,5 @@ mod tests {
         let back = r.choose(hash, &[]).unwrap();
         assert_eq!(back.id, a, "draining in-flight restores affinity");
         assert!(back.affine);
-    }
-
-    #[test]
-    fn random_choice_scores_affinity_against_the_ring() {
-        let r = registry();
-        let _ = r.register("127.0.0.1:1000", 1, 64);
-        let _ = r.register("127.0.0.1:2000", 1, 64);
-        let hash = 0xdead_beef_u64;
-        let mut affine_seen = 0;
-        for pick in 0..16u64 {
-            let c = r.choose_random(hash, &[], pick).unwrap();
-            if c.affine {
-                affine_seen += 1;
-            }
-        }
-        // Two backends, alternating picks: exactly half the draws land
-        // on the ring primary.
-        assert_eq!(affine_seen, 8);
     }
 }

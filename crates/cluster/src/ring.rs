@@ -77,14 +77,9 @@ impl HashRing {
         }
     }
 
-    /// The affine target of a key hash: the backend owning the first
-    /// point clockwise from `hash`. `None` on an empty ring.
-    pub fn primary(&self, hash: u64) -> Option<u64> {
-        self.successors(hash).next()
-    }
-
     /// Distinct backends in clockwise order from `hash` — the preference
-    /// (failover) order of the key.
+    /// (failover) order of the key; its first entry is the key's affine
+    /// target.
     pub fn preference(&self, hash: u64) -> Vec<u64> {
         let mut seen = Vec::with_capacity(self.members);
         for id in self.successors(hash) {
@@ -112,6 +107,11 @@ impl HashRing {
 mod tests {
     use super::*;
 
+    /// The affine target of a key hash: the first backend clockwise.
+    fn primary(ring: &HashRing, hash: u64) -> Option<u64> {
+        ring.preference(hash).first().copied()
+    }
+
     fn ring_of(ids: &[u64]) -> HashRing {
         let mut ring = HashRing::new();
         for &id in ids {
@@ -124,7 +124,7 @@ mod tests {
     fn empty_ring_has_no_primary() {
         let ring = HashRing::new();
         assert!(ring.is_empty());
-        assert_eq!(ring.primary(42), None);
+        assert_eq!(primary(&ring, 42), None);
         assert!(ring.preference(42).is_empty());
     }
 
@@ -139,7 +139,10 @@ mod tests {
         assert_eq!(ring.len(), 1);
         // Every key now maps to the only member.
         for k in 0..100u64 {
-            assert_eq!(ring.primary(k.wrapping_mul(0x9e37_79b9_7f4a_7c15)), Some(2));
+            assert_eq!(
+                primary(&ring, k.wrapping_mul(0x9e37_79b9_7f4a_7c15)),
+                Some(2)
+            );
         }
     }
 
@@ -151,10 +154,6 @@ mod tests {
             let mut sorted = pref.clone();
             sorted.sort_unstable();
             assert_eq!(sorted, vec![1, 2, 3, 4], "key {k}: {pref:?}");
-            assert_eq!(
-                pref[0],
-                ring.primary(k.wrapping_mul(0x9e37_79b9_7f4a_7c15)).unwrap()
-            );
         }
     }
 
@@ -164,7 +163,7 @@ mod tests {
         let mut counts = [0usize; 5];
         let keys = 4000u64;
         for k in 0..keys {
-            let id = ring.primary(k.wrapping_mul(0x9e37_79b9_7f4a_7c15)).unwrap();
+            let id = primary(&ring, k.wrapping_mul(0x9e37_79b9_7f4a_7c15)).unwrap();
             counts[id as usize] += 1;
         }
         for (id, &count) in counts.iter().enumerate().skip(1) {
@@ -183,8 +182,8 @@ mod tests {
         reduced.remove(3);
         for k in 0..2000u64 {
             let hash = k.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-            let before = full.primary(hash).unwrap();
-            let after = reduced.primary(hash).unwrap();
+            let before = primary(&full, hash).unwrap();
+            let after = primary(&reduced, hash).unwrap();
             if before != 3 {
                 assert_eq!(before, after, "key {k} moved although its backend survived");
             } else {
@@ -202,7 +201,7 @@ mod tests {
             // Removing the primary promotes exactly the second choice.
             let mut without = ring.clone();
             without.remove(pref[0]);
-            assert_eq!(without.primary(hash), Some(pref[1]), "key {k}");
+            assert_eq!(primary(&without, hash), Some(pref[1]), "key {k}");
         }
     }
 }

@@ -35,7 +35,7 @@
 //! `retry_limit` distinct backends failed does the client see an error.
 
 use std::collections::HashMap;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -43,10 +43,10 @@ use std::time::{Duration, Instant};
 
 use mc_obs::{HistoryWindow, PhaseStat};
 use mc_serve::client::Client;
+use mc_serve::endpoint::{accept_loop, sliced_sleep, Dispatch};
 use mc_serve::protocol::{
-    read_frame, write_frame, BackendStats, ClusterStatsInfo, FlowTiming, FrameError,
-    OptimizeRequest, Request, Response, StatsInfo, StatusInfo, ERR_JOB_DROPPED, ERR_SHUTTING_DOWN,
-    MAX_JOB_ROUNDS,
+    BackendStats, ClusterStatsInfo, FlowTiming, OptimizeRequest, Request, Response, StatsInfo,
+    StatusInfo, ERR_JOB_DROPPED, ERR_SHUTTING_DOWN, MAX_JOB_ROUNDS,
 };
 use mc_serve::TraceEvent;
 use xag_circuits::parse_circuit;
@@ -57,38 +57,6 @@ use crate::registry::{Backend, Choice, Registry};
 use crate::ring::DEFAULT_REPLICAS;
 use crate::slo::{SloMachine, SloState, SloThresholds};
 use crate::sync::lock_unpoisoned;
-
-/// How `optimize` jobs are placed onto backends.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RoutePolicy {
-    /// Cache-affine consistent hashing (the default): the canonical job
-    /// key picks the backend, so isomorphic resubmissions hit a warm
-    /// cache.
-    #[default]
-    Affine,
-    /// Uniform random placement among up backends — the baseline
-    /// `cluster_bench` compares affinity against.
-    Random,
-}
-
-impl RoutePolicy {
-    /// Stable CLI name.
-    pub fn name(self) -> &'static str {
-        match self {
-            RoutePolicy::Affine => "affine",
-            RoutePolicy::Random => "random",
-        }
-    }
-
-    /// Parses a CLI name.
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "affine" => Some(RoutePolicy::Affine),
-            "random" => Some(RoutePolicy::Random),
-            _ => None,
-        }
-    }
-}
 
 /// Configuration of [`Router::bind`].
 #[derive(Debug, Clone)]
@@ -116,8 +84,6 @@ pub struct RouterConfig {
     pub evict_after: Duration,
     /// Distinct extra backends a failed dispatch is retried on.
     pub retry_limit: usize,
-    /// Placement policy.
-    pub policy: RoutePolicy,
     /// Metrics-history sampling interval of the router's own counters.
     pub sample_interval: Duration,
     /// Bound of the router's metric-history ring.
@@ -141,7 +107,6 @@ impl Default for RouterConfig {
             miss_threshold: 3,
             evict_after: Duration::from_secs(60),
             retry_limit: 3,
-            policy: RoutePolicy::Affine,
             sample_interval: Duration::from_secs(1),
             history_capacity: mc_obs::history::DEFAULT_CAPACITY,
             slo: SloThresholds::default(),
@@ -161,9 +126,6 @@ struct RouterShared {
     /// Idle pooled connections per backend; a warm connection saves the
     /// connect round trip on every affine re-dispatch.
     pool: Mutex<HashMap<u64, Vec<Client>>>,
-    /// Deterministic draw source for [`RoutePolicy::Random`].
-    rng: Mutex<mc_rng::Rng>,
-    policy: RoutePolicy,
     retry_limit: usize,
     stats_poll_timeout: Duration,
     /// The SLO watchdog's current verdict for `cluster_stats`: empty
@@ -195,10 +157,6 @@ impl RouterShared {
     fn pool_drop(&self, id: u64) {
         lock_unpoisoned(&self.pool).remove(&id);
     }
-
-    fn draw(&self) -> u64 {
-        lock_unpoisoned(&self.rng).next_u64()
-    }
 }
 
 /// The router daemon's entry point; see [`Router::bind`].
@@ -226,8 +184,6 @@ impl Router {
             affinity_hits: AtomicU64::new(0),
             affinity_fallbacks: AtomicU64::new(0),
             pool: Mutex::new(HashMap::new()),
-            rng: Mutex::new(mc_rng::Rng::seed_from_u64(0x6d63_636c_7573_7465)),
-            policy: config.policy,
             retry_limit: config.retry_limit,
             stats_poll_timeout: Duration::from_secs(2),
             health: Mutex::new(if config.slo.is_empty() {
@@ -265,7 +221,7 @@ impl Router {
             threads.push(
                 std::thread::Builder::new()
                     .name("mc-cluster-listener".to_string())
-                    .spawn(move || accept_loop(listener, &shared))
+                    .spawn(move || accept_loop(listener, &shared, "mc-cluster-conn"))
                     // lint: allow(no-panic-in-request-path): bind-time startup; no client connection exists yet
                     .expect("spawn listener thread"),
             );
@@ -332,68 +288,21 @@ impl RouterHandle {
     }
 }
 
-fn accept_loop(listener: TcpListener, shared: &Arc<RouterShared>) {
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let shared = Arc::clone(shared);
-                let _ = std::thread::Builder::new()
-                    .name("mc-cluster-conn".to_string())
-                    .spawn(move || {
-                        let _ = stream.set_nonblocking(false);
-                        let _ = stream.set_nodelay(true);
-                        connection_loop(stream, &shared);
-                    });
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(20)),
-        }
+impl Dispatch for RouterShared {
+    fn shutdown_flag(&self) -> &AtomicBool {
+        &self.shutdown
     }
-}
 
-fn send(stream: &mut TcpStream, response: &Response) -> bool {
-    write_frame(&mut *stream, &response.to_payload()).is_ok()
-}
-
-fn connection_loop(mut stream: TcpStream, shared: &Arc<RouterShared>) {
-    loop {
-        let payload = match read_frame(&mut stream) {
-            Ok(Some(payload)) => payload,
-            Ok(None) => return,
-            Err(FrameError::Oversized(n)) => {
-                let _ = send(
-                    &mut stream,
-                    &Response::Error {
-                        message: FrameError::Oversized(n).to_string(),
-                    },
-                );
-                return;
-            }
-            Err(_) => return,
-        };
-        let request = match Request::from_payload(&payload) {
-            Ok(request) => request,
-            Err(message) => {
-                if !send(&mut stream, &Response::Error { message }) {
-                    return;
-                }
-                continue;
-            }
-        };
-        let response = match request {
+    fn dispatch(&self, request: Request) -> Response {
+        match request {
             Request::Ping => Response::Pong,
             Request::Register(r) => Response::Registered {
-                backend_id: shared
+                backend_id: self
                     .registry
                     .register(&r.addr, r.capacity, r.queue_capacity),
             },
             Request::Heartbeat(h) => {
-                if shared
-                    .registry
-                    .heartbeat(h.backend_id, h.queue_depth, h.busy)
-                {
+                if self.registry.heartbeat(h.backend_id, h.queue_depth, h.busy) {
                     Response::Pong
                 } else {
                     Response::Error {
@@ -404,31 +313,27 @@ fn connection_loop(mut stream: TcpStream, shared: &Arc<RouterShared>) {
                     }
                 }
             }
-            Request::Status => Response::Status(aggregate_status(shared)),
-            Request::Stats => Response::Stats(aggregate_stats(shared)),
-            Request::ClusterStats => Response::ClusterStats(cluster_stats(shared)),
+            Request::Status => Response::Status(aggregate_status(self)),
+            Request::Stats => Response::Stats(aggregate_stats(self)),
+            Request::ClusterStats => Response::ClusterStats(cluster_stats(self)),
             Request::Metrics => Response::Metrics {
-                text: cluster_metrics(shared),
+                text: cluster_metrics(self),
             },
             Request::MetricsHistory => Response::MetricsHistory {
                 at_ms: mc_obs::epoch_us() / 1000,
-                windows: cluster_history(shared),
+                windows: cluster_history(self),
             },
             Request::ProfDump => Response::ProfDump {
-                phases: cluster_prof(shared),
+                phases: cluster_prof(self),
             },
             Request::TraceDump { trace_id } => Response::TraceDump {
-                events: cluster_trace_dump(shared, trace_id),
+                events: cluster_trace_dump(self, trace_id),
             },
             Request::Shutdown => {
-                shared.begin_shutdown();
-                let _ = send(&mut stream, &Response::ShuttingDown);
-                return;
+                self.begin_shutdown();
+                Response::ShuttingDown
             }
-            Request::Optimize(req) => route_optimize(shared, req),
-        };
-        if !send(&mut stream, &response) {
-            return;
+            Request::Optimize(req) => route_optimize(self, req),
         }
     }
 }
@@ -450,7 +355,7 @@ fn is_shutdown_error(message: &str) -> bool {
 
 /// Sends the job to one backend, reusing a pooled connection when
 /// available (one reconnect attempt covers stale pool entries).
-fn forward(shared: &Arc<RouterShared>, choice: &Choice, req: &OptimizeRequest) -> Forward {
+fn forward(shared: &RouterShared, choice: &Choice, req: &OptimizeRequest) -> Forward {
     let request = Request::Optimize(req.clone());
     let mut fresh = false;
     let mut client = match shared.pool_take(choice.id) {
@@ -505,7 +410,7 @@ fn router_error(message: String) -> Response {
     Response::Error { message }
 }
 
-fn route_optimize(shared: &Arc<RouterShared>, mut req: OptimizeRequest) -> Response {
+fn route_optimize(shared: &RouterShared, mut req: OptimizeRequest) -> Response {
     if shared.shutdown.load(Ordering::SeqCst) {
         return router_error("router is shutting down".to_string());
     }
@@ -532,13 +437,7 @@ fn route_optimize(shared: &Arc<RouterShared>, mut req: OptimizeRequest) -> Respo
 
     let mut excluded: Vec<u64> = Vec::new();
     for _attempt in 0..=shared.retry_limit {
-        let choice = match shared.policy {
-            RoutePolicy::Affine => shared.registry.choose(hash, &excluded),
-            RoutePolicy::Random => shared
-                .registry
-                .choose_random(hash, &excluded, shared.draw()),
-        };
-        let Some(choice) = choice else {
+        let Some(choice) = shared.registry.choose(hash, &excluded) else {
             return router_error("no live backend in the cluster".to_string());
         };
         if choice.affine {
@@ -609,39 +508,19 @@ fn route_optimize(shared: &Arc<RouterShared>, mut req: OptimizeRequest) -> Respo
 /// costs one timeout, not one timeout per backend) and returns each
 /// registry row paired with its poll result (`None` for down or
 /// unresponsive backends).
-fn poll_all_stats(shared: &Arc<RouterShared>) -> Vec<(Backend, Option<StatsInfo>)> {
-    let snapshot = shared.registry.snapshot();
-    std::thread::scope(|s| {
-        let polls: Vec<_> = snapshot
-            .iter()
-            .map(|b| {
-                let addr = b.addr.clone();
-                let up = b.up;
-                let timeout = shared.stats_poll_timeout;
-                s.spawn(move || {
-                    if !up {
-                        return None;
-                    }
-                    match poll_addr(&addr, &Request::Stats, timeout) {
-                        Some(Response::Stats(stats)) => Some(stats),
-                        _ => None,
-                    }
-                })
-            })
-            .collect();
-        snapshot
-            .into_iter()
-            .zip(polls)
-            // A panicked poll thread degrades to "backend unpolled" instead
-            // of taking the connection thread (and its client) down.
-            .map(|(b, poll)| (b, poll.join().unwrap_or_default()))
-            .collect()
-    })
+fn poll_all_stats(shared: &RouterShared) -> Vec<(Backend, Option<StatsInfo>)> {
+    poll_up_backends(shared, &Request::Stats)
+        .into_iter()
+        .map(|(b, polled)| match polled {
+            Some(Response::Stats(stats)) => (b, Some(stats)),
+            _ => (b, None),
+        })
+        .collect()
 }
 
 /// `status` against a router: heartbeat-carried occupancy summed over up
 /// backends — no live polling, so it is always fast.
-fn aggregate_status(shared: &Arc<RouterShared>) -> StatusInfo {
+fn aggregate_status(shared: &RouterShared) -> StatusInfo {
     let mut status = StatusInfo {
         queue_depth: 0,
         queue_capacity: 0,
@@ -664,7 +543,7 @@ fn aggregate_status(shared: &Arc<RouterShared>) -> StatusInfo {
 
 /// `stats` against a router: live-polled backend counters summed, so
 /// `mc-client --stats` shows cluster-wide cache behavior unchanged.
-fn aggregate_stats(shared: &Arc<RouterShared>) -> StatsInfo {
+fn aggregate_stats(shared: &RouterShared) -> StatsInfo {
     let mut total = StatsInfo {
         uptime_secs: shared.started.elapsed().as_secs(),
         jobs_served: 0,
@@ -708,12 +587,8 @@ fn aggregate_stats(shared: &Arc<RouterShared>) -> StatsInfo {
 
 /// Polls every *up* backend with `request` concurrently and returns the
 /// registry rows paired with whatever each backend answered (`None` for
-/// down or unresponsive ones). The generic sibling of [`poll_all_stats`]
-/// for the observability frames.
-fn poll_up_backends(
-    shared: &Arc<RouterShared>,
-    request: &Request,
-) -> Vec<(Backend, Option<Response>)> {
+/// down or unresponsive ones).
+fn poll_up_backends(shared: &RouterShared, request: &Request) -> Vec<(Backend, Option<Response>)> {
     let snapshot = shared.registry.snapshot();
     std::thread::scope(|s| {
         let polls: Vec<_> = snapshot
@@ -733,8 +608,8 @@ fn poll_up_backends(
         snapshot
             .into_iter()
             .zip(polls)
-            // Same degradation as poll_all_stats: a panicked poll thread
-            // yields None for that backend only.
+            // A panicked poll thread degrades to "backend unpolled" instead
+            // of taking the connection thread (and its client) down.
             .map(|(b, poll)| (b, poll.join().unwrap_or_default()))
             .collect()
     })
@@ -743,7 +618,7 @@ fn poll_up_backends(
 /// `metrics` against a router: the router's own registry first, then one
 /// section per backend headed by a comment line keying it — cluster-wide
 /// scrape in one round trip, no backend left unlabeled.
-fn cluster_metrics(shared: &Arc<RouterShared>) -> String {
+fn cluster_metrics(shared: &RouterShared) -> String {
     let mut text = String::from("# router\n");
     text.push_str(&mc_obs::registry().render());
     for (b, polled) in poll_up_backends(shared, &Request::Metrics) {
@@ -759,7 +634,7 @@ fn cluster_metrics(shared: &Arc<RouterShared>) -> String {
 /// `trace-dump` against a router: the router's own events merged with
 /// every live backend's onto one wall-clock timeline (all tiers stamp
 /// microseconds since the epoch, so a plain sort aligns them).
-fn cluster_trace_dump(shared: &Arc<RouterShared>, trace_id: Option<u64>) -> Vec<TraceEvent> {
+fn cluster_trace_dump(shared: &RouterShared, trace_id: Option<u64>) -> Vec<TraceEvent> {
     let mut events = mc_obs::trace_dump(trace_id);
     for (_, polled) in poll_up_backends(shared, &Request::TraceDump { trace_id }) {
         if let Some(Response::TraceDump { events: more }) = polled {
@@ -777,7 +652,7 @@ fn cluster_trace_dump(shared: &Arc<RouterShared>, trace_id: Option<u64>) -> Vec<
 /// have computed. The router's own windows are deliberately left out:
 /// every routed job is also a served job on some backend, and merging
 /// both tiers would double-count the cluster's throughput.
-fn cluster_history(shared: &Arc<RouterShared>) -> Vec<HistoryWindow> {
+fn cluster_history(shared: &RouterShared) -> Vec<HistoryWindow> {
     let mut merged: Vec<HistoryWindow> = mc_obs::WINDOWS_SECS
         .iter()
         .map(|&w| HistoryWindow::empty(w))
@@ -797,7 +672,7 @@ fn cluster_history(shared: &Arc<RouterShared>) -> Vec<HistoryWindow> {
 /// `prof-dump` against a router: the router's own phase profile (usually
 /// empty — the router runs no passes) merged with every up backend's,
 /// summing by path.
-fn cluster_prof(shared: &Arc<RouterShared>) -> Vec<PhaseStat> {
+fn cluster_prof(shared: &RouterShared) -> Vec<PhaseStat> {
     let mut by_path: std::collections::BTreeMap<String, PhaseStat> = mc_obs::prof::snapshot()
         .into_iter()
         .map(|p| (p.path.clone(), p))
@@ -819,24 +694,13 @@ fn cluster_prof(shared: &Arc<RouterShared>) -> Vec<PhaseStat> {
     by_path.into_values().collect()
 }
 
-/// Sleeps up to `total` in short slices so router threads notice
-/// shutdown within ~50 ms regardless of their configured interval.
-fn sleep_until_shutdown(shared: &Arc<RouterShared>, total: Duration) {
-    let mut remaining = total;
-    while !shared.shutdown.load(Ordering::SeqCst) && !remaining.is_zero() {
-        let slice = remaining.min(Duration::from_millis(50));
-        std::thread::sleep(slice);
-        remaining = remaining.saturating_sub(slice);
-    }
-}
-
 /// The router's own history sampler: snapshots the routing counters and
 /// dispatch-latency histogram into the process-global ring every
 /// `interval`, and keeps the cluster occupancy gauges (queue depth and
 /// busy workers summed over up backends, from heartbeats) current. This
 /// local history backs the SLO evaluator; the `metrics-history` frame
 /// serves the backend merge instead (see [`cluster_history`]).
-fn sampler_loop(shared: &Arc<RouterShared>, interval: Duration, capacity: usize) {
+fn sampler_loop(shared: &RouterShared, interval: Duration, capacity: usize) {
     let reg = mc_obs::registry();
     mc_obs::history().set_capacity(capacity);
     let queue_gauge = reg.gauge("cluster_queue_depth");
@@ -862,7 +726,7 @@ fn sampler_loop(shared: &Arc<RouterShared>, interval: Duration, capacity: usize)
         queue_gauge.set(queue);
         busy_gauge.set(busy);
         mc_obs::history().push(source.sample(mc_obs::epoch_us() / 1000));
-        sleep_until_shutdown(shared, interval);
+        sliced_sleep(&shared.shutdown, interval);
     }
 }
 
@@ -874,7 +738,7 @@ fn sampler_loop(shared: &Arc<RouterShared>, interval: Duration, capacity: usize)
 /// machine. Transitions move the `slo_state` gauge, count in
 /// `slo_transitions_total`, leave an instant trace event, and rewrite
 /// the health summary `cluster_stats` reports.
-fn slo_loop(shared: &Arc<RouterShared>, thresholds: &SloThresholds, interval: Duration) {
+fn slo_loop(shared: &RouterShared, thresholds: &SloThresholds, interval: Duration) {
     let reg = mc_obs::registry();
     let state_gauge = reg.gauge("slo_state");
     state_gauge.set(SloState::Ok.severity());
@@ -916,11 +780,11 @@ fn slo_loop(shared: &Arc<RouterShared>, thresholds: &SloThresholds, interval: Du
             state => format!("{}: {detail}", state.as_str()),
         };
         *lock_unpoisoned(&shared.health) = summary;
-        sleep_until_shutdown(shared, interval);
+        sliced_sleep(&shared.shutdown, interval);
     }
 }
 
-fn cluster_stats(shared: &Arc<RouterShared>) -> ClusterStatsInfo {
+fn cluster_stats(shared: &RouterShared) -> ClusterStatsInfo {
     let backends = poll_all_stats(shared)
         .into_iter()
         .map(|(b, polled)| {

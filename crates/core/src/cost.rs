@@ -25,7 +25,7 @@ pub struct ProtocolCosts {
     pub and_depth: usize,
     /// Bytes the garbler transmits under half-gates garbling
     /// (2 ciphertexts of 16 bytes per AND; XOR free).
-    pub garbled_bytes: usize,
+    pub garbling_bytes: usize,
     /// Per-AND contribution to an MPC-in-the-head signature, in bits,
     /// using the ZKB++/Picnic accounting of roughly three bits of view per
     /// AND per parallel repetition, at 219 repetitions for 128-bit
@@ -59,7 +59,7 @@ const BITS_PER_AND_PER_REP: usize = 3;
 /// let before = protocol_costs(&xag);
 /// run_job(&mut xag, &mut OptContext::new(), &JobSpec::default());
 /// let after = protocol_costs(&xag);
-/// assert!(after.garbled_bytes < before.garbled_bytes);
+/// assert!(after.garbling_bytes < before.garbling_bytes);
 /// ```
 pub fn protocol_costs(xag: &Xag) -> ProtocolCosts {
     let ands = xag.num_ands();
@@ -67,7 +67,7 @@ pub fn protocol_costs(xag: &Xag) -> ProtocolCosts {
         ands,
         xors: xag.num_xors(),
         and_depth: xag.and_depth(),
-        garbled_bytes: ands * HALF_GATES_CIPHERTEXTS * CIPHERTEXT_BYTES,
+        garbling_bytes: ands * HALF_GATES_CIPHERTEXTS * CIPHERTEXT_BYTES,
         signature_bits: ands * BITS_PER_AND_PER_REP * MPC_ITH_REPETITIONS,
     }
 }
@@ -80,7 +80,7 @@ impl core::fmt::Display for ProtocolCosts {
             self.ands,
             self.xors,
             self.and_depth,
-            self.garbled_bytes,
+            self.garbling_bytes,
             self.signature_bits / 8 / 1024
         )
     }
@@ -102,7 +102,7 @@ mod tests {
         assert_eq!(c.ands, 1);
         assert_eq!(c.xors, 1);
         assert_eq!(c.and_depth, 1);
-        assert_eq!(c.garbled_bytes, 32);
+        assert_eq!(c.garbling_bytes, 32);
         assert_eq!(c.signature_bits, 3 * 219);
 
         // Adding XORs must not change AND-driven costs.
@@ -114,7 +114,7 @@ mod tests {
         let t2 = y.xor(t1, b);
         y.output(t2);
         let c2 = protocol_costs(&y);
-        assert_eq!(c2.garbled_bytes, c.garbled_bytes);
+        assert_eq!(c2.garbling_bytes, c.garbling_bytes);
         assert_eq!(c2.signature_bits, c.signature_bits);
     }
 

@@ -50,6 +50,9 @@
 use xag_network::{NodeId, NodeKind, Xag};
 use xag_tt::Tt;
 
+#[doc(hidden)]
+pub mod legacy;
+
 /// Maximum number of leaves a [`Cut`] can hold (matches [`xag_tt::MAX_VARS`]).
 pub const MAX_CUT_SIZE: usize = 6;
 
@@ -388,23 +391,6 @@ pub fn cut_function(xag: &Xag, root: NodeId, cut: &Cut) -> Option<Tt> {
     xag.cone_tt(root, cut.leaves())
 }
 
-/// Convenience: enumerate cuts and pair each non-trivial cut of each gate
-/// with its function.
-pub fn enumerate_cut_functions(xag: &Xag, params: &CutParams) -> Vec<(NodeId, Cut, Tt)> {
-    let order = xag.live_gates();
-    let sets = enumerate_cuts_for(xag, &order, params);
-    let mut out = Vec::new();
-    for n in order {
-        for (cut, &tt) in sets.of(n).iter().zip(sets.functions_of(n)) {
-            if cut.size() == 1 && cut.leaves()[0] == n {
-                continue; // trivial cut
-            }
-            out.push((n, *cut, tt));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -495,12 +481,19 @@ mod tests {
     #[test]
     fn cut_functions_cover_all_gates() {
         let (x, _) = full_adder();
-        let funcs = enumerate_cut_functions(&x, &CutParams::default());
-        assert!(!funcs.is_empty());
-        for (n, cut, tt) in &funcs {
-            assert_eq!(cut_function(&x, *n, cut), Some(*tt));
-            assert!(tt.vars() == cut.size());
+        let sets = enumerate_cuts(&x, &CutParams::default());
+        let mut funcs = 0;
+        for n in x.live_gates() {
+            for (cut, tt) in sets.of(n).iter().zip(sets.functions_of(n)) {
+                if cut.size() == 1 && cut.leaves()[0] == n {
+                    continue; // trivial cut
+                }
+                funcs += 1;
+                assert_eq!(cut_function(&x, n, cut), Some(*tt));
+                assert!(tt.vars() == cut.size());
+            }
         }
+        assert!(funcs > 0);
     }
 
     #[test]

@@ -22,7 +22,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use crate::metrics::{bucket_upper, Counter, Gauge, Histogram, BUCKETS};
+use crate::metrics::{bucket_quantile, Counter, Gauge, Histogram, BUCKETS};
 
 /// The standard window lengths, in seconds: 10s / 1m / 5m.
 pub const WINDOWS_SECS: [u64; 3] = [10, 60, 300];
@@ -238,22 +238,10 @@ impl HistoryWindow {
     }
 
     /// The latency value at quantile `q` within the window, in µs —
-    /// a cumulative walk over the delta buckets, same semantics as
-    /// [`crate::metrics::Histogram::quantile`]. Returns 0 for an empty
+    /// [`bucket_quantile`] over the delta buckets. Returns 0 for an empty
     /// window.
     pub fn latency_quantile(&self, q: f64) -> u64 {
-        if self.lat_count == 0 {
-            return 0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * self.lat_count as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (b, n) in self.lat_buckets.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                return bucket_upper(b);
-            }
-        }
-        bucket_upper(BUCKETS - 1)
+        bucket_quantile(self.lat_buckets.iter().copied(), self.lat_count, q)
     }
 
     /// Window p50 latency in µs.

@@ -117,6 +117,26 @@ pub fn bucket_upper(b: usize) -> u64 {
     }
 }
 
+/// The value at quantile `q` in `[0, 1]` of a distribution of `total`
+/// observations given as per-bucket counts: the upper bound of the first
+/// bucket whose cumulative count reaches `ceil(q * total)`. Returns 0
+/// when `total` is 0. Histograms and history windows both read their
+/// quantiles through this one walk.
+pub fn bucket_quantile(buckets: impl IntoIterator<Item = u64>, total: u64, q: f64) -> u64 {
+    if total == 0 {
+        return 0;
+    }
+    let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
+    let mut seen = 0u64;
+    for (b, n) in buckets.into_iter().enumerate() {
+        seen += n;
+        if seen >= rank {
+            return bucket_upper(b);
+        }
+    }
+    bucket_upper(BUCKETS - 1)
+}
+
 impl Histogram {
     /// Creates an empty histogram.
     pub fn new() -> Self {
@@ -161,23 +181,11 @@ impl Histogram {
         self.sum.load(Ordering::Relaxed)
     }
 
-    /// The value at quantile `q` in `[0, 1]`: the upper bound of the
-    /// first bucket whose cumulative count reaches `ceil(q * count)`.
-    /// Returns 0 for an empty histogram.
+    /// The value at quantile `q` in `[0, 1]` ([`bucket_quantile`] over the
+    /// buckets). Returns 0 for an empty histogram.
     pub fn quantile(&self, q: f64) -> u64 {
-        let total = self.count();
-        if total == 0 {
-            return 0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (b, bucket) in self.buckets.iter().enumerate() {
-            seen += bucket.load(Ordering::Relaxed);
-            if seen >= rank {
-                return bucket_upper(b);
-            }
-        }
-        bucket_upper(BUCKETS - 1)
+        let buckets = self.buckets.iter().map(|b| b.load(Ordering::Relaxed));
+        bucket_quantile(buckets, self.count(), q)
     }
 
     /// `(p50, p90, p99)` in one call — the readout the service endpoints

@@ -21,20 +21,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crate::client::Client;
+use crate::endpoint::sliced_sleep;
 use crate::server::Shared;
-
-/// How long one shutdown-poll sleep slice lasts; keeps daemon shutdown
-/// latency bounded regardless of the heartbeat interval.
-const SHUTDOWN_POLL: Duration = Duration::from_millis(50);
-
-pub(crate) fn sleep_until_shutdown(shared: &Arc<Shared>, total: Duration) {
-    let mut remaining = total;
-    while !shared.shutdown.load(Ordering::SeqCst) && !remaining.is_zero() {
-        let slice = remaining.min(SHUTDOWN_POLL);
-        std::thread::sleep(slice);
-        remaining = remaining.saturating_sub(slice);
-    }
-}
 
 /// Registers with `router` and heartbeats every `interval` until the
 /// daemon shuts down. Never panics: every router-side failure is retried
@@ -63,6 +51,6 @@ pub(crate) fn join_loop(shared: &Arc<Shared>, router: &str, advertised: &str, in
         if !healthy {
             session = None;
         }
-        sleep_until_shutdown(shared, interval);
+        sliced_sleep(&shared.shutdown, interval);
     }
 }

@@ -19,7 +19,9 @@
 //!   `shutdown`);
 //! * [`queue`] — the bounded blocking job queue (backpressure);
 //! * [`cache`] — canonical network hashing + the LRU result cache;
-//! * [`server`] — listener, connection readers, and the worker pool;
+//! * [`endpoint`] — the accept loop and per-connection frame loop the
+//!   daemon and the `mc-cluster` router share;
+//! * [`server`] — the daemon's request dispatch and worker pool;
 //! * [`client`] — a blocking client library, used by the `mc-client` CLI
 //!   binary, the end-to-end tests, and the `serve_bench` load generator.
 //!
@@ -60,6 +62,7 @@
 pub mod cache;
 pub mod client;
 pub mod coalesce;
+pub mod endpoint;
 mod join;
 pub mod json;
 pub mod protocol;

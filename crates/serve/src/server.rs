@@ -3,10 +3,11 @@
 //!
 //! # Thread model
 //!
-//! * **Listener** — one thread in a non-blocking accept loop (so it can
-//!   observe the shutdown flag); every accepted connection gets its own
-//!   reader thread.
-//! * **Connection readers** — read one frame at a time. Cheap requests
+//! * **Listener** — one thread running the frame endpoint's accept loop
+//!   ([`crate::endpoint`], shared with the router); every accepted
+//!   connection gets its own reader thread.
+//! * **Connection readers** — read one frame at a time and answer it
+//!   through this daemon's [`Dispatch`] implementation. Cheap requests
 //!   (`status`, `stats`, cache hits) are answered inline; a cache miss
 //!   becomes a [`Job`] pushed onto the bounded queue — blocking there
 //!   *is* the backpressure — and the reader then waits on the job's
@@ -24,7 +25,7 @@
 //! readers exit on the next EOF or request.
 
 use std::collections::BTreeMap;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
@@ -36,10 +37,10 @@ use xag_network::{write_bristol, write_verilog, Xag};
 
 use crate::cache::{job_key, CacheEntry};
 use crate::coalesce::{CoalescingCache, Plan};
+use crate::endpoint::{accept_loop, sliced_sleep, Dispatch};
 use crate::protocol::{
-    read_frame, write_frame, FlowTiming, FrameError, OptimizeRequest, OptimizeResult, Request,
-    Response, StatsInfo, StatusInfo, ERR_JOB_DROPPED, ERR_SHUTTING_DOWN, MAX_JOB_ROUNDS,
-    MAX_JOB_THREADS,
+    FlowTiming, OptimizeRequest, OptimizeResult, Request, Response, StatsInfo, StatusInfo,
+    ERR_JOB_DROPPED, ERR_SHUTTING_DOWN, MAX_JOB_ROUNDS, MAX_JOB_THREADS,
 };
 use crate::queue::JobQueue;
 use crate::sync::lock_unpoisoned;
@@ -258,7 +259,7 @@ impl Server {
             threads.push(
                 std::thread::Builder::new()
                     .name("mc-serve-listener".to_string())
-                    .spawn(move || accept_loop(listener, &shared))
+                    .spawn(move || accept_loop(listener, &shared, "mc-serve-conn"))
                     // lint: allow(no-panic-in-request-path): bind-time startup; no client connection exists yet
                     .expect("spawn listener thread"),
             );
@@ -360,69 +361,19 @@ fn sampler_loop(shared: &Arc<Shared>, interval: Duration, capacity: usize) {
         queue_gauge.set(shared.queue.len() as u64);
         busy_gauge.set(shared.busy.load(Ordering::Relaxed) as u64);
         mc_obs::history().push(source.sample(mc_obs::epoch_us() / 1000));
-        crate::join::sleep_until_shutdown(shared, interval);
+        sliced_sleep(&shared.shutdown, interval);
     }
 }
 
-fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let shared = Arc::clone(shared);
-                // Readers are detached: they exit on EOF, error, or the
-                // next request after shutdown. Holding their handles
-                // would let one idle client block the whole shutdown.
-                let _ = std::thread::Builder::new()
-                    .name("mc-serve-conn".to_string())
-                    .spawn(move || {
-                        let _ = stream.set_nonblocking(false);
-                        let _ = stream.set_nodelay(true);
-                        connection_loop(stream, &shared);
-                    });
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(20)),
-        }
+impl Dispatch for Shared {
+    fn shutdown_flag(&self) -> &AtomicBool {
+        &self.shutdown
     }
-}
 
-fn send(stream: &mut TcpStream, response: &Response) -> bool {
-    // write_frame flushes before returning.
-    write_frame(&mut *stream, &response.to_payload()).is_ok()
-}
-
-fn connection_loop(mut stream: TcpStream, shared: &Arc<Shared>) {
-    loop {
-        let payload = match read_frame(&mut stream) {
-            Ok(Some(payload)) => payload,
-            Ok(None) => return, // clean EOF
-            Err(FrameError::Oversized(n)) => {
-                // The frame body was never read, so the stream cannot be
-                // resynchronized — answer and drop the connection.
-                let _ = send(
-                    &mut stream,
-                    &Response::Error {
-                        message: FrameError::Oversized(n).to_string(),
-                    },
-                );
-                return;
-            }
-            Err(_) => return, // truncated or broken stream
-        };
-        let request = match Request::from_payload(&payload) {
-            Ok(request) => request,
-            Err(message) => {
-                if !send(&mut stream, &Response::Error { message }) {
-                    return;
-                }
-                continue;
-            }
-        };
-        let response = match request {
-            Request::Status => Response::Status(shared.status()),
-            Request::Stats => Response::Stats(shared.stats()),
+    fn dispatch(&self, request: Request) -> Response {
+        match request {
+            Request::Status => Response::Status(self.status()),
+            Request::Stats => Response::Stats(self.stats()),
             Request::Ping => Response::Pong,
             // Cluster-handshake frames are the router's business; a plain
             // backend names itself so a misdirected `--join` is obvious.
@@ -445,14 +396,10 @@ fn connection_loop(mut stream: TcpStream, shared: &Arc<Shared>) {
                 events: mc_obs::trace_dump(trace_id),
             },
             Request::Shutdown => {
-                shared.begin_shutdown();
-                let _ = send(&mut stream, &Response::ShuttingDown);
-                return;
+                self.begin_shutdown();
+                Response::ShuttingDown
             }
-            Request::Optimize(req) => handle_optimize(shared, req),
-        };
-        if !send(&mut stream, &response) {
-            return;
+            Request::Optimize(req) => handle_optimize(self, req),
         }
     }
 }
@@ -491,7 +438,7 @@ fn optimize_error(message: String) -> Response {
     Response::Error { message }
 }
 
-fn handle_optimize(shared: &Arc<Shared>, req: OptimizeRequest) -> Response {
+fn handle_optimize(shared: &Shared, req: OptimizeRequest) -> Response {
     if shared.shutdown.load(Ordering::SeqCst) {
         return optimize_error(ERR_SHUTTING_DOWN.to_string());
     }

@@ -14,10 +14,7 @@
 //! 3. **Bounded exact search** — a depth-first SLP search proving MC ≤ 2
 //!    where feasible (degree ≤ 4, small variable counts);
 //! 4. **Davio recursion** — `f = f₀ ⊕ x_i · ∂f/∂x_i` on the best variable,
-//!    with memoization, as the general upper-bound fallback;
-//! 5. **Wide functions** (more than six inputs, e.g. AES S-box coordinates)
-//!    — top-variable Davio recursion on dynamic truth tables down to the
-//!    six-variable kernel.
+//!    with memoization, as the general upper-bound fallback.
 //!
 //! Every produced fragment is verified against its target truth table
 //! before being returned (and cached).
@@ -38,12 +35,11 @@
 use xag_affine::AffineClassifier;
 use xag_network::XagFragment;
 use xag_tt::hash::FxHashMap;
-use xag_tt::{DynTt, Tt};
+use xag_tt::Tt;
 
 mod davio;
 mod exact;
 mod quadratic;
-mod wide;
 
 pub use quadratic::quadratic_rank;
 
@@ -99,12 +95,6 @@ impl Synthesizer {
         frag
     }
 
-    /// An upper bound on the multiplicative complexity of `f` (the AND count
-    /// of the synthesized fragment).
-    pub fn mc_upper_bound(&mut self, f: Tt) -> usize {
-        self.synthesize(f).num_ands()
-    }
-
     /// Clones the synthesizer for a worker thread, with statistics reset
     /// (see [`AffineClassifier::fork`]).
     pub fn fork(&self) -> Synthesizer {
@@ -124,16 +114,6 @@ impl Synthesizer {
             self.cache.entry(f).or_insert(frag);
         }
         self.classifier.absorb(other.classifier);
-    }
-
-    /// Synthesizes a fragment for a function of more than six variables by
-    /// top-variable Davio recursion down to the six-variable kernel.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `f` has more than 16 variables (table size 2¹⁶ words).
-    pub fn synthesize_wide(&mut self, f: &DynTt) -> XagFragment {
-        wide::synthesize(self, f)
     }
 
     pub(crate) fn synth_inner(&mut self, f: Tt) -> XagFragment {
@@ -238,9 +218,9 @@ mod tests {
     fn majority_and_mux_take_one_and() {
         let mut s = Synthesizer::new();
         let maj = Tt::from_bits(0xe8, 3);
-        assert_eq!(s.mc_upper_bound(maj), 1);
+        assert_eq!(s.synthesize(maj).num_ands(), 1);
         let mux = Tt::from_bits(0xd8, 3); // s ? a : b
-        assert_eq!(s.mc_upper_bound(mux), 1);
+        assert_eq!(s.synthesize(mux).num_ands(), 1);
     }
 
     #[test]

@@ -6,8 +6,6 @@
 //! * [`Tt`] — a truth table of a function with up to six variables, stored in
 //!   a single `u64` (bit `m` holds `f(m)` where variable `i` of minterm `m`
 //!   is `(m >> i) & 1`);
-//! * [`DynTt`] — a dynamically sized truth table for wider functions
-//!   (used when synthesizing table-defined logic such as the AES S-box);
 //! * algebraic normal forms ([`Tt::anf`], [`Tt::degree`]),
 //!   Rademacher–Walsh spectra ([`Tt::walsh_spectrum`]), and
 //! * the five affine operations of the paper's Definition 2.1
@@ -25,12 +23,10 @@
 //! ```
 
 mod affine_op;
-mod dyn_tt;
 pub mod hash;
 mod static_tt;
 
 pub use affine_op::AffineOp;
-pub use dyn_tt::DynTt;
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use static_tt::{Tt, MAX_VARS};
 

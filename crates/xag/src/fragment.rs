@@ -199,12 +199,6 @@ impl XagFragment {
         resolve(self.output, &outs)
     }
 
-    /// Estimates how many *new* AND gates instantiating this fragment on
-    /// `leaves` would create. See [`XagFragment::count_new_gates`].
-    pub fn count_new_ands(&self, xag: &Xag, leaves: &[Signal]) -> usize {
-        self.count_new_gates(xag, leaves).0
-    }
-
     /// Estimates how many *new* `(AND, total)` gates instantiating this
     /// fragment on `leaves` would create, exploiting the network's
     /// structural hashing.
@@ -501,15 +495,15 @@ mod tests {
         assert_eq!(xag.num_gates(), gates_after_first);
         // And the dry-run sees full reuse only for referenced nodes.
         xag.output(o1);
-        assert_eq!(f.count_new_ands(&xag, &ins), 0);
+        assert_eq!(f.count_new_gates(&xag, &ins).0, 0);
     }
 
     #[test]
-    fn count_new_ands_on_empty_network() {
+    fn count_new_gates_on_empty_network() {
         let f = maj_fragment();
         let mut xag = Xag::new();
         let ins: Vec<_> = (0..3).map(|_| xag.input()).collect();
-        assert_eq!(f.count_new_ands(&xag, &ins), 1);
+        assert_eq!(f.count_new_gates(&xag, &ins).0, 1);
     }
 
     #[test]

@@ -243,11 +243,6 @@ impl Xag {
         self.resolve(self.pos[i])
     }
 
-    /// All primary-output signals.
-    pub fn output_signals(&self) -> Vec<Signal> {
-        (0..self.pos.len()).map(|i| self.output_signal(i)).collect()
-    }
-
     /// The kind of a node.
     pub fn kind(&self, n: NodeId) -> NodeKind {
         self.nodes[n as usize].kind
