@@ -23,7 +23,18 @@ use std::collections::HashSet;
 
 use xag_tt::{AffineOp, Tt};
 
-use crate::{Classification, ClassifyConfig};
+use crate::Classification;
+
+/// Number of candidate functions kept per beam-search round.
+const BEAM_WIDTH: usize = 8;
+
+/// Upper bound on generator applications before the search gives up and
+/// returns the best representative found so far (the paper uses an
+/// iteration limit of 100 000 on its classification routine).
+const ITERATION_LIMIT: usize = 20_000;
+
+/// Rounds without improvement before the search stops early.
+const PATIENCE: usize = 2;
 
 #[derive(Clone)]
 struct Candidate {
@@ -92,9 +103,13 @@ fn structural_generators(n: usize) -> Vec<AffineOp> {
 }
 
 /// Classifies a function by linear normalization plus beam search.
-pub fn classify(f: Tt, config: &ClassifyConfig) -> Classification {
+pub fn classify(f: Tt) -> Classification {
+    search(f, BEAM_WIDTH, ITERATION_LIMIT, PATIENCE)
+}
+
+/// The beam search of [`classify`] under explicit limits.
+fn search(f: Tt, width: usize, iteration_limit: usize, patience: usize) -> Classification {
     let gens = structural_generators(f.vars());
-    let width = config.beam_width.max(1);
 
     let mut initial_ops = Vec::new();
     let start = normalize_linear(f, &mut initial_ops);
@@ -105,7 +120,7 @@ pub fn classify(f: Tt, config: &ClassifyConfig) -> Classification {
     let mut iterations = 0usize;
     let mut stale = 0usize;
 
-    'outer: while stale < config.patience && iterations < config.iteration_limit {
+    'outer: while stale < patience && iterations < iteration_limit {
         let mut expansions: Vec<Candidate> = Vec::new();
         for cand in &beam {
             for &gen in &gens {
@@ -116,7 +131,7 @@ pub fn classify(f: Tt, config: &ClassifyConfig) -> Classification {
                 if seen.insert(tt) {
                     expansions.push(Candidate::new(tt, ops));
                 }
-                if iterations >= config.iteration_limit {
+                if iterations >= iteration_limit {
                     if expansions.is_empty() {
                         break 'outer;
                     }
@@ -148,10 +163,7 @@ pub fn classify(f: Tt, config: &ClassifyConfig) -> Classification {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn classify_default(f: Tt) -> Classification {
-        classify(f, &ClassifyConfig::default())
-    }
+    use mc_rng::Rng;
 
     #[test]
     fn replay_is_valid() {
@@ -162,7 +174,7 @@ mod tests {
             0x6996_9669_9669_6996,
         ] {
             let f = Tt::from_bits(bits, 6);
-            let c = classify_default(f);
+            let c = classify(f);
             assert_eq!(AffineOp::apply_all(f, &c.ops), c.representative);
             assert!(!c.exact);
         }
@@ -171,17 +183,17 @@ mod tests {
     #[test]
     fn affine_functions_reach_zero() {
         let parity6 = Tt::from_fn(6, |m| m.count_ones() % 2 == 1);
-        let c = classify_default(parity6);
+        let c = classify(parity6);
         assert!(c.representative.is_zero());
         let mixed = Tt::from_fn(5, |m| ((m >> 1) ^ (m >> 4) ^ 1) & 1 == 1);
-        assert!(classify_default(mixed).representative.is_zero());
-        assert!(classify_default(Tt::one(6)).representative.is_zero());
+        assert!(classify(mixed).representative.is_zero());
+        assert!(classify(Tt::one(6)).representative.is_zero());
     }
 
     #[test]
     fn representative_has_no_linear_part() {
         let f = Tt::from_bits(0x1ee7_5eed_0b57_ac1e, 6);
-        let c = classify_default(f);
+        let c = classify(f);
         let anf = c.representative.anf();
         assert_eq!(anf & 1, 0, "constant term survived");
         for i in 0..6 {
@@ -192,8 +204,8 @@ mod tests {
     #[test]
     fn classification_is_idempotent() {
         let f = Tt::from_bits(0x1ee7_5eed_0b57_ac1e, 6);
-        let c = classify_default(f);
-        let c2 = classify_default(c.representative);
+        let c = classify(f);
+        let c2 = classify(c.representative);
         assert_eq!(c2.representative, c.representative);
     }
 
@@ -202,11 +214,11 @@ mod tests {
         // Heuristic consistency: for a sample function, most single-generator
         // images classify to the same representative.
         let f = Tt::from_bits(0x0007_0013_0037_1248, 6);
-        let base = classify_default(f).representative;
+        let base = classify(f).representative;
         let gens = crate::generators::generators(6);
         let matches = gens
             .iter()
-            .filter(|&&gen| classify_default(gen.apply(f)).representative == base)
+            .filter(|&&gen| classify(gen.apply(f)).representative == base)
             .count();
         // The heuristic cannot guarantee full class consistency (neither can
         // the paper's iteration-limited spectral classifier); we require a
@@ -220,14 +232,25 @@ mod tests {
 
     #[test]
     fn iteration_limit_is_respected() {
-        let tight = ClassifyConfig {
-            beam_width: 4,
-            iteration_limit: 120,
-            patience: 2,
-        };
         let f = Tt::from_bits(0xfedc_ba98_7654_3210, 6);
-        let c = classify(f, &tight);
+        let c = search(f, 4, 120, 2);
         assert_eq!(AffineOp::apply_all(f, &c.ops), c.representative);
+    }
+
+    #[test]
+    fn tight_budgets_stay_sound() {
+        let mut rng = Rng::seed_from_u64(0xAF04);
+        for _ in 0..64 {
+            let vars = rng.gen_range(1..7);
+            let f = Tt::from_bits(rng.next_u64(), vars);
+            let limit = rng.gen_range(10..500);
+            let c = search(f, 2, limit, 1);
+            assert_eq!(
+                AffineOp::apply_all(f, &c.ops),
+                c.representative,
+                "{f:?} limit {limit}"
+            );
+        }
     }
 
     #[test]
@@ -235,7 +258,7 @@ mod tests {
         // x0∧…∧x5 is already linear-free; its representative should be no
         // larger than itself.
         let and6 = Tt::from_fn(6, |m| m == 63);
-        let c = classify_default(and6);
+        let c = classify(and6);
         // AND6 has a single ANF monomial; no class member can be sparser, so
         // the search must keep an equally sparse representative.
         assert_eq!(c.representative.anf().count_ones(), 1);

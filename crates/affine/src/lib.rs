@@ -63,29 +63,6 @@ pub struct Classification {
     pub exact: bool,
 }
 
-/// Tuning knobs for the heuristic (5- and 6-variable) classifier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ClassifyConfig {
-    /// Number of candidate functions kept per beam-search round.
-    pub beam_width: usize,
-    /// Upper bound on generator applications before the search gives up and
-    /// returns the best representative found so far (the paper uses an
-    /// iteration limit of 100 000 on its classification routine).
-    pub iteration_limit: usize,
-    /// Rounds without improvement before the search stops early.
-    pub patience: usize,
-}
-
-impl Default for ClassifyConfig {
-    fn default() -> Self {
-        Self {
-            beam_width: 8,
-            iteration_limit: 20_000,
-            patience: 2,
-        }
-    }
-}
-
 /// Affine classifier with a per-instance memoization cache.
 ///
 /// The cache mirrors the paper's §4.1: "we maintain a cache of computed
@@ -93,24 +70,15 @@ impl Default for ClassifyConfig {
 /// functions during rewriting", so no function is classified twice.
 #[derive(Debug, Clone, Default)]
 pub struct AffineClassifier {
-    config: ClassifyConfig,
     cache: FxHashMap<Tt, Classification>,
     hits: u64,
     misses: u64,
 }
 
 impl AffineClassifier {
-    /// Creates a classifier with the default configuration.
+    /// Creates a classifier with an empty cache.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates a classifier with a custom configuration.
-    pub fn with_config(config: ClassifyConfig) -> Self {
-        Self {
-            config,
-            ..Self::default()
-        }
     }
 
     /// Classifies `f`, returning its representative and the operations
@@ -128,9 +96,9 @@ impl AffineClassifier {
             // The beam search is not naturally idempotent (a restart from
             // the found representative may descend further); iterate to a
             // fixpoint and pin the final representative in the cache.
-            let mut c = beam::classify(f, &self.config);
+            let mut c = beam::classify(f);
             for _ in 0..8 {
-                let next = beam::classify(c.representative, &self.config);
+                let next = beam::classify(c.representative);
                 if next.representative == c.representative {
                     break;
                 }
@@ -167,7 +135,6 @@ impl AffineClassifier {
     /// did (instead of double-counting the parent's history).
     pub fn fork(&self) -> AffineClassifier {
         AffineClassifier {
-            config: self.config,
             cache: self.cache.clone(),
             hits: 0,
             misses: 0,

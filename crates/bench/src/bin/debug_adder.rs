@@ -1,21 +1,18 @@
 //! Developer tool: trace per-round AND counts while optimizing a ripple
 //! adder, to inspect convergence behaviour.
 //!
-//! Usage: `debug_adder [bits] [cut_size] [exact_vars] [threads] [--json PATH]`
+//! Usage: `debug_adder [bits] [cut_size] [threads] [--json PATH]`
 //!
 //! The flow is the paper's cut schedule up to `cut_size`
-//! (`{mc(cut=4);mc(cut=N)}*`, or `mc(cut=N)*` for `N <= 4`); `exact_vars`
-//! bounds the synthesizer's exact search. With `--json PATH` one
-//! before/after record of the run is written.
+//! (`{mc(cut=4);mc(cut=N)}*`, or `mc(cut=N)*` for `N <= 4`). With
+//! `--json PATH` one before/after record of the run is written.
 
-use xag_affine::ClassifyConfig;
 use xag_bench::{exit_usage, json_path_from_args, parse_arg, write_bench_json, BenchRecord};
 use xag_circuits::arith::{add_ripple, input_word, output_word};
 use xag_mc::{FlowSpec, OptContext};
 use xag_network::{Signal, Xag};
-use xag_synth::SynthConfig;
 
-const USAGE: &str = "usage: debug_adder [bits] [cut_size] [exact_vars] [threads] [--json PATH]";
+const USAGE: &str = "usage: debug_adder [bits] [cut_size] [threads] [--json PATH]";
 
 fn main() {
     let argv: Vec<String> = std::env::args().collect();
@@ -24,7 +21,7 @@ fn main() {
         .iter()
         .take_while(|a| !a.starts_with("--"))
         .collect();
-    let names = ["bits", "cut_size", "exact_vars", "threads"];
+    let names = ["bits", "cut_size", "threads"];
     if positional.len() > names.len() {
         exit_usage(USAGE);
     }
@@ -35,8 +32,7 @@ fn main() {
     };
     let bits = arg(0, 16);
     let cut_size = arg(1, 6);
-    let exact_vars = arg(2, 4);
-    let threads = arg(3, 1);
+    let threads = arg(2, 1);
 
     let mut x = Xag::new();
     let a = input_word(&mut x, bits);
@@ -58,10 +54,7 @@ fn main() {
     });
     println!("flow: {flow}");
 
-    let synth = SynthConfig {
-        exact_search_max_vars: exact_vars,
-    };
-    let mut ctx = OptContext::with_config(ClassifyConfig::default(), synth);
+    let mut ctx = OptContext::new();
     let stats = flow.run(&mut x, &mut ctx, threads, 100);
     for (i, r) in stats.passes.iter().enumerate() {
         println!("round {i}: {r}");

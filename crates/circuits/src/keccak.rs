@@ -9,7 +9,7 @@
 //! the θ linear layer heavily.
 //!
 //! The lane width `w ∈ {1, 2, 4, 8, 16, 32, 64}` selects the permutation
-//! size `b = 25·w` (Keccak-f[25] … Keccak-f[1600]); round count is the
+//! size `b = 25·w` (Keccak-f\[25\] … Keccak-f\[1600\]); round count is the
 //! standard `12 + 2·log₂ w`. Round constants come from the specification's
 //! degree-8 LFSR, and rotation offsets from the (x, y)-walk, so no tables
 //! are copied in.

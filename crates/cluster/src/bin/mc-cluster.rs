@@ -4,7 +4,6 @@
 //!
 //! ```text
 //! mc-cluster [--addr HOST:PORT] [--port-file PATH]
-//!            [--replicas N] [--saturation N] [--retries N]
 //!            [--heartbeat-timeout-ms N] [--health-interval-ms N]
 //!            [--sample-ms N] [--slo SPEC] [--slo-eval-ms N]
 //! ```
@@ -13,10 +12,6 @@
 //!   (default `127.0.0.1:4520`).
 //! * `--port-file` — write the bound address to this file once
 //!   listening, for scripts that start the router with port 0.
-//! * `--replicas` — virtual points per backend on the hash ring.
-//! * `--saturation` — in-flight jobs per capacity unit before an affine
-//!   target spills to least-loaded placement.
-//! * `--retries` — distinct extra backends a failed dispatch tries.
 //! * `--heartbeat-timeout-ms` — liveness-signal age before a backend is
 //!   marked down (default 2000).
 //! * `--health-interval-ms` — pause between health-check rounds
@@ -30,6 +25,10 @@
 //! * `--slo-eval-ms` — pause between SLO evaluation ticks (default
 //!   1000).
 //!
+//! Placement is fixed: 32 ring points per backend, an affine target
+//! spills to least-loaded placement at 2 in-flight jobs per worker, and
+//! a failed dispatch fails over to at most 3 more backends.
+//!
 //! Backends join with `mc-serve --join <this addr>`. The router runs
 //! until a client sends `shutdown` (`mc-client <addr> --shutdown`);
 //! shutting the router down leaves the backends running.
@@ -40,8 +39,7 @@ use mc_cluster::{Router, RouterConfig};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: mc-cluster [--addr HOST:PORT] [--port-file PATH] \
-         [--replicas N] [--saturation N] [--retries N] [--heartbeat-timeout-ms N] \
+        "usage: mc-cluster [--addr HOST:PORT] [--port-file PATH] [--heartbeat-timeout-ms N] \
          [--health-interval-ms N] [--sample-ms N] [--slo SPEC] [--slo-eval-ms N]"
     );
     std::process::exit(2);
@@ -61,9 +59,6 @@ fn main() {
         match arg.as_str() {
             "--addr" => config.addr = value(),
             "--port-file" => port_file = Some(value()),
-            "--replicas" => config.replicas = value().parse().unwrap_or_else(|_| usage()),
-            "--saturation" => config.saturation = value().parse().unwrap_or_else(|_| usage()),
-            "--retries" => config.retry_limit = value().parse().unwrap_or_else(|_| usage()),
             "--heartbeat-timeout-ms" => {
                 let ms: u64 = value().parse().unwrap_or_else(|_| usage());
                 config.heartbeat_timeout = Duration::from_millis(ms.max(1));

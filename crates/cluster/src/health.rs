@@ -3,7 +3,8 @@
 //! Heartbeats alone cannot distinguish "backend died" from "backend's
 //! join agent died"; a router-initiated `ping` over a fresh connection
 //! probes the thing that matters — whether the backend still answers the
-//! frame protocol. [`health_loop`] runs three detectors every interval:
+//! frame protocol. The router's health thread runs three detectors every
+//! interval:
 //!
 //! 1. **sweep** — backends whose `last_seen` (registration, heartbeat,
 //!    or successful ping) aged past the heartbeat timeout are marked
@@ -11,12 +12,12 @@
 //! 2. **probe** — every registered backend is pinged with a short
 //!    timeout; a success refreshes liveness (and revives a down
 //!    backend), a failure counts toward the miss threshold;
-//! 3. **evict** — backends that stayed down past the eviction grace are
+//! 3. **evict** — backends that stayed down for a minute are
 //!    deregistered entirely, so ephemeral-port restarts do not leak a
 //!    dead entry (and a doomed probe per round) forever.
 //!
 //! All timeouts are short and per-probe, so one wedged backend delays
-//! the loop by at most `ping_timeout`, not forever.
+//! the loop by at most one 250 ms ping timeout, not forever.
 
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -26,6 +27,15 @@ use mc_serve::endpoint::sliced_sleep;
 use mc_serve::protocol::{read_frame, write_frame, Request, Response};
 
 use crate::registry::Registry;
+use crate::router::RouterConfig;
+
+/// Per-probe connect/read/write bound of a health-check ping.
+const PING_TIMEOUT: Duration = Duration::from_millis(250);
+
+/// How long a backend may stay down before it is deregistered entirely
+/// (ephemeral-port restarts would otherwise leak a dead registry entry
+/// per restart).
+const EVICT_AFTER: Duration = Duration::from_secs(60);
 
 /// One bounded request/response exchange over a fresh connection:
 /// connect, write, and read are each bounded by `timeout`. The shared
@@ -60,38 +70,24 @@ pub fn ping_addr(addr: &str, timeout: Duration) -> bool {
     )
 }
 
-/// Knobs of [`health_loop`].
-#[derive(Debug, Clone)]
-pub struct HealthConfig {
-    /// Pause between check rounds.
-    pub interval: Duration,
-    /// Per-probe connect/read/write bound.
-    pub ping_timeout: Duration,
-    /// `last_seen` age past which a backend is swept down, milliseconds.
-    pub heartbeat_timeout_ms: u64,
-    /// Consecutive failed probes before a backend is marked down.
-    pub miss_threshold: u32,
-    /// How long a backend may stay down before it is deregistered,
-    /// milliseconds.
-    pub evict_after_ms: u64,
-}
-
-/// Runs sweep + probe + evict rounds until `shutdown` is set; `on_down`
-/// fires once per backend transition to down *and* per eviction, so the
-/// router can discard pooled connections. Sleeps in short slices so
-/// router shutdown is never blocked on a full interval.
+/// Runs sweep + probe + evict rounds every `config.health_interval`
+/// until `shutdown` is set; `on_down` fires once per backend transition
+/// to down *and* per eviction, so the router can discard pooled
+/// connections. Sleeps in short slices so router shutdown is never
+/// blocked on a full interval.
 pub(crate) fn health_loop(
     registry: &Registry,
     shutdown: &AtomicBool,
-    config: &HealthConfig,
+    config: &RouterConfig,
     on_down: &dyn Fn(u64),
 ) {
+    let heartbeat_timeout_ms = config.heartbeat_timeout.as_millis() as u64;
     while !shutdown.load(Ordering::SeqCst) {
-        sliced_sleep(shutdown, config.interval);
+        sliced_sleep(shutdown, config.health_interval);
         if shutdown.load(Ordering::SeqCst) {
             return;
         }
-        for id in registry.sweep_stale(config.heartbeat_timeout_ms) {
+        for id in registry.sweep_stale(heartbeat_timeout_ms) {
             on_down(id);
         }
         for backend in registry.snapshot() {
@@ -99,7 +95,7 @@ pub(crate) fn health_loop(
                 return;
             }
             let probe_start = std::time::Instant::now();
-            if ping_addr(&backend.addr, config.ping_timeout) {
+            if ping_addr(&backend.addr, PING_TIMEOUT) {
                 // The probe doubles as an RTT sample: last observed
                 // round trip per backend, scraped via `--metrics`.
                 mc_obs::registry()
@@ -116,7 +112,7 @@ pub(crate) fn health_loop(
                 on_down(backend.id);
             }
         }
-        for id in registry.evict_dead(config.evict_after_ms) {
+        for id in registry.evict_dead(EVICT_AFTER.as_millis() as u64) {
             on_down(id);
         }
     }

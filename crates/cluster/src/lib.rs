@@ -81,10 +81,9 @@ pub mod registry;
 pub mod ring;
 pub mod router;
 pub mod slo;
-pub(crate) mod sync;
 
-pub use health::{ping_addr, HealthConfig};
+pub use health::ping_addr;
 pub use registry::{Backend, Choice, Registry};
-pub use ring::{HashRing, DEFAULT_REPLICAS};
+pub use ring::HashRing;
 pub use router::{Router, RouterConfig, RouterHandle};
 pub use slo::{SloMachine, SloState, SloThresholds};

@@ -4,8 +4,7 @@
 //! One [`Registry`] owns everything the router knows about its backends:
 //! the id ↔ address map, announced capacity, the health state machine,
 //! live load (in-flight dispatches, last-heartbeat queue depth), and the
-//! consistent-hash [`HashRing`](crate::ring::HashRing) the *up* backends
-//! populate.
+//! consistent-hash [`HashRing`] the *up* backends populate.
 //!
 //! # Health state machine
 //!
@@ -30,7 +29,14 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::Mutex;
 use std::time::Instant;
 
+use mc_serve::sync::lock_unpoisoned;
+
 use crate::ring::HashRing;
+
+/// A backend is *saturated* once `in_flight >= capacity * SATURATION` —
+/// its workers are all busy and its queue is at least as long as the
+/// pool — and affine placement falls back to least-loaded.
+const SATURATION: usize = 2;
 
 /// One registered backend, as reported by [`Registry::snapshot`].
 #[derive(Debug, Clone)]
@@ -71,42 +77,29 @@ pub struct Choice {
     pub affine: bool,
 }
 
+#[derive(Default)]
 struct State {
     backends: BTreeMap<u64, Backend>,
     by_addr: HashMap<String, u64>,
     ring: HashRing,
-    next_id: u64,
+    /// The last id handed out (ids start at 1).
+    last_id: u64,
 }
 
 /// Thread-safe backend registry. See the [module docs](self).
+#[derive(Default)]
 pub struct Registry {
     state: Mutex<State>,
-    replicas: usize,
-    /// A backend is *saturated* once `in_flight >= capacity * saturation`
-    /// — its workers are all busy and its queue is at least as long as
-    /// the pool — and affine placement falls back to least-loaded.
-    saturation: usize,
 }
 
 impl Registry {
-    /// Creates an empty registry; `replicas` is the virtual-point count
-    /// per backend, `saturation` the in-flight-per-capacity factor past
-    /// which affinity yields to load (min 1).
-    pub fn new(replicas: usize, saturation: usize) -> Self {
-        Self {
-            state: Mutex::new(State {
-                backends: BTreeMap::new(),
-                by_addr: HashMap::new(),
-                ring: HashRing::new(),
-                next_id: 1,
-            }),
-            replicas: replicas.max(1),
-            saturation: saturation.max(1),
-        }
+    /// Creates an empty registry.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, State> {
-        crate::sync::lock_unpoisoned(&self.state)
+        lock_unpoisoned(&self.state)
     }
 
     /// Registers (or re-registers) the backend at `addr`; returns its id.
@@ -117,8 +110,8 @@ impl Registry {
         let id = match s.by_addr.get(addr) {
             Some(&id) => id,
             None => {
-                let id = s.next_id;
-                s.next_id += 1;
+                s.last_id += 1;
+                let id = s.last_id;
                 s.by_addr.insert(addr.to_string(), id);
                 s.backends.insert(
                     id,
@@ -147,7 +140,7 @@ impl Registry {
         b.last_seen = Instant::now();
         if !b.up {
             b.up = true;
-            s.ring.insert(id, self.replicas);
+            s.ring.insert(id);
         }
         id
     }
@@ -165,7 +158,7 @@ impl Registry {
         b.last_seen = Instant::now();
         if !b.up {
             b.up = true;
-            s.ring.insert(id, self.replicas);
+            s.ring.insert(id);
         }
         true
     }
@@ -178,7 +171,7 @@ impl Registry {
             b.last_seen = Instant::now();
             if !b.up {
                 b.up = true;
-                s.ring.insert(id, self.replicas);
+                s.ring.insert(id);
             }
         }
     }
@@ -231,17 +224,17 @@ impl Registry {
     }
 
     /// Deregisters every *down* backend whose `last_seen` is older than
-    /// `evict_after_ms` milliseconds; returns the evicted ids. Without
+    /// `grace_ms` milliseconds; returns the evicted ids. Without
     /// this, ephemeral-port backends leak a dead registry entry (and a
     /// health probe per round, forever) on every restart — a restarted
     /// backend re-registers under a fresh address, so nothing references
     /// the old entry again.
-    pub fn evict_dead(&self, evict_after_ms: u64) -> Vec<u64> {
+    pub fn evict_dead(&self, grace_ms: u64) -> Vec<u64> {
         let mut s = self.lock();
         let dead: Vec<(u64, String)> = s
             .backends
             .values()
-            .filter(|b| !b.up && b.last_seen.elapsed().as_millis() as u64 > evict_after_ms)
+            .filter(|b| !b.up && b.last_seen.elapsed().as_millis() as u64 > grace_ms)
             .map(|b| (b.id, b.addr.clone()))
             .collect();
         for (id, addr) in &dead {
@@ -287,7 +280,7 @@ impl Registry {
             if !b.up {
                 continue;
             }
-            if b.in_flight < b.capacity * self.saturation {
+            if b.in_flight < b.capacity * SATURATION {
                 return Some(Choice {
                     id,
                     addr: b.addr.clone(),
@@ -313,25 +306,19 @@ impl Registry {
     pub fn snapshot(&self) -> Vec<Backend> {
         self.lock().backends.values().cloned().collect()
     }
-
-    /// Registered backends currently up.
-    pub fn up_count(&self) -> usize {
-        self.lock().backends.values().filter(|b| b.up).count()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ring::DEFAULT_REPLICAS;
 
-    fn registry() -> Registry {
-        Registry::new(DEFAULT_REPLICAS, 2)
+    fn up(r: &Registry) -> usize {
+        r.snapshot().iter().filter(|b| b.up).count()
     }
 
     #[test]
     fn registration_is_stable_per_address() {
-        let r = registry();
+        let r = Registry::new();
         let a = r.register("127.0.0.1:1000", 4, 64);
         let b = r.register("127.0.0.1:2000", 4, 64);
         assert_ne!(a, b);
@@ -339,12 +326,12 @@ mod tests {
         let snap = r.snapshot();
         assert_eq!(snap.len(), 2);
         assert_eq!(snap[0].capacity, 8, "re-register refreshes capacity");
-        assert_eq!(r.up_count(), 2);
+        assert_eq!(up(&r), 2);
     }
 
     #[test]
     fn missed_pings_mark_down_and_recovery_marks_up() {
-        let r = registry();
+        let r = Registry::new();
         let id = r.register("127.0.0.1:1000", 2, 64);
         assert!(!r.note_ping_failed(id, 3));
         assert!(!r.note_ping_failed(id, 3));
@@ -352,11 +339,11 @@ mod tests {
             r.note_ping_failed(id, 3),
             "third miss crosses the threshold"
         );
-        assert_eq!(r.up_count(), 0);
+        assert_eq!(up(&r), 0);
         assert_eq!(r.choose(99, &[]), None, "no up backend to choose");
         // A heartbeat brings it back.
         assert!(r.heartbeat(id, 1, 1));
-        assert_eq!(r.up_count(), 1);
+        assert_eq!(up(&r), 1);
         assert!(r.choose(99, &[]).is_some());
         // Unknown ids are rejected so stale backends re-register.
         assert!(!r.heartbeat(id + 100, 0, 0));
@@ -364,17 +351,17 @@ mod tests {
 
     #[test]
     fn sweep_marks_stale_backends_down() {
-        let r = registry();
+        let r = Registry::new();
         let id = r.register("127.0.0.1:1000", 2, 64);
         assert!(r.sweep_stale(60_000).is_empty(), "fresh backend survives");
         std::thread::sleep(std::time::Duration::from_millis(30));
         assert_eq!(r.sweep_stale(10), vec![id]);
-        assert_eq!(r.up_count(), 0);
+        assert_eq!(up(&r), 0);
     }
 
     #[test]
     fn long_dead_backends_are_evicted_but_fresh_down_ones_survive() {
-        let r = registry();
+        let r = Registry::new();
         let dead = r.register("127.0.0.1:1000", 2, 64);
         let alive = r.register("127.0.0.1:2000", 2, 64);
         r.mark_down(dead);
@@ -390,12 +377,12 @@ mod tests {
         let again = r.register("127.0.0.1:1000", 2, 64);
         assert_ne!(again, dead);
         assert_ne!(again, alive);
-        assert_eq!(r.up_count(), 2);
+        assert_eq!(up(&r), 2);
     }
 
     #[test]
     fn affine_choice_follows_the_ring_and_failover_excludes() {
-        let r = registry();
+        let r = Registry::new();
         let a = r.register("127.0.0.1:1000", 2, 64);
         let b = r.register("127.0.0.1:2000", 2, 64);
         for hash in 0..100u64 {
@@ -412,7 +399,7 @@ mod tests {
 
     #[test]
     fn saturation_spills_to_the_least_loaded_backend() {
-        let r = registry();
+        let r = Registry::new();
         let a = r.register("127.0.0.1:1000", 1, 64); // capacity 1, saturates at 2
         let b = r.register("127.0.0.1:2000", 1, 64);
         // Find a hash whose affine target is `a`.

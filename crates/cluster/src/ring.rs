@@ -1,6 +1,6 @@
 //! The consistent-hash ring that gives the router cache affinity.
 //!
-//! Each backend contributes `replicas` virtual points on a `u64` ring
+//! Each backend contributes 32 virtual points on a `u64` ring
 //! (FNV-1a of `(backend id, replica index)`); a job's canonical key
 //! fingerprint is looked up clockwise to the first point, whose backend
 //! is the job's **affine target** — the backend whose semantic cache the
@@ -31,7 +31,7 @@ pub struct HashRing {
 /// Virtual points per backend. 32 keeps the largest/smallest arc ratio
 /// low single-digit for small clusters while membership changes stay
 /// O(replicas · log points).
-pub const DEFAULT_REPLICAS: usize = 32;
+const REPLICAS: usize = 32;
 
 fn point_of(id: u64, replica: usize) -> u64 {
     let mut bytes = [0u8; 16];
@@ -57,11 +57,11 @@ impl HashRing {
     }
 
     /// Adds a backend's virtual points (idempotent).
-    pub fn insert(&mut self, id: u64, replicas: usize) {
+    pub fn insert(&mut self, id: u64) {
         if self.points.iter().any(|&(_, b)| b == id) {
             return;
         }
-        for r in 0..replicas.max(1) {
+        for r in 0..REPLICAS {
             self.points.push((point_of(id, r), id));
         }
         self.points.sort_unstable();
@@ -115,7 +115,7 @@ mod tests {
     fn ring_of(ids: &[u64]) -> HashRing {
         let mut ring = HashRing::new();
         for &id in ids {
-            ring.insert(id, DEFAULT_REPLICAS);
+            ring.insert(id);
         }
         ring
     }
@@ -131,7 +131,7 @@ mod tests {
     #[test]
     fn insert_is_idempotent_and_remove_retracts() {
         let mut ring = ring_of(&[1, 2]);
-        ring.insert(1, DEFAULT_REPLICAS);
+        ring.insert(1);
         assert_eq!(ring.len(), 2);
         ring.remove(1);
         assert_eq!(ring.len(), 1);

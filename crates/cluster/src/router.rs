@@ -31,8 +31,10 @@
 //! job is retried on the next backend in ring order — safe because
 //! `optimize` is idempotent (same key, same result; at worst a surviving
 //! backend recomputes what the dead one never delivered). A backend
-//! that answers "shutting down" is treated the same way. Only after
-//! `retry_limit` distinct backends failed does the client see an error.
+//! that answers "shutting down" is treated the same way. A job tries at
+//! most four distinct backends (three retries) before the client sees an
+//! error. The bound matters: every failed dispatch marks its backend
+//! down, so it caps how many backends one failing job can take out.
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
@@ -41,53 +43,39 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use mc_obs::{HistoryWindow, PhaseStat};
+use mc_obs::{History, HistoryWindow, PhaseStat};
 use mc_serve::client::Client;
 use mc_serve::endpoint::{accept_loop, sliced_sleep, Dispatch};
 use mc_serve::protocol::{
     BackendStats, ClusterStatsInfo, FlowTiming, OptimizeRequest, Request, Response, StatsInfo,
-    StatusInfo, ERR_JOB_DROPPED, ERR_SHUTTING_DOWN, MAX_JOB_ROUNDS,
+    StatusInfo, ERR_JOB_DROPPED, ERR_SHUTTING_DOWN,
 };
+use mc_serve::sync::lock_unpoisoned;
 use mc_serve::TraceEvent;
 use xag_circuits::parse_circuit;
 use xag_mc::canon::{fingerprint, job_key};
 
-use crate::health::{health_loop, poll_addr, HealthConfig};
+use crate::health::{health_loop, poll_addr};
 use crate::registry::{Backend, Choice, Registry};
-use crate::ring::DEFAULT_REPLICAS;
 use crate::slo::{SloMachine, SloState, SloThresholds};
-use crate::sync::lock_unpoisoned;
+
+/// Distinct extra backends a failed dispatch is retried on.
+const RETRY_LIMIT: usize = 3;
 
 /// Configuration of [`Router::bind`].
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
     /// Listen address; port 0 picks an ephemeral port.
     pub addr: String,
-    /// Virtual points per backend on the consistent-hash ring.
-    pub replicas: usize,
-    /// In-flight-per-capacity factor past which an affine target is
-    /// considered saturated and the job spills to the least-loaded
-    /// backend.
-    pub saturation: usize,
     /// Age of the last liveness signal past which a backend is marked
     /// down.
     pub heartbeat_timeout: Duration,
     /// Pause between health-check rounds.
     pub health_interval: Duration,
-    /// Per-probe bound of a health-check ping.
-    pub ping_timeout: Duration,
     /// Consecutive failed pings before a backend is marked down.
     pub miss_threshold: u32,
-    /// How long a backend may stay down before it is deregistered
-    /// entirely (ephemeral-port restarts would otherwise leak a dead
-    /// registry entry per restart).
-    pub evict_after: Duration,
-    /// Distinct extra backends a failed dispatch is retried on.
-    pub retry_limit: usize,
     /// Metrics-history sampling interval of the router's own counters.
     pub sample_interval: Duration,
-    /// Bound of the router's metric-history ring.
-    pub history_capacity: usize,
     /// SLO thresholds; when empty no watchdog thread runs and
     /// `cluster_stats` reports no health summary.
     pub slo: SloThresholds,
@@ -99,16 +87,10 @@ impl Default for RouterConfig {
     fn default() -> Self {
         Self {
             addr: "127.0.0.1:0".to_string(),
-            replicas: DEFAULT_REPLICAS,
-            saturation: 2,
             heartbeat_timeout: Duration::from_secs(2),
             health_interval: Duration::from_millis(500),
-            ping_timeout: Duration::from_millis(250),
             miss_threshold: 3,
-            evict_after: Duration::from_secs(60),
-            retry_limit: 3,
             sample_interval: Duration::from_secs(1),
-            history_capacity: mc_obs::history::DEFAULT_CAPACITY,
             slo: SloThresholds::default(),
             slo_eval_interval: Duration::from_secs(1),
         }
@@ -126,8 +108,10 @@ struct RouterShared {
     /// Idle pooled connections per backend; a warm connection saves the
     /// connect round trip on every affine re-dispatch.
     pool: Mutex<HashMap<u64, Vec<Client>>>,
-    retry_limit: usize,
     stats_poll_timeout: Duration,
+    /// The router's own metric-history ring (routing counters and
+    /// dispatch latency), read by the SLO watchdog.
+    history: History,
     /// The SLO watchdog's current verdict for `cluster_stats`: empty
     /// when no SLO is configured, else `ok` / `warn: …` / `breach: …`.
     health: Mutex<String>,
@@ -176,7 +160,7 @@ impl Router {
         listener.set_nonblocking(true)?;
 
         let shared = Arc::new(RouterShared {
-            registry: Registry::new(config.replicas, config.saturation),
+            registry: Registry::new(),
             shutdown: AtomicBool::new(false),
             started: Instant::now(),
             jobs_routed: AtomicU64::new(0),
@@ -184,8 +168,8 @@ impl Router {
             affinity_hits: AtomicU64::new(0),
             affinity_fallbacks: AtomicU64::new(0),
             pool: Mutex::new(HashMap::new()),
-            retry_limit: config.retry_limit,
             stats_poll_timeout: Duration::from_secs(2),
+            history: History::default(),
             health: Mutex::new(if config.slo.is_empty() {
                 String::new()
             } else {
@@ -193,16 +177,10 @@ impl Router {
             }),
         });
 
-        let health = HealthConfig {
-            interval: config.health_interval,
-            ping_timeout: config.ping_timeout,
-            heartbeat_timeout_ms: config.heartbeat_timeout.as_millis() as u64,
-            miss_threshold: config.miss_threshold,
-            evict_after_ms: config.evict_after.as_millis() as u64,
-        };
         let mut threads = Vec::with_capacity(4);
         {
             let shared = Arc::clone(&shared);
+            let config = config.clone();
             threads.push(
                 std::thread::Builder::new()
                     .name("mc-cluster-health".to_string())
@@ -210,7 +188,7 @@ impl Router {
                         // Downed or evicted backends take their pooled
                         // connections with them.
                         let on_down = |id: u64| shared.pool_drop(id);
-                        health_loop(&shared.registry, &shared.shutdown, &health, &on_down);
+                        health_loop(&shared.registry, &shared.shutdown, &config, &on_down);
                     })
                     // lint: allow(no-panic-in-request-path): bind-time startup; no client connection exists yet
                     .expect("spawn health thread"),
@@ -229,11 +207,10 @@ impl Router {
         {
             let shared = Arc::clone(&shared);
             let interval = config.sample_interval;
-            let capacity = config.history_capacity;
             threads.push(
                 std::thread::Builder::new()
                     .name("mc-cluster-sampler".to_string())
-                    .spawn(move || sampler_loop(&shared, interval, capacity))
+                    .spawn(move || sampler_loop(&shared, interval))
                     // lint: allow(no-panic-in-request-path): bind-time startup; no client connection exists yet
                     .expect("spawn sampler thread"),
             );
@@ -427,16 +404,15 @@ fn route_optimize(shared: &RouterShared, mut req: OptimizeRequest) -> Response {
         Ok(xag) => xag,
         Err(e) => return router_error(e.to_string()),
     };
-    // Clamp exactly like the backend will, so both tiers derive the same
-    // canonical key bytes. The flow contributes its *normalized* spec
-    // (the typed request was already parse-validated at this edge), so
-    // alias/whitespace/`par{}` variants of one flow hash to the same
-    // warm backend.
-    let max_rounds = req.max_rounds.clamp(1, MAX_JOB_ROUNDS);
-    let hash = fingerprint(&job_key(&xag, &req.flow, max_rounds));
+    // The backend derives its key from the same clamped spec. The flow
+    // contributes its *normalized* spec (the typed request was already
+    // parse-validated at this edge), so alias/whitespace/`par{}` variants
+    // of one flow hash to the same warm backend.
+    let spec = req.job_spec();
+    let hash = fingerprint(&job_key(&xag, &spec.flow, spec.max_rounds));
 
     let mut excluded: Vec<u64> = Vec::new();
-    for _attempt in 0..=shared.retry_limit {
+    for _attempt in 0..=RETRY_LIMIT {
         let Some(choice) = shared.registry.choose(hash, &excluded) else {
             return router_error("no live backend in the cluster".to_string());
         };
@@ -695,14 +671,13 @@ fn cluster_prof(shared: &RouterShared) -> Vec<PhaseStat> {
 }
 
 /// The router's own history sampler: snapshots the routing counters and
-/// dispatch-latency histogram into the process-global ring every
-/// `interval`, and keeps the cluster occupancy gauges (queue depth and
-/// busy workers summed over up backends, from heartbeats) current. This
+/// dispatch-latency histogram into the router's ring every `interval`,
+/// and keeps the cluster occupancy gauges (queue depth and busy workers
+/// summed over up backends, from heartbeats) current. This
 /// local history backs the SLO evaluator; the `metrics-history` frame
 /// serves the backend merge instead (see [`cluster_history`]).
-fn sampler_loop(shared: &RouterShared, interval: Duration, capacity: usize) {
+fn sampler_loop(shared: &RouterShared, interval: Duration) {
     let reg = mc_obs::registry();
-    mc_obs::history().set_capacity(capacity);
     let queue_gauge = reg.gauge("cluster_queue_depth");
     let busy_gauge = reg.gauge("cluster_workers_busy");
     let source = mc_obs::HistorySource {
@@ -725,7 +700,9 @@ fn sampler_loop(shared: &RouterShared, interval: Duration, capacity: usize) {
         }
         queue_gauge.set(queue);
         busy_gauge.set(busy);
-        mc_obs::history().push(source.sample(mc_obs::epoch_us() / 1000));
+        shared
+            .history
+            .push(source.sample(mc_obs::epoch_us() / 1000));
         sliced_sleep(&shared.shutdown, interval);
     }
 }
@@ -744,7 +721,8 @@ fn slo_loop(shared: &RouterShared, thresholds: &SloThresholds, interval: Duratio
     state_gauge.set(SloState::Ok.severity());
     let mut machine = SloMachine::new();
     while !shared.shutdown.load(Ordering::SeqCst) {
-        let local = mc_obs::history()
+        let local = shared
+            .history
             .standard_windows()
             .into_iter()
             .find(|w| w.window_secs == 10)

@@ -1,9 +1,9 @@
 //! Shared optimization state: the classifier, the synthesizer, and the
 //! on-demand representative database.
 
-use xag_affine::{AffineClassifier, ClassifyConfig};
+use xag_affine::AffineClassifier;
 use xag_network::XagFragment;
-use xag_synth::{SynthConfig, Synthesizer};
+use xag_synth::Synthesizer;
 use xag_tt::hash::FxHashMap;
 use xag_tt::Tt;
 
@@ -38,19 +38,9 @@ pub struct OptContext {
 }
 
 impl OptContext {
-    /// Creates a context with default (paper) parameters.
+    /// Creates a context with an empty database.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates a context with custom classifier and synthesizer
-    /// configurations.
-    pub fn with_config(classify: ClassifyConfig, synth: SynthConfig) -> Self {
-        Self {
-            classifier: AffineClassifier::with_config(classify),
-            synth: Synthesizer::with_config(synth),
-            db: FxHashMap::default(),
-        }
     }
 
     /// Number of distinct representatives currently in the database.

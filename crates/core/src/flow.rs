@@ -118,8 +118,8 @@ pub const MAX_SPEC_REPEAT: usize = 1000;
 /// once, because the runtime round cap bounds them).
 pub const MAX_SPEC_PASSES: u64 = 10_000;
 
-/// Largest accepted `par(threads=…)` worker count (aligned with the
-/// serve tier's per-job thread clamp).
+/// Largest accepted worker-thread count: of a `par(threads=…)` group, and
+/// of a served job (the serve tier clamps each request's threads to it).
 pub const MAX_PAR_THREADS: usize = 8;
 
 /// Smallest accepted `cut=` knob (a 1-cut is trivial).

@@ -200,10 +200,7 @@ fn run_atom(atom: &FlowUnit, xag: &mut Xag, ctx: &mut OptContext, threads: usize
         FlowUnit::Size { cut } => (Objective::Size, cut, "size-rewrite"),
         _ => return rebuild(atom, xag),
     };
-    let cut_params = CutParams {
-        cut_size: cut,
-        ..CutParams::default()
-    };
+    let cut_params = CutParams { cut_size: cut };
     let name = format!("{name}<{cut}>");
     shard::round(xag, ctx, &cut_params, objective, threads, &name)
 }

@@ -11,7 +11,7 @@ use std::collections::HashMap;
 use xag_network::{NodeId, NodeKind, Xag};
 use xag_tt::Tt;
 
-use crate::CutParams;
+use crate::{CutParams, CUT_LIMIT};
 
 /// The old cut representation: heap-allocated sorted leaf vector plus
 /// the 64-bit subset signature.
@@ -82,7 +82,7 @@ pub fn enumerate(xag: &Xag, order: &[NodeId], params: &CutParams) -> HashMap<Nod
             }
         }
         merged.sort_by_key(|c| c.leaves.len());
-        merged.truncate(params.cut_limit);
+        merged.truncate(CUT_LIMIT);
         merged.push(Cut::new(vec![n]));
         cuts.insert(n, merged);
     }

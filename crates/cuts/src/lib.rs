@@ -56,6 +56,10 @@ pub mod legacy;
 /// Maximum number of leaves a [`Cut`] can hold (matches [`xag_tt::MAX_VARS`]).
 pub const MAX_CUT_SIZE: usize = 6;
 
+/// Maximum number of cuts kept per node, excluding the trivial cut (the
+/// paper found 12 to be a good runtime/quality trade-off).
+pub const CUT_LIMIT: usize = 12;
+
 /// A cut: a sorted set of at most six leaf nodes, stored inline, with a
 /// precomputed subset signature.
 ///
@@ -204,22 +208,19 @@ impl Cut {
     }
 }
 
-/// Parameters of the enumeration.
+/// Parameters of the enumeration; every node keeps at most [`CUT_LIMIT`]
+/// cuts besides its trivial one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CutParams {
     /// Maximum number of leaves per cut (at most 6, so cut functions fit in
     /// one 64-bit truth table).
     pub cut_size: usize,
-    /// Maximum number of cuts kept per node, excluding the trivial cut
-    /// (the paper found 12 to be a good runtime/quality trade-off).
-    pub cut_limit: usize,
 }
 
 impl Default for CutParams {
     fn default() -> Self {
         Self {
-            cut_size: 6,
-            cut_limit: 12,
+            cut_size: MAX_CUT_SIZE,
         }
     }
 }
@@ -349,7 +350,7 @@ pub fn enumerate_cuts_for(xag: &Xag, order: &[NodeId], params: &CutParams) -> Cu
                 j -= 1;
             }
         }
-        merged.truncate(params.cut_limit);
+        merged.truncate(CUT_LIMIT);
         let start = sets.cuts.len() as u32;
         for &(cut, i0, i1) in &merged {
             // Fused cut function: replay the merge to recover each leaf's
@@ -465,17 +466,21 @@ mod tests {
 
     #[test]
     fn cut_limit_is_respected() {
-        let (x, _) = full_adder();
-        let params = CutParams {
-            cut_size: 4,
-            cut_limit: 2,
-        };
-        let sets = enumerate_cuts(&x, &params);
+        // A balanced AND tree over eight inputs: the root has 20
+        // dominance-free 6-feasible cuts before truncation.
+        let mut x = Xag::new();
+        let mut layer: Vec<_> = (0..8).map(|_| x.input()).collect();
+        while layer.len() > 1 {
+            layer = layer.chunks(2).map(|p| x.and(p[0], p[1])).collect();
+        }
+        x.output(layer[0]);
+        let sets = enumerate_cuts(&x, &CutParams::default());
         for (n, cuts) in sets.iter() {
             if x.is_gate(n) {
-                assert!(cuts.len() <= params.cut_limit + 1, "node {n}");
+                assert!(cuts.len() <= CUT_LIMIT + 1, "node {n}");
             }
         }
+        assert_eq!(sets.of(layer[0].node()).len(), CUT_LIMIT + 1);
     }
 
     #[test]

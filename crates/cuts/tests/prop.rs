@@ -2,7 +2,7 @@
 //! a valid cut whose function matches brute-force cone evaluation.
 
 use mc_rng::Rng;
-use xag_cuts::{cut_function, enumerate_cuts, CutParams};
+use xag_cuts::{cut_function, enumerate_cuts, CutParams, CUT_LIMIT};
 use xag_network::{Signal, Xag};
 
 #[derive(Debug, Clone)]
@@ -55,7 +55,7 @@ fn cuts_are_valid_and_functions_match() {
         for n in x.live_gates() {
             let cuts = sets.of(n);
             assert!(!cuts.is_empty(), "case {case}: gate {n} has no cuts");
-            assert!(cuts.len() <= params.cut_limit + 1, "case {case}");
+            assert!(cuts.len() <= CUT_LIMIT + 1, "case {case}");
             for cut in cuts {
                 assert!(cut.size() <= params.cut_size, "case {case}");
                 let tt = cut_function(&x, n, cut);
@@ -73,13 +73,7 @@ fn smaller_cut_sizes_give_subsets() {
     for case in 0..48 {
         let recipe = arb_recipe(&mut rng);
         let x = build(&recipe);
-        let small = enumerate_cuts(
-            &x,
-            &CutParams {
-                cut_size: 3,
-                cut_limit: 12,
-            },
-        );
+        let small = enumerate_cuts(&x, &CutParams { cut_size: 3 });
         for n in x.live_gates() {
             for cut in small.of(n) {
                 assert!(cut.size() <= 3, "case {case}");

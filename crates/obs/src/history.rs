@@ -5,8 +5,9 @@
 //! process start". Operators ask a different question — "what is the
 //! cluster doing *right now*" — which needs rates: jobs/s, cache
 //! hit-rate, retry rate, latency quantiles over the last 10 seconds, not
-//! the last week. A sampler thread in the daemon and the router pushes a
-//! cumulative [`Sample`] every interval; a window is then the *delta*
+//! the last week. The daemon and the router each own one [`History`],
+//! and each one's sampler thread pushes a cumulative [`Sample`] of that
+//! service's counters every interval; a window is then the *delta*
 //! between the newest sample and the oldest sample inside the window, so
 //! rates never need per-event bookkeeping on the hot path.
 //!
@@ -19,17 +20,16 @@
 //! window math testable against a synthetic clock.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 use crate::metrics::{bucket_quantile, Counter, Gauge, Histogram, BUCKETS};
 
 /// The standard window lengths, in seconds: 10s / 1m / 5m.
 pub const WINDOWS_SECS: [u64; 3] = [10, 60, 300];
 
-/// Default ring capacity: 12 minutes of 1 s samples — comfortably more
-/// than the longest (5 m) window.
-pub const DEFAULT_CAPACITY: usize = 720;
+/// Ring capacity: 12 minutes of 1 s samples — comfortably more than the
+/// longest (5 m) window.
+const CAPACITY: usize = 720;
 
 /// One cumulative snapshot of the service counters, stamped with an
 /// epoch-milliseconds clock supplied by the caller.
@@ -271,53 +271,28 @@ fn ratio(n: u64, d: u64) -> f64 {
     }
 }
 
-/// The ring itself: a mutex over a `VecDeque` of samples. The lock is
-/// touched once per sampler tick and once per `MetricsHistory` request —
-/// both far off the optimization hot path ("lock-light" in the sense
-/// that matters: never on a per-job or per-node edge).
+/// The ring itself: a mutex over a `VecDeque` of at most 720 samples.
+/// The lock is touched once per sampler tick and once per
+/// `MetricsHistory` request — both far off the optimization hot path
+/// ("lock-light" in the sense that matters: never on a per-job or
+/// per-node edge).
+#[derive(Default)]
 pub struct History {
     samples: Mutex<VecDeque<Sample>>,
-    capacity: AtomicUsize,
-}
-
-impl Default for History {
-    fn default() -> Self {
-        Self::with_capacity(DEFAULT_CAPACITY)
-    }
 }
 
 impl History {
-    /// An empty ring holding at most `capacity` samples.
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self {
-            samples: Mutex::new(VecDeque::new()),
-            capacity: AtomicUsize::new(capacity.max(2)),
-        }
-    }
-
-    /// Re-sizes the ring (the sampler thread applies the configured
-    /// capacity at startup). Shrinking drops the oldest samples.
-    pub fn set_capacity(&self, capacity: usize) {
-        let capacity = capacity.max(2);
-        self.capacity.store(capacity, Ordering::Relaxed);
-        let mut samples = self.samples.lock().expect("history lock poisoned");
-        while samples.len() > capacity {
-            samples.pop_front();
-        }
-    }
-
     /// Appends a snapshot, dropping the oldest once full. Out-of-order
     /// samples (clock went backwards) are dropped rather than corrupting
     /// the window scan.
     pub fn push(&self, sample: Sample) {
-        let capacity = self.capacity.load(Ordering::Relaxed);
         let mut samples = self.samples.lock().expect("history lock poisoned");
         if let Some(last) = samples.back() {
             if sample.at_ms < last.at_ms {
                 return;
             }
         }
-        if samples.len() == capacity {
+        if samples.len() == CAPACITY {
             samples.pop_front();
         }
         samples.push_back(sample);
@@ -372,13 +347,6 @@ impl History {
     }
 }
 
-/// The process-global history ring, mirroring [`crate::registry`]: the
-/// sampler thread feeds it, the `MetricsHistory` endpoint reads it.
-pub fn history() -> &'static History {
-    static HISTORY: OnceLock<History> = OnceLock::new();
-    HISTORY.get_or_init(History::default)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -405,20 +373,22 @@ mod tests {
 
     #[test]
     fn ring_wraps_dropping_the_oldest() {
-        let h = History::with_capacity(4);
-        for i in 0..10u64 {
+        let h = History::default();
+        let newest = CAPACITY as u64 + 5;
+        for i in 0..=newest {
             h.push(sample(i * 1000, i, 0, 0, &[]));
         }
-        assert_eq!(h.len(), 4);
-        // Only t=6000..9000 retained: a 100 s window spans exactly those.
-        let w = &h.windows(9_000, &[100])[0];
-        assert_eq!(w.jobs, 9 - 6);
-        assert_eq!(w.span_ms, 3_000);
+        assert_eq!(h.len(), CAPACITY);
+        // Only t=6 s onwards is retained: a window reaching back past the
+        // start spans exactly those samples.
+        let w = &h.windows(newest * 1000, &[100_000])[0];
+        assert_eq!(w.jobs, newest - 6);
+        assert_eq!(w.span_ms, (newest - 6) * 1000);
     }
 
     #[test]
     fn out_of_order_samples_are_dropped() {
-        let h = History::with_capacity(8);
+        let h = History::default();
         h.push(sample(5_000, 5, 0, 0, &[]));
         h.push(sample(4_000, 9, 0, 0, &[]));
         assert_eq!(h.len(), 1);
@@ -426,19 +396,8 @@ mod tests {
     }
 
     #[test]
-    fn set_capacity_shrinks_from_the_front() {
-        let h = History::with_capacity(8);
-        for i in 0..8u64 {
-            h.push(sample(i * 1000, i, 0, 0, &[]));
-        }
-        h.set_capacity(3);
-        assert_eq!(h.len(), 3);
-        assert_eq!(h.newest().unwrap().at_ms, 7_000);
-    }
-
-    #[test]
     fn window_math_against_a_synthetic_clock() {
-        let h = History::with_capacity(64);
+        let h = History::default();
         // One sample per second; 2 jobs, 1 hit, 1 miss per second.
         for i in 0..31u64 {
             h.push(sample(i * 1000, 2 * i, i, i, &[]));
@@ -459,7 +418,7 @@ mod tests {
 
     #[test]
     fn single_sample_and_stale_windows_are_empty() {
-        let h = History::with_capacity(8);
+        let h = History::default();
         assert!(h.windows(1_000, &[10])[0].jobs == 0);
         h.push(sample(500, 7, 0, 0, &[]));
         // One sample in window: no delta.
@@ -473,7 +432,7 @@ mod tests {
 
     #[test]
     fn counter_reset_yields_empty_delta_not_garbage() {
-        let h = History::with_capacity(8);
+        let h = History::default();
         h.push(sample(0, 100, 0, 0, &[]));
         h.push(sample(1_000, 3, 0, 0, &[])); // process restarted
         let w = &h.windows(1_000, &[10])[0];
@@ -482,7 +441,7 @@ mod tests {
 
     #[test]
     fn window_latency_quantiles_read_the_delta_not_the_total() {
-        let h = History::with_capacity(8);
+        let h = History::default();
         // Old sample: 100 slow observations (~1000 µs).
         let slow: Vec<u64> = vec![1000; 100];
         h.push(sample(0, 0, 0, 0, &slow));

@@ -11,10 +11,10 @@
 //! - [`progress`]: a board of running jobs updated at pipeline pass
 //!   boundaries and snapshotted by `Status`.
 //! - [`history`]: a fixed-capacity ring of timestamped metric snapshots
-//!   with 10s/1m/5m sliding-window rates, merged cluster-wide by the
-//!   `MetricsHistory` endpoint.
+//!   with 10s/1m/5m sliding-window rates — one ring per service, merged
+//!   cluster-wide by the `MetricsHistory` endpoint.
 //! - [`prof`]: the continuous phase profiler — per-phase self/total time
-//!   in folded-stack form for the `ProfDump` endpoint.
+//!   by folded-stack path for the `ProfDump` endpoint.
 //!
 //! The crate has no dependencies and no feature flags: instrumentation
 //! call sites in core/serve/cluster pay a few relaxed atomics or one
@@ -27,7 +27,7 @@ pub mod prof;
 pub mod progress;
 pub mod trace;
 
-pub use history::{history, History, HistorySource, HistoryWindow, Sample, WINDOWS_SECS};
+pub use history::{History, HistorySource, HistoryWindow, Sample, WINDOWS_SECS};
 pub use metrics::{Counter, Gauge, Histogram, Registry};
 pub use prof::{phase, PhaseStat};
 pub use progress::{job_scope, snapshot as progress_snapshot, update_current, JobProgress};

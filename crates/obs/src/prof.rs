@@ -1,5 +1,5 @@
 //! The continuous phase profiler: always-on, self/total time per phase,
-//! folded-stack output.
+//! keyed by folded-stack path.
 //!
 //! A *phase* is a named scope entered with [`phase`]; nesting builds a
 //! stack whose joined names form a path (`pipeline;mc_rewrite;cut_enum`),
@@ -192,16 +192,6 @@ pub fn snapshot() -> Vec<PhaseStat> {
     stats
 }
 
-/// The profile in folded-stack form — one `path self_us` line per phase
-/// path, ready for flamegraph tooling.
-pub fn folded() -> String {
-    let mut out = String::new();
-    for s in snapshot() {
-        out.push_str(&format!("{} {}\n", s.path, s.self_us));
-    }
-    out
-}
-
 /// Clears the accumulated profile (benchmarks and tests).
 pub fn reset() {
     global().lock().expect("prof lock poisoned").clear();
@@ -265,24 +255,6 @@ mod tests {
         }
         set_enabled(true);
         assert!(stat("t_disabled").is_none());
-    }
-
-    #[test]
-    fn folded_lines_are_flamegraph_shaped() {
-        let _guard = test_lock();
-        reset();
-        {
-            let _a = phase("t_fold_a");
-            let _b = phase("t_fold_b");
-        }
-        let folded = folded();
-        assert!(
-            folded.lines().any(|l| l.starts_with("t_fold_a;t_fold_b ")
-                && l.split(' ')
-                    .nth(1)
-                    .is_some_and(|n| n.parse::<u64>().is_ok())),
-            "{folded}"
-        );
     }
 
     #[test]

@@ -3,16 +3,15 @@
 //! Usage:
 //!
 //! ```text
-//! mc-serve [--addr HOST:PORT] [--workers N] [--queue N] [--cache N] [--port-file PATH]
+//! mc-serve [--addr HOST:PORT] [--workers N] [--cache N] [--port-file PATH]
 //!          [--join ROUTER_ADDR] [--advertise HOST:PORT] [--heartbeat-ms N] [--sample-ms N]
 //! ```
 //!
 //! * `--addr` — listen address; port 0 picks an ephemeral port
 //!   (default `127.0.0.1:4519`).
 //! * `--workers` — worker-pool size (default: available parallelism,
-//!   capped at 8).
-//! * `--queue` — job-queue bound; submissions beyond it block
-//!   (default 64).
+//!   capped at 8). The job queue holds 64 jobs; submissions beyond it
+//!   block.
 //! * `--cache` — semantic-result-cache bound, LRU (default 128).
 //! * `--port-file` — write the bound address to this file once
 //!   listening, for scripts that start the daemon with port 0.
@@ -29,11 +28,12 @@
 //! The daemon runs until a client sends a `shutdown` request (e.g.
 //! `mc-client <addr> --shutdown`).
 
+use mc_serve::server::QUEUE_CAPACITY;
 use mc_serve::{ServeConfig, Server};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: mc-serve [--addr HOST:PORT] [--workers N] [--queue N] [--cache N] \
+        "usage: mc-serve [--addr HOST:PORT] [--workers N] [--cache N] \
          [--port-file PATH] [--join ROUTER_ADDR] [--advertise HOST:PORT] [--heartbeat-ms N] \
          [--sample-ms N]"
     );
@@ -54,7 +54,6 @@ fn main() {
         match arg.as_str() {
             "--addr" => config.addr = value(),
             "--workers" => config.workers = value().parse().unwrap_or_else(|_| usage()),
-            "--queue" => config.queue_capacity = value().parse().unwrap_or_else(|_| usage()),
             "--cache" => config.cache_capacity = value().parse().unwrap_or_else(|_| usage()),
             "--port-file" => port_file = Some(value()),
             "--join" => config.join = Some(value()),
@@ -72,7 +71,6 @@ fn main() {
     }
 
     let workers = config.workers;
-    let queue = config.queue_capacity;
     let cache = config.cache_capacity;
     let handle = match Server::bind(config) {
         Ok(handle) => handle,
@@ -82,7 +80,9 @@ fn main() {
         }
     };
     let addr = handle.local_addr();
-    println!("mc-serve listening on {addr} ({workers} workers, queue {queue}, cache {cache})");
+    println!(
+        "mc-serve listening on {addr} ({workers} workers, queue {QUEUE_CAPACITY}, cache {cache})"
+    );
     if let Some(router) = handle.joined_router() {
         println!("mc-serve joining cluster router at {router}");
     }

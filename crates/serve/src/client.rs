@@ -119,6 +119,24 @@ impl Client {
         Response::from_payload(&payload).map_err(ClientError::Protocol)
     }
 
+    /// Sends `request` and hands the response to `expect`, which returns
+    /// the typed answer or gives the response back: an `error` frame then
+    /// becomes [`ClientError::Server`], any other frame
+    /// [`ClientError::Protocol`].
+    fn call<T>(
+        &mut self,
+        request: &Request,
+        expect: impl FnOnce(Response) -> Result<T, Response>,
+    ) -> Result<T, ClientError> {
+        match expect(self.request(request)?) {
+            Ok(value) => Ok(value),
+            Err(Response::Error { message }) => Err(ClientError::Server(message)),
+            Err(other) => Err(ClientError::Protocol(format!(
+                "unexpected response: {other:?}"
+            ))),
+        }
+    }
+
     /// Submits a circuit for optimization and blocks for the result.
     ///
     /// # Errors
@@ -126,13 +144,10 @@ impl Client {
     /// A malformed circuit (or any other request-level failure) comes
     /// back as [`ClientError::Server`] with the daemon's message.
     pub fn optimize(&mut self, request: OptimizeRequest) -> Result<OptimizeResult, ClientError> {
-        match self.request(&Request::Optimize(request))? {
+        self.call(&Request::Optimize(request), |response| match response {
             Response::Result(result) => Ok(result),
-            Response::Error { message } => Err(ClientError::Server(message)),
-            other => Err(ClientError::Protocol(format!(
-                "unexpected response: {other:?}"
-            ))),
-        }
+            other => Err(other),
+        })
     }
 
     /// Queries queue and worker occupancy.
@@ -141,13 +156,10 @@ impl Client {
     ///
     /// See [`ClientError`].
     pub fn status(&mut self) -> Result<StatusInfo, ClientError> {
-        match self.request(&Request::Status)? {
+        self.call(&Request::Status, |response| match response {
             Response::Status(status) => Ok(status),
-            Response::Error { message } => Err(ClientError::Server(message)),
-            other => Err(ClientError::Protocol(format!(
-                "unexpected response: {other:?}"
-            ))),
-        }
+            other => Err(other),
+        })
     }
 
     /// Queries service counters (jobs served, cache hit rate, per-flow
@@ -157,13 +169,10 @@ impl Client {
     ///
     /// See [`ClientError`].
     pub fn stats(&mut self) -> Result<StatsInfo, ClientError> {
-        match self.request(&Request::Stats)? {
+        self.call(&Request::Stats, |response| match response {
             Response::Stats(stats) => Ok(stats),
-            Response::Error { message } => Err(ClientError::Server(message)),
-            other => Err(ClientError::Protocol(format!(
-                "unexpected response: {other:?}"
-            ))),
-        }
+            other => Err(other),
+        })
     }
 
     /// Liveness probe: sends `ping` and measures the round-trip time to
@@ -175,13 +184,10 @@ impl Client {
     /// See [`ClientError`].
     pub fn ping(&mut self) -> Result<Duration, ClientError> {
         let t0 = Instant::now();
-        match self.request(&Request::Ping)? {
+        self.call(&Request::Ping, |response| match response {
             Response::Pong => Ok(t0.elapsed()),
-            Response::Error { message } => Err(ClientError::Server(message)),
-            other => Err(ClientError::Protocol(format!(
-                "unexpected response: {other:?}"
-            ))),
-        }
+            other => Err(other),
+        })
     }
 
     /// Backend → router: announces `addr` (where the router should send
@@ -203,13 +209,10 @@ impl Client {
             capacity,
             queue_capacity,
         });
-        match self.request(&request)? {
+        self.call(&request, |response| match response {
             Response::Registered { backend_id } => Ok(backend_id),
-            Response::Error { message } => Err(ClientError::Server(message)),
-            other => Err(ClientError::Protocol(format!(
-                "unexpected response: {other:?}"
-            ))),
-        }
+            other => Err(other),
+        })
     }
 
     /// Backend → router: reports liveness and load under the id from
@@ -230,13 +233,10 @@ impl Client {
             queue_depth,
             busy,
         });
-        match self.request(&request)? {
+        self.call(&request, |response| match response {
             Response::Pong => Ok(()),
-            Response::Error { message } => Err(ClientError::Server(message)),
-            other => Err(ClientError::Protocol(format!(
-                "unexpected response: {other:?}"
-            ))),
-        }
+            other => Err(other),
+        })
     }
 
     /// Queries a router's per-backend breakdown (affinity counters, per
@@ -246,13 +246,10 @@ impl Client {
     ///
     /// See [`ClientError`]; a plain backend answers with a server error.
     pub fn cluster_stats(&mut self) -> Result<ClusterStatsInfo, ClientError> {
-        match self.request(&Request::ClusterStats)? {
+        self.call(&Request::ClusterStats, |response| match response {
             Response::ClusterStats(stats) => Ok(stats),
-            Response::Error { message } => Err(ClientError::Server(message)),
-            other => Err(ClientError::Protocol(format!(
-                "unexpected response: {other:?}"
-            ))),
-        }
+            other => Err(other),
+        })
     }
 
     /// Fetches the server's metric registry as Prometheus-style text.
@@ -263,13 +260,10 @@ impl Client {
     ///
     /// See [`ClientError`].
     pub fn metrics(&mut self) -> Result<String, ClientError> {
-        match self.request(&Request::Metrics)? {
+        self.call(&Request::Metrics, |response| match response {
             Response::Metrics { text } => Ok(text),
-            Response::Error { message } => Err(ClientError::Server(message)),
-            other => Err(ClientError::Protocol(format!(
-                "unexpected response: {other:?}"
-            ))),
-        }
+            other => Err(other),
+        })
     }
 
     /// Fetches the server's metric-history windows (10s/1m/5m sliding
@@ -281,13 +275,10 @@ impl Client {
     ///
     /// See [`ClientError`].
     pub fn metrics_history(&mut self) -> Result<(u64, Vec<mc_obs::HistoryWindow>), ClientError> {
-        match self.request(&Request::MetricsHistory)? {
+        self.call(&Request::MetricsHistory, |response| match response {
             Response::MetricsHistory { at_ms, windows } => Ok((at_ms, windows)),
-            Response::Error { message } => Err(ClientError::Server(message)),
-            other => Err(ClientError::Protocol(format!(
-                "unexpected response: {other:?}"
-            ))),
-        }
+            other => Err(other),
+        })
     }
 
     /// Fetches the accumulated phase profile. From a cluster router the
@@ -297,13 +288,10 @@ impl Client {
     ///
     /// See [`ClientError`].
     pub fn prof_dump(&mut self) -> Result<Vec<mc_obs::PhaseStat>, ClientError> {
-        match self.request(&Request::ProfDump)? {
+        self.call(&Request::ProfDump, |response| match response {
             Response::ProfDump { phases } => Ok(phases),
-            Response::Error { message } => Err(ClientError::Server(message)),
-            other => Err(ClientError::Protocol(format!(
-                "unexpected response: {other:?}"
-            ))),
-        }
+            other => Err(other),
+        })
     }
 
     /// Fetches recorded trace events, optionally filtered to one trace
@@ -317,13 +305,13 @@ impl Client {
         &mut self,
         trace_id: Option<u64>,
     ) -> Result<Vec<mc_obs::TraceEvent>, ClientError> {
-        match self.request(&Request::TraceDump { trace_id })? {
-            Response::TraceDump { events } => Ok(events),
-            Response::Error { message } => Err(ClientError::Server(message)),
-            other => Err(ClientError::Protocol(format!(
-                "unexpected response: {other:?}"
-            ))),
-        }
+        self.call(
+            &Request::TraceDump { trace_id },
+            |response| match response {
+                Response::TraceDump { events } => Ok(events),
+                other => Err(other),
+            },
+        )
     }
 
     /// Asks the daemon to shut down; returns once it acknowledged.
@@ -332,12 +320,47 @@ impl Client {
     ///
     /// See [`ClientError`].
     pub fn shutdown(&mut self) -> Result<(), ClientError> {
-        match self.request(&Request::Shutdown)? {
+        self.call(&Request::Shutdown, |response| match response {
             Response::ShuttingDown => Ok(()),
-            Response::Error { message } => Err(ClientError::Server(message)),
-            other => Err(ClientError::Protocol(format!(
-                "unexpected response: {other:?}"
-            ))),
+            other => Err(other),
+        })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    /// Sends one `optimize` to a loopback server that answers it with
+    /// `reply`.
+    fn optimize_answered_by(reply: Response) -> Result<OptimizeResult, ClientError> {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                let (mut stream, _) = listener.accept().unwrap();
+                read_frame(&mut stream).unwrap();
+                write_frame(&mut stream, &reply.to_payload()).unwrap();
+            });
+            Client::connect(addr)
+                .unwrap()
+                .optimize(OptimizeRequest::default())
+        })
+    }
+
+    #[test]
+    fn unexpected_frames_are_protocol_errors_and_error_frames_server_errors() {
+        match optimize_answered_by(Response::Pong) {
+            Err(ClientError::Protocol(m)) => assert_eq!(m, "unexpected response: Pong"),
+            other => panic!("expected a protocol error, got {other:?}"),
+        }
+        let error = Response::Error {
+            message: "no such flow".to_string(),
+        };
+        match optimize_answered_by(error) {
+            Err(ClientError::Server(m)) => assert_eq!(m, "no such flow"),
+            other => panic!("expected a server error, got {other:?}"),
         }
     }
 }

@@ -22,7 +22,7 @@ use std::time::Duration;
 
 use crate::client::Client;
 use crate::endpoint::sliced_sleep;
-use crate::server::Shared;
+use crate::server::{Shared, QUEUE_CAPACITY};
 
 /// Registers with `router` and heartbeats every `interval` until the
 /// daemon shuts down. Never panics: every router-side failure is retried
@@ -32,9 +32,8 @@ pub(crate) fn join_loop(shared: &Arc<Shared>, router: &str, advertised: &str, in
     while !shared.shutdown.load(Ordering::SeqCst) {
         if session.is_none() {
             session = Client::connect(router).ok().and_then(|mut client| {
-                let status = shared.status();
                 let id = client
-                    .register(advertised, shared.workers, status.queue_capacity)
+                    .register(advertised, shared.workers, QUEUE_CAPACITY)
                     .ok()?;
                 Some((client, id))
             });

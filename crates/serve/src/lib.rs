@@ -68,7 +68,8 @@ pub mod json;
 pub mod protocol;
 pub mod queue;
 pub mod server;
-pub(crate) mod sync;
+#[doc(hidden)]
+pub mod sync;
 
 pub use cache::{canonical_form, fingerprint, job_key, CacheEntry, SemanticCache};
 pub use client::{Client, ClientError};
@@ -76,7 +77,7 @@ pub use coalesce::{CoalescingCache, Plan};
 pub use protocol::{
     read_frame, write_frame, BackendStats, ClusterStatsInfo, FlowTiming, FrameError, HeartbeatInfo,
     OptimizeRequest, OptimizeResult, RegisterInfo, Request, Response, StatsInfo, StatusInfo,
-    MAX_FRAME_LEN, MAX_JOB_ROUNDS, MAX_JOB_THREADS,
+    MAX_FRAME_LEN, MAX_JOB_ROUNDS,
 };
 pub use queue::JobQueue;
 pub use server::{ServeConfig, Server, ServerHandle};

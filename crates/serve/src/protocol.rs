@@ -16,16 +16,14 @@ use std::io::{Read, Write};
 
 use mc_obs::{HistoryWindow, JobProgress, PhaseStat, TraceEvent};
 use xag_circuits::CircuitFormat;
-use xag_mc::FlowSpec;
+use xag_mc::flow::MAX_PAR_THREADS;
+use xag_mc::{FlowSpec, JobSpec};
 
 use crate::json::{self, Json};
 
 /// Hard cap on a frame payload. A Bristol netlist of a few million gates
 /// fits comfortably; anything larger is rejected before allocation.
 pub const MAX_FRAME_LEN: usize = 32 << 20;
-
-/// Server-side cap on the per-job worker threads a client may request.
-pub const MAX_JOB_THREADS: usize = 8;
 
 /// Server-side cap on the per-job round cap a client may request.
 pub const MAX_JOB_ROUNDS: usize = 1000;
@@ -162,7 +160,7 @@ pub struct OptimizeRequest {
     /// panic.
     pub flow: FlowSpec,
     /// Worker threads for the job (clamped server-side to
-    /// [`MAX_JOB_THREADS`]; never changes the result).
+    /// [`MAX_PAR_THREADS`]; never changes the result).
     pub threads: usize,
     /// Round cap (clamped server-side to [`MAX_JOB_ROUNDS`]).
     pub max_rounds: usize,
@@ -185,6 +183,20 @@ impl Default for OptimizeRequest {
             max_rounds: 100,
             output: CircuitFormat::Bristol,
             trace_id: 0,
+        }
+    }
+}
+
+impl OptimizeRequest {
+    /// The job this request asks for, with threads and rounds clamped to
+    /// the service caps. The daemon runs it and the router routes by it:
+    /// both derive the canonical job key from this spec, so the two
+    /// tiers agree on the key bytes.
+    pub fn job_spec(&self) -> JobSpec {
+        JobSpec {
+            flow: self.flow.clone(),
+            threads: self.threads.clamp(1, MAX_PAR_THREADS),
+            max_rounds: self.max_rounds.clamp(1, MAX_JOB_ROUNDS),
         }
     }
 }

@@ -47,11 +47,6 @@ impl<T> JobQueue<T> {
         }
     }
 
-    /// The capacity the queue was created with.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Jobs currently queued.
     pub fn len(&self) -> usize {
         lock_unpoisoned(&self.state).items.len()

@@ -9,7 +9,7 @@
 //! * **Connection readers** — read one frame at a time and answer it
 //!   through this daemon's [`Dispatch`] implementation. Cheap requests
 //!   (`status`, `stats`, cache hits) are answered inline; a cache miss
-//!   becomes a [`Job`] pushed onto the bounded queue — blocking there
+//!   becomes a job pushed onto the bounded queue — blocking there
 //!   *is* the backpressure — and the reader then waits on the job's
 //!   reply channel, so each connection has at most one job in flight and
 //!   responses stay ordered.
@@ -31,6 +31,7 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use mc_obs::History;
 use xag_circuits::{parse_circuit, CircuitFormat};
 use xag_mc::{run_job, FlowSpec, JobSpec, OptContext};
 use xag_network::{write_bristol, write_verilog, Xag};
@@ -40,10 +41,14 @@ use crate::coalesce::{CoalescingCache, Plan};
 use crate::endpoint::{accept_loop, sliced_sleep, Dispatch};
 use crate::protocol::{
     FlowTiming, OptimizeRequest, OptimizeResult, Request, Response, StatsInfo, StatusInfo,
-    ERR_JOB_DROPPED, ERR_SHUTTING_DOWN, MAX_JOB_ROUNDS, MAX_JOB_THREADS,
+    ERR_JOB_DROPPED, ERR_SHUTTING_DOWN,
 };
 use crate::queue::JobQueue;
 use crate::sync::lock_unpoisoned;
+
+/// Bound of the job queue: pushes beyond it block. `status` and the
+/// cluster `register` frame report it as `queue_capacity`.
+pub const QUEUE_CAPACITY: usize = 64;
 
 /// Configuration of [`Server::bind`].
 #[derive(Debug, Clone)]
@@ -53,8 +58,6 @@ pub struct ServeConfig {
     pub addr: String,
     /// Worker threads in the pool.
     pub workers: usize,
-    /// Bound of the job queue (pushes beyond it block).
-    pub queue_capacity: usize,
     /// Bound of the semantic result cache (LRU).
     pub cache_capacity: usize,
     /// Address of an `mc-cluster` router to join: the daemon registers
@@ -70,8 +73,6 @@ pub struct ServeConfig {
     pub heartbeat_interval: Duration,
     /// Interval between metric-history snapshots (the sampler thread).
     pub sample_interval: Duration,
-    /// Bound of the metric-history ring, in samples.
-    pub history_capacity: usize,
 }
 
 impl Default for ServeConfig {
@@ -82,13 +83,11 @@ impl Default for ServeConfig {
                 .map(|n| n.get())
                 .unwrap_or(2)
                 .min(8),
-            queue_capacity: 64,
             cache_capacity: 128,
             join: None,
             advertise: None,
             heartbeat_interval: Duration::from_millis(500),
             sample_interval: Duration::from_secs(1),
-            history_capacity: mc_obs::history::DEFAULT_CAPACITY,
         }
     }
 }
@@ -159,6 +158,9 @@ pub(crate) struct Shared {
     cache: CoalescingCache,
     ctx: Mutex<OptContext>,
     stats: Mutex<ServiceStats>,
+    /// This daemon's metric-history ring: its sampler feeds it, the
+    /// `MetricsHistory` frame reads it.
+    history: History,
     pub(crate) shutdown: AtomicBool,
     busy: AtomicUsize,
     next_job_id: AtomicU64,
@@ -175,7 +177,7 @@ impl Shared {
     pub(crate) fn status(&self) -> StatusInfo {
         StatusInfo {
             queue_depth: self.queue.len(),
-            queue_capacity: self.queue.capacity(),
+            queue_capacity: QUEUE_CAPACITY,
             workers: self.workers,
             busy: self.busy.load(Ordering::Relaxed),
             running: mc_obs::progress_snapshot(),
@@ -232,10 +234,11 @@ impl Server {
 
         let workers = config.workers.max(1);
         let shared = Arc::new(Shared {
-            queue: JobQueue::new(config.queue_capacity),
+            queue: JobQueue::new(QUEUE_CAPACITY),
             cache: CoalescingCache::new(config.cache_capacity),
             ctx: Mutex::new(OptContext::new()),
             stats: Mutex::new(ServiceStats::new()),
+            history: History::default(),
             shutdown: AtomicBool::new(false),
             busy: AtomicUsize::new(0),
             next_job_id: AtomicU64::new(1),
@@ -282,11 +285,10 @@ impl Server {
         {
             let shared = Arc::clone(&shared);
             let interval = config.sample_interval;
-            let capacity = config.history_capacity;
             threads.push(
                 std::thread::Builder::new()
                     .name("mc-serve-sampler".to_string())
-                    .spawn(move || sampler_loop(&shared, interval, capacity))
+                    .spawn(move || sampler_loop(&shared, interval))
                     // lint: allow(no-panic-in-request-path): bind-time startup; no client connection exists yet
                     .expect("spawn sampler thread"),
             );
@@ -339,12 +341,11 @@ impl ServerHandle {
 }
 
 /// The metrics sampler: every `interval`, refresh the occupancy gauges
-/// from the live pool state and push one cumulative snapshot into the
-/// process-global history ring — the data behind `MetricsHistory` and
+/// from the live pool state and push one cumulative snapshot into this
+/// daemon's history ring — the data behind `MetricsHistory` and
 /// everything `mc-top` draws. Exits with the daemon.
-fn sampler_loop(shared: &Arc<Shared>, interval: Duration, capacity: usize) {
+fn sampler_loop(shared: &Arc<Shared>, interval: Duration) {
     let reg = mc_obs::registry();
-    mc_obs::history().set_capacity(capacity);
     let queue_gauge = reg.gauge("serve_queue_depth");
     let busy_gauge = reg.gauge("serve_workers_busy");
     let source = mc_obs::HistorySource {
@@ -360,7 +361,9 @@ fn sampler_loop(shared: &Arc<Shared>, interval: Duration, capacity: usize) {
     while !shared.shutdown.load(Ordering::SeqCst) {
         queue_gauge.set(shared.queue.len() as u64);
         busy_gauge.set(shared.busy.load(Ordering::Relaxed) as u64);
-        mc_obs::history().push(source.sample(mc_obs::epoch_us() / 1000));
+        shared
+            .history
+            .push(source.sample(mc_obs::epoch_us() / 1000));
         sliced_sleep(&shared.shutdown, interval);
     }
 }
@@ -387,7 +390,7 @@ impl Dispatch for Shared {
             },
             Request::MetricsHistory => Response::MetricsHistory {
                 at_ms: mc_obs::epoch_us() / 1000,
-                windows: mc_obs::history().standard_windows(),
+                windows: self.history.standard_windows(),
             },
             Request::ProfDump => Response::ProfDump {
                 phases: mc_obs::prof::snapshot(),
@@ -448,11 +451,7 @@ fn handle_optimize(shared: &Shared, req: OptimizeRequest) -> Response {
         Ok(xag) => xag,
         Err(e) => return optimize_error(e.to_string()),
     };
-    let spec = JobSpec {
-        flow: req.flow,
-        threads: req.threads.clamp(1, MAX_JOB_THREADS),
-        max_rounds: req.max_rounds.clamp(1, MAX_JOB_ROUNDS),
-    };
+    let spec = req.job_spec();
     let key = job_key(&xag, &spec.flow, spec.max_rounds);
 
     // The request's trace ID (a router forwarding a traced job) wins;

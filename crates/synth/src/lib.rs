@@ -43,24 +43,11 @@ mod quadratic;
 
 pub use quadratic::quadratic_rank;
 
-/// Tuning knobs for the synthesizer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SynthConfig {
-    /// Run the exact MC ≤ 2 SLP search for functions of degree 3–4 with at
-    /// most this many (support) variables. `0` disables the search.
-    /// The search is exponential in this parameter; 4 is a good default,
-    /// 5 buys a few better database entries at a noticeable cache-miss
-    /// cost, 6 is usually too slow.
-    pub exact_search_max_vars: usize,
-}
-
-impl Default for SynthConfig {
-    fn default() -> Self {
-        Self {
-            exact_search_max_vars: 4,
-        }
-    }
-}
+/// Largest (support) variable count for which the exact MC ≤ 2 SLP search
+/// runs on functions of degree 3–4. The search is exponential in this
+/// bound; 5 buys a few better database entries at a noticeable cache-miss
+/// cost, 6 is usually too slow.
+const EXACT_SEARCH_MAX_VARS: usize = 4;
 
 /// Fragment synthesizer with a per-instance memoization cache.
 ///
@@ -68,23 +55,14 @@ impl Default for SynthConfig {
 /// representative is synthesized at most once per process.
 #[derive(Debug, Clone, Default)]
 pub struct Synthesizer {
-    config: SynthConfig,
     cache: FxHashMap<Tt, XagFragment>,
     classifier: AffineClassifier,
 }
 
 impl Synthesizer {
-    /// Creates a synthesizer with the default configuration.
+    /// Creates a synthesizer with an empty cache.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates a synthesizer with a custom configuration.
-    pub fn with_config(config: SynthConfig) -> Self {
-        Self {
-            config,
-            ..Self::default()
-        }
     }
 
     /// Synthesizes a fragment computing `f` over `f.vars()` inputs,
@@ -99,7 +77,6 @@ impl Synthesizer {
     /// (see [`AffineClassifier::fork`]).
     pub fn fork(&self) -> Synthesizer {
         Synthesizer {
-            config: self.config,
             cache: self.cache.clone(),
             classifier: self.classifier.fork(),
         }
@@ -169,10 +146,7 @@ impl Synthesizer {
         }
         // Degree d needs at least ⌈log₂ d⌉ AND gates; MC = 2 is only
         // possible for degree ≤ 4.
-        if degree <= 4
-            && f.vars() <= self.config.exact_search_max_vars
-            && f.support_size() <= self.config.exact_search_max_vars
-        {
+        if degree <= 4 && f.vars() <= EXACT_SEARCH_MAX_VARS {
             if let Some(frag) = exact::search_mc2(f) {
                 return frag;
             }
