@@ -4,7 +4,7 @@
 //! Usage:
 //!
 //! ```text
-//! bench_gate --baseline BENCH_14.json [--samples N] [--wall-tol F] [--ratio-tol F]
+//! bench_gate --baseline BENCH_16.json [--samples N] [--wall-tol F] [--ratio-tol F]
 //! bench_gate --merge OUT.json IN1.json IN2.json ...
 //! ```
 //!
@@ -40,7 +40,7 @@ use xag_bench::hotpath::run_hotpath;
 use xag_bench::{exit_usage, flag_value, run_table1, run_table2, write_bench_json};
 use xag_circuits::epfl::Scale;
 
-const USAGE: &str = "usage: bench_gate --baseline BENCH_14.json [--samples N] [--wall-tol F] [--ratio-tol F]\n       \
+const USAGE: &str = "usage: bench_gate --baseline BENCH_16.json [--samples N] [--wall-tol F] [--ratio-tol F]\n       \
                      bench_gate --merge OUT.json IN1.json [IN2.json ...]";
 
 fn main() {

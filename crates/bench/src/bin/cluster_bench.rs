@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 
 use mc_cluster::{Router, RouterConfig, RouterHandle};
 use mc_serve::{Client, OptimizeRequest, ServeConfig, Server, ServerHandle};
-use xag_bench::{flag_value, json_path_from_args, write_bench_json, BenchRecord};
+use xag_bench::{flag_value, json_path_from_args, write_bench_json, BenchRecord, PhaseTimes};
 use xag_mc::FlowSpec;
 use xag_network::fuzz::{random_xag, FuzzConfig};
 use xag_network::write_bristol;
@@ -237,6 +237,7 @@ fn main() {
                 wall_s: r.wall_s,
                 threads: r.backends,
                 flow: flow.normalized(),
+                phases: PhaseTimes::default(),
             })
             .collect();
         write_bench_json(&path, &records).expect("write --json output");

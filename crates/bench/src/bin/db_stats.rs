@@ -14,7 +14,7 @@
 //! of functions classified, `size_after` the resulting database entry
 //! count (the depth/mc fields do not apply to this tool and are 0).
 
-use xag_bench::{json_path_from_args, parse_arg, write_bench_json, BenchRecord};
+use xag_bench::{json_path_from_args, parse_arg, write_bench_json, BenchRecord, PhaseTimes};
 use xag_mc::OptContext;
 use xag_tt::Tt;
 
@@ -83,6 +83,7 @@ fn main() {
             threads: 1,
             // db_stats measures classification, not a flow.
             flow: String::new(),
+            phases: PhaseTimes::default(),
         };
         write_bench_json(&path, std::slice::from_ref(&record)).expect("write --json output");
         println!("wrote 1 record to {}", path.display());

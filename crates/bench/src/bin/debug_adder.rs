@@ -7,7 +7,9 @@
 //! (`{mc(cut=4);mc(cut=N)}*`, or `mc(cut=N)*` for `N <= 4`). With
 //! `--json PATH` one before/after record of the run is written.
 
-use xag_bench::{exit_usage, json_path_from_args, parse_arg, write_bench_json, BenchRecord};
+use xag_bench::{
+    exit_usage, json_path_from_args, parse_arg, write_bench_json, BenchRecord, PhaseTimes,
+};
 use xag_circuits::arith::{add_ripple, input_word, output_word};
 use xag_mc::{FlowSpec, OptContext};
 use xag_network::{Signal, Xag};
@@ -55,7 +57,7 @@ fn main() {
     println!("flow: {flow}");
 
     let mut ctx = OptContext::new();
-    let stats = flow.run(&mut x, &mut ctx, threads, 100);
+    let (stats, phases) = PhaseTimes::measure(|| flow.run(&mut x, &mut ctx, threads, 100));
     for (i, r) in stats.passes.iter().enumerate() {
         println!("round {i}: {r}");
     }
@@ -85,6 +87,7 @@ fn main() {
             wall_s: stats.total_time().as_secs_f64(),
             threads,
             flow: flow.normalized(),
+            phases,
         };
         write_bench_json(&path, std::slice::from_ref(&record)).expect("write --json output");
         println!("wrote 1 record to {}", path.display());

@@ -10,7 +10,9 @@
 //! `--json PATH` one before/after record of the whole phase trace is
 //! written.
 
-use xag_bench::{exit_usage, flag_value, json_path_from_args, write_bench_json, BenchRecord};
+use xag_bench::{
+    exit_usage, flag_value, json_path_from_args, write_bench_json, BenchRecord, PhaseTimes,
+};
 use xag_circuits::epfl::{epfl_suite, Scale};
 use xag_mc::{FlowSpec, OptContext, PassStats};
 use xag_network::Xag;
@@ -48,24 +50,26 @@ fn main() {
     let (size_before, depth_before, mc_before) = (xag.num_gates(), xag.and_depth(), xag.num_ands());
     let t0 = std::time::Instant::now();
     let mut ctx = OptContext::new();
-    println!("— size baseline —");
-    for i in 0..2 {
-        let s = round("size(cut=6)", &mut xag, &mut ctx, 1);
-        println!("size round {i}: {s} (capacity {})", xag.capacity());
-    }
-    xag = xag.cleanup();
-    println!("— mc rewriting —");
-    for i in 0..30 {
-        let s = round("mc(cut=6)", &mut xag, &mut ctx, threads);
-        println!(
-            "mc round {i}: {s} (capacity {}, db {})",
-            xag.capacity(),
-            ctx.db_size()
-        );
-        if s.rewrites_applied == 0 {
-            break;
+    let ((), phases) = PhaseTimes::measure(|| {
+        println!("— size baseline —");
+        for i in 0..2 {
+            let s = round("size(cut=6)", &mut xag, &mut ctx, 1);
+            println!("size round {i}: {s} (capacity {})", xag.capacity());
         }
-    }
+        xag = xag.cleanup();
+        println!("— mc rewriting —");
+        for i in 0..30 {
+            let s = round("mc(cut=6)", &mut xag, &mut ctx, threads);
+            println!(
+                "mc round {i}: {s} (capacity {}, db {})",
+                xag.capacity(),
+                ctx.db_size()
+            );
+            if s.rewrites_applied == 0 {
+                break;
+            }
+        }
+    });
     if let Some(path) = json_path_from_args(&args) {
         let record = BenchRecord {
             bench: "debug_bench".to_string(),
@@ -81,6 +85,7 @@ fn main() {
             // The phase trace above: two size-baseline rounds, then up
             // to 30 mc rounds (early-exit when a round applies nothing).
             flow: "size(cut=6)*2;mc(cut=6)*30".to_string(),
+            phases,
         };
         write_bench_json(&path, std::slice::from_ref(&record)).expect("write --json output");
         println!("wrote 1 record to {}", path.display());

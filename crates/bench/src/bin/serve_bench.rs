@@ -28,7 +28,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use mc_serve::{Client, OptimizeRequest, ServeConfig, Server};
-use xag_bench::{flag_value, json_path_from_args, write_bench_json, BenchRecord};
+use xag_bench::{flag_value, json_path_from_args, write_bench_json, BenchRecord, PhaseTimes};
 use xag_mc::FlowSpec;
 use xag_network::fuzz::{random_xag, FuzzConfig};
 use xag_network::write_bristol;
@@ -181,6 +181,7 @@ fn main() {
             wall_s,
             threads: clients,
             flow: flow.normalized(),
+            phases: PhaseTimes::default(),
         };
         let records = [record("cold", cold_s), record("warm", warm_s)];
         write_bench_json(&path, &records).expect("write --json output");

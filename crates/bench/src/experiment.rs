@@ -16,7 +16,7 @@ use xag_circuits::mpc::mpc_suite;
 use xag_mc::{FlowSpec, FlowStats, OptContext};
 use xag_network::{equiv, write_verilog, Xag};
 
-use crate::harness::BenchRecord;
+use crate::harness::{BenchRecord, PhaseTimes};
 
 /// The "Initial" stage: the unit-cost size rewriter, small cuts first.
 const BASELINE_FLOW: &str = "{size(cut=4);size(cut=6)}*";
@@ -34,6 +34,8 @@ pub struct FlowResult {
     /// Counts after rewriting until convergence, with wall-clock seconds
     /// and the number of rounds used.
     pub converged: (usize, usize, f64, usize),
+    /// Phase self times of the convergence run that `converged` times.
+    pub converged_phases: PhaseTimes,
     /// True if the post-optimization network was checked equivalent to the
     /// input (exhaustively ≤ 16 inputs, by random simulation otherwise).
     pub verified: bool,
@@ -97,9 +99,9 @@ impl FlowResult {
 
     /// The `--json` records of this flow as row `name` of `table`, run on
     /// `input`: the converged row (counts and depth before vs after,
-    /// convergence wall time) and, when the flow ran a thread
-    /// comparison, a `<name>/par_speedup` row whose `wall_s` is the
-    /// 1-vs-N speedup and whose counts are the multi-thread result.
+    /// convergence wall time and its phase split) and, when the flow ran
+    /// a thread comparison, a `<name>/par_speedup` row whose `wall_s` is
+    /// the 1-vs-N speedup and whose counts are the multi-thread result.
     pub fn records(
         &self,
         table: &str,
@@ -107,20 +109,24 @@ impl FlowResult {
         input: &Xag,
         threads: usize,
     ) -> Vec<BenchRecord> {
-        let record =
-            |name: String, depth: (usize, usize), mc_after: usize, wall_s: f64| BenchRecord {
-                bench: table.to_string(),
-                name,
-                size_before: input.num_gates(),
-                size_after: self.optimized.num_gates(),
-                depth_before: depth.0,
-                depth_after: depth.1,
-                mc_before: input.num_ands(),
-                mc_after,
-                wall_s,
-                threads,
-                flow: FlowSpec::default().normalized(),
-            };
+        let record = |name: String,
+                      depth: (usize, usize),
+                      mc_after: usize,
+                      wall_s: f64,
+                      phases: PhaseTimes| BenchRecord {
+            bench: table.to_string(),
+            name,
+            size_before: input.num_gates(),
+            size_after: self.optimized.num_gates(),
+            depth_before: depth.0,
+            depth_after: depth.1,
+            mc_before: input.num_ands(),
+            mc_after,
+            wall_s,
+            threads,
+            flow: FlowSpec::default().normalized(),
+            phases,
+        };
         let mut records = Vec::new();
         if let Some(p) = &self.parallel {
             records.push(record(
@@ -128,6 +134,7 @@ impl FlowResult {
                 (0, 0),
                 p.counts.0,
                 p.speedup(),
+                PhaseTimes::default(),
             ));
         }
         records.push(record(
@@ -135,6 +142,7 @@ impl FlowResult {
             (input.and_depth(), self.optimized.and_depth()),
             self.converged.0,
             self.converged.2,
+            self.converged_phases,
         ));
         records
     }
@@ -235,7 +243,8 @@ pub fn run_flow_threads(
     // "Repeat until convergence", from the same initial network.
     let paper = FlowSpec::default();
     let mut fork = (threads > 1).then(|| ctx.fork());
-    let (conv, stats, conv_time) = timed_run(ctx, &work, &paper, 1, max_mc_rounds);
+    let ((conv, stats, conv_time), converged_phases) =
+        PhaseTimes::measure(|| timed_run(ctx, &work, &paper, 1, max_mc_rounds));
     let converged = (
         conv.num_ands(),
         conv.num_xors(),
@@ -264,6 +273,7 @@ pub fn run_flow_threads(
         initial,
         one_round,
         converged,
+        converged_phases,
         verified,
         optimized: conv_clean,
         parallel,
@@ -540,6 +550,7 @@ mod tests {
                 initial: (96, 64),
                 one_round: (40, 150, 0.5),
                 converged: (32, 160, 1.2, 3),
+                converged_phases: PhaseTimes::default(),
                 verified: true,
                 optimized: Xag::new(),
                 parallel: None,

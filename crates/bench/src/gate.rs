@@ -1,7 +1,7 @@
 //! The bench-regression gate: compares a replayed benchmark run against
 //! a committed `BENCH_*.json` trajectory file.
 //!
-//! The committed files record two kinds of numbers:
+//! The committed files record three kinds of numbers:
 //!
 //! * **deterministic results** — gate counts, multiplicative depths, cut
 //!   totals, allocation counts. The engine is deterministic (same input,
@@ -13,7 +13,9 @@
 //!   magnitude movement: a replayed time may not exceed the committed
 //!   time by more than `wall_tolerance`×, and a replayed speedup ratio
 //!   may not fall below the committed ratio divided by
-//!   `ratio_tolerance`.
+//!   `ratio_tolerance`;
+//! * **phase self times** — where a row's run spent its time. They are
+//!   informational only and never compared.
 //!
 //! The `bench_gate` binary replays the hot-path microbenchmark and every
 //! table row, matches rows by `(bench, name)`, and exits nonzero with one
@@ -23,7 +25,7 @@ use std::path::Path;
 
 use mc_serve::json::{parse, Json};
 
-use crate::harness::BenchRecord;
+use crate::harness::{BenchRecord, PhaseTimes};
 
 /// Reads a `BENCH_*.json` file (the [`crate::write_bench_json`] shape)
 /// back into records.
@@ -49,9 +51,12 @@ pub fn read_bench_json(path: &Path) -> std::io::Result<Vec<BenchRecord>> {
     Ok(records)
 }
 
+/// Phase times are optional (0 when absent): files recorded before
+/// records carried them (`BENCH_14.json` and older) still parse.
 fn record_from_json(v: &Json) -> Option<BenchRecord> {
     let str_field = |key: &str| v.get(key).and_then(Json::as_str).map(str::to_string);
     let num_field = |key: &str| v.get(key).and_then(Json::as_u64).map(|n| n as usize);
+    let phase_field = |key: &str| v.get(key).and_then(Json::as_f64).unwrap_or(0.0);
     Some(BenchRecord {
         bench: str_field("bench")?,
         name: str_field("name")?,
@@ -64,6 +69,11 @@ fn record_from_json(v: &Json) -> Option<BenchRecord> {
         wall_s: v.get("wall_s").and_then(Json::as_f64)?,
         threads: num_field("threads")?,
         flow: str_field("flow")?,
+        phases: PhaseTimes {
+            cut_enum_s: phase_field("cut_enum_s"),
+            propose_s: phase_field("propose_s"),
+            commit_validate_s: phase_field("commit_validate_s"),
+        },
     })
 }
 
@@ -218,6 +228,7 @@ mod tests {
             wall_s,
             threads: 1,
             flow: String::new(),
+            phases: PhaseTimes::default(),
         }
     }
 
@@ -312,14 +323,42 @@ mod tests {
     }
 
     #[test]
+    fn phase_times_are_optional_and_never_gated() {
+        let dir = std::env::temp_dir().join(format!("mc-gate-phases-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("old.json");
+        // A row in the shape of BENCH_14.json and older: no phase times.
+        std::fs::write(
+            &path,
+            r#"[{"bench":"table1","name":"adder","size_before":100,"size_after":40,"depth_before":5,"depth_after":4,"mc_before":50,"mc_after":20,"wall_s":0.5,"threads":1,"flow":""}]"#,
+        )
+        .unwrap();
+        let old = read_bench_json(&path).unwrap();
+        assert_eq!(old, vec![rec("table1", "adder", 40, 0.5)]);
+        let mut replay = old.clone();
+        replay[0].phases = PhaseTimes {
+            cut_enum_s: 9.0,
+            propose_s: 9.0,
+            commit_validate_s: 9.0,
+        };
+        assert!(compare(&old, &replay, GateTolerance::default()).is_empty());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn json_round_trip_preserves_records() {
         let dir = std::env::temp_dir().join(format!("mc-gate-json-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("bench.json");
-        let records = vec![
+        let mut records = vec![
             rec("hotpath", "enum/x", 40, 0.5),
             rec("table1", "adder/par_speedup", 33, 1.75),
         ];
+        records[0].phases = PhaseTimes {
+            cut_enum_s: 0.25,
+            propose_s: 0.125,
+            commit_validate_s: 0.0625,
+        };
         crate::write_bench_json(&path, &records).unwrap();
         let back = read_bench_json(&path).unwrap();
         assert_eq!(back, records);

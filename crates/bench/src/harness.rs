@@ -181,6 +181,47 @@ pub struct BenchRecord {
     /// runs are distinguishable and reproducible; empty for records that
     /// measure no flow (e.g. `db_stats`).
     pub flow: String,
+    /// Where the measured run spent its time, by rewriting phase; zero
+    /// for records that run no flow and for the service benches, whose
+    /// `wall_s` times a stream of requests rather than one run.
+    pub phases: PhaseTimes,
+}
+
+/// Self times, in seconds, of the rewriting round's three named
+/// `mc_obs::prof` phases during one measured run, each summed over every
+/// profile path that ends in it. Informational: the bench gate never
+/// compares them.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct PhaseTimes {
+    /// Cut enumeration with the fused cut functions (`cut_enum`).
+    pub cut_enum_s: f64,
+    /// Classification, synthesis and gain estimation of every cut
+    /// (`propose`).
+    pub propose_s: f64,
+    /// Re-validation and application of the proposals
+    /// (`commit_validate`).
+    pub commit_validate_s: f64,
+}
+
+impl PhaseTimes {
+    /// Runs `run` on a cleared profile (`mc_obs::prof::reset`) and returns
+    /// its result with the phase self times it recorded. Every phase must
+    /// have ended when `run` returns, which holds for whole flow runs.
+    pub fn measure<R>(run: impl FnOnce() -> R) -> (R, PhaseTimes) {
+        mc_obs::prof::reset();
+        let out = run();
+        let mut times = PhaseTimes::default();
+        for p in mc_obs::prof::snapshot() {
+            let slot = match p.path.rsplit(';').next() {
+                Some("cut_enum") => &mut times.cut_enum_s,
+                Some("propose") => &mut times.propose_s,
+                Some("commit_validate") => &mut times.commit_validate_s,
+                _ => continue,
+            };
+            *slot += p.self_us as f64 / 1e6;
+        }
+        (out, times)
+    }
 }
 
 /// Extracts the `--json <path>` argument the five experiment binaries
@@ -206,6 +247,12 @@ impl BenchRecord {
             ("wall_s".to_string(), Json::from(self.wall_s)),
             ("threads".to_string(), Json::from(self.threads)),
             ("flow".to_string(), Json::from(self.flow.as_str())),
+            ("cut_enum_s".to_string(), Json::from(self.phases.cut_enum_s)),
+            ("propose_s".to_string(), Json::from(self.phases.propose_s)),
+            (
+                "commit_validate_s".to_string(),
+                Json::from(self.phases.commit_validate_s),
+            ),
         ])
     }
 }
@@ -276,6 +323,11 @@ mod tests {
                 wall_s: 1.25,
                 threads: 4,
                 flow: "{mc(cut=4);mc(cut=6)}*".to_string(),
+                phases: PhaseTimes {
+                    cut_enum_s: 0.25,
+                    propose_s: 0.5,
+                    commit_validate_s: 0.125,
+                },
             },
             BenchRecord {
                 bench: "table1".to_string(),
@@ -289,6 +341,7 @@ mod tests {
                 wall_s: 0.0,
                 threads: 1,
                 flow: String::new(),
+                phases: PhaseTimes::default(),
             },
         ];
         write_bench_json(&path, &records).unwrap();
@@ -300,6 +353,8 @@ mod tests {
         assert!(text.contains("\"mc_after\":32"));
         assert!(text.contains("\"wall_s\":1.25"));
         assert!(text.contains("\"flow\":\"{mc(cut=4);mc(cut=6)}*\""));
+        assert!(text.contains("\"propose_s\":0.5"));
+        assert!(text.contains("\"commit_validate_s\":0.125"));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

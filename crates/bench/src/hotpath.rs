@@ -17,7 +17,7 @@ use xag_network::Xag;
 use xag_tt::Tt;
 
 use crate::harness::{black_box, BenchGroup};
-use crate::BenchRecord;
+use crate::{BenchRecord, PhaseTimes};
 
 /// A [`System`] wrapper that counts allocations while armed. Counting is
 /// off by default — one relaxed load per allocation — so setup and
@@ -150,6 +150,7 @@ pub fn run_hotpath(samples: usize, alloc_check: bool) -> Vec<BenchRecord> {
             wall_s: wall,
             threads: 1,
             flow: String::new(),
+            phases: PhaseTimes::default(),
         });
     };
 

@@ -27,4 +27,5 @@ pub use experiment::{
 pub use gate::{compare, read_bench_json, GateTolerance};
 pub use harness::{
     exit_usage, flag_value, json_path_from_args, parse_arg, write_bench_json, BenchRecord,
+    PhaseTimes,
 };

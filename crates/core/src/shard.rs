@@ -20,13 +20,19 @@
 //!    owning a thread-local [`OptContext`] fork. Because classification
 //!    and synthesis are deterministic, a proposal depends only on the
 //!    frozen network — never on which worker computed it or on cache
-//!    state.
+//!    state. Each cut's MFFC is measured before its candidate is built,
+//!    and a cut whose MFFC frees no more than `max(0, best gain so far at
+//!    its root)` is skipped: the added count is never negative, so such a
+//!    cut cannot win.
 //! 3. **Commit** — back on one thread, proposals are applied in
 //!    topological order with full re-validation against the live network
 //!    (leaves alive, cut function unchanged, gain re-computed with exact
-//!    MFFC dereferencing, acyclicity). Losers are rolled back to an arena
-//!    watermark ([`xag_network::Xag::reclaim_above`]), so rejected
-//!    candidates never leak.
+//!    MFFC dereferencing, acyclicity). The acyclicity check walks only the
+//!    instantiated fragment's gates, stopping at the cut leaves: once the
+//!    cut function is re-validated, no cycle can run through a leaf.
+//!    Losers are rolled back to an arena watermark
+//!    ([`xag_network::Xag::reclaim_above`]), so rejected candidates never
+//!    leak.
 //!
 //! The commit order and every accept decision are pure functions of the
 //! frozen snapshot, so the result is **bit-identical for every thread
@@ -296,6 +302,13 @@ fn estimate_new_gates(
 /// proposal phase, so the tables computed during enumeration are exactly
 /// what a cone traversal would return — enumeration and function
 /// computation are one fused pass.
+///
+/// The MFFC is measured before the candidate is built: a candidate's gain
+/// is what its MFFC frees minus what it adds, the added count is never
+/// negative, and a candidate wins only with a gain above both 0 and the
+/// root's best so far. A cut whose MFFC frees no more than that floor
+/// cannot win, so it is counted as considered but never classified,
+/// synthesized or dry-run.
 fn propose_shard(
     xag: &Xag,
     ctx: &mut OptContext,
@@ -320,12 +333,20 @@ fn propose_shard(
                 continue;
             }
             considered += 1;
+            let (freed_ands, freed_total) = frozen_mffc_with(xag, root, cut.leaves(), &mut mffc);
+            let freed = match objective {
+                Objective::MultiplicativeComplexity => freed_ands,
+                Objective::Size => freed_total,
+            } as i64;
+            let floor = best.as_ref().map_or(0, |(g, _)| *g);
+            if freed <= floor {
+                continue;
+            }
             let candidate = ctx.candidate_for_cut(tt);
             let mut leaves = [Signal::CONST0; 6];
             for (k, &l) in cut.leaves().iter().enumerate() {
                 leaves[k] = Signal::new(l, false);
             }
-            let (freed_ands, freed_total) = frozen_mffc_with(xag, root, cut.leaves(), &mut mffc);
             let (added_ands, added_total) = estimate_new_gates(
                 xag,
                 &candidate,
@@ -333,11 +354,12 @@ fn propose_shard(
                 &mffc.doomed,
                 &mut outs,
             );
-            let gain = match objective {
-                Objective::MultiplicativeComplexity => freed_ands as i64 - added_ands as i64,
-                Objective::Size => freed_total as i64 - added_total as i64,
-            };
-            if gain > 0 && best.as_ref().map(|(g, _)| gain > *g).unwrap_or(true) {
+            let added = match objective {
+                Objective::MultiplicativeComplexity => added_ands,
+                Objective::Size => added_total,
+            } as i64;
+            let gain = freed - added;
+            if gain > floor {
                 best = Some((
                     gain,
                     Proposal {
@@ -357,6 +379,54 @@ fn propose_shard(
     (proposals, considered)
 }
 
+/// Reusable buffers for [`fragment_reaches`]: its DFS stack and visited
+/// list, cleared (capacity kept) per commit. Both hold at most a
+/// fragment's worth of nodes.
+#[derive(Debug, Default)]
+struct CycleScratch {
+    stack: Vec<NodeId>,
+    seen: Vec<NodeId>,
+}
+
+/// True iff `root` lies in the transitive fanin of `new_sig`, the output
+/// of a fragment just instantiated on the cut `leaves` of `root` — that is,
+/// iff substituting `root` by `new_sig` would close a cycle (or be no
+/// rewrite at all, when `new_sig` is `root`).
+///
+/// The DFS stops at the leaves and at non-gates, so it visits only the
+/// fragment's own gates. That decides exactly what the full DFS
+/// ([`Xag::is_in_tfi`]) decides, provided the caller has checked that the
+/// cut still computes the fragment's function: the fragment reads only
+/// leaves in that function's support, those leaves lie in the root's
+/// transitive fanin, so the root is not in theirs. Each fragment gate is a
+/// fresh node or a strash hit whose fanins are leaves, constants or
+/// earlier fragment gates, so a path from `new_sig` to `root` that avoids
+/// the leaves runs through fragment gates only.
+fn fragment_reaches(
+    xag: &Xag,
+    root: NodeId,
+    new_sig: Signal,
+    leaves: &[NodeId],
+    scratch: &mut CycleScratch,
+) -> bool {
+    scratch.stack.clear();
+    scratch.seen.clear();
+    scratch.stack.push(new_sig.node());
+    while let Some(n) = scratch.stack.pop() {
+        if n == root {
+            return true;
+        }
+        if !xag.is_gate(n) || leaves.contains(&n) || scratch.seen.contains(&n) {
+            continue;
+        }
+        scratch.seen.push(n);
+        let (f0, f1) = xag.fanins(n);
+        scratch.stack.push(f0.node());
+        scratch.stack.push(f1.node());
+    }
+    false
+}
+
 /// Applies proposals in topological order, re-validating each against the
 /// live network. Returns the number of accepted rewrites.
 ///
@@ -364,12 +434,14 @@ fn propose_shard(
 /// its root and all leaves are still alive, the cut still computes the
 /// proposed function, the exact gain (MFFC dereferencing + hash-aware
 /// dry-run on the live network) is still positive, and the substitution
-/// is acyclic. Everything else is rolled back to the arena
-/// watermark recorded before instantiation.
+/// is acyclic ([`fragment_reaches`], bounded by the fragment). Everything
+/// else is rolled back to the arena watermark recorded before
+/// instantiation.
 fn commit_proposals(xag: &mut Xag, mut proposals: Vec<Proposal>, objective: Objective) -> usize {
     proposals.sort_by_key(|p| p.pos);
     let mut applied = 0usize;
     let mut cone = ConeScratch::new();
+    let mut cycle = CycleScratch::default();
     for p in proposals {
         if xag.is_dead(p.root) || !xag.is_gate(p.root) {
             continue;
@@ -395,7 +467,14 @@ fn commit_proposals(xag: &mut Xag, mut proposals: Vec<Proposal>, objective: Obje
         }
         let watermark = xag.capacity();
         let new_sig = p.frag.instantiate(xag, &leaf_signals);
-        if new_sig.node() != p.root && !xag.is_in_tfi(p.root, new_sig) {
+        let cyclic = fragment_reaches(xag, p.root, new_sig, &p.leaves, &mut cycle);
+        debug_assert_eq!(
+            cyclic,
+            xag.is_in_tfi(p.root, new_sig),
+            "bounded cycle check disagrees with the full DFS at root {}",
+            p.root
+        );
+        if !cyclic {
             xag.substitute(p.root, new_sig);
             applied += 1;
         } else {
@@ -406,7 +485,8 @@ fn commit_proposals(xag: &mut Xag, mut proposals: Vec<Proposal>, objective: Obje
 }
 
 /// Counts `(AND, XOR)` gates of a topological order in one walk, instead of
-/// two full `num_ands`/`num_xors` DFS passes.
+/// two full `num_ands`/`num_xors` DFS passes — before the round and after
+/// its commit.
 fn count_gates(xag: &Xag, order: &[NodeId]) -> (usize, usize) {
     let ands = order
         .iter()
@@ -563,12 +643,13 @@ pub(crate) fn round(
         format!("proposals={num_proposals} applied={applied}"),
     );
 
+    let (ands_after, xors_after) = count_gates(xag, &xag.live_gates());
     PassStats {
         pass: pass_name.to_string(),
         ands_before,
         xors_before,
-        ands_after: xag.num_ands(),
-        xors_after: xag.num_xors(),
+        ands_after,
+        xors_after,
         rewrites_applied: applied,
         cuts_considered: considered,
         elapsed: start.elapsed(),
@@ -682,6 +763,48 @@ mod tests {
                 assert_eq!((fa, ft), (da, dt), "root {root} cut {:?}", cut.leaves());
             }
         }
+    }
+
+    #[test]
+    fn commit_rejects_a_rewrite_that_would_close_a_cycle() {
+        // r = a·b feeds o = r ⊕ c; both are outputs.
+        let mut xag = Xag::new();
+        let (a, b, c) = (xag.input(), xag.input(), xag.input());
+        let r = xag.and(a, b);
+        let o = xag.xor(r, c);
+        xag.output(o);
+        xag.output(r);
+        let reference = xag.cleanup();
+        let gates = xag.num_gates();
+        let leaves = vec![a.node(), b.node(), c.node()];
+        let tt = xag
+            .cone_tt(r.node(), &leaves)
+            .expect("the cut covers the root");
+        // (a·b ⊕ c) ⊕ c computes r, but its first two gates hash to r and
+        // o, so the fresh third gate reads o, which reads r. It frees r's
+        // AND and adds only a XOR (gain +1), so only the cycle check can
+        // turn it down.
+        let mut frag = XagFragment::new(3);
+        let g0 = frag.and(XagFragment::input(0), XagFragment::input(1));
+        let g1 = frag.xor(g0, XagFragment::input(2));
+        let g2 = frag.xor(g1, XagFragment::input(2));
+        frag.set_output(g2);
+        assert_eq!(frag.eval_tt(), tt);
+        let proposal = Proposal {
+            root: r.node(),
+            pos: 0,
+            tt,
+            frag,
+            leaves,
+        };
+        let applied = commit_proposals(
+            &mut xag,
+            vec![proposal],
+            Objective::MultiplicativeComplexity,
+        );
+        assert_eq!(applied, 0, "a cyclic substitution was committed");
+        assert_eq!(xag.num_gates(), gates);
+        assert!(equiv_exhaustive(&reference, &xag.cleanup()));
     }
 
     #[test]

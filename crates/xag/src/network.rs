@@ -446,7 +446,11 @@ impl Xag {
     /// zero are removed.
     ///
     /// The caller must ensure `old` is not in the transitive fanin of
-    /// `new_sig` (see [`Xag::is_in_tfi`]); violating this creates a cycle.
+    /// `new_sig`; violating this creates a cycle. [`Xag::is_in_tfi`]
+    /// decides that in time linear in the fanin cone; a caller that has
+    /// just instantiated `new_sig` over known cut leaves can bound the
+    /// search by what it instantiated, as the rewriting round's commit
+    /// does.
     ///
     /// # Panics
     ///
@@ -584,6 +588,12 @@ impl Xag {
     }
 
     /// True iff node `target` lies in the transitive fanin cone of `of`.
+    ///
+    /// The reference check, O(TFI): a DFS over the whole fanin cone of
+    /// `of` with a visited table the size of the arena, allocated per
+    /// call. The rewriting round does not call it in release builds; its
+    /// commit runs a DFS bounded by the instantiated fragment and, in
+    /// debug builds, asserts that both agree.
     pub fn is_in_tfi(&self, target: NodeId, of: Signal) -> bool {
         let mut seen = vec![false; self.nodes.len()];
         let mut stack = vec![of.node()];
