@@ -11,7 +11,9 @@
 //! cut sets, pruned for dominance (a cut that is a superset of another cut
 //! of the same node is redundant) and truncated to a per-node limit, with
 //! the trivial cut `{n}` always present so that enumeration can continue
-//! upward.
+//! upward. Pruning and truncation are one walk that stops at the limit:
+//! the unions are visited smallest first, in arrival order within a size,
+//! and each is kept iff no kept cut is a subset of it or equal to it.
 //!
 //! The data layout is built for the rewrite hot path:
 //!
@@ -63,7 +65,7 @@ pub const CUT_LIMIT: usize = 12;
 /// A cut: a sorted set of at most six leaf nodes, stored inline, with a
 /// precomputed subset signature.
 ///
-/// `Cut` is `Copy` (30 bytes) — cut sets move around by value, never through
+/// `Cut` is `Copy` (40 bytes) — cut sets move around by value, never through
 /// the heap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Cut {
@@ -159,8 +161,36 @@ impl Cut {
     }
 
     /// Merges two cuts, or `None` if the union exceeds `max_size` leaves.
+    ///
+    /// One branch-free step per merged leaf, and it gives up as soon as the
+    /// union outgrows `max_size`; the leaf slots past the union stay 0, so
+    /// equal leaf sets give equal (and equally hashed) cuts.
+    #[inline]
     pub fn merge(&self, other: &Cut, max_size: usize) -> Option<Cut> {
-        self.merge_with_positions(other, max_size).map(|m| m.0)
+        debug_assert!(max_size <= MAX_CUT_SIZE);
+        let (a, b) = (self.leaves(), other.leaves());
+        let mut leaves = [0 as NodeId; MAX_CUT_SIZE];
+        let (mut i, mut j, mut k) = (0usize, 0usize, 0usize);
+        while i < a.len() && j < b.len() {
+            if k == max_size {
+                return None;
+            }
+            let (x, y) = (a[i], b[j]);
+            leaves[k] = x.min(y);
+            i += usize::from(x <= y);
+            j += usize::from(y <= x);
+            k += 1;
+        }
+        let rest = if i < a.len() { &a[i..] } else { &b[j..] };
+        if k + rest.len() > max_size {
+            return None;
+        }
+        leaves[k..k + rest.len()].copy_from_slice(rest);
+        Some(Cut {
+            signature: self.signature | other.signature,
+            leaves,
+            len: (k + rest.len()) as u8,
+        })
     }
 
     /// [`Cut::merge`] that additionally reports, for each leaf of `self` and
@@ -310,17 +340,20 @@ pub fn enumerate_cuts_for(xag: &Xag, order: &[NodeId], params: &CutParams) -> Cu
         let n = xag.input_signal(i).node();
         push_one(&mut sets, n, Cut::trivial(n), Tt::projection(0, 1));
     }
-    // One reusable scratch for the per-node merge; cuts are `Copy`, so
-    // nothing below allocates once the buffers have grown. Each candidate
-    // remembers the fanin-cut pair it merged — functions are computed only
-    // for the cuts that survive dominance pruning and the cut limit.
+    // One reusable scratch for the per-node merges; cuts are `Copy`, so
+    // nothing below allocates once it has grown. Each candidate remembers
+    // the fanin-cut pair it merged — functions are computed only for the
+    // cuts that are kept.
     let mut merged: Vec<(Cut, u32, u32)> = Vec::new();
+    let mut kept = [(Cut::empty(), 0u32, 0u32); CUT_LIMIT];
     for &n in order {
         merged.clear();
         let (f0, f1) = xag.fanins(n);
         let is_and = xag.kind(n) == NodeKind::And;
         let (s0, e0) = sets.span(f0.node());
         let (s1, e1) = sets.span(f1.node());
+        // Bit `s` is set iff some merge has `s` leaves.
+        let mut sizes = 0u8;
         for i0 in s0..e0 {
             let c0 = sets.cuts[i0];
             for i1 in s1..e1 {
@@ -331,28 +364,39 @@ pub fn enumerate_cuts_for(xag: &Xag, order: &[NodeId], params: &CutParams) -> Cu
                 if (c0.signature | c1.signature).count_ones() as usize > params.cut_size {
                     continue;
                 }
-                let Some(cut) = c0.merge(&c1, params.cut_size) else {
-                    continue;
-                };
-                if merged.iter().any(|(c, _, _)| c.dominates(&cut)) {
+                if let Some(cut) = c0.merge(&c1, params.cut_size) {
+                    sizes |= 1 << cut.size();
+                    merged.push((cut, i0 as u32, i1 as u32));
+                }
+            }
+        }
+        // Keep rule: walk the merges by size, smallest first, and in arrival
+        // order within a size; keep a merge iff no kept cut dominates it
+        // (is a subset of it or equal to it), and stop at CUT_LIMIT. A
+        // strict subset is smaller, so the walk reaches it first. Hence a
+        // merge with no strict subset among the merges is kept at its first
+        // arrival and its later copies are dropped, and every other merge is
+        // dropped for a kept strict subset: the walk keeps the
+        // dominance-free merges, each from its first arrival, and of those
+        // the first CUT_LIMIT by (size, arrival).
+        let mut len = 0usize;
+        'walk: for size in 0..=params.cut_size {
+            if sizes >> size & 1 == 0 {
+                continue;
+            }
+            for &candidate in merged.iter().filter(|m| m.0.size() == size) {
+                if kept[..len].iter().any(|k| k.0.dominates(&candidate.0)) {
                     continue;
                 }
-                merged.retain(|(c, _, _)| !cut.dominates(c));
-                merged.push((cut, i0 as u32, i1 as u32));
+                kept[len] = candidate;
+                len += 1;
+                if len == CUT_LIMIT {
+                    break 'walk;
+                }
             }
         }
-        // Priority: smaller cuts first; stable beyond that. Insertion sort —
-        // the lists are tiny and std's stable sort may allocate.
-        for i in 1..merged.len() {
-            let mut j = i;
-            while j > 0 && merged[j - 1].0.len > merged[j].0.len {
-                merged.swap(j - 1, j);
-                j -= 1;
-            }
-        }
-        merged.truncate(CUT_LIMIT);
         let start = sets.cuts.len() as u32;
-        for &(cut, i0, i1) in &merged {
+        for &(cut, i0, i1) in &kept[..len] {
             // Fused cut function: replay the merge to recover each leaf's
             // position in the union, lift both fanin tables onto the merged
             // leaf set, and apply the gate operator.
@@ -511,6 +555,35 @@ mod tests {
         let m = a.merge(&b, MAX_CUT_SIZE).unwrap();
         assert_eq!(m.leaves(), &[1, 2, 3]);
         assert!(a.merge(&b, 2).is_none(), "union exceeds the bound");
+    }
+
+    #[test]
+    fn merge_agrees_with_the_positional_merge() {
+        // Every pair of subsets of six leaves (three share a signature
+        // bit), under every size bound: same union or same refusal, and the
+        // merged cut equals the one built from its leaves, so unused slots
+        // stay 0.
+        let universe: [NodeId; 6] = [2, 5, 66, 69, 130, 1000];
+        let cuts: Vec<Cut> = (0..64usize)
+            .map(|mask| {
+                let leaves: Vec<NodeId> = (0..6)
+                    .filter(|b| mask >> b & 1 == 1)
+                    .map(|b| universe[b])
+                    .collect();
+                Cut::new(&leaves)
+            })
+            .collect();
+        for (ma, a) in cuts.iter().enumerate() {
+            for (mb, b) in cuts.iter().enumerate() {
+                for max_size in 1..=MAX_CUT_SIZE {
+                    let lean = a.merge(b, max_size);
+                    assert_eq!(lean, a.merge_with_positions(b, max_size).map(|m| m.0));
+                    if let Some(m) = lean {
+                        assert_eq!(m, cuts[ma | mb]);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -440,18 +440,25 @@ impl Tt {
     pub fn expand(self, positions: &[usize], vars: usize) -> Self {
         assert!(vars <= MAX_VARS, "too many variables");
         assert_eq!(positions.len(), self.vars(), "one position per variable");
-        let mut bits = self.bits;
-        let mut cur = self.vars();
-        let mut k = 0usize;
-        for j in 0..vars {
-            if k < positions.len() && positions[k] == j {
-                k += 1;
-            } else {
-                bits = insert_dummy_var(bits, cur, j);
-                cur += 1;
+        assert!(
+            positions.windows(2).all(|w| w[0] < w[1]) && positions.last().is_none_or(|&p| p < vars),
+            "positions not increasing or in range"
+        );
+        // Extending to `vars` variables makes every new variable a
+        // don't-care above the current ones. Then move each current
+        // variable, highest first, up to its position: the slot it lands in
+        // holds a don't-care, so one delta swap of the minterms with
+        // `x_k = 1, x_p = 0` against those with `x_k = 0, x_p = 1` is the
+        // whole move, and it leaves a don't-care behind at `k`.
+        let mut bits = self.extend_to(vars).bits;
+        for (k, &p) in positions.iter().enumerate().rev() {
+            if p != k {
+                let shift = (1usize << p) - (1usize << k);
+                let low = PROJECTIONS[k] & !PROJECTIONS[p];
+                let t = (bits ^ (bits >> shift)) & low;
+                bits ^= t | (t << shift);
             }
         }
-        assert_eq!(k, positions.len(), "positions not increasing or in range");
         Self::from_bits(bits, vars)
     }
 
@@ -479,27 +486,6 @@ impl Tt {
         }
         s
     }
-}
-
-/// Inserts a don't-care variable at position `j` of a `vars`-variable table.
-///
-/// Every block of `2^j` consecutive minterms is duplicated, so the result has
-/// `vars + 1` variables and ignores the new one. Requires `vars < 6`.
-fn insert_dummy_var(bits: u64, vars: usize, j: usize) -> u64 {
-    debug_assert!(vars < MAX_VARS && j <= vars);
-    let blk = 1usize << j;
-    let mask = if blk >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << blk) - 1
-    };
-    let mut out = 0u64;
-    for b in 0..(1usize << (vars - j)) {
-        let chunk = (bits >> (b * blk)) & mask;
-        out |= chunk << (2 * b * blk);
-        out |= chunk << ((2 * b + 1) * blk);
-    }
-    out
 }
 
 impl core::ops::Not for Tt {
@@ -698,9 +684,13 @@ mod tests {
 
     #[test]
     fn expand_matches_semantics() {
-        // Exhaustive over small shapes: expand then evaluate by index map.
-        for bits in [0x8u64, 0x6, 0xe8, 0x96] {
-            for n in 2..=3usize {
+        // Every source width, four fixed tables plus three seeded random
+        // ones per width, every target width and every strictly increasing
+        // position vector: expand then evaluate by index map.
+        let mut rng = mc_rng::Rng::seed_from_u64(0xe8a9_d001);
+        for n in 1..=MAX_VARS {
+            let random = [rng.next_u64(), rng.next_u64(), rng.next_u64()];
+            for bits in [0x8u64, 0x6, 0xe8, 0x96].into_iter().chain(random) {
                 let f = Tt::from_bits(bits, n);
                 for vars in n..=6 {
                     // All strictly increasing position vectors of length n.
@@ -725,6 +715,21 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn expand_rejects_bad_positions() {
+        let f = Tt::from_bits(0x8, 2);
+        for (positions, vars) in [
+            (&[1usize, 0][..], 3),
+            (&[1, 1], 3),
+            (&[0, 3], 3),
+            (&[0], 3),
+            (&[0, 1], 7),
+        ] {
+            let expanded = std::panic::catch_unwind(|| f.expand(positions, vars));
+            assert!(expanded.is_err(), "{positions:?} into {vars} vars");
         }
     }
 
