@@ -82,8 +82,16 @@ impl AffineClassifier {
     }
 
     /// Classifies `f`, returning its representative and the operations
-    /// mapping `f` to it. Results are memoized, and classification is
-    /// idempotent: the representative always classifies to itself.
+    /// mapping `f` to it. Results are memoized and never replaced: once a
+    /// classifier has returned a classification for `f`, it returns the
+    /// same one for `f` for as long as it lives.
+    ///
+    /// Classification is idempotent — the representative classifies to
+    /// itself — with one exception for five and six variables. The beam
+    /// search is iterated to a fixpoint under a cap of 8 restarts; if the
+    /// cap stops it, the final representative is pinned to itself only when
+    /// it has no classification yet, and an earlier one (which may lead
+    /// further down) stands.
     pub fn classify(&mut self, f: Tt) -> Classification {
         if let Some(c) = self.cache.get(&f) {
             self.hits += 1;
@@ -95,7 +103,9 @@ impl AffineClassifier {
         } else {
             // The beam search is not naturally idempotent (a restart from
             // the found representative may descend further); iterate to a
-            // fixpoint and pin the final representative in the cache.
+            // fixpoint and pin the final representative in the cache,
+            // unless it already has an entry: a returned classification is
+            // never replaced.
             let mut c = beam::classify(f);
             for _ in 0..8 {
                 let next = beam::classify(c.representative);
@@ -105,14 +115,13 @@ impl AffineClassifier {
                 c.ops.extend(next.ops);
                 c.representative = next.representative;
             }
-            self.cache.insert(
-                c.representative,
-                Classification {
+            self.cache
+                .entry(c.representative)
+                .or_insert_with(|| Classification {
                     representative: c.representative,
                     ops: Vec::new(),
                     exact: false,
-                },
-            );
+                });
             c
         };
         debug_assert_eq!(

@@ -2,7 +2,7 @@
 //! fixed-seed deterministic generator.
 
 use mc_rng::Rng;
-use xag_affine::AffineClassifier;
+use xag_affine::{AffineClassifier, Classification};
 use xag_tt::{AffineOp, Tt};
 
 fn arb_tt(rng: &mut Rng) -> Tt {
@@ -54,6 +54,40 @@ fn classification_is_idempotent() {
         let c = cls.classify(f);
         let c2 = cls.classify(c.representative);
         assert_eq!(c2.representative, c.representative, "{f:?}");
+    }
+}
+
+#[test]
+fn a_returned_classification_never_changes() {
+    // One classifier sees a stream of five- and six-variable functions —
+    // half of them affine images of earlier ones, so classes recur — each
+    // followed by its representative. Classifying the whole stream again
+    // must return every first answer unchanged: the candidate memo of the
+    // rewriting round relies on it.
+    let mut rng = Rng::seed_from_u64(0xAF05);
+    let mut cls = AffineClassifier::new();
+    let mut stream: Vec<(Tt, Classification)> = Vec::new();
+    let mut seeds: Vec<Tt> = Vec::new();
+    for k in 0..40 {
+        let f = if k % 2 == 1 && !seeds.is_empty() {
+            let base = seeds[rng.gen_range(0..seeds.len())];
+            let ops: Vec<AffineOp> = (0..rng.gen_range(1..6))
+                .map(|_| arb_op(&mut rng, base.vars()))
+                .collect();
+            AffineOp::apply_all(base, &ops)
+        } else {
+            let f = Tt::from_bits(rng.next_u64(), rng.gen_range(5..7));
+            seeds.push(f);
+            f
+        };
+        let c = cls.classify(f);
+        let rep = c.representative;
+        stream.push((f, c));
+        let c_rep = cls.classify(rep);
+        stream.push((rep, c_rep));
+    }
+    for (f, first) in &stream {
+        assert_eq!(&cls.classify(*f), first, "{f:?}");
     }
 }
 

@@ -29,7 +29,9 @@ use std::time::{Duration, Instant};
 
 use mc_cluster::{Router, RouterConfig, RouterHandle};
 use mc_serve::{Client, OptimizeRequest, ServeConfig, Server, ServerHandle};
-use xag_bench::{flag_value, json_path_from_args, write_bench_json, BenchRecord, PhaseTimes};
+use xag_bench::{
+    flag_value, json_path_from_args, logical_cores, write_bench_json, BenchRecord, PhaseTimes,
+};
 use xag_mc::FlowSpec;
 use xag_network::fuzz::{random_xag, FuzzConfig};
 use xag_network::write_bristol;
@@ -236,6 +238,7 @@ fn main() {
                 mc_after: r.ands_after,
                 wall_s: r.wall_s,
                 threads: r.backends,
+                logical_cores: logical_cores(),
                 flow: flow.normalized(),
                 phases: PhaseTimes::default(),
             })

@@ -14,7 +14,9 @@
 //! of functions classified, `size_after` the resulting database entry
 //! count (the depth/mc fields do not apply to this tool and are 0).
 
-use xag_bench::{json_path_from_args, parse_arg, write_bench_json, BenchRecord, PhaseTimes};
+use xag_bench::{
+    json_path_from_args, logical_cores, parse_arg, write_bench_json, BenchRecord, PhaseTimes,
+};
 use xag_mc::OptContext;
 use xag_tt::Tt;
 
@@ -81,6 +83,7 @@ fn main() {
             mc_after: 0,
             wall_s: t0.elapsed().as_secs_f64(),
             threads: 1,
+            logical_cores: logical_cores(),
             // db_stats measures classification, not a flow.
             flow: String::new(),
             phases: PhaseTimes::default(),

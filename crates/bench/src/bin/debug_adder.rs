@@ -8,7 +8,8 @@
 //! `--json PATH` one before/after record of the run is written.
 
 use xag_bench::{
-    exit_usage, json_path_from_args, parse_arg, write_bench_json, BenchRecord, PhaseTimes,
+    exit_usage, json_path_from_args, logical_cores, parse_arg, write_bench_json, BenchRecord,
+    PhaseTimes,
 };
 use xag_circuits::arith::{add_ripple, input_word, output_word};
 use xag_mc::{FlowSpec, OptContext};
@@ -86,6 +87,7 @@ fn main() {
             mc_after: x.num_ands(),
             wall_s: stats.total_time().as_secs_f64(),
             threads,
+            logical_cores: logical_cores(),
             flow: flow.normalized(),
             phases,
         };

@@ -11,7 +11,8 @@
 //! written.
 
 use xag_bench::{
-    exit_usage, flag_value, json_path_from_args, write_bench_json, BenchRecord, PhaseTimes,
+    exit_usage, flag_value, json_path_from_args, logical_cores, write_bench_json, BenchRecord,
+    PhaseTimes,
 };
 use xag_circuits::epfl::{epfl_suite, Scale};
 use xag_mc::{FlowSpec, OptContext, PassStats};
@@ -82,6 +83,7 @@ fn main() {
             mc_after: xag.num_ands(),
             wall_s: t0.elapsed().as_secs_f64(),
             threads,
+            logical_cores: logical_cores(),
             // The phase trace above: two size-baseline rounds, then up
             // to 30 mc rounds (early-exit when a round applies nothing).
             flow: "size(cut=6)*2;mc(cut=6)*30".to_string(),

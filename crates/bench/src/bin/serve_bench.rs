@@ -28,7 +28,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use mc_serve::{Client, OptimizeRequest, ServeConfig, Server};
-use xag_bench::{flag_value, json_path_from_args, write_bench_json, BenchRecord, PhaseTimes};
+use xag_bench::{
+    flag_value, json_path_from_args, logical_cores, write_bench_json, BenchRecord, PhaseTimes,
+};
 use xag_mc::FlowSpec;
 use xag_network::fuzz::{random_xag, FuzzConfig};
 use xag_network::write_bristol;
@@ -180,6 +182,7 @@ fn main() {
             mc_after: ands_after,
             wall_s,
             threads: clients,
+            logical_cores: logical_cores(),
             flow: flow.normalized(),
             phases: PhaseTimes::default(),
         };

@@ -16,7 +16,7 @@ use xag_circuits::mpc::mpc_suite;
 use xag_mc::{FlowSpec, FlowStats, OptContext};
 use xag_network::{equiv, write_verilog, Xag};
 
-use crate::harness::{BenchRecord, PhaseTimes};
+use crate::harness::{logical_cores, BenchRecord, PhaseTimes};
 
 /// The "Initial" stage: the unit-cost size rewriter, small cuts first.
 const BASELINE_FLOW: &str = "{size(cut=4);size(cut=6)}*";
@@ -124,6 +124,7 @@ impl FlowResult {
             mc_after,
             wall_s,
             threads,
+            logical_cores: logical_cores(),
             flow: FlowSpec::default().normalized(),
             phases,
         };

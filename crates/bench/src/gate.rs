@@ -14,7 +14,8 @@
 //!   time by more than `wall_tolerance`×, and a replayed speedup ratio
 //!   may not fall below the committed ratio divided by
 //!   `ratio_tolerance`;
-//! * **phase self times** — where a row's run spent its time. They are
+//! * **phase self times and host metadata** — where a row's run spent its
+//!   time, and how many logical cores the recording host had. They are
 //!   informational only and never compared.
 //!
 //! The `bench_gate` binary replays the hot-path microbenchmark and every
@@ -51,8 +52,9 @@ pub fn read_bench_json(path: &Path) -> std::io::Result<Vec<BenchRecord>> {
     Ok(records)
 }
 
-/// Phase times are optional (0 when absent): files recorded before
-/// records carried them (`BENCH_14.json` and older) still parse.
+/// Phase times and the core count are optional (0 when absent): files
+/// recorded before records carried them (`BENCH_14.json` and older for
+/// phase times, `BENCH_17.json` and older for cores) still parse.
 fn record_from_json(v: &Json) -> Option<BenchRecord> {
     let str_field = |key: &str| v.get(key).and_then(Json::as_str).map(str::to_string);
     let num_field = |key: &str| v.get(key).and_then(Json::as_u64).map(|n| n as usize);
@@ -68,6 +70,7 @@ fn record_from_json(v: &Json) -> Option<BenchRecord> {
         mc_after: num_field("mc_after")?,
         wall_s: v.get("wall_s").and_then(Json::as_f64)?,
         threads: num_field("threads")?,
+        logical_cores: num_field("logical_cores").unwrap_or(0),
         flow: str_field("flow")?,
         phases: PhaseTimes {
             cut_enum_s: phase_field("cut_enum_s"),
@@ -227,6 +230,7 @@ mod tests {
             mc_after: 20,
             wall_s,
             threads: 1,
+            logical_cores: 0,
             flow: String::new(),
             phases: PhaseTimes::default(),
         }
@@ -327,7 +331,8 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("mc-gate-phases-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("old.json");
-        // A row in the shape of BENCH_14.json and older: no phase times.
+        // A row in the shape of BENCH_14.json and older: no phase times
+        // and no core count.
         std::fs::write(
             &path,
             r#"[{"bench":"table1","name":"adder","size_before":100,"size_after":40,"depth_before":5,"depth_after":4,"mc_before":50,"mc_after":20,"wall_s":0.5,"threads":1,"flow":""}]"#,
@@ -341,7 +346,9 @@ mod tests {
             propose_s: 9.0,
             commit_validate_s: 9.0,
         };
+        replay[0].logical_cores = 64;
         assert!(compare(&old, &replay, GateTolerance::default()).is_empty());
+        assert!(compare(&replay, &old, GateTolerance::default()).is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -359,6 +366,7 @@ mod tests {
             propose_s: 0.125,
             commit_validate_s: 0.0625,
         };
+        records[1].logical_cores = 2;
         crate::write_bench_json(&path, &records).unwrap();
         let back = read_bench_json(&path).unwrap();
         assert_eq!(back, records);

@@ -176,6 +176,11 @@ pub struct BenchRecord {
     pub wall_s: f64,
     /// Worker threads (or concurrent clients, for load benches) used.
     pub threads: usize,
+    /// Logical cores of the recording host ([`logical_cores`]), so that
+    /// `threads` and the speedup rows can be read; 0 in files recorded
+    /// before rows carried it (`BENCH_17.json` and older). Informational:
+    /// the bench gate never compares it.
+    pub logical_cores: usize,
     /// The normalized FlowSpec the record measured
     /// (`xag_mc::FlowSpec::normalized`), so rows from custom `--flow`
     /// runs are distinguishable and reproducible; empty for records that
@@ -185,6 +190,13 @@ pub struct BenchRecord {
     /// for records that run no flow and for the service benches, whose
     /// `wall_s` times a stream of requests rather than one run.
     pub phases: PhaseTimes,
+}
+
+/// Logical cores of this host, as [`std::thread::available_parallelism`]
+/// reports them (0 when it cannot tell): the value every emitted
+/// [`BenchRecord`] carries.
+pub fn logical_cores() -> usize {
+    std::thread::available_parallelism().map_or(0, std::num::NonZeroUsize::get)
 }
 
 /// Self times, in seconds, of the rewriting round's three named
@@ -246,6 +258,7 @@ impl BenchRecord {
             ("mc_after".to_string(), Json::from(self.mc_after)),
             ("wall_s".to_string(), Json::from(self.wall_s)),
             ("threads".to_string(), Json::from(self.threads)),
+            ("logical_cores".to_string(), Json::from(self.logical_cores)),
             ("flow".to_string(), Json::from(self.flow.as_str())),
             ("cut_enum_s".to_string(), Json::from(self.phases.cut_enum_s)),
             ("propose_s".to_string(), Json::from(self.phases.propose_s)),
@@ -322,6 +335,7 @@ mod tests {
                 mc_after: 32,
                 wall_s: 1.25,
                 threads: 4,
+                logical_cores: 8,
                 flow: "{mc(cut=4);mc(cut=6)}*".to_string(),
                 phases: PhaseTimes {
                     cut_enum_s: 0.25,
@@ -340,6 +354,7 @@ mod tests {
                 mc_after: 0,
                 wall_s: 0.0,
                 threads: 1,
+                logical_cores: 0,
                 flow: String::new(),
                 phases: PhaseTimes::default(),
             },

@@ -17,7 +17,7 @@ use xag_network::Xag;
 use xag_tt::Tt;
 
 use crate::harness::{black_box, BenchGroup};
-use crate::{BenchRecord, PhaseTimes};
+use crate::{logical_cores, BenchRecord, PhaseTimes};
 
 /// A [`System`] wrapper that counts allocations while armed. Counting is
 /// off by default — one relaxed load per allocation — so setup and
@@ -149,6 +149,7 @@ pub fn run_hotpath(samples: usize, alloc_check: bool) -> Vec<BenchRecord> {
             mc_after: 0,
             wall_s: wall,
             threads: 1,
+            logical_cores: logical_cores(),
             flow: String::new(),
             phases: PhaseTimes::default(),
         });

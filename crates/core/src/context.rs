@@ -55,8 +55,13 @@ impl OptContext {
     /// Classification and synthesis are deterministic, so a fork produces
     /// the same candidate for the same cut function as its parent — cache
     /// state only affects speed, never results (the invariant the
-    /// determinism tests pin down). Cache-hit statistics start at zero in
-    /// the fork, so absorbing it back adds only the fork's own work.
+    /// determinism tests pin down). That holds while the beam classifier's
+    /// fixpoint loop never stops at its cap (see
+    /// [`AffineClassifier::classify`]), which it has not done on any
+    /// network measured so far (DESIGN.md §5). Cache-hit
+    /// statistics start at zero in the fork, so absorbing it back adds
+    /// only the fork's own work. A round's candidate memo is per thread
+    /// and no part of the context, so a fork does not copy it.
     pub fn fork(&self) -> OptContext {
         OptContext {
             classifier: self.classifier.fork(),

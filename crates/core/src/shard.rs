@@ -21,9 +21,13 @@
 //!    and synthesis are deterministic, a proposal depends only on the
 //!    frozen network — never on which worker computed it or on cache
 //!    state. Each cut's MFFC is measured before its candidate is built,
-//!    and a cut whose MFFC frees no more than `max(0, best gain so far at
-//!    its root)` is skipped: the added count is never negative, so such a
-//!    cut cannot win.
+//!    in epoch-stamped per-node arrays, and a cut whose MFFC frees no
+//!    more than `max(0, best gain so far at its root)` is skipped: the
+//!    added count is never negative, so such a cut cannot win. Each
+//!    proposing thread builds the candidate of each distinct cut function
+//!    once per round and memoizes it; the memo is exact because the
+//!    database and the classifier cache are write-once, and debug builds
+//!    check every memo hit against a rebuild.
 //! 3. **Commit** — back on one thread, proposals are applied in
 //!    topological order with full re-validation against the live network
 //!    (leaves alive, cut function unchanged, gain re-computed with exact
@@ -47,13 +51,14 @@
 //! committed early in a round cannot enable a proposal later in the same
 //! round, so some gains wait for the next round (DESIGN.md §5).
 
+use std::collections::hash_map::Entry;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use mc_rng::Rng;
 use xag_cuts::{enumerate_cuts_for, CutParams, CutSets};
 use xag_network::{ConeScratch, FragRef, NodeId, NodeKind, Signal, Xag, XagFragment};
-use xag_tt::hash::{FxHashMap, FxHashSet};
+use xag_tt::hash::FxHashMap;
 use xag_tt::Tt;
 
 use crate::context::OptContext;
@@ -171,59 +176,95 @@ pub fn partition_windows(
     shards
 }
 
-/// Reusable buffers for [`frozen_mffc_with`]: one decrement map and one
-/// doomed set per worker, cleared (capacity kept) per measured cut instead
-/// of freshly allocated.
+/// Reusable state for [`frozen_mffc_with`]: epoch-stamped per-node
+/// decrement and membership arrays, in the idiom of
+/// [`xag_network::ConeScratch`]. Entry `n` of `dec` is valid only while
+/// `dec_stamp[n]` equals the current epoch, and `n` is in the measured MFFC
+/// iff `doomed[n]` does, so starting a new measurement is O(1): no
+/// clearing, no hashing, and no allocation once the arrays have grown to
+/// network size.
 #[derive(Debug, Default)]
 struct MffcScratch {
-    dec: FxHashMap<NodeId, u32>,
-    doomed: FxHashSet<NodeId>,
+    epoch: u32,
+    dec_stamp: Vec<u32>,
+    dec: Vec<u32>,
+    doomed: Vec<u32>,
+}
+
+impl MffcScratch {
+    /// Starts a measurement on a network of `cap` nodes.
+    fn begin(&mut self, cap: usize) {
+        if self.dec.len() < cap {
+            self.dec_stamp.resize(cap, 0);
+            self.dec.resize(cap, 0);
+            self.doomed.resize(cap, 0);
+        }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // Stamp wrap-around: reset so stale entries cannot alias.
+            self.dec_stamp.fill(0);
+            self.doomed.fill(0);
+            self.epoch = 1;
+        }
+    }
+
+    /// Counts one more dereference of `n` in this measurement and returns
+    /// the total so far.
+    #[inline]
+    fn bump(&mut self, n: NodeId) -> u32 {
+        let i = n as usize;
+        if self.dec_stamp[i] != self.epoch {
+            self.dec_stamp[i] = self.epoch;
+            self.dec[i] = 0;
+        }
+        self.dec[i] += 1;
+        self.dec[i]
+    }
+
+    #[inline]
+    fn doom(&mut self, n: NodeId) {
+        self.doomed[n as usize] = self.epoch;
+    }
+
+    /// True iff `n` belongs to the MFFC of the last measurement.
+    #[inline]
+    fn is_doomed(&self, n: NodeId) -> bool {
+        self.doomed[n as usize] == self.epoch
+    }
 }
 
 /// Read-only MFFC measurement on a frozen network: the `(AND, total)`
 /// gates that removing `root` (bounded by `leaves`) would free. The member
-/// set is left in `scratch.doomed`. Mirrors [`Xag::deref_cone`] with a
-/// local decrement map instead of mutating reference counts, so any number
-/// of workers can measure overlapping cones concurrently.
+/// set is left in `scratch` ([`MffcScratch::is_doomed`]). Mirrors
+/// [`Xag::deref_cone`] with a local decrement count instead of mutating
+/// reference counts, so any number of workers can measure overlapping
+/// cones concurrently.
 fn frozen_mffc_with(
     xag: &Xag,
     root: NodeId,
     leaves: &[NodeId],
     scratch: &mut MffcScratch,
 ) -> (u32, u32) {
-    scratch.dec.clear();
-    scratch.doomed.clear();
-    scratch.doomed.insert(root);
-    frozen_mffc_rec(xag, root, leaves, &mut scratch.dec, &mut scratch.doomed)
-}
-
-#[cfg(test)]
-fn frozen_mffc(xag: &Xag, root: NodeId, leaves: &[NodeId]) -> (u32, u32, FxHashSet<NodeId>) {
-    let mut scratch = MffcScratch::default();
-    let (ands, total) = frozen_mffc_with(xag, root, leaves, &mut scratch);
-    (ands, total, scratch.doomed)
+    scratch.begin(xag.capacity());
+    scratch.doom(root);
+    frozen_mffc_rec(xag, root, leaves, scratch)
 }
 
 fn frozen_mffc_rec(
     xag: &Xag,
     n: NodeId,
     leaves: &[NodeId],
-    dec: &mut FxHashMap<NodeId, u32>,
-    doomed: &mut FxHashSet<NodeId>,
+    scratch: &mut MffcScratch,
 ) -> (u32, u32) {
     let mut ands = (xag.kind(n) == NodeKind::And) as u32;
     let mut total = 1u32;
     let (f0, f1) = xag.fanins(n);
     for f in [f0, f1] {
         let fi = f.node();
-        let seen = {
-            let d = dec.entry(fi).or_insert(0);
-            *d += 1;
-            *d
-        };
+        let seen = scratch.bump(fi);
         if xag.nref(fi) == seen && xag.is_gate(fi) && !leaves.contains(&fi) {
-            doomed.insert(fi);
-            let (a, t) = frozen_mffc_rec(xag, fi, leaves, dec, doomed);
+            scratch.doom(fi);
+            let (a, t) = frozen_mffc_rec(xag, fi, leaves, scratch);
             ands += a;
             total += t;
         }
@@ -239,7 +280,7 @@ fn estimate_new_gates(
     xag: &Xag,
     frag: &XagFragment,
     leaves: &[Signal],
-    doomed: &FxHashSet<NodeId>,
+    mffc: &MffcScratch,
     outs: &mut Vec<Option<Signal>>,
 ) -> (usize, usize) {
     outs.clear();
@@ -270,7 +311,7 @@ fn estimate_new_gates(
             Some(s)
                 if s.is_const()
                     || !xag.is_gate(s.node())
-                    || (xag.nref(s.node()) > 0 && !doomed.contains(&s.node())) =>
+                    || (xag.nref(s.node()) > 0 && !mffc.is_doomed(s.node())) =>
             {
                 outs.push(Some(s));
             }
@@ -293,6 +334,28 @@ fn estimate_new_gates(
     (added_ands, added_total)
 }
 
+/// One proposing thread's state for one round: the candidate memo and the
+/// buffers of the MFFC measurement and the dry run. The inline path makes
+/// one; each worker makes one and reuses it across every shard it claims.
+///
+/// The memo maps a cut function to the candidate
+/// [`OptContext::candidate_for_cut`] builds for it, so each distinct
+/// function is classified, looked up, replayed and lifted once per round
+/// instead of once per considered cut, and a fragment is cloned only into
+/// a new best proposal. It is exact: the database and the classifier cache
+/// are both write-once, so a context returns the same candidate for the
+/// same function for as long as it lives. Debug builds check every hit
+/// against a rebuild. It lives for one round on one thread and is no part
+/// of [`OptContext`], so it adds nothing to `fork` and `absorb` and nothing
+/// to a daemon's memory. Its keys come from uploaded circuits, like the
+/// classifier cache's, so FxHash serves it for the same reason.
+#[derive(Debug, Default)]
+struct ProposeScratch {
+    memo: FxHashMap<Tt, XagFragment>,
+    mffc: MffcScratch,
+    outs: Vec<Option<Signal>>,
+}
+
 /// Evaluates every cut of every root in one shard against the frozen
 /// network and returns the best proposal per root (plus the number of cut
 /// candidates considered).
@@ -309,6 +372,8 @@ fn estimate_new_gates(
 /// root's best so far. A cut whose MFFC frees no more than that floor
 /// cannot win, so it is counted as considered but never classified,
 /// synthesized or dry-run.
+///
+/// Candidates come from the round's memo in `scratch`.
 fn propose_shard(
     xag: &Xag,
     ctx: &mut OptContext,
@@ -316,11 +381,11 @@ fn propose_shard(
     shard: &Shard,
     pos: &[usize],
     objective: Objective,
+    scratch: &mut ProposeScratch,
 ) -> (Vec<Proposal>, usize) {
+    let ProposeScratch { memo, mffc, outs } = scratch;
     let mut proposals = Vec::new();
     let mut considered = 0usize;
-    let mut mffc = MffcScratch::default();
-    let mut outs: Vec<Option<Signal>> = Vec::new();
     for &root in &shard.roots {
         let mut best: Option<(i64, Proposal)> = None;
         let tts = sets.functions_of(root);
@@ -333,7 +398,7 @@ fn propose_shard(
                 continue;
             }
             considered += 1;
-            let (freed_ands, freed_total) = frozen_mffc_with(xag, root, cut.leaves(), &mut mffc);
+            let (freed_ands, freed_total) = frozen_mffc_with(xag, root, cut.leaves(), mffc);
             let freed = match objective {
                 Objective::MultiplicativeComplexity => freed_ands,
                 Objective::Size => freed_total,
@@ -342,18 +407,23 @@ fn propose_shard(
             if freed <= floor {
                 continue;
             }
-            let candidate = ctx.candidate_for_cut(tt);
+            let candidate: &XagFragment = match memo.entry(tt) {
+                Entry::Occupied(hit) => {
+                    debug_assert_eq!(
+                        *hit.get(),
+                        ctx.candidate_for_cut(tt),
+                        "memoized candidate differs from a rebuild for {tt:?}"
+                    );
+                    hit.into_mut()
+                }
+                Entry::Vacant(miss) => miss.insert(ctx.candidate_for_cut(tt)),
+            };
             let mut leaves = [Signal::CONST0; 6];
             for (k, &l) in cut.leaves().iter().enumerate() {
                 leaves[k] = Signal::new(l, false);
             }
-            let (added_ands, added_total) = estimate_new_gates(
-                xag,
-                &candidate,
-                &leaves[..cut.size()],
-                &mffc.doomed,
-                &mut outs,
-            );
+            let (added_ands, added_total) =
+                estimate_new_gates(xag, candidate, &leaves[..cut.size()], mffc, outs);
             let added = match objective {
                 Objective::MultiplicativeComplexity => added_ands,
                 Objective::Size => added_total,
@@ -366,7 +436,7 @@ fn propose_shard(
                         root,
                         pos: pos[root as usize],
                         tt,
-                        frag: candidate,
+                        frag: candidate.clone(),
                         leaves: cut.leaves().to_vec(),
                     },
                 ));
@@ -539,9 +609,10 @@ pub(crate) fn round(
     let mut proposals: Vec<Proposal> = Vec::new();
     let mut considered = 0usize;
     if threads == 1 || shards.len() <= 1 {
+        let mut scratch = ProposeScratch::default();
         for shard in &shards {
             let _p = mc_obs::prof::phase("propose");
-            let (props, c) = propose_shard(xag, ctx, &sets, shard, &pos, objective);
+            let (props, c) = propose_shard(xag, ctx, &sets, shard, &pos, objective, &mut scratch);
             proposals.extend(props);
             considered += c;
         }
@@ -568,6 +639,7 @@ pub(crate) fn round(
                         // produces — and flush once per worker, not per
                         // shard, when the root guard drops.
                         let _round = mc_obs::prof::phase("par_rewrite");
+                        let mut scratch = ProposeScratch::default();
                         let mut mine: Vec<(usize, Vec<Proposal>, usize)> = Vec::new();
                         loop {
                             // Schedule-fuzz crossing: inert in production
@@ -581,8 +653,15 @@ pub(crate) fn round(
                             }
                             let si = claim[k];
                             let _p = mc_obs::prof::phase("propose");
-                            let (props, c) =
-                                propose_shard(frozen, &mut wctx, sets, &shards[si], pos, objective);
+                            let (props, c) = propose_shard(
+                                frozen,
+                                &mut wctx,
+                                sets,
+                                &shards[si],
+                                pos,
+                                objective,
+                                &mut scratch,
+                            );
                             drop(_p);
                             mc_rng::sched::yield_point(mc_rng::sched::site::SHARD_PROPOSE);
                             mine.push((si, props, c));
@@ -677,12 +756,12 @@ mod tests {
         xag
     }
 
-    fn random_mixed_network(seed: u64) -> Xag {
+    fn random_network(seed: u64, gates: usize) -> Xag {
         let mut xag = Xag::new();
         let ins: Vec<Signal> = (0..6).map(|_| xag.input()).collect();
         let mut pool = ins.clone();
         let mut rng = Rng::seed_from_u64(seed);
-        for k in 0..40 {
+        for k in 0..gates {
             let a = pool[rng.gen_range(0..pool.len())] ^ rng.gen();
             let b = pool[rng.gen_range(0..pool.len())] ^ rng.gen();
             let s = if k % 3 == 0 {
@@ -700,7 +779,7 @@ mod tests {
 
     #[test]
     fn windows_partition_all_live_gates() {
-        let xag = random_mixed_network(11);
+        let xag = random_network(11, 40);
         let sets = enumerate_cuts(&xag, &CutParams::default());
         let order = xag.live_gates();
         for shards in [
@@ -749,18 +828,32 @@ mod tests {
 
     #[test]
     fn frozen_mffc_matches_deref_cone() {
-        let mut xag = random_mixed_network(5);
-        let order = xag.live_gates();
-        let sets = enumerate_cuts(&xag, &CutParams::default());
-        for &root in &order {
-            for cut in sets.of(root) {
-                if cut.size() < 2 {
-                    continue;
+        // One scratch measures every cut of networks whose capacities grow
+        // and shrink, and its epoch wraps midway, so a stale stamp from an
+        // earlier cut or network would show in the counts or the members.
+        let mut scratch = MffcScratch::default();
+        for (seed, gates) in [(5u64, 40usize), (6, 90), (7, 15), (8, 60)] {
+            let mut xag = random_network(seed, gates);
+            let order = xag.live_gates();
+            let sets = enumerate_cuts(&xag, &CutParams::default());
+            if seed == 7 {
+                scratch.epoch = u32::MAX - 3;
+            }
+            for &root in &order {
+                for cut in sets.of(root) {
+                    if cut.size() < 2 {
+                        continue;
+                    }
+                    let (fa, ft) = frozen_mffc_with(&xag, root, cut.leaves(), &mut scratch);
+                    let members = (0..xag.capacity() as NodeId)
+                        .filter(|&n| scratch.is_doomed(n))
+                        .count();
+                    let (da, dt) = xag.deref_cone(root, cut.leaves());
+                    xag.ref_cone(root, cut.leaves());
+                    let at = format!("seed {seed} root {root} cut {:?}", cut.leaves());
+                    assert_eq!((fa, ft), (da, dt), "{at}");
+                    assert_eq!(members, ft as usize, "{at}: MFFC members");
                 }
-                let (fa, ft, _) = frozen_mffc(&xag, root, cut.leaves());
-                let (da, dt) = xag.deref_cone(root, cut.leaves());
-                xag.ref_cone(root, cut.leaves());
-                assert_eq!((fa, ft), (da, dt), "root {root} cut {:?}", cut.leaves());
             }
         }
     }
@@ -810,7 +903,7 @@ mod tests {
     #[test]
     fn parallel_round_preserves_function_and_reduces_ands() {
         for seed in [1u64, 2, 3, 4] {
-            let mut xag = random_mixed_network(seed);
+            let mut xag = random_network(seed, 40);
             let reference = xag.cleanup();
             let before = xag.num_ands();
             let mut ctx = OptContext::new();
@@ -831,7 +924,7 @@ mod tests {
     #[test]
     fn thread_count_does_not_change_the_result() {
         for seed in [7u64, 8, 9] {
-            let base = random_mixed_network(seed);
+            let base = random_network(seed, 40);
             let mut results = Vec::new();
             for threads in [1usize, 2, 4] {
                 let mut xag = base.cleanup();
