@@ -19,8 +19,9 @@
 //! sound, merely a coarser canonical form (`exact == false` in all
 //! heuristic cases).
 
-use std::collections::HashSet;
+use std::cell::RefCell;
 
+use xag_tt::hash::FxHashSet;
 use xag_tt::{AffineOp, Tt};
 
 use crate::Classification;
@@ -36,54 +37,104 @@ const ITERATION_LIMIT: usize = 20_000;
 /// Rounds without improvement before the search stops early.
 const PATIENCE: usize = 2;
 
-#[derive(Clone)]
-struct Candidate {
+/// One table the search kept: the start, or a member of some round's
+/// beam. The operation sequence reaching it is not stored; the winner's
+/// is rebuilt once by replaying its parent chain.
+#[derive(Clone, Copy)]
+struct Node {
+    /// The linear-normalized table.
     tt: Tt,
-    rank: (u32, u64),
-    ops: Vec<AffineOp>,
+    /// Number of ANF monomials of `tt`.
+    anf_ones: u32,
+    /// Arena index of the member this one was expanded from (the start,
+    /// index 0, names itself).
+    parent: u32,
+    /// Index of the generator applied to the parent.
+    gen: u32,
+    /// Length of the operation sequence from the input to `tt`.
+    ops_len: u32,
 }
 
-impl Candidate {
-    fn new(tt: Tt, ops: Vec<AffineOp>) -> Self {
-        Self {
-            tt,
-            rank: rank(tt),
-            ops,
-        }
+impl Node {
+    /// Search ranking: prefer sparse ANFs (fewer monomials), then
+    /// lexicographically small truth tables. Sparser forms are closer to
+    /// the standard representatives and make the search landscape smoother
+    /// than raw lexicographic comparison. Within one search every kept
+    /// table is distinct, so no two nodes rank equal.
+    fn rank(&self) -> (u32, u64) {
+        (self.anf_ones, self.tt.bits())
     }
 }
 
-/// Search ranking: prefer sparse ANFs (fewer monomials), then
-/// lexicographically small truth tables. Sparser forms are closer to the
-/// standard representatives and make the search landscape smoother than raw
-/// lexicographic comparison.
-fn rank(tt: Tt) -> (u32, u64) {
-    (tt.anf().count_ones(), tt.bits())
+/// The buffers of one search, kept per thread so that a search allocates
+/// only the operation sequence it returns.
+struct Scratch {
+    /// Every table the search has admitted, by [`seen_key`] (one search's
+    /// tables all have the same variable count). Sized for the iteration
+    /// limit, which bounds the admissions, so it never regrows.
+    seen: FxHashSet<u64>,
+    /// The start and every beam member so far.
+    arena: Vec<Node>,
+    /// Arena indices of the current beam, best first.
+    beam: Vec<u32>,
+    /// The current round's best expansions, best first.
+    round: Vec<Node>,
+    gens: Vec<AffineOp>,
+    /// Generator indices of the winner's chain, last step first.
+    path: Vec<u32>,
 }
 
-/// Removes the constant and all linear terms from the ANF of `tt`,
-/// appending the corresponding operations to `ops`.
-fn normalize_linear(mut tt: Tt, ops: &mut Vec<AffineOp>) -> Tt {
-    let anf = tt.anf();
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch {
+        seen: FxHashSet::with_capacity_and_hasher(ITERATION_LIMIT + 1, Default::default()),
+        arena: Vec::new(),
+        beam: Vec::new(),
+        round: Vec::new(),
+        gens: Vec::new(),
+        path: Vec::new(),
+    });
+}
+
+/// The key of `tt` in [`Scratch::seen`]: its bits, multiplied by an odd
+/// constant and rotated by half a word, both bijections. FxHash's low
+/// bits, which pick the hash-table slot, depend only on the key's low
+/// bits, and tables one generator apart often agree on their low
+/// minterms; mixed first, every bit of the table reaches the slot.
+fn seen_key(tt: Tt) -> u64 {
+    tt.bits()
+        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+        .rotate_left(32)
+}
+
+/// The ANF bits of the constant and the degree-1 monomials of an
+/// `n`-variable function.
+fn linear_terms(n: usize) -> u64 {
+    (0..n).fold(1, |mask, i| mask | 1 << (1 << i))
+}
+
+/// Removes the constant and all linear terms from `tt`, whose ANF is
+/// `anf`, passing each operation it applies to `op`. The result's ANF is
+/// `anf` without those terms.
+fn normalize_linear(mut tt: Tt, anf: u64, mut op: impl FnMut(AffineOp)) -> Tt {
     for i in 0..tt.vars() {
         if (anf >> (1u64 << i)) & 1 == 1 {
-            let op = AffineOp::XorOutput(i);
-            tt = op.apply(tt);
-            ops.push(op);
+            tt = tt.xor_input(i);
+            op(AffineOp::XorOutput(i));
         }
     }
     if anf & 1 == 1 {
         tt = !tt;
-        ops.push(AffineOp::FlipOutput);
+        op(AffineOp::FlipOutput);
     }
     tt
 }
 
-/// Generators used on linear-normalized functions: the linear output part is
-/// re-normalized after each application, so disjoint translations and the
-/// output complement need not be searched explicitly.
-fn structural_generators(n: usize) -> Vec<AffineOp> {
-    let mut gens = Vec::new();
+/// Fills `gens` with the generators used on linear-normalized functions:
+/// the linear output part is re-normalized after each application, so
+/// disjoint translations and the output complement need not be searched
+/// explicitly.
+fn structural_generators(n: usize, gens: &mut Vec<AffineOp>) {
+    gens.clear();
     for i in 0..n {
         gens.push(AffineOp::FlipInput(i));
     }
@@ -99,7 +150,20 @@ fn structural_generators(n: usize) -> Vec<AffineOp> {
             gens.push(AffineOp::Swap(i, j));
         }
     }
-    gens
+}
+
+/// Inserts `node` into `round`, which holds the best `width` expansions
+/// of the round so far in rank order. Ranks are distinct, so this keeps
+/// exactly the first `width` members of the round sorted by rank.
+fn offer(round: &mut Vec<Node>, width: usize, node: Node) {
+    if round.len() == width {
+        if node.rank() > round[width - 1].rank() {
+            return;
+        }
+        round.pop();
+    }
+    let at = round.partition_point(|m| m.rank() < node.rank());
+    round.insert(at, node);
 }
 
 /// Classifies a function by linear normalization plus beam search.
@@ -109,54 +173,119 @@ pub fn classify(f: Tt) -> Classification {
 
 /// The beam search of [`classify`] under explicit limits.
 fn search(f: Tt, width: usize, iteration_limit: usize, patience: usize) -> Classification {
-    let gens = structural_generators(f.vars());
+    SCRATCH.with(|scratch| {
+        scratch
+            .borrow_mut()
+            .search(f, width, iteration_limit, patience)
+    })
+}
 
-    let mut initial_ops = Vec::new();
-    let start = normalize_linear(f, &mut initial_ops);
-    let mut best = Candidate::new(start, initial_ops);
-    let mut beam = vec![best.clone()];
-    let mut seen: HashSet<Tt> = HashSet::new();
-    seen.insert(start);
-    let mut iterations = 0usize;
-    let mut stale = 0usize;
+impl Scratch {
+    fn search(
+        &mut self,
+        f: Tt,
+        width: usize,
+        iteration_limit: usize,
+        patience: usize,
+    ) -> Classification {
+        debug_assert!(width > 0, "a beam keeps at least one member");
+        let Scratch {
+            seen,
+            arena,
+            beam,
+            round,
+            gens,
+            path,
+        } = self;
+        structural_generators(f.vars(), gens);
+        let linear = linear_terms(f.vars());
 
-    'outer: while stale < patience && iterations < iteration_limit {
-        let mut expansions: Vec<Candidate> = Vec::new();
-        for cand in &beam {
-            for &gen in &gens {
-                iterations += 1;
-                let mut ops = cand.ops.clone();
-                ops.push(gen);
-                let tt = normalize_linear(gen.apply(cand.tt), &mut ops);
-                if seen.insert(tt) {
-                    expansions.push(Candidate::new(tt, ops));
-                }
-                if iterations >= iteration_limit {
-                    if expansions.is_empty() {
-                        break 'outer;
+        let anf = f.anf();
+        let start = normalize_linear(f, anf, |_| {});
+        seen.clear();
+        seen.insert(seen_key(start));
+        arena.clear();
+        arena.push(Node {
+            tt: start,
+            anf_ones: (anf & !linear).count_ones(),
+            parent: 0,
+            gen: 0,
+            ops_len: (anf & linear).count_ones(),
+        });
+        beam.clear();
+        beam.push(0);
+        let mut best = 0usize;
+        let mut iterations = 0usize;
+        let mut stale = 0usize;
+
+        'outer: while stale < patience && iterations < iteration_limit {
+            round.clear();
+            for &b in beam.iter() {
+                let parent = arena[b as usize];
+                for (g, &gen) in gens.iter().enumerate() {
+                    iterations += 1;
+                    let t = gen.apply(parent.tt);
+                    let anf = t.anf();
+                    let tt = normalize_linear(t, anf, |_| {});
+                    if seen.insert(seen_key(tt)) {
+                        let node = Node {
+                            tt,
+                            anf_ones: (anf & !linear).count_ones(),
+                            parent: b,
+                            gen: g as u32,
+                            ops_len: parent.ops_len + 1 + (anf & linear).count_ones(),
+                        };
+                        offer(round, width, node);
                     }
-                    break;
+                    // The limit ends this member's expansion only; each
+                    // later member of the beam still gets one.
+                    if iterations >= iteration_limit {
+                        if round.is_empty() {
+                            break 'outer;
+                        }
+                        break;
+                    }
                 }
             }
+            if round.is_empty() {
+                break;
+            }
+            beam.clear();
+            for node in round.drain(..) {
+                beam.push(arena.len() as u32);
+                arena.push(node);
+            }
+            let first = beam[0] as usize;
+            if arena[first].rank() < arena[best].rank() {
+                best = first;
+                stale = 0;
+            } else {
+                stale += 1;
+            }
         }
-        if expansions.is_empty() {
-            break;
-        }
-        expansions.sort_by(|a, b| a.rank.cmp(&b.rank).then(a.ops.len().cmp(&b.ops.len())));
-        expansions.truncate(width);
-        if expansions[0].rank < best.rank {
-            best = expansions[0].clone();
-            stale = 0;
-        } else {
-            stale += 1;
-        }
-        beam = expansions;
-    }
 
-    Classification {
-        representative: best.tt,
-        ops: best.ops,
-        exact: false,
+        // Replay the winner's chain from the input.
+        path.clear();
+        let mut at = best;
+        while at != 0 {
+            path.push(arena[at].gen);
+            at = arena[at].parent as usize;
+        }
+        let mut ops = Vec::with_capacity(arena[best].ops_len as usize);
+        let mut tt = normalize_linear(f, anf, |op| ops.push(op));
+        for &g in path.iter().rev() {
+            let gen = gens[g as usize];
+            ops.push(gen);
+            let t = gen.apply(tt);
+            tt = normalize_linear(t, t.anf(), |op| ops.push(op));
+        }
+        debug_assert_eq!(tt, arena[best].tt);
+        debug_assert_eq!(ops.len(), arena[best].ops_len as usize);
+        Classification {
+            representative: tt,
+            ops,
+            exact: false,
+        }
     }
 }
 

@@ -70,9 +70,18 @@ pub struct Classification {
 /// functions during rewriting", so no function is classified twice.
 #[derive(Debug, Clone, Default)]
 pub struct AffineClassifier {
-    cache: FxHashMap<Tt, Classification>,
+    cache: FxHashMap<Tt, Entry>,
     hits: u64,
     misses: u64,
+}
+
+/// A memoized classification of the entry's key.
+#[derive(Debug, Clone)]
+struct Entry {
+    classification: Classification,
+    /// The beam search restarted from the key returns the key itself, so
+    /// a fixpoint loop that reaches the key can stop without restarting.
+    fixpoint: bool,
 }
 
 impl AffineClassifier {
@@ -91,46 +100,73 @@ impl AffineClassifier {
     /// search is iterated to a fixpoint under a cap of 8 restarts; if the
     /// cap stops it, the final representative is pinned to itself only when
     /// it has no classification yet, and an earlier one (which may lead
-    /// further down) stands.
+    /// further down) stands. A representative whose restart returned
+    /// itself is marked as a fixpoint in its cache entry, and a later loop
+    /// that reaches it stops there without searching again; one pinned at
+    /// the cap is not marked.
     pub fn classify(&mut self, f: Tt) -> Classification {
-        if let Some(c) = self.cache.get(&f) {
+        if let Some(e) = self.cache.get(&f) {
             self.hits += 1;
-            return c.clone();
+            return e.classification.clone();
         }
         self.misses += 1;
-        let c = if f.vars() <= exact::MAX_EXACT_VARS {
-            exact::classify(f)
-        } else {
-            // The beam search is not naturally idempotent (a restart from
-            // the found representative may descend further); iterate to a
-            // fixpoint and pin the final representative in the cache,
-            // unless it already has an entry: a returned classification is
-            // never replaced.
-            let mut c = beam::classify(f);
-            for _ in 0..8 {
-                let next = beam::classify(c.representative);
-                if next.representative == c.representative {
-                    break;
-                }
-                c.ops.extend(next.ops);
-                c.representative = next.representative;
+        if f.vars() <= exact::MAX_EXACT_VARS {
+            let c = exact::classify(f);
+            self.remember(f, &c);
+            return c;
+        }
+        // The beam search is not naturally idempotent (a restart from the
+        // found representative may descend further); iterate to a fixpoint,
+        // skipping the restart from a representative already known to be
+        // one (the search is a pure function), and pin the final
+        // representative in the cache unless it already has an entry: a
+        // returned classification is never replaced.
+        let mut c = beam::classify(f);
+        let mut fixpoint = false;
+        for _ in 0..8 {
+            if self
+                .cache
+                .get(&c.representative)
+                .is_some_and(|e| e.fixpoint)
+            {
+                fixpoint = true;
+                break;
             }
-            self.cache
-                .entry(c.representative)
-                .or_insert_with(|| Classification {
-                    representative: c.representative,
-                    ops: Vec::new(),
-                    exact: false,
-                });
-            c
-        };
+            let next = beam::classify(c.representative);
+            if next.representative == c.representative {
+                fixpoint = true;
+                break;
+            }
+            c.ops.extend(next.ops);
+            c.representative = next.representative;
+        }
+        self.remember(f, &c);
+        let pin = self.cache.entry(c.representative).or_insert_with(|| Entry {
+            classification: Classification {
+                representative: c.representative,
+                ops: Vec::new(),
+                exact: false,
+            },
+            fixpoint: false,
+        });
+        pin.fixpoint |= fixpoint;
+        c
+    }
+
+    /// Caches `c` as the classification of `f`, which has no entry yet.
+    fn remember(&mut self, f: Tt, c: &Classification) {
         debug_assert_eq!(
             AffineOp::apply_all(f, &c.ops),
             c.representative,
             "classification replay mismatch"
         );
-        self.cache.insert(f, c.clone());
-        c
+        self.cache.insert(
+            f,
+            Entry {
+                classification: c.clone(),
+                fixpoint: false,
+            },
+        );
     }
 
     /// `(cache hits, cache misses)` since construction.
@@ -156,8 +192,8 @@ impl AffineClassifier {
     /// are kept. Used to fold worker-local classifiers back into a shared
     /// one after a parallel rewriting round.
     pub fn absorb(&mut self, other: AffineClassifier) {
-        for (f, c) in other.cache {
-            self.cache.entry(f).or_insert(c);
+        for (f, e) in other.cache {
+            self.cache.entry(f).or_insert(e);
         }
         self.hits = self.hits.saturating_add(other.hits);
         self.misses = self.misses.saturating_add(other.misses);
