@@ -253,6 +253,32 @@ mod tests {
     }
 
     #[test]
+    fn restarts_stop_only_at_recorded_fixpoints() {
+        // A cached representative whose restart descends further is not a
+        // fixpoint: classify such a first-search result before the function
+        // whose first search lands on it, and the function must still get
+        // the answer a fresh classifier gives it.
+        let mut rng = mc_rng::Rng::seed_from_u64(0xF1C5);
+        let mut checked = 0;
+        for _ in 0..200 {
+            let f = Tt::from_bits(rng.next_u64(), rng.gen_range(5..7));
+            let first = beam::classify(f).representative;
+            if beam::classify(first).representative == first {
+                continue;
+            }
+            let mut cls = AffineClassifier::new();
+            let _ = cls.classify(first);
+            assert_eq!(
+                cls.classify(f),
+                AffineClassifier::new().classify(f),
+                "{f:?}"
+            );
+            checked += 1;
+        }
+        assert!(checked > 0, "no first search left a restart to make");
+    }
+
+    #[test]
     fn cache_hits_are_counted() {
         let mut cls = AffineClassifier::new();
         let f = Tt::from_bits(0xe8, 3);
