@@ -113,12 +113,20 @@ impl OptContext {
         if tt.is_constant() || tt.vars() == 0 {
             return XagFragment::constant(tt.vars(), tt.is_one());
         }
-        let classification = self.classifier.classify(tt);
+        // Timed as phases: this runs once per miss of the round's candidate
+        // memo, never per cut.
+        let classification = {
+            let _p = mc_obs::prof::phase("classify");
+            self.classifier.classify(tt)
+        };
         let rep = classification.representative;
         let rep_frag = match self.db.get(&rep) {
             Some(frag) => frag.clone(),
             None => {
-                let frag = self.synth.synthesize(rep);
+                let frag = {
+                    let _p = mc_obs::prof::phase("synth");
+                    self.synth.synthesize(rep)
+                };
                 self.db.insert(rep, frag.clone());
                 frag
             }

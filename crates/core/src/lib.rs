@@ -187,6 +187,21 @@ mod tests {
     }
 
     #[test]
+    fn classification_and_synthesis_are_timed_as_phases() {
+        let mut xag = textbook_full_adder();
+        run_job(&mut xag, &mut OptContext::new(), &JobSpec::default());
+        let profile = mc_obs::prof::snapshot();
+        for leaf in ["propose;classify", "propose;synth"] {
+            assert!(
+                profile
+                    .iter()
+                    .any(|p| p.path.ends_with(leaf) && p.count > 0),
+                "no {leaf} phase in {profile:?}"
+            );
+        }
+    }
+
+    #[test]
     fn database_is_shared_across_calls() {
         let mut ctx = OptContext::new();
         let maj = Tt::from_bits(0xe8, 3);

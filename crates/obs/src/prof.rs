@@ -18,6 +18,7 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
@@ -46,7 +47,31 @@ struct Totals {
     self_us: u64,
 }
 
-type PathKey = [&'static str; MAX_DEPTH];
+/// A phase path, compared and hashed by the addresses of its static names
+/// rather than their text: comparing the text made up most of the cost of
+/// a phase exit. Copies of one name at two addresses make two entries
+/// here, which the flush merges under their common path string.
+#[derive(Clone, Copy)]
+struct PathKey([&'static str; MAX_DEPTH]);
+
+impl PartialEq for PathKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.0
+            .iter()
+            .zip(&other.0)
+            .all(|(a, b)| std::ptr::eq(*a, *b))
+    }
+}
+
+impl Eq for PathKey {}
+
+impl Hash for PathKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        for name in &self.0 {
+            state.write_usize(name.as_ptr() as usize);
+        }
+    }
+}
 
 struct Frame {
     name: &'static str,
@@ -68,6 +93,7 @@ impl ProfLocal {
         let mut global = global().lock().expect("prof lock poisoned");
         for (key, t) in self.acc.drain() {
             let path = key
+                .0
                 .iter()
                 .take_while(|n| !n.is_empty())
                 .copied()
@@ -157,11 +183,11 @@ impl Drop for PhaseGuard {
             if let Some(parent) = local.stack.last_mut() {
                 parent.child_us += total_us;
             }
-            let mut key: PathKey = [""; MAX_DEPTH];
-            for (slot, f) in key.iter_mut().zip(local.stack.iter()) {
+            let mut key = PathKey([""; MAX_DEPTH]);
+            for (slot, f) in key.0.iter_mut().zip(local.stack.iter()) {
                 *slot = f.name;
             }
-            key[local.stack.len()] = frame.name;
+            key.0[local.stack.len()] = frame.name;
             let t = local.acc.entry(key).or_default();
             t.count += 1;
             t.total_us += total_us;
@@ -243,6 +269,17 @@ mod tests {
             let _p = phase("t_repeat");
         }
         assert_eq!(stat("t_repeat").expect("recorded").count, 3);
+    }
+
+    #[test]
+    fn equal_names_at_two_addresses_share_a_path() {
+        let _guard = test_lock();
+        reset();
+        let copy: &'static str = Box::leak(String::from("t_same").into_boxed_str());
+        for name in ["t_same", copy] {
+            let _p = phase(name);
+        }
+        assert_eq!(stat("t_same").expect("recorded").count, 2);
     }
 
     #[test]
