@@ -54,7 +54,8 @@ pub fn read_bench_json(path: &Path) -> std::io::Result<Vec<BenchRecord>> {
 
 /// Phase times and the core count are optional (0 when absent): files
 /// recorded before records carried them (`BENCH_14.json` and older for
-/// phase times, `BENCH_17.json` and older for cores) still parse.
+/// phase times, `BENCH_17.json` and older for cores, `BENCH_18.json` and
+/// older for `classify_s` and `synth_s`) still parse.
 fn record_from_json(v: &Json) -> Option<BenchRecord> {
     let str_field = |key: &str| v.get(key).and_then(Json::as_str).map(str::to_string);
     let num_field = |key: &str| v.get(key).and_then(Json::as_u64).map(|n| n as usize);
@@ -75,6 +76,8 @@ fn record_from_json(v: &Json) -> Option<BenchRecord> {
         phases: PhaseTimes {
             cut_enum_s: phase_field("cut_enum_s"),
             propose_s: phase_field("propose_s"),
+            classify_s: phase_field("classify_s"),
+            synth_s: phase_field("synth_s"),
             commit_validate_s: phase_field("commit_validate_s"),
         },
     })
@@ -344,6 +347,8 @@ mod tests {
         replay[0].phases = PhaseTimes {
             cut_enum_s: 9.0,
             propose_s: 9.0,
+            classify_s: 9.0,
+            synth_s: 9.0,
             commit_validate_s: 9.0,
         };
         replay[0].logical_cores = 64;
@@ -364,6 +369,8 @@ mod tests {
         records[0].phases = PhaseTimes {
             cut_enum_s: 0.25,
             propose_s: 0.125,
+            classify_s: 0.5,
+            synth_s: 0.75,
             commit_validate_s: 0.0625,
         };
         records[1].logical_cores = 2;

@@ -72,13 +72,52 @@ impl BenchGroup {
     /// multi-thread speedup lines of the parallel rewriting benches.
     pub fn bench_function_timed<R>(&mut self, name: &str, mut f: impl FnMut() -> R) -> Duration {
         let _ = std_black_box(f()); // warm-up, untimed
-        let mut times: Vec<Duration> = (0..self.sample_size)
-            .map(|_| {
-                let t0 = Instant::now();
-                let _ = std_black_box(f());
-                t0.elapsed()
-            })
-            .collect();
+        let mut times: Vec<Duration> = (0..self.sample_size).map(|_| time(&mut f)).collect();
+        self.report(name, &mut times)
+    }
+
+    /// Measures two functions interleaved, sample by sample: `f(0)` and
+    /// `f(1)` each run once untimed, then `sample_size` times each, the
+    /// side that goes first alternating between samples. Prints one line
+    /// per side and one for `ratio_name`, and returns both medians with
+    /// the median of the per-sample ratios `f(0) / f(1)`. The two times
+    /// of a sample see the same host conditions, so a noisy stretch moves
+    /// them together instead of moving one side's median alone.
+    pub fn bench_ratio_timed<R>(
+        &mut self,
+        names: [&str; 2],
+        ratio_name: &str,
+        mut f: impl FnMut(usize) -> R,
+    ) -> ([Duration; 2], f64) {
+        let _ = std_black_box(f(0)); // warm-up, untimed
+        let _ = std_black_box(f(1));
+        let mut times = [Vec::new(), Vec::new()];
+        let mut ratios = Vec::new();
+        for i in 0..self.sample_size {
+            let mut sample = [Duration::ZERO; 2];
+            for side in [i % 2, 1 - i % 2] {
+                sample[side] = time(|| f(side));
+            }
+            times[0].push(sample[0]);
+            times[1].push(sample[1]);
+            ratios.push(ratio(sample[0], sample[1]));
+        }
+        let medians = [
+            self.report(names[0], &mut times[0]),
+            self.report(names[1], &mut times[1]),
+        ];
+        ratios.sort_unstable_by(f64::total_cmp);
+        let median_ratio = ratios[ratios.len() / 2];
+        println!(
+            "  {:<32} {median_ratio:.2}x (median of {} per-sample ratios)",
+            format!("{}/{}", self.name, ratio_name),
+            ratios.len()
+        );
+        (medians, median_ratio)
+    }
+
+    /// Prints one report line for `times` and returns their median.
+    fn report(&self, name: &str, times: &mut [Duration]) -> Duration {
         times.sort_unstable();
         let min = times[0];
         let median = times[times.len() / 2];
@@ -97,11 +136,7 @@ impl BenchGroup {
     /// Prints a derived ratio line (e.g. a parallel speedup) in the same
     /// indentation as the measurement lines.
     pub fn report_ratio(&mut self, name: &str, numerator: Duration, denominator: Duration) {
-        let ratio = if denominator.as_nanos() > 0 {
-            numerator.as_secs_f64() / denominator.as_secs_f64()
-        } else {
-            1.0
-        };
+        let ratio = ratio(numerator, denominator);
         println!("  {:<32} {ratio:.2}x", format!("{}/{}", self.name, name));
     }
 
@@ -109,6 +144,22 @@ impl BenchGroup {
     /// line).
     pub fn finish(&mut self) {
         println!();
+    }
+}
+
+/// Wall time of one call of `f`.
+fn time<R>(f: impl FnOnce() -> R) -> Duration {
+    let t0 = Instant::now();
+    let _ = std_black_box(f());
+    t0.elapsed()
+}
+
+/// `numerator / denominator`, or 1 when the denominator is zero.
+fn ratio(numerator: Duration, denominator: Duration) -> f64 {
+    if denominator.as_nanos() > 0 {
+        numerator.as_secs_f64() / denominator.as_secs_f64()
+    } else {
+        1.0
     }
 }
 
@@ -199,17 +250,23 @@ pub fn logical_cores() -> usize {
     std::thread::available_parallelism().map_or(0, std::num::NonZeroUsize::get)
 }
 
-/// Self times, in seconds, of the rewriting round's three named
-/// `mc_obs::prof` phases during one measured run, each summed over every
-/// profile path that ends in it. Informational: the bench gate never
-/// compares them.
+/// Self times, in seconds, of the rewriting round's named `mc_obs::prof`
+/// phases during one measured run, each summed over every profile path
+/// that ends in it. Informational: the bench gate never compares them.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PhaseTimes {
     /// Cut enumeration with the fused cut functions (`cut_enum`).
     pub cut_enum_s: f64,
-    /// Classification, synthesis and gain estimation of every cut
-    /// (`propose`).
+    /// The MFFC bound, candidate lookup and gain estimation of every cut,
+    /// outside the two phases below (`propose`).
     pub propose_s: f64,
+    /// Affine classification of the cut functions the round's candidate
+    /// memo misses (`classify`, inside `propose`); 0 in files recorded
+    /// before rows carried it (`BENCH_18.json` and older).
+    pub classify_s: f64,
+    /// Synthesis of representatives the database misses (`synth`, inside
+    /// `propose`); 0 in files recorded before rows carried it.
+    pub synth_s: f64,
     /// Re-validation and application of the proposals
     /// (`commit_validate`).
     pub commit_validate_s: f64,
@@ -227,6 +284,8 @@ impl PhaseTimes {
             let slot = match p.path.rsplit(';').next() {
                 Some("cut_enum") => &mut times.cut_enum_s,
                 Some("propose") => &mut times.propose_s,
+                Some("classify") => &mut times.classify_s,
+                Some("synth") => &mut times.synth_s,
                 Some("commit_validate") => &mut times.commit_validate_s,
                 _ => continue,
             };
@@ -262,6 +321,8 @@ impl BenchRecord {
             ("flow".to_string(), Json::from(self.flow.as_str())),
             ("cut_enum_s".to_string(), Json::from(self.phases.cut_enum_s)),
             ("propose_s".to_string(), Json::from(self.phases.propose_s)),
+            ("classify_s".to_string(), Json::from(self.phases.classify_s)),
+            ("synth_s".to_string(), Json::from(self.phases.synth_s)),
             (
                 "commit_validate_s".to_string(),
                 Json::from(self.phases.commit_validate_s),
@@ -340,6 +401,8 @@ mod tests {
                 phases: PhaseTimes {
                     cut_enum_s: 0.25,
                     propose_s: 0.5,
+                    classify_s: 0.375,
+                    synth_s: 0.0625,
                     commit_validate_s: 0.125,
                 },
             },
@@ -369,6 +432,8 @@ mod tests {
         assert!(text.contains("\"wall_s\":1.25"));
         assert!(text.contains("\"flow\":\"{mc(cut=4);mc(cut=6)}*\""));
         assert!(text.contains("\"propose_s\":0.5"));
+        assert!(text.contains("\"classify_s\":0.375"));
+        assert!(text.contains("\"synth_s\":0.0625"));
         assert!(text.contains("\"commit_validate_s\":0.125"));
         std::fs::remove_dir_all(&dir).unwrap();
     }

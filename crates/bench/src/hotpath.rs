@@ -162,59 +162,45 @@ pub fn run_hotpath(samples: usize, alloc_check: bool) -> Vec<BenchRecord> {
         let mut group = BenchGroup::new(w.name);
         group.sample_size(samples);
 
-        // Current hot path: one fused sweep computes every cut and its
-        // function.
+        // Current hot path (one fused sweep computes every cut and its
+        // function) against the legacy baseline (allocating enumeration,
+        // then one recursive cone traversal per non-trivial cut), timed
+        // interleaved so that the ratio row sees both under the same host
+        // conditions.
         let sets = enumerate_cuts_for(xag, &order, &params);
         let total_cuts = sets.total();
-        let t_new = group.bench_function_timed("enum", || {
-            black_box(enumerate_cuts_for(xag, &order, &params).total())
-        });
-        record(
-            &mut records,
-            format!("enum/{}", w.name),
-            gates,
-            total_cuts,
-            t_new.as_secs_f64(),
-        );
-
-        // Legacy baseline: allocating enumeration, then one recursive
-        // cone traversal per non-trivial cut.
-        let t_legacy = group.bench_function_timed("enum_legacy", || {
-            let cuts = legacy::enumerate(xag, &order, &params);
-            let mut functions = 0usize;
-            for &n in &order {
-                for cut in &cuts[&n] {
-                    if cut.leaves.len() == 1 && cut.leaves[0] == n {
-                        continue;
-                    }
-                    if legacy::cone_tt(xag, n, &cut.leaves).is_some() {
-                        functions += 1;
+        let ([t_legacy, t_new], speedup) =
+            group.bench_ratio_timed(["enum_legacy", "enum"], "speedup (legacy/new)", |side| {
+                if side == 1 {
+                    return black_box(enumerate_cuts_for(xag, &order, &params).total());
+                }
+                let cuts = legacy::enumerate(xag, &order, &params);
+                let mut functions = 0usize;
+                for &n in &order {
+                    for cut in &cuts[&n] {
+                        if cut.leaves.len() == 1 && cut.leaves[0] == n {
+                            continue;
+                        }
+                        if legacy::cone_tt(xag, n, &cut.leaves).is_some() {
+                            functions += 1;
+                        }
                     }
                 }
-            }
-            black_box(functions)
-        });
-        record(
-            &mut records,
-            format!("enum_legacy/{}", w.name),
-            gates,
-            total_cuts,
-            t_legacy.as_secs_f64(),
-        );
-
-        group.report_ratio("speedup (legacy/new)", t_legacy, t_new);
-        let ratio = if t_new.as_nanos() > 0 {
-            t_legacy.as_secs_f64() / t_new.as_secs_f64()
-        } else {
-            1.0
-        };
-        record(
-            &mut records,
-            format!("speedup/{}", w.name),
-            gates,
-            total_cuts,
-            ratio,
-        );
+                black_box(functions)
+            });
+        for (row, wall) in [
+            ("enum", t_new.as_secs_f64()),
+            ("enum_legacy", t_legacy.as_secs_f64()),
+            ("speedup", speedup),
+        ] {
+            record(
+                &mut records,
+                format!("{row}/{}", w.name),
+                gates,
+                total_cuts,
+                wall,
+            );
+        }
 
         // Allocation profile of the sweep: the dense arena allocates only
         // for vector growth — O(log cuts) doublings — never per cut.
@@ -284,6 +270,28 @@ pub fn run_hotpath(samples: usize, alloc_check: bool) -> Vec<BenchRecord> {
             small_fns.len(),
             t_warm.as_secs_f64(),
         );
+
+        // Cold classification of the support-reduced five- and six-variable
+        // cut functions: the beam search, which the rows above never reach.
+        let wide_fns: Vec<Tt> = sets
+            .iter()
+            .flat_map(|(n, _)| sets.functions_of(n))
+            .map(|tt| tt.shrink_to_support().0)
+            .filter(|tt| tt.vars() >= 5)
+            .collect();
+        let t_wide = group.bench_function_timed("classify_wide", || {
+            let mut cls = AffineClassifier::new();
+            for &tt in &wide_fns {
+                black_box(cls.classify(tt).representative);
+            }
+        });
+        record(
+            &mut records,
+            format!("classify_wide/{}", w.name),
+            gates,
+            wide_fns.len(),
+            t_wide.as_secs_f64(),
+        );
         group.finish();
     }
 
@@ -308,24 +316,17 @@ pub fn run_hotpath(samples: usize, alloc_check: bool) -> Vec<BenchRecord> {
         // Warm the classifier cache so neither measurement pays the
         // cold-start beam search.
         let _ = round.run(&mut w.xag.clone(), &mut ctx, 1, 1);
-        mc_obs::prof::set_enabled(true);
-        let t_on = group.bench_function_timed("round_prof_on", || {
-            let mut xag = w.xag.clone();
-            black_box(round.run(&mut xag, &mut ctx, 1, 1).ands_after())
-        });
-        mc_obs::prof::set_enabled(false);
-        let t_off = group.bench_function_timed("round_prof_off", || {
-            let mut xag = w.xag.clone();
-            black_box(round.run(&mut xag, &mut ctx, 1, 1).ands_after())
-        });
+        let (_, ratio) = group.bench_ratio_timed(
+            ["round_prof_off", "round_prof_on"],
+            "overhead (off/on)",
+            |side| {
+                mc_obs::prof::set_enabled(side == 1);
+                let mut xag = w.xag.clone();
+                black_box(round.run(&mut xag, &mut ctx, 1, 1).ands_after())
+            },
+        );
         mc_obs::prof::set_enabled(true);
         mc_obs::prof::reset();
-        group.report_ratio("overhead (off/on)", t_off, t_on);
-        let ratio = if t_on.as_nanos() > 0 {
-            t_off.as_secs_f64() / t_on.as_secs_f64()
-        } else {
-            1.0
-        };
         record(
             &mut records,
             "prof_overhead/fuzz_wide".to_string(),
