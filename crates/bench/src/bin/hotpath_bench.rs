@@ -18,13 +18,15 @@
 //!   path ([`xag_cuts::legacy`]): `HashMap<NodeId, Vec<Cut>>`
 //!   cut sets with heap-allocated leaf vectors, followed by a per-cut
 //!   recursive cone traversal with a fresh `HashMap` memo per call;
-//! * `speedup` — the ratio of the two medians (recorded in `wall_s` of
-//!   the JSON row, so the perf trajectory files carry the measured
-//!   speedup, not just two absolute times), plus a `speedup/geomean`
-//!   summary row;
+//! * `speedup` — the median of the per-sample ratios of the two, timed
+//!   interleaved sample by sample (recorded in `wall_s` of the JSON row,
+//!   so the perf trajectory files carry the measured speedup, not just
+//!   two absolute times), plus a `speedup/geomean` summary row;
 //! * `classify_cold` / `classify_warm` — affine classification of the
 //!   ≤4-input cut functions from a cold cache, then the pure cache-hit
-//!   path, which is dominated by truth-table hashing.
+//!   path, which is dominated by truth-table hashing;
+//! * `classify_wide` — classification of the support-reduced five- and
+//!   six-input cut functions from a cold cache: the beam search.
 //!
 //! Every run records how many heap allocations `enumerate_cuts_for`
 //! performs (`allocs/*` rows); with `--alloc-check` it additionally

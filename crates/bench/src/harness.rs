@@ -368,6 +368,19 @@ mod tests {
     }
 
     #[test]
+    fn ratio_samples_interleave_and_alternate() {
+        let mut g = BenchGroup::new("test");
+        g.sample_size(3);
+        let mut calls = Vec::new();
+        let (_, ratio) = g.bench_ratio_timed(["a", "b"], "a/b", |side| calls.push(side));
+        // Warm-up of both, then one of each per sample, first side
+        // alternating.
+        assert_eq!(calls, [0, 1, 0, 1, 1, 0, 0, 1]);
+        assert!(ratio.is_finite());
+        g.finish();
+    }
+
+    #[test]
     fn json_arg_extraction() {
         let args: Vec<String> = ["table1", "--threads", "4", "--json", "out.json"]
             .iter()
