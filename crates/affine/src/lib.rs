@@ -174,7 +174,7 @@ impl AffineClassifier {
         (self.hits, self.misses)
     }
 
-    /// Clones the classifier for a worker thread: the fork keeps the whole
+    /// Clones the classifier for one job's context: the fork keeps the whole
     /// memoization cache but starts its hit/miss statistics at zero, so a
     /// later [`AffineClassifier::absorb`] adds exactly the work the fork
     /// did (instead of double-counting the parent's history).
@@ -189,8 +189,8 @@ impl AffineClassifier {
     /// Merges a fork's memoized results into this classifier. Both compute
     /// identical results for identical inputs (the search is
     /// deterministic), so merge order does not matter; existing entries
-    /// are kept. Used to fold worker-local classifiers back into a shared
-    /// one after a parallel rewriting round.
+    /// are kept. Used to fold a job's classifier back into the shared one
+    /// a daemon keeps across jobs.
     pub fn absorb(&mut self, other: AffineClassifier) {
         for (f, e) in other.cache {
             self.cache.entry(f).or_insert(e);

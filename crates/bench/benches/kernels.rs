@@ -69,21 +69,26 @@ fn bench_synthesis(g: &mut BenchGroup) {
     });
 }
 
-/// One `mc(cut=6)` round over a fresh copy of `xag` with `threads`
-/// workers and a cold context; returns the AND count after it.
-fn one_round(xag: &Xag, threads: usize) -> usize {
+/// One `mc(cut=6)` round over a fresh copy of `xag` with a cold
+/// context; returns the AND count after it.
+fn one_round(xag: &Xag) -> usize {
     let mut xag = xag.cleanup();
     let round = FlowSpec::parse("mc(cut=6)").expect("valid spec");
-    round
-        .run(&mut xag, &mut OptContext::new(), threads, 1)
-        .ands_after()
+    round.run(&mut xag, &mut OptContext::new(), 1).ands_after()
 }
 
+/// One rewriting round on a ripple adder and on the Keccak and AES
+/// kernels.
 fn bench_rewriting(g: &mut BenchGroup) {
-    let adder = adder_circuit(32);
-    g.bench_function("rewrite/adder32_one_round", || {
-        black_box(one_round(&adder, 1))
-    });
+    for (name, xag) in [
+        ("adder32", adder_circuit(32)),
+        ("keccak25", keccak_f(1)),
+        ("aes_sbox8", sbox_bank(8)),
+    ] {
+        g.bench_function(&format!("rewrite/{name}_one_round"), || {
+            black_box(one_round(&xag))
+        });
+    }
 }
 
 /// A bank of AES S-boxes: the crypto kernel whose tower-field structure
@@ -100,27 +105,6 @@ fn sbox_bank(instances: usize) -> Xag {
     x
 }
 
-/// Single- vs multi-thread rewriting rounds on the Keccak and AES
-/// kernels. The engine is bit-identical across thread counts, so the
-/// reported speedup lines compare equal work (they show ~1x on a
-/// single-core host; the propose phase scales with cores).
-fn bench_parallel_rewriting(g: &mut BenchGroup) {
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .max(2);
-
-    for (name, xag) in [("keccak25", keccak_f(1)), ("aes_sbox8", sbox_bank(8))] {
-        let t1 = g.bench_function_timed(&format!("par_rewrite/{name}_1thread"), || {
-            black_box(one_round(&xag, 1))
-        });
-        let tn = g.bench_function_timed(&format!("par_rewrite/{name}_{threads}threads"), || {
-            black_box(one_round(&xag, threads))
-        });
-        g.report_ratio(&format!("par_rewrite/{name}_speedup"), t1, tn);
-    }
-}
-
 fn main() {
     let mut g = BenchGroup::new("kernels");
     g.sample_size(10);
@@ -128,6 +112,5 @@ fn main() {
     bench_classification(&mut g);
     bench_synthesis(&mut g);
     bench_rewriting(&mut g);
-    bench_parallel_rewriting(&mut g);
     g.finish();
 }

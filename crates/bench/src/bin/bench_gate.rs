@@ -37,7 +37,7 @@ use std::path::PathBuf;
 
 use xag_bench::gate::{compare, read_bench_json, GateTolerance};
 use xag_bench::hotpath::run_hotpath;
-use xag_bench::{exit_usage, flag_value, run_table1, run_table2, write_bench_json};
+use xag_bench::{check_args, exit_usage, flag_value, run_table1, run_table2, write_bench_json};
 use xag_circuits::epfl::Scale;
 
 const USAGE: &str = "usage: bench_gate --baseline BENCH_19.json [--samples N] [--wall-tol F] [--ratio-tol F]\n       \
@@ -47,6 +47,8 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
 
     if let Some(i) = args.iter().position(|a| a == "--merge") {
+        // Everything after `--merge` is a path; nothing may come before.
+        check_args(&args[..i], 0, &[], &[], USAGE);
         let paths: Vec<PathBuf> = args[i + 1..].iter().map(PathBuf::from).collect();
         let (out, inputs) = paths.split_first().unwrap_or_else(|| exit_usage(USAGE));
         let mut records = Vec::new();
@@ -63,6 +65,13 @@ fn main() {
         return;
     }
 
+    check_args(
+        &args,
+        0,
+        &[],
+        &["--baseline", "--samples", "--wall-tol", "--ratio-tol"],
+        USAGE,
+    );
     let Some(baseline_path) = flag_value::<String>(&args, "--baseline", USAGE) else {
         exit_usage(USAGE)
     };
@@ -83,8 +92,8 @@ fn main() {
     // asserted, then both tables on one thread, as the baseline was
     // recorded.
     let mut replay = run_hotpath(samples, true);
-    replay.extend(run_table1(Scale::Reduced, 1));
-    replay.extend(run_table2(None, 1));
+    replay.extend(run_table1(Scale::Reduced));
+    replay.extend(run_table2(None));
 
     let violations = compare(&baseline, &replay, tol);
     if violations.is_empty() {

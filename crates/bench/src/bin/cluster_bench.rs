@@ -30,7 +30,8 @@ use std::time::{Duration, Instant};
 use mc_cluster::{Router, RouterConfig, RouterHandle};
 use mc_serve::{Client, OptimizeRequest, ServeConfig, Server, ServerHandle};
 use xag_bench::{
-    flag_value, json_path_from_args, logical_cores, write_bench_json, BenchRecord, PhaseTimes,
+    check_args, flag_value, json_path_from_args, logical_cores, write_bench_json, BenchRecord,
+    PhaseTimes,
 };
 use xag_mc::FlowSpec;
 use xag_network::fuzz::{random_xag, FuzzConfig};
@@ -140,6 +141,20 @@ struct PhaseRow {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    check_args(
+        &args,
+        0,
+        &[],
+        &[
+            "--backends",
+            "--clients",
+            "--jobs",
+            "--workers",
+            "--flow",
+            "--json",
+        ],
+        USAGE,
+    );
     let flag = |name: &str, default: usize| flag_value(&args, name, USAGE).unwrap_or(default);
     let max_backends = flag("--backends", 3).max(1);
     let clients = flag("--clients", 4).max(1);

@@ -15,7 +15,8 @@
 //! count (the depth/mc fields do not apply to this tool and are 0).
 
 use xag_bench::{
-    json_path_from_args, logical_cores, parse_arg, write_bench_json, BenchRecord, PhaseTimes,
+    check_args, json_path_from_args, logical_cores, parse_arg, write_bench_json, BenchRecord,
+    PhaseTimes,
 };
 use xag_mc::OptContext;
 use xag_tt::Tt;
@@ -37,6 +38,7 @@ fn sample(i: usize) -> Tt {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    check_args(&args, 1, &[], &["--json"], USAGE);
     let samples = args
         .get(1)
         .filter(|a| !a.starts_with("--"))

@@ -1,33 +1,31 @@
 //! Developer tool: trace per-round AND counts while optimizing a ripple
 //! adder, to inspect convergence behaviour.
 //!
-//! Usage: `debug_adder [bits] [cut_size] [threads] [--json PATH]`
+//! Usage: `debug_adder [bits] [cut_size] [--json PATH]`
 //!
 //! The flow is the paper's cut schedule up to `cut_size`
 //! (`{mc(cut=4);mc(cut=N)}*`, or `mc(cut=N)*` for `N <= 4`). With
 //! `--json PATH` one before/after record of the run is written.
 
 use xag_bench::{
-    exit_usage, json_path_from_args, logical_cores, parse_arg, write_bench_json, BenchRecord,
+    check_args, json_path_from_args, logical_cores, parse_arg, write_bench_json, BenchRecord,
     PhaseTimes,
 };
 use xag_circuits::arith::{add_ripple, input_word, output_word};
 use xag_mc::{FlowSpec, OptContext};
 use xag_network::{Signal, Xag};
 
-const USAGE: &str = "usage: debug_adder [bits] [cut_size] [threads] [--json PATH]";
+const USAGE: &str = "usage: debug_adder [bits] [cut_size] [--json PATH]";
 
 fn main() {
     let argv: Vec<String> = std::env::args().collect();
+    let names = ["bits", "cut_size"];
+    check_args(&argv, names.len(), &[], &["--json"], USAGE);
     // Positional arguments end at the first option.
     let positional: Vec<&String> = argv[1..]
         .iter()
         .take_while(|a| !a.starts_with("--"))
         .collect();
-    let names = ["bits", "cut_size", "threads"];
-    if positional.len() > names.len() {
-        exit_usage(USAGE);
-    }
     let arg = |i: usize, default: usize| -> usize {
         positional
             .get(i)
@@ -35,7 +33,6 @@ fn main() {
     };
     let bits = arg(0, 16);
     let cut_size = arg(1, 6);
-    let threads = arg(2, 1);
 
     let mut x = Xag::new();
     let a = input_word(&mut x, bits);
@@ -58,7 +55,7 @@ fn main() {
     println!("flow: {flow}");
 
     let mut ctx = OptContext::new();
-    let (stats, phases) = PhaseTimes::measure(|| flow.run(&mut x, &mut ctx, threads, 100));
+    let (stats, phases) = PhaseTimes::measure(|| flow.run(&mut x, &mut ctx, 100));
     for (i, r) in stats.passes.iter().enumerate() {
         println!("round {i}: {r}");
     }
@@ -86,7 +83,7 @@ fn main() {
             mc_before,
             mc_after: x.num_ands(),
             wall_s: stats.total_time().as_secs_f64(),
-            threads,
+            threads: 1,
             logical_cores: logical_cores(),
             flow: flow.normalized(),
             phases,

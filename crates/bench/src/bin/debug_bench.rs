@@ -5,36 +5,34 @@
 //! baseline, then `mc(cut=6)` rounds — over one shared [`OptContext`],
 //! mirroring the stages `run_flow` runs as whole flows.
 //!
-//! Usage: `debug_bench [name] [--threads N] [--json PATH]` — with
-//! `--threads N` each `mc` round proposes on `N` workers; with
-//! `--json PATH` one before/after record of the whole phase trace is
-//! written.
+//! Usage: `debug_bench [name] [--json PATH]` — with `--json PATH` one
+//! before/after record of the whole phase trace is written.
 
 use xag_bench::{
-    exit_usage, flag_value, json_path_from_args, logical_cores, write_bench_json, BenchRecord,
+    check_args, exit_usage, json_path_from_args, logical_cores, write_bench_json, BenchRecord,
     PhaseTimes,
 };
 use xag_circuits::epfl::{epfl_suite, Scale};
 use xag_mc::{FlowSpec, OptContext, PassStats};
 use xag_network::Xag;
 
-const USAGE: &str = "usage: debug_bench [name] [--threads N] [--json PATH]";
+const USAGE: &str = "usage: debug_bench [name] [--json PATH]";
 
 /// Runs the one-atom `flow` once and returns its pass statistics.
-fn round(flow: &str, xag: &mut Xag, ctx: &mut OptContext, threads: usize) -> PassStats {
+fn round(flow: &str, xag: &mut Xag, ctx: &mut OptContext) -> PassStats {
     let flow = FlowSpec::parse(flow).expect("valid spec");
-    let mut stats = flow.run(xag, ctx, threads, 1);
+    let mut stats = flow.run(xag, ctx, 1);
     stats.passes.remove(0)
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    check_args(&args, 1, &[], &["--json"], USAGE);
     let name = args
         .get(1)
         .filter(|a| !a.starts_with("--"))
         .cloned()
         .unwrap_or_else(|| "div".into());
-    let threads = flag_value(&args, "--threads", USAGE).unwrap_or(1);
     let suite = epfl_suite(Scale::Reduced);
     let Some(bench) = suite.iter().find(|b| b.name == name) else {
         let known: Vec<&str> = suite.iter().map(|b| b.name).collect();
@@ -54,13 +52,13 @@ fn main() {
     let ((), phases) = PhaseTimes::measure(|| {
         println!("— size baseline —");
         for i in 0..2 {
-            let s = round("size(cut=6)", &mut xag, &mut ctx, 1);
+            let s = round("size(cut=6)", &mut xag, &mut ctx);
             println!("size round {i}: {s} (capacity {})", xag.capacity());
         }
         xag = xag.cleanup();
         println!("— mc rewriting —");
         for i in 0..30 {
-            let s = round("mc(cut=6)", &mut xag, &mut ctx, threads);
+            let s = round("mc(cut=6)", &mut xag, &mut ctx);
             println!(
                 "mc round {i}: {s} (capacity {}, db {})",
                 xag.capacity(),
@@ -82,7 +80,7 @@ fn main() {
             mc_before,
             mc_after: xag.num_ands(),
             wall_s: t0.elapsed().as_secs_f64(),
-            threads,
+            threads: 1,
             logical_cores: logical_cores(),
             // The phase trace above: two size-baseline rounds, then up
             // to 30 mc rounds (early-exit when a round applies nothing).

@@ -39,10 +39,13 @@
 //! the committed trajectory recorded.
 
 use xag_bench::hotpath::run_hotpath;
-use xag_bench::{json_path_from_args, write_bench_json};
+use xag_bench::{check_args, json_path_from_args, write_bench_json};
+
+const USAGE: &str = "usage: hotpath_bench [--alloc-check] [--json PATH]";
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    check_args(&args, 0, &["--alloc-check"], &["--json"], USAGE);
     let alloc_check = args.iter().any(|a| a == "--alloc-check");
     let records = run_hotpath(5, alloc_check);
     if let Some(path) = json_path_from_args(&args) {

@@ -29,7 +29,8 @@ use std::time::Instant;
 
 use mc_serve::{Client, OptimizeRequest, ServeConfig, Server};
 use xag_bench::{
-    flag_value, json_path_from_args, logical_cores, write_bench_json, BenchRecord, PhaseTimes,
+    check_args, flag_value, json_path_from_args, logical_cores, write_bench_json, BenchRecord,
+    PhaseTimes,
 };
 use xag_mc::FlowSpec;
 use xag_network::fuzz::{random_xag, FuzzConfig};
@@ -93,6 +94,13 @@ fn run_phase(
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    check_args(
+        &args,
+        0,
+        &[],
+        &["--clients", "--jobs", "--workers", "--flow", "--json"],
+        USAGE,
+    );
     let flag = |name: &str, default: usize| flag_value(&args, name, USAGE).unwrap_or(default);
     let clients = flag("--clients", 4).max(1);
     let jobs = flag("--jobs", 8).max(1);

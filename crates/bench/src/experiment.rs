@@ -14,7 +14,7 @@ use std::time::Instant;
 use xag_circuits::epfl::{epfl_suite, Scale};
 use xag_circuits::mpc::mpc_suite;
 use xag_mc::{FlowSpec, FlowStats, OptContext};
-use xag_network::{equiv, write_verilog, Xag};
+use xag_network::{equiv, Xag};
 
 use crate::harness::{logical_cores, BenchRecord, PhaseTimes};
 
@@ -43,47 +43,6 @@ pub struct FlowResult {
     /// count columns do not carry — total size, multiplicative depth —
     /// e.g. for the `--json` records of the bench binaries.
     pub optimized: Xag,
-    /// The thread-count comparison, present when the flow ran with
-    /// `threads > 1` (see [`run_flow_threads`]).
-    pub parallel: Option<ParallelResult>,
-}
-
-/// Single- vs multi-thread comparison of the rewriting round on one
-/// benchmark: the same until-convergence flow, run once with one worker
-/// (the converged stage itself) and once with `threads` workers. The
-/// engine is deterministic across thread counts, so the two runs must
-/// agree bit for bit (`identical`), and both start from the same cache
-/// state, so the ratio of their times is a pure speedup.
-#[derive(Debug, Clone)]
-pub struct ParallelResult {
-    /// Worker count of the multi-threaded run.
-    pub threads: usize,
-    /// AND/XOR counts after the multi-threaded convergence flow.
-    pub counts: (usize, usize),
-    /// Wall-clock seconds of the 1-worker run (the converged stage).
-    pub single_time: f64,
-    /// Wall-clock seconds of the `threads`-worker run.
-    pub multi_time: f64,
-    /// Rounds used by the multi-threaded convergence flow.
-    pub rounds: usize,
-    /// True iff the multi-thread network is bit-identical to the
-    /// single-thread network (byte-equal exported netlists: same gates,
-    /// wiring, polarity, and order) — the engine's contract.
-    pub identical: bool,
-    /// True iff the multi-thread result was checked equivalent to the
-    /// input.
-    pub verified: bool,
-}
-
-impl ParallelResult {
-    /// Wall-clock speedup of `threads` workers over one worker.
-    pub fn speedup(&self) -> f64 {
-        if self.multi_time > 0.0 {
-            self.single_time / self.multi_time
-        } else {
-            1.0
-        }
-    }
 }
 
 impl FlowResult {
@@ -97,55 +56,25 @@ impl FlowResult {
         improvement(self.initial.0, self.converged.0)
     }
 
-    /// The `--json` records of this flow as row `name` of `table`, run on
-    /// `input`: the converged row (counts and depth before vs after,
-    /// convergence wall time and its phase split) and, when the flow ran
-    /// a thread comparison, a `<name>/par_speedup` row whose `wall_s` is
-    /// the 1-vs-N speedup and whose counts are the multi-thread result.
-    pub fn records(
-        &self,
-        table: &str,
-        name: &str,
-        input: &Xag,
-        threads: usize,
-    ) -> Vec<BenchRecord> {
-        let record = |name: String,
-                      depth: (usize, usize),
-                      mc_after: usize,
-                      wall_s: f64,
-                      phases: PhaseTimes| BenchRecord {
+    /// The `--json` record of this flow as row `name` of `table`, run on
+    /// `input`: counts and depth before vs after, convergence wall time
+    /// and its phase split.
+    pub fn record(&self, table: &str, name: &str, input: &Xag) -> BenchRecord {
+        BenchRecord {
             bench: table.to_string(),
-            name,
+            name: name.to_string(),
             size_before: input.num_gates(),
             size_after: self.optimized.num_gates(),
-            depth_before: depth.0,
-            depth_after: depth.1,
+            depth_before: input.and_depth(),
+            depth_after: self.optimized.and_depth(),
             mc_before: input.num_ands(),
-            mc_after,
-            wall_s,
-            threads,
+            mc_after: self.converged.0,
+            wall_s: self.converged.2,
+            threads: 1,
             logical_cores: logical_cores(),
             flow: FlowSpec::default().normalized(),
-            phases,
-        };
-        let mut records = Vec::new();
-        if let Some(p) = &self.parallel {
-            records.push(record(
-                format!("{name}/par_speedup"),
-                (0, 0),
-                p.counts.0,
-                p.speedup(),
-                PhaseTimes::default(),
-            ));
+            phases: self.converged_phases,
         }
-        records.push(record(
-            name.to_string(),
-            (input.and_depth(), self.optimized.and_depth()),
-            self.converged.0,
-            self.converged.2,
-            self.converged_phases,
-        ));
-        records
     }
 }
 
@@ -167,21 +96,12 @@ fn timed_run(
     ctx: &mut OptContext,
     xag: &Xag,
     flow: &FlowSpec,
-    threads: usize,
     max_rounds: usize,
 ) -> (Xag, FlowStats, f64) {
     let mut work = xag.cleanup();
     let t0 = Instant::now();
-    let stats = flow.run(&mut work, ctx, threads, max_rounds);
+    let stats = flow.run(&mut work, ctx, max_rounds);
     (work, stats, t0.elapsed().as_secs_f64())
-}
-
-/// Byte image of the cleaned network's Verilog netlist: equal bytes mean
-/// the same gates, wiring, polarity, and order.
-fn netlist(x: &Xag) -> Vec<u8> {
-    let mut buf = Vec::new();
-    write_verilog(&x.cleanup(), "m", &mut buf).expect("in-memory write");
-    buf
 }
 
 /// Runs the paper's experimental flow on one circuit with a fresh
@@ -207,21 +127,6 @@ pub fn run_flow_with(
     baseline_rounds: usize,
     max_mc_rounds: usize,
 ) -> FlowResult {
-    run_flow_threads(ctx, xag, baseline_rounds, max_mc_rounds, 1)
-}
-
-/// [`run_flow_with`] plus — when `threads > 1` — the convergence stage
-/// run again with `threads` workers, reported in
-/// [`FlowResult::parallel`]. The second run gets a fork of `ctx` taken
-/// just before the first, so both timed runs start from the same cache
-/// state.
-pub fn run_flow_threads(
-    ctx: &mut OptContext,
-    xag: &Xag,
-    baseline_rounds: usize,
-    max_mc_rounds: usize,
-    threads: usize,
-) -> FlowResult {
     let reference = xag.cleanup();
 
     // "Initial": generic size optimization, compacted. Every stage below
@@ -229,7 +134,7 @@ pub fn run_flow_threads(
     // order steers the rewriting round, so both compactions are part of
     // the recorded table results.
     let work = if baseline_rounds > 0 {
-        timed_run(ctx, xag, &spec(BASELINE_FLOW), 1, baseline_rounds)
+        timed_run(ctx, xag, &spec(BASELINE_FLOW), baseline_rounds)
             .0
             .cleanup()
     } else {
@@ -238,14 +143,13 @@ pub fn run_flow_threads(
     let initial = (work.num_ands(), work.num_xors());
 
     // "One round", from the initial network.
-    let (one, _, one_time) = timed_run(ctx, &work, &spec(ONE_ROUND_FLOW), 1, 1);
+    let (one, _, one_time) = timed_run(ctx, &work, &spec(ONE_ROUND_FLOW), 1);
     let one_round = (one.num_ands(), one.num_xors(), one_time);
 
     // "Repeat until convergence", from the same initial network.
     let paper = FlowSpec::default();
-    let mut fork = (threads > 1).then(|| ctx.fork());
     let ((conv, stats, conv_time), converged_phases) =
-        PhaseTimes::measure(|| timed_run(ctx, &work, &paper, 1, max_mc_rounds));
+        PhaseTimes::measure(|| timed_run(ctx, &work, &paper, max_mc_rounds));
     let converged = (
         conv.num_ands(),
         conv.num_xors(),
@@ -255,21 +159,6 @@ pub fn run_flow_threads(
     let conv_clean = conv.cleanup();
     let verified = equiv(&reference, &conv_clean, 0xDAC19, 64);
 
-    let parallel = fork.as_mut().map(|fork| {
-        let (multi, stats, multi_time) = timed_run(fork, &work, &paper, threads, max_mc_rounds);
-        ParallelResult {
-            threads,
-            counts: (multi.num_ands(), multi.num_xors()),
-            single_time: conv_time,
-            multi_time,
-            rounds: stats.num_rounds(),
-            // Bit-identity, not just equal counts, so a determinism
-            // regression that preserves totals still raises [DIVERGED].
-            identical: netlist(&multi) == netlist(&conv),
-            verified: equiv(&reference, &multi.cleanup(), 0xDAC19, 64),
-        }
-    });
-
     FlowResult {
         initial,
         one_round,
@@ -277,7 +166,6 @@ pub fn run_flow_threads(
         converged_phases,
         verified,
         optimized: conv_clean,
-        parallel,
     }
 }
 
@@ -295,12 +183,10 @@ pub struct TableRow {
 }
 
 impl TableRow {
-    /// Formats the row in the layout of the paper's tables. When the flow
-    /// carries a parallel comparison, a `parN:` section with the
-    /// single-/multi-thread times and the speedup is appended.
+    /// Formats the row in the layout of the paper's tables.
     pub fn format(&self) -> String {
         let f = &self.flow;
-        let mut row = format!(
+        format!(
             "{:<28} {:>6} {:>6} | {:>7} {:>7} | {:>7} {:>7} {:>8.2} {:>5.0}% | {:>7} {:>7} {:>8.2} {:>5.0}% {}",
             self.name,
             self.inputs,
@@ -316,21 +202,7 @@ impl TableRow {
             f.converged.2,
             f.converged_impr(),
             if f.verified { "" } else { " [UNVERIFIED]" },
-        );
-        if let Some(p) = &f.parallel {
-            row.push_str(&format!(
-                " | par{}: {} AND, 1t {:.2}s, {}t {:.2}s, {:.2}x{}{}",
-                p.threads,
-                p.counts.0,
-                p.single_time,
-                p.threads,
-                p.multi_time,
-                p.speedup(),
-                if p.identical { "" } else { " [DIVERGED]" },
-                if p.verified { "" } else { " [UNVERIFIED]" },
-            ));
-        }
-        row
+        )
     }
 
     /// The table header matching [`TableRow::format`].
@@ -358,22 +230,21 @@ impl TableRow {
 /// context, printing each row as it finishes and the normalized
 /// geometric means at the end, and returns the rows' `--json` records.
 /// The baseline rounds and round caps of the table are set here, for the
-/// `table1` binary and the bench gate alike; `threads > 1` adds the
-/// thread comparison of [`run_flow_threads`] to every row.
-pub fn run_table1(scale: Scale, threads: usize) -> Vec<BenchRecord> {
+/// `table1` binary and the bench gate alike.
+pub fn run_table1(scale: Scale) -> Vec<BenchRecord> {
     let max_rounds = match scale {
         Scale::Full => 60,
         Scale::Reduced => 30,
     };
     println!("Table 1: EPFL benchmarks ({scale:?} scale)");
-    let mut table = TablePrinter::new(threads);
+    let mut table = TablePrinter::new();
     let mut arith_pairs = (Vec::new(), Vec::new());
     let mut ctrl_pairs = (Vec::new(), Vec::new());
     // One context for the whole suite: representatives synthesized for one
     // benchmark are reused by every later one.
     let mut ctx = OptContext::new();
     for bench in epfl_suite(scale) {
-        let flow = run_flow_threads(&mut ctx, &bench.xag, 2, max_rounds, threads);
+        let flow = run_flow_with(&mut ctx, &bench.xag, 2, max_rounds);
         let pairs = if bench.arithmetic {
             &mut arith_pairs
         } else {
@@ -402,9 +273,9 @@ pub fn run_table1(scale: Scale, threads: usize) -> Vec<BenchRecord> {
 /// baseline pass. With `heavy_rounds` the block ciphers and hash
 /// functions join the suite, their convergence loop capped at that many
 /// rounds.
-pub fn run_table2(heavy_rounds: Option<usize>, threads: usize) -> Vec<BenchRecord> {
+pub fn run_table2(heavy_rounds: Option<usize>) -> Vec<BenchRecord> {
     println!("Table 2: MPC and FHE benchmarks");
-    let mut table = TablePrinter::new(threads);
+    let mut table = TablePrinter::new();
     let mut pairs = (Vec::new(), Vec::new());
     // One context for the whole suite: representatives synthesized for one
     // benchmark are reused by every later one.
@@ -414,7 +285,7 @@ pub fn run_table2(heavy_rounds: Option<usize>, threads: usize) -> Vec<BenchRecor
             Some(rounds) if bench.heavy => rounds,
             _ => 50,
         };
-        let flow = run_flow_threads(&mut ctx, &bench.xag, 0, max_rounds, threads);
+        let flow = run_flow_with(&mut ctx, &bench.xag, 0, max_rounds);
         pairs.0.push((flow.initial.0, flow.one_round.0));
         pairs.1.push((flow.initial.0, flow.converged.0));
         table.row("table2", bench.name, &bench.xag, flow);
@@ -428,30 +299,22 @@ pub fn run_table2(heavy_rounds: Option<usize>, threads: usize) -> Vec<BenchRecor
     table.finish()
 }
 
-/// Prints table rows as they finish and collects their records and
-/// parallel speedups.
+/// Prints table rows as they finish and collects their records.
 struct TablePrinter {
-    threads: usize,
-    speedups: Vec<f64>,
     records: Vec<BenchRecord>,
 }
 
 impl TablePrinter {
-    fn new(threads: usize) -> Self {
+    fn new() -> Self {
         println!("{}", TableRow::header());
         println!("{}", "-".repeat(TableRow::header().len()));
         Self {
-            threads,
-            speedups: Vec::new(),
             records: Vec::new(),
         }
     }
 
     fn row(&mut self, table: &str, name: &str, input: &Xag, flow: FlowResult) {
-        self.speedups
-            .extend(flow.parallel.as_ref().map(ParallelResult::speedup));
-        self.records
-            .extend(flow.records(table, name, input, self.threads));
+        self.records.push(flow.record(table, name, input));
         let row = TableRow {
             name: name.to_string(),
             inputs: input.num_inputs(),
@@ -461,15 +324,8 @@ impl TablePrinter {
         println!("{}", row.format());
     }
 
-    /// Prints the mean parallel speedup, if any, and returns the records.
+    /// Returns the records.
     fn finish(self) -> Vec<BenchRecord> {
-        if !self.speedups.is_empty() {
-            let mean = self.speedups.iter().sum::<f64>() / self.speedups.len() as f64;
-            println!(
-                "Mean parallel speedup at {} threads: {mean:.2}x",
-                self.threads
-            );
-        }
         self.records
     }
 }
@@ -554,41 +410,12 @@ mod tests {
                 converged_phases: PhaseTimes::default(),
                 verified: true,
                 optimized: Xag::new(),
-                parallel: None,
             },
         };
         let s = row.format();
         assert!(s.contains("adder"));
         assert!(s.contains("96"));
         assert!(!s.contains("UNVERIFIED"));
-        assert!(!s.contains("par"));
         assert!(TableRow::header().contains("impr."));
-    }
-
-    #[test]
-    fn parallel_flow_compares_thread_counts_bit_identically() {
-        let mut x = Xag::new();
-        let a = input_word(&mut x, 6);
-        let b = input_word(&mut x, 6);
-        let (s, c) = add_ripple(&mut x, &a, &b, Signal::CONST0);
-        output_word(&mut x, &s);
-        x.output(c);
-        let mut ctx = OptContext::new();
-        let flow = run_flow_threads(&mut ctx, &x, 1, 30, 4);
-        let p = flow
-            .parallel
-            .clone()
-            .expect("threads > 1 must fill the comparison");
-        assert_eq!(p.threads, 4);
-        assert!(p.identical, "thread count changed the result");
-        assert!(p.verified);
-        assert!(p.speedup() > 0.0);
-        let row = TableRow {
-            name: "adder6".into(),
-            inputs: 12,
-            outputs: 7,
-            flow,
-        };
-        assert!(row.format().contains("par4:"));
     }
 }

@@ -106,14 +106,11 @@ impl Default for GateTolerance {
 }
 
 /// True for rows whose `wall_s` is a dimensionless speedup ratio rather
-/// than a time: the hot-path `speedup/*` rows, the table binaries'
-/// `*/par_speedup` rows, and the profiler-overhead off/on ratio (named
-/// outside `speedup/` so the geomean row stays a pure legacy-vs-new
-/// aggregate).
+/// than a time: the hot-path `speedup/*` rows and the profiler-overhead
+/// off/on ratio (named outside `speedup/` so the geomean row stays a pure
+/// legacy-vs-new aggregate).
 pub fn is_ratio_row(r: &BenchRecord) -> bool {
-    r.name.starts_with("speedup/")
-        || r.name.ends_with("/par_speedup")
-        || r.name.starts_with("prof_overhead/")
+    r.name.starts_with("speedup/") || r.name.starts_with("prof_overhead/")
 }
 
 /// True for rows whose numbers are all deterministic (no timing at all):
@@ -137,10 +134,10 @@ pub fn is_table_row(r: &BenchRecord) -> bool {
 ///
 /// Rows are matched by `(bench, name)`. Every replayed row must have a
 /// baseline counterpart: a replay row with no baseline means the
-/// committed trajectory file is stale. Every non-ratio table row of the
-/// baseline must be replayed, so a row that drops out of a table cannot
-/// pass unnoticed; other baseline rows the replay did not produce (the
-/// `par_speedup` rows of multi-thread runs) are ignored.
+/// committed trajectory file is stale. Every table row of the baseline
+/// must be replayed, so a row that drops out of a table cannot pass
+/// unnoticed; other baseline rows the replay did not produce are
+/// ignored.
 pub fn compare(
     baseline: &[BenchRecord],
     replay: &[BenchRecord],
@@ -203,7 +200,6 @@ pub fn compare(
     }
     for b in baseline {
         if is_table_row(b)
-            && !is_ratio_row(b)
             && !replay
                 .iter()
                 .any(|r| r.bench == b.bench && r.name == b.name)
@@ -316,10 +312,9 @@ mod tests {
         let base = vec![
             rec("table1", "adder", 40, 0.5),
             rec("table1", "int2float", 70, 0.5),
-            rec("table1", "adder/par_speedup", 40, 1.5),
             rec("hotpath", "enum/x", 40, 0.5),
         ];
-        // Neither the ratio row nor the hot-path row is required...
+        // The hot-path row is not required...
         let replay = vec![base[0].clone(), base[1].clone()];
         assert!(compare(&base, &replay, GateTolerance::default()).is_empty());
         // ...but a table row the replay dropped is reported by name.
@@ -364,7 +359,7 @@ mod tests {
         let path = dir.join("bench.json");
         let mut records = vec![
             rec("hotpath", "enum/x", 40, 0.5),
-            rec("table1", "adder/par_speedup", 33, 1.75),
+            rec("table1", "adder", 33, 1.75),
         ];
         records[0].phases = PhaseTimes {
             cut_enum_s: 0.25,

@@ -17,9 +17,11 @@
 //! * `MC_BENCH_SAMPLES` — overrides every group's sample size (e.g. `=3`
 //!   for a smoke run).
 //!
-//! The bench binaries parse their options with [`flag_value`] and
-//! [`parse_arg`]: an unparsable value prints the binary's usage and exits
-//! with status 2 instead of silently falling back to a default.
+//! The bench binaries check their arguments with [`check_args`] and parse
+//! their options with [`flag_value`] and [`parse_arg`]: an argument the
+//! binary does not accept, or an unparsable value, prints the binary's
+//! usage and exits with status 2 instead of being ignored or silently
+//! falling back to a default.
 
 use std::hint::black_box as std_black_box;
 use std::io::Write;
@@ -68,8 +70,7 @@ impl BenchGroup {
     }
 
     /// Measures `f` like [`BenchGroup::bench_function`] and returns the
-    /// median sample, so callers can derive ratios — e.g. the single- vs
-    /// multi-thread speedup lines of the parallel rewriting benches.
+    /// median sample, so callers can record it.
     pub fn bench_function_timed<R>(&mut self, name: &str, mut f: impl FnMut() -> R) -> Duration {
         let _ = std_black_box(f()); // warm-up, untimed
         let mut times: Vec<Duration> = (0..self.sample_size).map(|_| time(&mut f)).collect();
@@ -133,13 +134,6 @@ impl BenchGroup {
         median
     }
 
-    /// Prints a derived ratio line (e.g. a parallel speedup) in the same
-    /// indentation as the measurement lines.
-    pub fn report_ratio(&mut self, name: &str, numerator: Duration, denominator: Duration) {
-        let ratio = ratio(numerator, denominator);
-        println!("  {:<32} {ratio:.2}x", format!("{}/{}", self.name, name));
-    }
-
     /// Ends the group (parity with the criterion API; prints a blank
     /// line).
     pub fn finish(&mut self) {
@@ -188,6 +182,52 @@ pub fn parse_arg<T: FromStr>(value: &str, what: &str, usage: &str) -> T {
     })
 }
 
+/// The first argument of `args` (index 0, the binary, excluded) that a
+/// binary accepting `positional` bare arguments, the value-less
+/// `switches` and the one-value `options` cannot take, described for its
+/// usage error; `None` when all are accepted. Bare arguments must come
+/// before the first flag, and an option must have its value.
+pub fn arg_error(
+    args: &[String],
+    positional: usize,
+    switches: &[&str],
+    options: &[&str],
+) -> Option<String> {
+    let mut bare = 0;
+    let mut flagged = false;
+    let mut rest = args.iter().skip(1);
+    while let Some(arg) = rest.next() {
+        if options.contains(&arg.as_str()) {
+            if rest.next().is_none() {
+                return Some(format!("{arg} needs a value"));
+            }
+            flagged = true;
+        } else if switches.contains(&arg.as_str()) {
+            flagged = true;
+        } else if arg.starts_with("--") || flagged || bare == positional {
+            return Some(format!("unexpected argument: {arg}"));
+        } else {
+            bare += 1;
+        }
+    }
+    None
+}
+
+/// Checks `args` with [`arg_error`]; an argument the binary cannot take
+/// prints `usage` and exits with status 2.
+pub fn check_args(
+    args: &[String],
+    positional: usize,
+    switches: &[&str],
+    options: &[&str],
+    usage: &str,
+) {
+    if let Some(error) = arg_error(args, positional, switches, options) {
+        eprintln!("{error}");
+        exit_usage(usage)
+    }
+}
+
 /// The value of `flag` in `args` parsed as `T`; `None` when the flag is
 /// absent. A flag without a value or with an unparsable one prints
 /// `usage` and exits with status 2.
@@ -225,7 +265,8 @@ pub struct BenchRecord {
     pub mc_after: usize,
     /// Wall-clock seconds of the measured work.
     pub wall_s: f64,
-    /// Worker threads (or concurrent clients, for load benches) used.
+    /// Concurrent clients (`serve_bench`) or backends (`cluster_bench`)
+    /// of a load bench; 1 on every other row.
     pub threads: usize,
     /// Logical cores of the recording host ([`logical_cores`]), so that
     /// `threads` and the speedup rows can be read; 0 in files recorded
@@ -380,16 +421,45 @@ mod tests {
         g.finish();
     }
 
+    fn strings(args: &[&str]) -> Vec<String> {
+        args.iter().map(|s| s.to_string()).collect()
+    }
+
     #[test]
     fn json_arg_extraction() {
-        let args: Vec<String> = ["table1", "--threads", "4", "--json", "out.json"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
+        let args = strings(&["table1", "--full", "--json", "out.json"]);
         assert_eq!(json_path_from_args(&args), Some(PathBuf::from("out.json")));
-        assert_eq!(json_path_from_args(&args[..3]), None);
-        let dangling: Vec<String> = vec!["--json".to_string()];
+        assert_eq!(json_path_from_args(&args[..2]), None);
+        let dangling = strings(&["--json"]);
         assert_eq!(json_path_from_args(&dangling), None);
+    }
+
+    #[test]
+    fn args_a_binary_does_not_take_are_errors() {
+        let table1 = |args: &[&str]| arg_error(&strings(args), 0, &["--full"], &["--json"]);
+        assert_eq!(table1(&["table1", "--full", "--json", "out.json"]), None);
+        assert_eq!(table1(&["table1"]), None);
+        // The removed thread knob and unknown flags are refused by name.
+        for flag in ["--threads", "--bogus"] {
+            let error = table1(&["table1", flag, "4"]).expect("refused");
+            assert!(error.contains(flag), "{error}");
+        }
+        assert!(table1(&["table1", "4"]).is_some(), "no bare arguments");
+        assert!(
+            table1(&["table1", "--json"]).is_some(),
+            "a value is missing"
+        );
+        // `hotpath_bench` times a fixed sample count and takes none.
+        let hotpath = |args: &[&str]| arg_error(&strings(args), 0, &["--alloc-check"], &["--json"]);
+        assert!(hotpath(&["hotpath_bench", "--samples", "3"]).is_some());
+        // Bare arguments come first, at most as many as the binary takes.
+        let adder = |args: &[&str]| arg_error(&strings(args), 2, &[], &["--json"]);
+        assert_eq!(adder(&["debug_adder", "8", "4", "--json", "a.json"]), None);
+        assert!(
+            adder(&["debug_adder", "8", "4", "1"]).is_some(),
+            "the old threads argument"
+        );
+        assert!(adder(&["debug_adder", "--json", "a.json", "8"]).is_some());
     }
 
     #[test]

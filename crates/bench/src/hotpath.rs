@@ -315,14 +315,14 @@ pub fn run_hotpath(samples: usize, alloc_check: bool) -> Vec<BenchRecord> {
         let mut ctx = OptContext::new();
         // Warm the classifier cache so neither measurement pays the
         // cold-start beam search.
-        let _ = round.run(&mut w.xag.clone(), &mut ctx, 1, 1);
+        let _ = round.run(&mut w.xag.clone(), &mut ctx, 1);
         let (_, ratio) = group.bench_ratio_timed(
             ["round_prof_off", "round_prof_on"],
             "overhead (off/on)",
             |side| {
                 mc_obs::prof::set_enabled(side == 1);
                 let mut xag = w.xag.clone();
-                black_box(round.run(&mut xag, &mut ctx, 1, 1).ands_after())
+                black_box(round.run(&mut xag, &mut ctx, 1).ands_after())
             },
         );
         mc_obs::prof::set_enabled(true);

@@ -21,11 +21,10 @@ pub mod harness;
 pub mod hotpath;
 
 pub use experiment::{
-    normalized_geomean, run_flow, run_flow_threads, run_flow_with, run_table1, run_table2,
-    FlowResult, ParallelResult, TableRow,
+    normalized_geomean, run_flow, run_flow_with, run_table1, run_table2, FlowResult, TableRow,
 };
 pub use gate::{compare, read_bench_json, GateTolerance};
 pub use harness::{
-    exit_usage, flag_value, json_path_from_args, logical_cores, parse_arg, write_bench_json,
-    BenchRecord, PhaseTimes,
+    check_args, exit_usage, flag_value, json_path_from_args, logical_cores, parse_arg,
+    write_bench_json, BenchRecord, PhaseTimes,
 };

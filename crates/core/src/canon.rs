@@ -135,13 +135,13 @@ pub fn canonical_form(xag: &Xag) -> Vec<u8> {
 }
 
 /// The full cache key of a job: the canonical circuit plus everything
-/// else that determines the optimized result (flow and round cap — the
-/// thread count deliberately excluded, see [`crate::run_job`]).
+/// else that determines the optimized result (flow and round cap, see
+/// [`crate::run_job`]).
 ///
 /// The flow contributes its **normalized** bytes
 /// ([`crate::FlowSpec::normalized`]), not the text the client sent: the
 /// alias `paper`, its written-out expansion, and any whitespace or
-/// `par{}` variant of it all fold to the same key (one warm entry
+/// grouping variant of it all fold to the same key (one warm entry
 /// cluster-wide), while specs that differ semantically — `mc(cut=4)` vs
 /// `mc(cut=6)` — can never collide.
 pub fn job_key(xag: &Xag, flow: &crate::FlowSpec, max_rounds: usize) -> Vec<u8> {
@@ -257,7 +257,7 @@ mod tests {
         assert_ne!(a, job_key(&p, &spec("paper"), 50));
     }
 
-    /// Alias, expansion, whitespace variants, and `par{}` wrappers of
+    /// Alias, expansion, whitespace variants, and extra group braces of
     /// one flow share a single cache key; semantically distinct knobs
     /// never do.
     #[test]
@@ -268,7 +268,7 @@ mod tests {
         for equivalent in [
             "{mc(cut=4);mc(cut=6)}*",
             " { mc( cut = 4 ) ; mc( cut = 6 ) } * ",
-            "par(threads=4){mc(cut=4);mc(cut=6)}*",
+            "{{mc(cut=4);mc(cut=6)}}*",
         ] {
             assert_eq!(paper, job_key(&p, &spec(equivalent), 100), "{equivalent}");
         }

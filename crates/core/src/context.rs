@@ -48,20 +48,21 @@ impl OptContext {
         self.db.len()
     }
 
-    /// Clones the context for a worker thread: the fork starts with all of
-    /// this context's memoized state, so representatives synthesized before
-    /// the parallel region stay amortized inside it.
+    /// Clones the context for one job: the fork starts with all of this
+    /// context's memoized state, so representatives synthesized by earlier
+    /// jobs stay amortized inside it. `mc-serve` forks its shared context
+    /// per job, so no lock is held while the job runs, and absorbs the fork
+    /// back afterwards.
     ///
     /// Classification and synthesis are deterministic, so a fork produces
     /// the same candidate for the same cut function as its parent — cache
-    /// state only affects speed, never results (the invariant the
-    /// determinism tests pin down). That holds while the beam classifier's
-    /// fixpoint loop never stops at its cap (see
+    /// state only affects speed, never results. That holds while the beam
+    /// classifier's fixpoint loop never stops at its cap (see
     /// [`AffineClassifier::classify`]), which it has not done on any
-    /// network measured so far (DESIGN.md §5). Cache-hit
-    /// statistics start at zero in the fork, so absorbing it back adds
-    /// only the fork's own work. A round's candidate memo is per thread
-    /// and no part of the context, so a fork does not copy it.
+    /// network measured so far (DESIGN.md §5). Cache-hit statistics start
+    /// at zero in the fork, so absorbing it back adds only the fork's own
+    /// work. A round's candidate memo is no part of the context, so a fork
+    /// does not copy it.
     pub fn fork(&self) -> OptContext {
         OptContext {
             classifier: self.classifier.fork(),
@@ -70,9 +71,10 @@ impl OptContext {
         }
     }
 
-    /// Merges a fork's state back: database entries, classification cache,
-    /// and synthesis cache discovered by the worker are kept; entries the
-    /// parent already has win ties (they are equal anyway, by determinism).
+    /// Merges a job's fork back ([`OptContext::fork`]): database entries,
+    /// classification cache, and synthesis cache discovered by the job are
+    /// kept; entries the parent already has win ties (they are equal
+    /// anyway, by determinism).
     pub fn absorb(&mut self, fork: OptContext) {
         for (tt, frag) in fork.db {
             self.db.entry(tt).or_insert(frag);

@@ -12,13 +12,12 @@
 //! spec   := seq
 //! seq    := item ( ';' item )* ( ';' )?
 //! item   := unit repeat?
-//! unit   := atom | group | par | alias
+//! unit   := atom | group | alias
 //! atom   := 'mc'   ( '(' 'cut' '=' INT ')' )?      # MC-objective cut rewriting
 //!         | 'size' ( '(' 'cut' '=' INT ')' )?      # unit-cost cut rewriting
 //!         | 'xor'                                  # Paar linear-layer reduction
 //!         | 'cleanup'                              # arena compaction
 //! group  := '{' seq '}'
-//! par    := 'par' '(' 'threads' '=' INT ')' '{' seq '}'
 //! alias  := 'paper' | 'paper_flow' | 'compress' | 'from_params'
 //! repeat := '*' INT?                               # '*k' bounded, bare '*' until convergence
 //! ```
@@ -32,7 +31,7 @@
 //! # Semantics
 //!
 //! * Each atom is one pass: `mc`/`size` run one rewriting round over
-//!   every gate ([`crate::shard`]), `xor` runs [`crate::reduce_xors`],
+//!   every gate ([`crate::round`]), `xor` runs [`crate::reduce_xors`],
 //!   `cleanup` compacts the arena.
 //! * A bare item runs once; `*k` runs it `k` times.
 //! * `unit*` repeats the unit's passes **until convergence**: the
@@ -42,10 +41,6 @@
 //!   unit contains a `size` atom and
 //!   [`crate::Objective::MultiplicativeComplexity`] otherwise. Nesting a
 //!   `*` inside another `*` group is rejected.
-//! * `par(threads=N){…}` runs its body with `N` worker threads in the
-//!   rewriting round. Thread counts **never change the result**
-//!   (bit-identical, see [`crate::shard`]) — which is why
-//!   [`FlowSpec::normalize`] erases `par` wrappers entirely.
 //! * The whole run is capped at `max_rounds` total pass executions,
 //!   shared across the spec; a spec cut off by the cap reports
 //!   `converged = false`.
@@ -55,12 +50,12 @@
 //! [`FlowSpec::normalize`] maps every spec to a canonical representative
 //! of its semantic class: aliases are already expanded by the parser,
 //! knobs are explicit, `*1` becomes a plain item, unrepeated groups are
-//! spliced into their parent, single-item groups are hoisted through
-//! their repeat, and `par` wrappers are dropped. [`FlowSpec::normalized`]
-//! renders that representative without whitespace — the **canonical
-//! bytes** that [`crate::canon::job_key`] folds into the semantic-cache
-//! key, so `paper`, its expansion, and any whitespace or `par` variant
-//! of it share one warm cache entry, while `mc(cut=4)` and `mc(cut=6)`
+//! spliced into their parent, and single-item groups are hoisted through
+//! their repeat. [`FlowSpec::normalized`] renders that representative
+//! without whitespace — the **canonical bytes** that
+//! [`crate::canon::job_key`] folds into the semantic-cache key, so
+//! `paper`, its expansion, and any whitespace or grouping variant of it
+//! share one warm cache entry, while `mc(cut=4)` and `mc(cut=6)`
 //! provably miss each other.
 //!
 //! # Resource guard
@@ -91,7 +86,7 @@
 //! let g = xag.and(a, b);
 //! xag.output(g);
 //! let mut ctx = OptContext::new();
-//! let stats = spec.run(&mut xag, &mut ctx, 1, 100);
+//! let stats = spec.run(&mut xag, &mut ctx, 100);
 //! assert!(stats.num_rounds() > 0);
 //! ```
 
@@ -107,7 +102,7 @@ use crate::stats::FlowStats;
 /// `paper` → its expansion).
 pub const MAX_SPEC_LEN: usize = 4096;
 
-/// Deepest accepted `{}`/`par{}` nesting.
+/// Deepest accepted `{}` nesting.
 pub const MAX_SPEC_DEPTH: usize = 8;
 
 /// Largest accepted bounded repetition count (`*k`).
@@ -117,10 +112,6 @@ pub const MAX_SPEC_REPEAT: usize = 1000;
 /// repetitions multiplied out; until-convergence groups count their body
 /// once, because the runtime round cap bounds them).
 pub const MAX_SPEC_PASSES: u64 = 10_000;
-
-/// Largest accepted worker-thread count: of a `par(threads=…)` group, and
-/// of a served job (the serve tier clamps each request's threads to it).
-pub const MAX_PAR_THREADS: usize = 8;
 
 /// Smallest accepted `cut=` knob (a 1-cut is trivial).
 pub const MIN_SPEC_CUT: usize = 2;
@@ -231,14 +222,6 @@ pub enum FlowUnit {
     Cleanup,
     /// `{…}` — a sequenced sub-flow.
     Group(Vec<FlowItem>),
-    /// `par(threads=N){…}` — a sub-flow run with its own worker count
-    /// (scheduling only; results are thread-count independent).
-    Par {
-        /// Worker threads, within 1..=[`MAX_PAR_THREADS`].
-        threads: usize,
-        /// The wrapped sub-flow.
-        body: Vec<FlowItem>,
-    },
 }
 
 /// One step of a flow: a unit plus its repetition.
@@ -373,8 +356,7 @@ impl FlowSpec {
 
     /// The canonical representative of this spec's semantic class:
     /// `*1` → plain, unrepeated groups spliced, single-item groups
-    /// hoisted, `par` wrappers erased (thread counts cannot change
-    /// results). Idempotent.
+    /// hoisted. Idempotent.
     pub fn normalize(&self) -> FlowSpec {
         FlowSpec {
             items: normalize_items(&self.items),
@@ -389,21 +371,15 @@ impl FlowSpec {
         self.normalize().to_string()
     }
 
-    /// Executes the spec on `xag` with up to `threads` workers (`par`
-    /// blocks override locally) and at most `max_rounds` total pass
+    /// Executes the spec on `xag` with at most `max_rounds` total pass
     /// executions.
     ///
     /// The optimized network depends only on `(xag, self.normalized(),
-    /// max_rounds)` — never on any thread count — because the rewriting
-    /// round is bit-identical across worker counts ([`crate::shard`]).
-    pub fn run(
-        &self,
-        xag: &mut Xag,
-        ctx: &mut OptContext,
-        threads: usize,
-        max_rounds: usize,
-    ) -> FlowStats {
-        crate::pipeline::run(&self.items, xag, ctx, threads, max_rounds)
+    /// max_rounds)`: the rewriting round is deterministic
+    /// ([`crate::round`]), and specs with equal canonical bytes run the
+    /// same passes.
+    pub fn run(&self, xag: &mut Xag, ctx: &mut OptContext, max_rounds: usize) -> FlowStats {
+        crate::pipeline::run(&self.items, xag, ctx, max_rounds)
     }
 }
 
@@ -428,11 +404,6 @@ fn write_items(f: &mut core::fmt::Formatter<'_>, items: &[FlowItem]) -> core::fm
                 write_items(f, body)?;
                 f.write_str("}")?;
             }
-            FlowUnit::Par { threads, body } => {
-                write!(f, "par(threads={threads}){{")?;
-                write_items(f, body)?;
-                f.write_str("}")?;
-            }
         }
         match item.repeat {
             Repeat::Once => {}
@@ -451,7 +422,7 @@ fn cost_items(items: &[FlowItem]) -> u64 {
         .iter()
         .map(|item| {
             let unit = match &item.unit {
-                FlowUnit::Group(body) | FlowUnit::Par { body, .. } => cost_items(body),
+                FlowUnit::Group(body) => cost_items(body),
                 _ => 1,
             };
             let times = match item.repeat {
@@ -469,17 +440,14 @@ fn validate_items(items: &[FlowItem], in_converge: bool) -> Result<(), FlowError
         if converging && in_converge {
             return Err(FlowError::NestedConvergence);
         }
-        match &item.unit {
-            FlowUnit::Group(body) | FlowUnit::Par { body, .. } => {
-                // The parser cannot produce empty bodies, but hand-built
-                // ASTs can — and they would render as `{}`, which the
-                // service edge refuses.
-                if body.is_empty() {
-                    return Err(FlowError::Empty);
-                }
-                validate_items(body, in_converge || converging)?;
+        if let FlowUnit::Group(body) = &item.unit {
+            // The parser cannot produce empty bodies, but hand-built ASTs
+            // can — and they would render as `{}`, which the service edge
+            // refuses.
+            if body.is_empty() {
+                return Err(FlowError::Empty);
             }
-            _ => {}
+            validate_items(body, in_converge || converging)?;
         }
     }
     Ok(())
@@ -491,11 +459,8 @@ fn validate_items(items: &[FlowItem], in_converge: bool) -> Result<(), FlowError
 fn normalize_items(items: &[FlowItem]) -> Vec<FlowItem> {
     let mut out = Vec::with_capacity(items.len());
     for item in items {
-        // `par` is a scheduling hint with no semantic content — erase it.
         let unit = match &item.unit {
-            FlowUnit::Group(body) | FlowUnit::Par { body, .. } => {
-                FlowUnit::Group(normalize_items(body))
-            }
+            FlowUnit::Group(body) => FlowUnit::Group(normalize_items(body)),
             atom => atom.clone(),
         };
         let repeat = match item.repeat {
@@ -544,11 +509,12 @@ fn sample_items(rng: &mut mc_rng::Rng, depth: usize) -> String {
             3 => "cleanup".to_string(),
             4 => format!("{{{}}}", sample_items(rng, depth + 1)),
             _ => {
-                // This branch once drew a `par(threads=N){…}` block. The
-                // draw of N stays, so the RNG stream, and with it every
-                // later spec of a seed, is what it was when the recorded
-                // oracles were taken; only the wrapper is gone.
-                let _threads = rng.gen_range(1..5);
+                // This branch once drew a `par(…){…}` block, whose worker
+                // count took one draw. The draw stays, so the RNG stream,
+                // and with it every later spec of a seed, is what it was
+                // when the recorded oracles were taken; only the wrapper
+                // is gone.
+                let _ = rng.gen_range(1..5);
                 format!("{{{}}}", sample_items(rng, depth + 1))
             }
         };
@@ -786,42 +752,13 @@ impl Parser {
                 }
                 "xor" => Ok(UnitParse::Unit(FlowUnit::Xor)),
                 "cleanup" => Ok(UnitParse::Unit(FlowUnit::Cleanup)),
-                "par" => {
-                    let threads = match self.parse_knob("par", "threads")? {
-                        None => {
-                            return Err(FlowError::Syntax {
-                                pos,
-                                message: "`par` requires `(threads=N)`".to_string(),
-                            });
-                        }
-                        Some((n, knob_pos)) => {
-                            if !(1..=MAX_PAR_THREADS as u64).contains(&n) {
-                                return Err(FlowError::Syntax {
-                                    pos: knob_pos,
-                                    message: format!(
-                                        "`par` thread count must be within \
-                                         1..={MAX_PAR_THREADS} (got {n})"
-                                    ),
-                                });
-                            }
-                            n as usize
-                        }
-                    };
-                    if depth >= MAX_SPEC_DEPTH {
-                        return Err(FlowError::TooDeep);
-                    }
-                    self.expect(Tok::LBrace, "to open the `par` body")?;
-                    let body = self.parse_seq(depth + 1)?;
-                    self.expect(Tok::RBrace, "to close the `par` body")?;
-                    Ok(UnitParse::Unit(FlowUnit::Par { threads, body }))
-                }
                 alias => match alias_item(alias) {
                     Some(item) => Ok(UnitParse::Alias(item, alias.to_string())),
                     None => Err(FlowError::Syntax {
                         pos,
                         message: format!(
                             "unknown pass atom `{name}` (expected mc, size, xor, cleanup, \
-                             par, or an alias: paper, compress, from_params)"
+                             or an alias: paper, compress, from_params)"
                         ),
                     }),
                 },
@@ -879,7 +816,7 @@ impl Parser {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xag_network::{equiv_exhaustive, write_verilog};
+    use xag_network::equiv_exhaustive;
 
     fn full_adder() -> Xag {
         let mut xag = Xag::new();
@@ -903,8 +840,8 @@ mod tests {
             "mc(cut=4);size(cut=5);xor;cleanup",
             "mc(cut=6)*3",
             "{mc(cut=4);mc(cut=6)}*",
-            "par(threads=2){mc(cut=6);xor}",
-            "par(threads=4){mc(cut=4)*2}*5;cleanup",
+            "{mc(cut=6);xor}",
+            "{mc(cut=4)*2}*5;cleanup",
             "{mc(cut=6);{xor;cleanup}*2}*3",
         ] {
             let spec = FlowSpec::parse(text).unwrap();
@@ -941,14 +878,14 @@ mod tests {
     }
 
     #[test]
-    fn normalization_erases_par_and_flattens_groups() {
+    fn normalization_flattens_groups() {
         let cases = [
-            ("par(threads=4){mc(cut=6)}", "mc(cut=6)"),
+            ("{mc(cut=6)}", "mc(cut=6)"),
             ("{mc(cut=6);xor};cleanup", "mc(cut=6);xor;cleanup"),
             ("{mc(cut=6)}*", "mc(cut=6)*"),
             ("{mc}*3", "mc(cut=6)*3"),
             ("mc*1", "mc(cut=6)"),
-            ("par(threads=2){xor;cleanup}*", "{xor;cleanup}*"),
+            ("{{xor;cleanup}}*", "{xor;cleanup}*"),
             ("{{mc(cut=4)};{mc}}", "mc(cut=4);mc(cut=6)"),
             ("from_params", "mc(cut=4)*"),
         ];
@@ -1030,8 +967,7 @@ mod tests {
         for (text, needle) in [
             ("mc(cut=9)", "cut size"),
             ("mc(cut=1)", "cut size"),
-            ("par(threads=99){xor}", "thread count"),
-            ("par{xor}", "requires"),
+            ("par{xor}", "unknown pass atom `par`"),
             ("resub", "unknown pass atom"),
             ("mc(limit=4)", "expected `cut"),
             ("xor)", "trailing"),
@@ -1062,14 +998,14 @@ mod tests {
             "paper",
             "compress",
             "mc(cut=6);xor;cleanup*",
-            "par(threads=2){mc(cut=4)*2};xor",
+            "{mc(cut=4)*2};xor",
             "{size(cut=4);xor}*2;cleanup",
         ] {
             let spec = FlowSpec::parse(text).unwrap();
             let mut xag = full_adder();
             let reference = xag.cleanup();
             let mut ctx = OptContext::new();
-            let stats = spec.run(&mut xag, &mut ctx, 1, 100);
+            let stats = spec.run(&mut xag, &mut ctx, 100);
             assert!(stats.num_rounds() <= 100);
             assert!(
                 equiv_exhaustive(&reference, &xag.cleanup()),
@@ -1080,31 +1016,12 @@ mod tests {
         let spec = FlowSpec::parse("mc(cut=4);mc(cut=6);xor").unwrap();
         let mut xag = full_adder();
         let mut ctx = OptContext::new();
-        let stats = spec.run(&mut xag, &mut ctx, 1, 1);
+        let stats = spec.run(&mut xag, &mut ctx, 1);
         assert_eq!(stats.num_rounds(), 1);
         assert!(
             !stats.converged,
             "truncated specs must not claim convergence"
         );
-    }
-
-    #[test]
-    fn par_variants_produce_identical_netlists() {
-        let plain = FlowSpec::parse("mc(cut=6);xor;cleanup").unwrap();
-        let wrapped = FlowSpec::parse("par(threads=4){mc(cut=6);xor;cleanup}").unwrap();
-        assert_eq!(plain.normalized(), wrapped.normalized());
-        let netlist = |spec: &FlowSpec, threads: usize| {
-            let mut xag = full_adder();
-            let mut ctx = OptContext::new();
-            spec.run(&mut xag, &mut ctx, threads, 100);
-            let mut buf = Vec::new();
-            write_verilog(&xag.cleanup(), "m", &mut buf).expect("in-memory write");
-            buf
-        };
-        let reference = netlist(&plain, 1);
-        assert_eq!(reference, netlist(&plain, 4));
-        assert_eq!(reference, netlist(&wrapped, 1));
-        assert_eq!(reference, netlist(&wrapped, 4));
     }
 
     #[test]
@@ -1120,34 +1037,5 @@ mod tests {
             assert_eq!(FlowSpec::parse(&spec.to_string()).unwrap(), spec, "{text}");
             assert_eq!(spec.normalize().normalize(), spec.normalize(), "{text}");
         }
-    }
-
-    /// A `par{}` nested inside a convergence group keeps its worker
-    /// override through the flattening without changing names, results,
-    /// or the normalized key.
-    #[test]
-    fn nested_par_in_convergence_group_runs_and_stays_canonical() {
-        let nested = FlowSpec::parse("{par(threads=4){mc(cut=4)};mc(cut=6)}*").unwrap();
-        assert_eq!(nested.normalized(), "{mc(cut=4);mc(cut=6)}*");
-        let run = |spec: &FlowSpec| {
-            let mut xag = full_adder();
-            let mut ctx = OptContext::new();
-            let stats = spec.run(&mut xag, &mut ctx, 1, 100);
-            assert!(stats.converged);
-            let mut buf = Vec::new();
-            write_verilog(&xag.cleanup(), "m", &mut buf).expect("in-memory write");
-            let names: Vec<String> = stats.passes.into_iter().map(|p| p.pass).collect();
-            (names, buf)
-        };
-        let (nested_names, nested_netlist) = run(&nested);
-        let (paper_names, paper_netlist) = run(&FlowSpec::parse("paper").unwrap());
-        assert_eq!(
-            nested_names, paper_names,
-            "the par override must not rename passes"
-        );
-        assert_eq!(
-            nested_netlist, paper_netlist,
-            "nested par is scheduling only — results stay byte-identical"
-        );
     }
 }

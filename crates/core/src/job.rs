@@ -4,15 +4,14 @@
 //! Everything that optimizes a network — the `mc-serve` daemon, batch
 //! drivers, the bench tables, the examples — speaks this API: a
 //! [`JobSpec`] describes a flow as a [`FlowSpec`] (parsed from the wire,
-//! alias or full spec) and carries the two knobs a remote caller may
-//! reasonably pick (worker threads, round cap), and [`run_job`] executes
-//! it through [`FlowSpec::run`].
+//! alias or full spec) and carries the one knob a remote caller may
+//! reasonably pick (the round cap), and [`run_job`] executes it through
+//! [`FlowSpec::run`].
 //!
-//! The rewriting round is bit-identical across thread counts
-//! ([`crate::shard`]). That makes the optimized network a function of
-//! `(circuit, flow.normalized(), max_rounds)` alone, which is exactly
-//! the property a semantic result cache needs: thread counts (the job's
-//! or a `par{}` block's) may change wall-clock, never the answer.
+//! The rewriting round is deterministic ([`crate::round`]). That makes
+//! the optimized network a function of `(circuit, flow.normalized(),
+//! max_rounds)` alone, which is exactly the property a semantic result
+//! cache needs.
 //!
 //! # Examples
 //!
@@ -68,10 +67,6 @@ use crate::flow::FlowSpec;
 pub struct JobSpec {
     /// The flow to run.
     pub flow: FlowSpec,
-    /// Worker threads of the rewriting round (≥ 1; does not change the
-    /// result, only wall-clock). `par{}` blocks in the flow override it
-    /// locally.
-    pub threads: usize,
     /// Cap on total pass executions across the whole flow.
     pub max_rounds: usize,
 }
@@ -80,7 +75,6 @@ impl Default for JobSpec {
     fn default() -> Self {
         Self {
             flow: FlowSpec::default(),
-            threads: 1,
             max_rounds: 100,
         }
     }
@@ -113,15 +107,12 @@ pub struct JobResult {
 /// Runs `spec` on `xag` in place and reports the summary.
 ///
 /// The result network depends only on
-/// `(xag, spec.flow.normalized(), spec.max_rounds)`: the rewriting
-/// round is bit-identical for every thread count ([`crate::shard`]).
+/// `(xag, spec.flow.normalized(), spec.max_rounds)` ([`FlowSpec::run`]).
 pub fn run_job(xag: &mut Xag, ctx: &mut OptContext, spec: &JobSpec) -> JobResult {
     let ands_before = xag.num_ands();
     let xors_before = xag.num_xors();
     let depth_before = xag.and_depth();
-    let stats = spec
-        .flow
-        .run(xag, ctx, spec.threads.max(1), spec.max_rounds);
+    let stats = spec.flow.run(xag, ctx, spec.max_rounds);
     JobResult {
         ands_before,
         xors_before,
@@ -138,7 +129,7 @@ pub fn run_job(xag: &mut Xag, ctx: &mut OptContext, spec: &JobSpec) -> JobResult
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xag_network::{equiv_exhaustive, write_verilog};
+    use xag_network::equiv_exhaustive;
 
     fn redundant_network() -> Xag {
         let mut x = Xag::new();
@@ -149,12 +140,6 @@ mod tests {
         let o = x.or(t3, a);
         x.output(o);
         x
-    }
-
-    fn netlist_of(xag: &Xag) -> Vec<u8> {
-        let mut buf = Vec::new();
-        write_verilog(&xag.cleanup(), "m", &mut buf).expect("in-memory write");
-        buf
     }
 
     #[test]
@@ -186,25 +171,5 @@ mod tests {
             assert!(result.rounds > 0);
             assert!(result.ands_after <= result.ands_before);
         }
-    }
-
-    #[test]
-    fn thread_count_does_not_change_the_result() {
-        let netlist = |threads: usize| {
-            let mut xag = redundant_network();
-            let mut ctx = OptContext::new();
-            run_job(
-                &mut xag,
-                &mut ctx,
-                &JobSpec {
-                    threads,
-                    ..JobSpec::default()
-                },
-            );
-            netlist_of(&xag)
-        };
-        let one = netlist(1);
-        assert_eq!(one, netlist(2));
-        assert_eq!(one, netlist(4));
     }
 }

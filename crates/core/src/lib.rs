@@ -8,11 +8,9 @@
 //!   ([`xag_synth`]), and the on-demand representative database (the
 //!   paper's `XAG_DB`). One context amortizes across passes *and*
 //!   networks.
-//! * [`shard`] — the rewriting round, the crate's only engine: every
+//! * [`round`] — the rewriting round, the crate's only engine: every
 //!   gate's best replacement is proposed against a frozen snapshot of the
-//!   network (inline with one thread, on a worker pool with more), then
-//!   the proposals are committed in topological order. The result is
-//!   bit-identical for every thread count.
+//!   network, then the proposals are committed in topological order.
 //! * [`FlowSpec`] — the one flow representation: a parsed, normalized
 //!   spec such as `{mc(cut=4);mc(cut=6)}*` (alias `paper`), and its one
 //!   executor, [`FlowSpec::run`], which reports every executed pass
@@ -43,7 +41,7 @@
 //! evaluates every node against the network as it was when the round
 //! began, and re-validates each proposal at commit time; a rewrite that
 //! only pays off after another one has been applied waits for the next
-//! round (see [`shard`]).
+//! round (see [`round`]).
 //!
 //! # Examples
 //!
@@ -89,7 +87,7 @@
 //! # xag.output(cout);
 //! let paper = FlowSpec::named("paper").expect("canonical alias");
 //! let mut ctx = OptContext::new();
-//! let stats = paper.run(&mut xag, &mut ctx, 1, 100);
+//! let stats = paper.run(&mut xag, &mut ctx, 100);
 //! assert_eq!(xag.num_ands(), 1);
 //! for pass in stats.per_pass() {
 //!     println!("{}: {} runs, {} ANDs saved", pass.name, pass.runs, pass.ands_saved);
@@ -103,7 +101,7 @@ pub mod flow;
 mod job;
 mod observe;
 mod pipeline;
-pub mod shard;
+pub mod round;
 mod stats;
 mod xor_reduce;
 
@@ -112,7 +110,6 @@ pub use context::OptContext;
 pub use cost::{protocol_costs, ProtocolCosts};
 pub use flow::{FlowError, FlowItem, FlowSpec, FlowUnit, Repeat};
 pub use job::{run_job, JobResult, JobSpec};
-pub use shard::{partition_windows, Shard};
 pub use stats::{FlowStats, PassStats, PassSummary};
 pub use xor_reduce::reduce_xors;
 
@@ -156,9 +153,7 @@ mod tests {
 
     /// One `mc` round with the paper's 6-cuts (the "One round" columns).
     fn one_round(xag: &mut Xag, ctx: &mut OptContext) -> PassStats {
-        let stats = FlowSpec::parse("mc")
-            .expect("valid spec")
-            .run(xag, ctx, 1, 1);
+        let stats = FlowSpec::parse("mc").expect("valid spec").run(xag, ctx, 1);
         stats.passes.into_iter().next().expect("one pass ran")
     }
 

@@ -12,7 +12,7 @@
 //! invisible next to a rewriting round's millions of cut evaluations.
 //! The phase profiler (`mc_obs::prof`) is the other instrumentation
 //! surface: the flow executor and the rewriting round enter phases
-//! directly at pass, round, and shard granularity.
+//! directly at pass and round granularity.
 
 use crate::stats::PassStats;
 

@@ -4,11 +4,10 @@
 //! the only way any flow executes.
 //!
 //! The executor walks the spec's items recursively and matches on the
-//! atom: `mc`/`size` run one rewriting round ([`crate::shard`]), `xor`
-//! runs [`reduce_xors`], `cleanup` compacts the arena. A `par{}` block
-//! only changes the thread count handed down. A `*` item flattens its
-//! atoms, bounded repetitions expanded, and runs them under the
-//! convergence schedule. All items share one round budget.
+//! atom: `mc`/`size` run one rewriting round ([`crate::round`]), `xor`
+//! runs [`reduce_xors`], `cleanup` compacts the arena. A `*` item
+//! flattens its atoms, bounded repetitions expanded, and runs them under
+//! the convergence schedule. All items share one round budget.
 //!
 //! Every executed atom is one pass: it runs under the profiler's
 //! `pipeline` phase, is reported through [`crate::observe`], and yields
@@ -36,7 +35,7 @@
 //! xag.output(cout);
 //!
 //! let mut ctx = OptContext::new();
-//! let stats = FlowSpec::default().run(&mut xag, &mut ctx, 1, 100);
+//! let stats = FlowSpec::default().run(&mut xag, &mut ctx, 100);
 //! assert!(stats.converged);
 //! assert_eq!(xag.num_ands(), 1);
 //! ```
@@ -52,7 +51,7 @@
 //! # let g = xag.and(a, b);
 //! # xag.output(g);
 //! let flow = FlowSpec::parse("mc;xor;cleanup").unwrap();
-//! let stats = flow.run(&mut xag, &mut OptContext::new(), 1, 100);
+//! let stats = flow.run(&mut xag, &mut OptContext::new(), 100);
 //! let names: Vec<&str> = stats.passes.iter().map(|p| p.pass.as_str()).collect();
 //! assert_eq!(names, ["mc-rewrite<6>", "xor-reduce", "cleanup"]);
 //! ```
@@ -64,18 +63,17 @@ use xag_network::Xag;
 
 use crate::context::OptContext;
 use crate::flow::{FlowItem, FlowUnit, Repeat};
-use crate::shard;
+use crate::round;
 use crate::stats::{FlowStats, PassStats};
 use crate::xor_reduce::reduce_xors;
 use crate::Objective;
 
-/// Runs `items` on `xag` with `threads` workers outside any `par{}`
-/// block and at most `max_rounds` pass executions in total.
+/// Runs `items` on `xag` with at most `max_rounds` pass executions in
+/// total.
 pub(crate) fn run(
     items: &[FlowItem],
     xag: &mut Xag,
     ctx: &mut OptContext,
-    threads: usize,
     max_rounds: usize,
 ) -> FlowStats {
     let mut run = Executor {
@@ -85,7 +83,7 @@ pub(crate) fn run(
         passes: Vec::new(),
         converged: true,
     };
-    run.items(items, threads.max(1));
+    run.items(items);
     FlowStats {
         passes: run.passes,
         converged: run.converged,
@@ -103,26 +101,25 @@ struct Executor<'a> {
 }
 
 impl Executor<'_> {
-    fn items(&mut self, items: &[FlowItem], threads: usize) {
+    fn items(&mut self, items: &[FlowItem]) {
         for item in items {
             match item.repeat {
-                Repeat::Once => self.unit(&item.unit, threads),
+                Repeat::Once => self.unit(&item.unit),
                 Repeat::Times(k) => {
                     for _ in 0..k {
-                        self.unit(&item.unit, threads);
+                        self.unit(&item.unit);
                     }
                 }
-                Repeat::Converge => self.converge(item, threads),
+                Repeat::Converge => self.converge(item),
             }
         }
     }
 
-    fn unit(&mut self, unit: &FlowUnit, threads: usize) {
+    fn unit(&mut self, unit: &FlowUnit) {
         match unit {
-            FlowUnit::Group(body) => self.items(body, threads),
-            FlowUnit::Par { threads, body } => self.items(body, *threads),
+            FlowUnit::Group(body) => self.items(body),
             atom if self.passes.len() < self.budget => {
-                self.atom(atom, threads);
+                self.atom(atom);
             }
             _ => self.converged = false,
         }
@@ -134,12 +131,10 @@ impl Executor<'_> {
     /// holds a `size` atom, ANDs otherwise); once it is stale the
     /// schedule advances cyclically, and the group has converged once
     /// every atom is stale in sequence.
-    fn converge(&mut self, item: &FlowItem, threads: usize) {
+    fn converge(&mut self, item: &FlowItem) {
         let mut atoms = Vec::new();
-        flatten(core::slice::from_ref(item), threads, &mut atoms);
-        let has_size = atoms
-            .iter()
-            .any(|(a, _)| matches!(a, FlowUnit::Size { .. }));
+        flatten(core::slice::from_ref(item), &mut atoms);
+        let has_size = atoms.iter().any(|a| matches!(a, FlowUnit::Size { .. }));
         let metric = if has_size {
             Objective::Size
         } else {
@@ -147,8 +142,8 @@ impl Executor<'_> {
         };
         let (mut phase, mut stale) = (0, 0);
         while self.passes.len() < self.budget {
-            let (atom, threads) = atoms[phase % atoms.len()];
-            if self.atom(atom, threads).improved(metric) {
+            let atom = atoms[phase % atoms.len()];
+            if self.atom(atom).improved(metric) {
                 stale = 0;
             } else {
                 stale += 1;
@@ -162,10 +157,10 @@ impl Executor<'_> {
     }
 
     /// Runs one atom as a pass and records it.
-    fn atom(&mut self, atom: &FlowUnit, threads: usize) -> &PassStats {
+    fn atom(&mut self, atom: &FlowUnit) -> &PassStats {
         let stats = {
             let _root = mc_obs::prof::phase("pipeline");
-            run_atom(atom, self.xag, self.ctx, threads)
+            run_atom(atom, self.xag, self.ctx)
         };
         crate::observe::pass_boundary(&stats);
         self.passes.push(stats);
@@ -173,10 +168,9 @@ impl Executor<'_> {
     }
 }
 
-/// Flattens `items` into `(atom, threads)` pairs in execution order,
-/// expanding bounded repetitions. Each atom carries the thread count of
-/// its innermost enclosing `par{}` block, or `threads` outside any.
-fn flatten<'s>(items: &'s [FlowItem], threads: usize, out: &mut Vec<(&'s FlowUnit, usize)>) {
+/// Flattens `items` into their atoms in execution order, expanding
+/// bounded repetitions.
+fn flatten<'s>(items: &'s [FlowItem], out: &mut Vec<&'s FlowUnit>) {
     for item in items {
         let times = match item.repeat {
             Repeat::Once | Repeat::Converge => 1,
@@ -184,17 +178,16 @@ fn flatten<'s>(items: &'s [FlowItem], threads: usize, out: &mut Vec<(&'s FlowUni
         };
         for _ in 0..times {
             match &item.unit {
-                FlowUnit::Group(body) => flatten(body, threads, out),
-                FlowUnit::Par { threads, body } => flatten(body, *threads, out),
-                atom => out.push((atom, threads)),
+                FlowUnit::Group(body) => flatten(body, out),
+                atom => out.push(atom),
             }
         }
     }
 }
 
 /// Executes one pass atom: `mc`/`size` as a rewriting round
-/// ([`shard`]), `xor` and `cleanup` as whole-network rebuilds.
-fn run_atom(atom: &FlowUnit, xag: &mut Xag, ctx: &mut OptContext, threads: usize) -> PassStats {
+/// ([`round`]), `xor` and `cleanup` as whole-network rebuilds.
+fn run_atom(atom: &FlowUnit, xag: &mut Xag, ctx: &mut OptContext) -> PassStats {
     let (objective, cut, name) = match *atom {
         FlowUnit::Mc { cut } => (Objective::MultiplicativeComplexity, cut, "mc-rewrite"),
         FlowUnit::Size { cut } => (Objective::Size, cut, "size-rewrite"),
@@ -202,7 +195,7 @@ fn run_atom(atom: &FlowUnit, xag: &mut Xag, ctx: &mut OptContext, threads: usize
     };
     let cut_params = CutParams { cut_size: cut };
     let name = format!("{name}<{cut}>");
-    shard::round(xag, ctx, &cut_params, objective, threads, &name)
+    round::round(xag, ctx, &cut_params, objective, &name)
 }
 
 /// `xor` (Paar reduction; `rewrites_applied` counts removed XOR gates)

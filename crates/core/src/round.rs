@@ -1,61 +1,46 @@
 //! The cut-rewriting round — the paper's Algorithm 1 over every gate —
 //! and the only rewriting engine of the crate.
 //!
-//! The paper's loop is embarrassingly parallel at the cut level:
-//! candidate cuts are classified, resynthesized, and evaluated
-//! independently. Concurrent *mutation* of one strashed network is where
-//! semantic corruption creeps in, though, so every round is split into
-//! three phases with very different concurrency regimes:
+//! A round runs in three phases, on the caller's thread and
+//! [`OptContext`]:
 //!
-//! 1. **Shard** — the frozen network is partitioned into disjoint
-//!    fanout-free windows ([`partition_windows`]): every single-fanout gate
-//!    is grouped with the gate that consumes it, so each window is an
-//!    MFFC-style cluster that one rewrite is likely to touch as a whole.
-//!    Windows are packed into shards balanced by estimated cut work.
-//! 2. **Propose** — every root's enumerated cuts are evaluated
-//!    *read-only* against the frozen network, producing the best
-//!    proposal per root. With one thread this runs inline on the
-//!    caller's [`OptContext`]; with more, a worker pool on
-//!    [`std::thread::scope`] claims shards off a shared queue, each worker
-//!    owning a thread-local [`OptContext`] fork. Because classification
-//!    and synthesis are deterministic, a proposal depends only on the
-//!    frozen network — never on which worker computed it or on cache
-//!    state. Each cut's MFFC is measured before its candidate is built,
-//!    in epoch-stamped per-node arrays, and a cut whose MFFC frees no
-//!    more than `max(0, best gain so far at its root)` is skipped: the
-//!    added count is never negative, so such a cut cannot win. Each
-//!    proposing thread builds the candidate of each distinct cut function
-//!    once per round and memoizes it; the memo is exact because the
-//!    database and the classifier cache are write-once, and debug builds
-//!    check every memo hit against a rebuild.
-//! 3. **Commit** — back on one thread, proposals are applied in
-//!    topological order with full re-validation against the live network
-//!    (leaves alive, cut function unchanged, gain re-computed with exact
-//!    MFFC dereferencing, acyclicity). The acyclicity check walks only the
-//!    instantiated fragment's gates, stopping at the cut leaves: once the
-//!    cut function is re-validated, no cycle can run through a leaf.
-//!    Losers are rolled back to an arena watermark
-//!    ([`xag_network::Xag::reclaim_above`]), so rejected candidates never
-//!    leak.
+//! 1. **Enumerate** — the cuts of every live gate and their functions, in
+//!    one sweep over the topological order of [`Xag::live_gates`]
+//!    ([`enumerate_cuts_for`]).
+//! 2. **Propose** — every gate's cuts are evaluated *read-only* against
+//!    the network as the round found it (the snapshot), in that same
+//!    topological order, producing the best proposal per gate. Each cut's
+//!    MFFC is measured before its candidate is built, in epoch-stamped
+//!    per-node arrays, and a cut whose MFFC frees no more than
+//!    `max(0, best gain so far at its root)` is skipped: the added count
+//!    is never negative, so such a cut cannot win. The candidate of each
+//!    distinct cut function is built once per round and memoized; the
+//!    memo is exact because the database and the classifier cache are
+//!    write-once, and debug builds check every memo hit against a rebuild.
+//! 3. **Commit** — proposals are applied in topological order with full
+//!    re-validation against the live network (leaves alive, cut function
+//!    unchanged, gain re-computed with exact MFFC dereferencing,
+//!    acyclicity). The acyclicity check walks only the instantiated
+//!    fragment's gates, stopping at the cut leaves: once the cut function
+//!    is re-validated, no cycle can run through a leaf. Losers are rolled
+//!    back to an arena watermark ([`xag_network::Xag::reclaim_above`]), so
+//!    rejected candidates never leak.
 //!
-//! The commit order and every accept decision are pure functions of the
-//! frozen snapshot, so the result is **bit-identical for every thread
-//! count** — the property `tests/parallel.rs` pins down. The only
-//! randomness is the shard-claim shuffle (load balancing) under a fixed
-//! seed, which affects wall-clock only; it draws from [`mc_rng`], never
-//! wall-clock.
+//! Proposing walks the gates in the order the commit applies them, so
+//! proposals arrive already in commit order and need no sort. The commit
+//! order and every accept decision are pure functions of the snapshot,
+//! and classification and synthesis are deterministic, so a proposal
+//! never depends on what the context has cached (DESIGN.md §5).
 //!
-//! Proposing against a frozen snapshot is not the paper's in-place
-//! Algorithm 1, which evaluates each node's cut functions and gains on
-//! the network as the rewrites before it have left it: here a rewrite
-//! committed early in a round cannot enable a proposal later in the same
-//! round, so some gains wait for the next round (DESIGN.md §5).
+//! Proposing against a snapshot is not the paper's in-place Algorithm 1,
+//! which evaluates each node's cut functions and gains on the network as
+//! the rewrites before it have left it: here a rewrite committed early in
+//! a round cannot enable a proposal later in the same round, so some
+//! gains wait for the next round (DESIGN.md §5).
 
 use std::collections::hash_map::Entry;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-use mc_rng::Rng;
 use xag_cuts::{enumerate_cuts_for, CutParams, CutSets};
 use xag_network::{ConeScratch, FragRef, NodeId, NodeKind, Signal, Xag, XagFragment};
 use xag_tt::hash::FxHashMap;
@@ -65,115 +50,17 @@ use crate::context::OptContext;
 use crate::stats::PassStats;
 use crate::Objective;
 
-/// How many shards to cut the work into: a few per thread, so the shared
-/// queue can rebalance when windows have uneven rewrite cost.
-const SHARDS_PER_THREAD: usize = 4;
-
-/// Seed of the shard-claim shuffle. Fixed — never wall-clock — so
-/// parallel runs are reproducible; it cannot affect results, only
-/// scheduling.
-const CLAIM_SEED: u64 = 0xDAC1_9DAC_19DA_C19D;
-
-/// One unit of proposal work: a topologically contiguous set of window
-/// roots with their member gates.
-#[derive(Debug, Clone)]
-pub struct Shard {
-    /// Rewrite roots owned by this shard, in topological order.
-    pub roots: Vec<NodeId>,
-    /// Estimated work (total enumerated cuts over all roots).
-    pub weight: usize,
-}
-
-/// A rewrite proposed against the frozen snapshot, waiting for commit.
+/// A rewrite proposed against the snapshot, waiting for commit.
 #[derive(Debug, Clone)]
 struct Proposal {
     /// The root gate the candidate replaces.
     root: NodeId,
-    /// Topological position of `root` in the snapshot (commit sort key).
-    pos: usize,
     /// The cut function the candidate implements over `leaves`.
     tt: Tt,
     /// The replacement circuit.
     frag: XagFragment,
     /// The cut leaves, in the order `frag` expects its inputs.
     leaves: Vec<NodeId>,
-}
-
-/// Partitions the live gates of `xag` into at most `num_shards` disjoint
-/// shards of fanout-free windows.
-///
-/// A gate with a single reference belongs to the window of its unique
-/// fanout (it is inside that gate's maximum fanout-free cone); every other
-/// gate roots a window of its own. Whole windows are then packed into
-/// shards by cumulative cut count, walking the windows in topological
-/// order so each shard covers a contiguous slice of the network.
-pub fn partition_windows(
-    xag: &Xag,
-    order: &[NodeId],
-    sets: &CutSets,
-    num_shards: usize,
-) -> Vec<Shard> {
-    // Window assignment, bottom-up: a single-fanout gate joins its
-    // consumer's window once that consumer is seen; since `order` is
-    // topological, walk it in reverse so consumers are assigned first.
-    // Node ids are dense, so the assignment is a flat side table.
-    const UNASSIGNED: NodeId = NodeId::MAX;
-    let mut window_of: Vec<NodeId> = vec![UNASSIGNED; xag.capacity()];
-    for &n in order.iter().rev() {
-        if window_of[n as usize] == UNASSIGNED {
-            window_of[n as usize] = n;
-        }
-        let root = window_of[n as usize];
-        let (f0, f1) = xag.fanins(n);
-        for f in [f0, f1] {
-            let fi = f.node();
-            if xag.is_gate(fi) && xag.nref(fi) == 1 {
-                window_of[fi as usize] = root;
-            }
-        }
-    }
-    // Collect window members in topological order, keyed by window root.
-    let mut members: FxHashMap<NodeId, Vec<NodeId>> = FxHashMap::default();
-    let mut window_order: Vec<NodeId> = Vec::new();
-    for &n in order {
-        let root = window_of[n as usize];
-        let entry = members.entry(root).or_default();
-        if entry.is_empty() {
-            window_order.push(root);
-        }
-        entry.push(n);
-    }
-    // Pack windows into shards by cumulative weight.
-    let total_weight: usize = order.iter().map(|&n| sets.of(n).len().max(1)).sum();
-    let num_shards = num_shards.clamp(1, window_order.len().max(1));
-    let target = total_weight.div_ceil(num_shards);
-    let mut shards: Vec<Shard> = Vec::with_capacity(num_shards);
-    let mut current = Shard {
-        roots: Vec::new(),
-        weight: 0,
-    };
-    for w in window_order {
-        let window = &members[&w];
-        let weight: usize = window.iter().map(|&n| sets.of(n).len().max(1)).sum();
-        if !current.roots.is_empty()
-            && current.weight + weight > target
-            && shards.len() + 1 < num_shards
-        {
-            shards.push(std::mem::replace(
-                &mut current,
-                Shard {
-                    roots: Vec::new(),
-                    weight: 0,
-                },
-            ));
-        }
-        current.roots.extend_from_slice(window);
-        current.weight += weight;
-    }
-    if !current.roots.is_empty() {
-        shards.push(current);
-    }
-    shards
 }
 
 /// Reusable state for [`frozen_mffc_with`]: epoch-stamped per-node
@@ -237,8 +124,8 @@ impl MffcScratch {
 /// gates that removing `root` (bounded by `leaves`) would free. The member
 /// set is left in `scratch` ([`MffcScratch::is_doomed`]). Mirrors
 /// [`Xag::deref_cone`] with a local decrement count instead of mutating
-/// reference counts, so any number of workers can measure overlapping
-/// cones concurrently.
+/// reference counts, so the snapshot every later proposal of the round
+/// reads stays untouched.
 fn frozen_mffc_with(
     xag: &Xag,
     root: NodeId,
@@ -334,30 +221,8 @@ fn estimate_new_gates(
     (added_ands, added_total)
 }
 
-/// One proposing thread's state for one round: the candidate memo and the
-/// buffers of the MFFC measurement and the dry run. The inline path makes
-/// one; each worker makes one and reuses it across every shard it claims.
-///
-/// The memo maps a cut function to the candidate
-/// [`OptContext::candidate_for_cut`] builds for it, so each distinct
-/// function is classified, looked up, replayed and lifted once per round
-/// instead of once per considered cut, and a fragment is cloned only into
-/// a new best proposal. It is exact: the database and the classifier cache
-/// are both write-once, so a context returns the same candidate for the
-/// same function for as long as it lives. Debug builds check every hit
-/// against a rebuild. It lives for one round on one thread and is no part
-/// of [`OptContext`], so it adds nothing to `fork` and `absorb` and nothing
-/// to a daemon's memory. Its keys come from uploaded circuits, like the
-/// classifier cache's, so FxHash serves it for the same reason.
-#[derive(Debug, Default)]
-struct ProposeScratch {
-    memo: FxHashMap<Tt, XagFragment>,
-    mffc: MffcScratch,
-    outs: Vec<Option<Signal>>,
-}
-
-/// Evaluates every cut of every root in one shard against the frozen
-/// network and returns the best proposal per root (plus the number of cut
+/// Evaluates every cut of every gate of `order` against the snapshot and
+/// returns the best proposal per gate, in `order` (plus the number of cut
 /// candidates considered).
 ///
 /// Cut functions come straight out of the enumeration sweep
@@ -373,20 +238,30 @@ struct ProposeScratch {
 /// cannot win, so it is counted as considered but never classified,
 /// synthesized or dry-run.
 ///
-/// Candidates come from the round's memo in `scratch`.
-fn propose_shard(
+/// The memo maps a cut function to the candidate
+/// [`OptContext::candidate_for_cut`] builds for it, so each distinct
+/// function is classified, looked up, replayed and lifted once per round
+/// instead of once per considered cut, and a fragment is cloned only into
+/// a new best proposal. It is exact: the database and the classifier cache
+/// are both write-once, so a context returns the same candidate for the
+/// same function for as long as it lives. Debug builds check every hit
+/// against a rebuild. It lives for one round and is no part of
+/// [`OptContext`], so it adds nothing to a daemon's memory. Its keys come
+/// from uploaded circuits, like the classifier cache's, so FxHash serves
+/// it for the same reason.
+fn propose(
     xag: &Xag,
     ctx: &mut OptContext,
     sets: &CutSets,
-    shard: &Shard,
-    pos: &[usize],
+    order: &[NodeId],
     objective: Objective,
-    scratch: &mut ProposeScratch,
 ) -> (Vec<Proposal>, usize) {
-    let ProposeScratch { memo, mffc, outs } = scratch;
+    let mut memo: FxHashMap<Tt, XagFragment> = FxHashMap::default();
+    let mut mffc = MffcScratch::default();
+    let mut outs: Vec<Option<Signal>> = Vec::new();
     let mut proposals = Vec::new();
     let mut considered = 0usize;
-    for &root in &shard.roots {
+    for &root in order {
         let mut best: Option<(i64, Proposal)> = None;
         let tts = sets.functions_of(root);
         for (ci, cut) in sets.of(root).iter().enumerate() {
@@ -398,7 +273,7 @@ fn propose_shard(
                 continue;
             }
             considered += 1;
-            let (freed_ands, freed_total) = frozen_mffc_with(xag, root, cut.leaves(), mffc);
+            let (freed_ands, freed_total) = frozen_mffc_with(xag, root, cut.leaves(), &mut mffc);
             let freed = match objective {
                 Objective::MultiplicativeComplexity => freed_ands,
                 Objective::Size => freed_total,
@@ -423,7 +298,7 @@ fn propose_shard(
                 leaves[k] = Signal::new(l, false);
             }
             let (added_ands, added_total) =
-                estimate_new_gates(xag, candidate, &leaves[..cut.size()], mffc, outs);
+                estimate_new_gates(xag, candidate, &leaves[..cut.size()], &mffc, &mut outs);
             let added = match objective {
                 Objective::MultiplicativeComplexity => added_ands,
                 Objective::Size => added_total,
@@ -434,7 +309,6 @@ fn propose_shard(
                     gain,
                     Proposal {
                         root,
-                        pos: pos[root as usize],
                         tt,
                         frag: candidate.clone(),
                         leaves: cut.leaves().to_vec(),
@@ -497,8 +371,9 @@ fn fragment_reaches(
     false
 }
 
-/// Applies proposals in topological order, re-validating each against the
-/// live network. Returns the number of accepted rewrites.
+/// Applies proposals in the order given, which [`propose`] makes the
+/// topological order of their roots, re-validating each against the live
+/// network. Returns the number of accepted rewrites.
 ///
 /// A proposal wins iff, *on the network as left by the previous winners*:
 /// its root and all leaves are still alive, the cut still computes the
@@ -507,8 +382,7 @@ fn fragment_reaches(
 /// is acyclic ([`fragment_reaches`], bounded by the fragment). Everything
 /// else is rolled back to the arena watermark recorded before
 /// instantiation.
-fn commit_proposals(xag: &mut Xag, mut proposals: Vec<Proposal>, objective: Objective) -> usize {
-    proposals.sort_by_key(|p| p.pos);
+fn commit_proposals(xag: &mut Xag, proposals: Vec<Proposal>, objective: Objective) -> usize {
     let mut applied = 0usize;
     let mut cone = ConeScratch::new();
     let mut cycle = CycleScratch::default();
@@ -565,16 +439,13 @@ fn count_gates(xag: &Xag, order: &[NodeId]) -> (usize, usize) {
     (ands, order.len() - ands)
 }
 
-/// One rewriting round over every gate: shard, propose on `threads`
-/// workers, commit deterministically. With `threads <= 1` the proposal
-/// phase runs inline on the caller's context; results are bit-identical
-/// either way.
+/// One rewriting round over every gate: enumerate, propose against the
+/// snapshot, commit in topological order.
 pub(crate) fn round(
     xag: &mut Xag,
     ctx: &mut OptContext,
     cut_params: &CutParams,
     objective: Objective,
-    threads: usize,
     pass_name: &str,
 ) -> PassStats {
     let _round = mc_obs::prof::phase("par_rewrite");
@@ -587,114 +458,16 @@ pub(crate) fn round(
         let _p = mc_obs::prof::phase("cut_enum");
         enumerate_cuts_for(xag, &order, cut_params)
     };
-    let mut pos: Vec<usize> = vec![0; xag.capacity()];
-    for (i, &n) in order.iter().enumerate() {
-        pos[n as usize] = i;
-    }
-
-    let threads = threads.max(1);
-    let num_shards = if threads == 1 {
-        1
-    } else {
-        threads * SHARDS_PER_THREAD
-    };
-    let shards = partition_windows(xag, &order, &sets, num_shards);
-    mc_obs::registry()
-        .counter("mc_shard_windows_total")
-        .add(shards.len() as u64);
 
     // lint: allow(determinism): wall-clock feeds PassStats/metrics timing only; never branches on it
     let propose_start = Instant::now();
     let mut propose_span = mc_obs::span("shard:propose");
-    let mut proposals: Vec<Proposal> = Vec::new();
-    let mut considered = 0usize;
-    if threads == 1 || shards.len() <= 1 {
-        let mut scratch = ProposeScratch::default();
-        for shard in &shards {
-            let _p = mc_obs::prof::phase("propose");
-            let (props, c) = propose_shard(xag, ctx, &sets, shard, &pos, objective, &mut scratch);
-            proposals.extend(props);
-            considered += c;
-        }
-    } else {
-        // Claim order is shuffled (seeded) so long windows spread across
-        // workers; the claim order cannot affect results, only wall-clock.
-        let mut claim: Vec<usize> = (0..shards.len()).collect();
-        Rng::seed_from_u64(CLAIM_SEED).shuffle(&mut claim);
-        let next = AtomicUsize::new(0);
-        let frozen: &Xag = xag;
-        // Trace IDs live in a thread-local; carry the round's ID into the
-        // scoped workers so their propose spans join the job's trace.
-        let trace_id = mc_obs::current_trace_id();
-        let (all, forks) = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads.min(shards.len()))
-                .map(|_| {
-                    let mut wctx = ctx.fork();
-                    let (claim, next, shards, sets, pos) = (&claim, &next, &shards, &sets, &pos);
-                    s.spawn(move || {
-                        let _trace = mc_obs::trace_scope(trace_id);
-                        // The worker's own phase stack roots at the round
-                        // name, so its per-shard propose phases fold to the
-                        // same `par_rewrite;propose` path the inline run
-                        // produces — and flush once per worker, not per
-                        // shard, when the root guard drops.
-                        let _round = mc_obs::prof::phase("par_rewrite");
-                        let mut scratch = ProposeScratch::default();
-                        let mut mine: Vec<(usize, Vec<Proposal>, usize)> = Vec::new();
-                        loop {
-                            // Schedule-fuzz crossing: inert in production
-                            // (one relaxed load), perturbs the claim race
-                            // under `tests/schedule_fuzz.rs` to prove the
-                            // commit is claim-order-independent.
-                            mc_rng::sched::yield_point(mc_rng::sched::site::SHARD_CLAIM);
-                            let k = next.fetch_add(1, Ordering::Relaxed);
-                            if k >= claim.len() {
-                                break;
-                            }
-                            let si = claim[k];
-                            let _p = mc_obs::prof::phase("propose");
-                            let (props, c) = propose_shard(
-                                frozen,
-                                &mut wctx,
-                                sets,
-                                &shards[si],
-                                pos,
-                                objective,
-                                &mut scratch,
-                            );
-                            drop(_p);
-                            mc_rng::sched::yield_point(mc_rng::sched::site::SHARD_PROPOSE);
-                            mine.push((si, props, c));
-                        }
-                        (mine, wctx)
-                    })
-                })
-                .collect();
-            let mut all: Vec<(usize, Vec<Proposal>, usize)> = Vec::new();
-            let mut forks: Vec<OptContext> = Vec::new();
-            for h in handles {
-                let (mine, wctx) = h.join().expect("rewrite worker panicked");
-                all.extend(mine);
-                forks.push(wctx);
-            }
-            (all, forks)
-        });
-        for fork in forks {
-            ctx.absorb(fork);
-        }
-        // Deterministic aggregation: shard index order, not completion
-        // order.
-        let mut all = all;
-        all.sort_by_key(|(si, _, _)| *si);
-        for (_, props, c) in all {
-            proposals.extend(props);
-            considered += c;
-        }
-    }
-
+    let (proposals, considered) = {
+        let _p = mc_obs::prof::phase("propose");
+        propose(xag, ctx, &sets, &order, objective)
+    };
     propose_span.detail(format!(
-        "windows={} proposals={} considered={considered}",
-        shards.len(),
+        "proposals={} considered={considered}",
         proposals.len()
     ));
     drop(propose_span);
@@ -738,23 +511,9 @@ pub(crate) fn round(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mc_rng::Rng;
     use xag_cuts::enumerate_cuts;
     use xag_network::equiv_exhaustive;
-
-    fn textbook_full_adder() -> Xag {
-        let mut xag = Xag::new();
-        let (a, b, cin) = (xag.input(), xag.input(), xag.input());
-        let ab = xag.and(a, b);
-        let ac = xag.and(a, cin);
-        let bc = xag.and(b, cin);
-        let t = xag.xor(ab, ac);
-        let cout = xag.xor(t, bc);
-        let axb = xag.xor(a, b);
-        let sum = xag.xor(axb, cin);
-        xag.output(sum);
-        xag.output(cout);
-        xag
-    }
 
     fn random_network(seed: u64, gates: usize) -> Xag {
         let mut xag = Xag::new();
@@ -775,55 +534,6 @@ mod tests {
             xag.output(*s);
         }
         xag
-    }
-
-    #[test]
-    fn windows_partition_all_live_gates() {
-        let xag = random_network(11, 40);
-        let sets = enumerate_cuts(&xag, &CutParams::default());
-        let order = xag.live_gates();
-        for shards in [
-            partition_windows(&xag, &order, &sets, 1),
-            partition_windows(&xag, &order, &sets, 3),
-            partition_windows(&xag, &order, &sets, 64),
-        ] {
-            let mut covered: Vec<NodeId> = shards.iter().flat_map(|s| s.roots.clone()).collect();
-            covered.sort_unstable();
-            let mut expected = order.clone();
-            expected.sort_unstable();
-            assert_eq!(covered, expected, "every live gate in exactly one shard");
-        }
-    }
-
-    #[test]
-    fn single_fanout_gates_share_a_shard_with_their_consumer() {
-        let xag = textbook_full_adder();
-        let sets = enumerate_cuts(&xag, &CutParams::default());
-        let order = xag.live_gates();
-        // Ask for more shards than windows: splits happen only at window
-        // boundaries, so every single-fanout gate stays with its consumer.
-        let shards = partition_windows(&xag, &order, &sets, 64);
-        for shard in &shards {
-            for &n in &shard.roots {
-                if xag.nref(n) == 1 {
-                    let consumer_shard = shards
-                        .iter()
-                        .position(|s| {
-                            s.roots.iter().any(|&m| {
-                                m != n
-                                    && xag.is_gate(m)
-                                    && (xag.fanins(m).0.node() == n || xag.fanins(m).1.node() == n)
-                            })
-                        })
-                        .or_else(|| shards.iter().position(|s| s.roots.contains(&n)));
-                    assert_eq!(
-                        consumer_shard,
-                        shards.iter().position(|s| s.roots.contains(&n)),
-                        "gate {n} separated from its single consumer"
-                    );
-                }
-            }
-        }
     }
 
     #[test]
@@ -885,7 +595,6 @@ mod tests {
         assert_eq!(frag.eval_tt(), tt);
         let proposal = Proposal {
             root: r.node(),
-            pos: 0,
             tt,
             frag,
             leaves,
@@ -901,7 +610,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_round_preserves_function_and_reduces_ands() {
+    fn round_preserves_function_and_reduces_ands() {
         for seed in [1u64, 2, 3, 4] {
             let mut xag = random_network(seed, 40);
             let reference = xag.cleanup();
@@ -912,36 +621,11 @@ mod tests {
                 &mut ctx,
                 &CutParams::default(),
                 Objective::MultiplicativeComplexity,
-                2,
-                "par-test",
+                "round-test",
             );
             assert!(xag.num_ands() <= before);
             assert_eq!(stats.ands_after, xag.num_ands());
             assert!(equiv_exhaustive(&reference, &xag.cleanup()), "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn thread_count_does_not_change_the_result() {
-        for seed in [7u64, 8, 9] {
-            let base = random_network(seed, 40);
-            let mut results = Vec::new();
-            for threads in [1usize, 2, 4] {
-                let mut xag = base.cleanup();
-                let mut ctx = OptContext::new();
-                round(
-                    &mut xag,
-                    &mut ctx,
-                    &CutParams::default(),
-                    Objective::MultiplicativeComplexity,
-                    threads,
-                    "par-test",
-                );
-                let clean = xag.cleanup();
-                results.push((clean.num_ands(), clean.num_xors()));
-            }
-            assert_eq!(results[0], results[1], "seed {seed}: 1 vs 2 threads");
-            assert_eq!(results[0], results[2], "seed {seed}: 1 vs 4 threads");
         }
     }
 }

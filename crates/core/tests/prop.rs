@@ -17,9 +17,7 @@ fn job(flow: &str) -> JobSpec {
 
 /// One `mc` round with the paper's 6-cuts.
 fn one_round(xag: &mut Xag, ctx: &mut OptContext) -> PassStats {
-    let stats = FlowSpec::parse("mc")
-        .expect("valid spec")
-        .run(xag, ctx, 1, 1);
+    let stats = FlowSpec::parse("mc").expect("valid spec").run(xag, ctx, 1);
     stats.passes.into_iter().next().expect("one pass ran")
 }
 
@@ -170,7 +168,7 @@ fn composed_pipelines_preserve_function() {
             let before = xag.num_ands();
             let stats = FlowSpec::parse(spec)
                 .expect("valid spec")
-                .run(&mut xag, &mut ctx, 1, 100);
+                .run(&mut xag, &mut ctx, 100);
             assert!(
                 xag.num_ands() <= before,
                 "case {case}, flow {name}: AND count increased"

@@ -18,7 +18,7 @@
 //!
 //! The crate has no dependencies and no feature flags: instrumentation
 //! call sites in core/serve/cluster pay a few relaxed atomics or one
-//! short ring push per *pass, round, shard, node, or request* — never per
+//! short ring push per *pass, round, node, or request* — never per
 //! cut — so it stays on unconditionally.
 
 pub mod history;

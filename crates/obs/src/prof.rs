@@ -11,7 +11,7 @@
 //! shows up in a profile of the profiler.
 //!
 //! The overhead budget is the design constraint everything here serves:
-//! phases are entered at pass, round, shard, or node granularity — never
+//! phases are entered at pass, round, or node granularity — never
 //! per cut — and one enter/exit is two `Instant` reads plus a stack
 //! push/pop. `hotpath_bench` gates this empirically with its
 //! profiler-on/off ratio row (see `xag-bench`).

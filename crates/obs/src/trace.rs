@@ -8,8 +8,8 @@
 //! When a ring fills, the oldest events are dropped — tracing must never
 //! stall or grow the process. A thread that exits bequeaths its
 //! remaining events to a shared orphan ring (same bound), so the spans
-//! of short-lived threads — connection handlers, scoped workers —
-//! survive until a dump reads them.
+//! of short-lived threads such as connection handlers survive until a
+//! dump reads them.
 //!
 //! Timestamps are microseconds since `UNIX_EPOCH`, not a process-local
 //! `Instant`, so events recorded on a router and on a backend line up on
@@ -82,10 +82,9 @@ fn rings() -> &'static Mutex<Vec<Weak<Ring>>> {
     RINGS.get_or_init(Mutex::default)
 }
 
-/// Events inherited from exited threads. Connection handlers and scoped
-/// workers are short-lived by design; without this, their spans would
-/// die with their thread-local ring before any `TraceDump` could read
-/// them. Bounded like every ring — drop-oldest.
+/// Events inherited from exited threads. Connection handlers are
+/// short-lived by design; without this, their spans would die with their
+/// thread-local ring before any `TraceDump` could read them. Bounded like every ring — drop-oldest.
 fn orphan_ring() -> &'static Ring {
     static ORPHANS: OnceLock<Ring> = OnceLock::new();
     ORPHANS.get_or_init(|| Ring {
@@ -168,8 +167,8 @@ impl Drop for TraceScope {
 }
 
 /// Establishes `trace_id` as this thread's current trace. Use at every
-/// propagation boundary: worker threads, scoped shard threads, and the
-/// server side of a frame carrying a trace ID.
+/// propagation boundary: worker threads and the server side of a frame
+/// carrying a trace ID.
 pub fn trace_scope(trace_id: u64) -> TraceScope {
     let prev = CURRENT_TRACE.with(|c| c.replace(trace_id));
     TraceScope { prev }

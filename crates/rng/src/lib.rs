@@ -38,9 +38,8 @@ const GOLDEN_GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
 pub mod sched {
     //! Seeded schedule-perturbation hooks for concurrency tests.
     //!
-    //! The propose/commit engine (`xag-mc`), the job queue and the
-    //! coalescing cache (`mc-serve`) call [`yield_point`] at the edges of
-    //! their critical sections. In production the hook is a single
+    //! The job queue and the coalescing cache (`mc-serve`) call
+    //! [`yield_point`] at the edges of their critical sections. In production the hook is a single
     //! relaxed atomic load of a zero and nothing else — the bench gate
     //! holds that cost to the committed trajectory. Under
     //! `tests/schedule_fuzz.rs` the hook is [`enable`]d with a seed, and
@@ -115,10 +114,6 @@ pub mod sched {
         pub const COALESCE_PLAN: u32 = 3;
         /// Coalescing-cache commit, between insert and waiter wakeup.
         pub const COALESCE_COMMIT: u32 = 4;
-        /// Shard propose worker, before claiming the next window.
-        pub const SHARD_CLAIM: u32 = 5;
-        /// Shard propose worker, after building a proposal.
-        pub const SHARD_PROPOSE: u32 = 6;
     }
 }
 
@@ -217,7 +212,7 @@ mod tests {
         }
         sched::disable();
         assert!(!sched::enabled());
-        sched::yield_point(sched::site::SHARD_CLAIM);
+        sched::yield_point(sched::site::QUEUE_POP);
     }
 
     #[test]

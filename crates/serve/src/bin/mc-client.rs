@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! mc-client <addr> [CIRCUIT.txt | --bench NAME | --fuzz SEED]
-//!           [--flow SPEC | --flow-file PATH] [--threads N] [--max-rounds N]
+//!           [--flow SPEC | --flow-file PATH] [--max-rounds N]
 //!           [--format bristol|verilog] [--output bristol|verilog]
 //!           [--out PATH|-] [--retry N] [--trace-id N]
 //! mc-client <addr> --status | --stats | --cluster-stats | --shutdown
@@ -55,7 +55,7 @@ use xag_network::{write_bristol, Xag};
 fn usage() -> ! {
     eprintln!(
         "usage: mc-client <addr> [CIRCUIT | --bench NAME | --fuzz SEED] \
-         [--flow SPEC | --flow-file PATH] [--threads N] [--max-rounds N] \
+         [--flow SPEC | --flow-file PATH] [--max-rounds N] \
          [--format bristol|verilog] [--output bristol|verilog] [--out PATH|-] [--retry N] \
          [--trace-id N]\n\
          \x20      mc-client <addr> --status | --stats | --cluster-stats | --shutdown\n\
@@ -73,7 +73,7 @@ fn list_flows() -> ! {
     }
     println!(
         "\ngrammar: atoms mc(cut=N) | size(cut=N) | xor | cleanup, sequencing `;`,\n\
-         groups {{...}}, par(threads=N){{...}}, repetition *k, until-convergence *\n\
+         groups {{...}}, repetition *k, until-convergence *\n\
          example: 'mc(cut=6);xor;cleanup*'"
     );
     std::process::exit(0);
@@ -113,7 +113,6 @@ fn main() {
     let mut circuit: Option<String> = None;
     let mut format: Option<CircuitFormat> = None;
     let mut flow = FlowSpec::default();
-    let mut threads = 1usize;
     let mut max_rounds = 100usize;
     let mut output = CircuitFormat::Bristol;
     let mut out: Option<String> = None;
@@ -144,7 +143,6 @@ fn main() {
                     .unwrap_or_else(|e| fail(format_args!("invalid flow spec in {path}: {e}")));
             }
             "--list-flows" => list_flows(),
-            "--threads" => threads = value().parse().unwrap_or_else(|_| usage()),
             "--max-rounds" => max_rounds = value().parse().unwrap_or_else(|_| usage()),
             "--format" => {
                 let name = value();
@@ -297,7 +295,6 @@ fn main() {
             circuit,
             format,
             flow,
-            threads,
             max_rounds,
             output,
             trace_id: trace_id.unwrap_or(0),

@@ -16,7 +16,6 @@ use std::io::{Read, Write};
 
 use mc_obs::{HistoryWindow, JobProgress, PhaseStat, TraceEvent};
 use xag_circuits::CircuitFormat;
-use xag_mc::flow::MAX_PAR_THREADS;
 use xag_mc::{FlowSpec, JobSpec};
 
 use crate::json::{self, Json};
@@ -157,11 +156,9 @@ pub struct OptimizeRequest {
     /// like `paper` or a full spec like `mc(cut=6);xor;cleanup*`),
     /// parsed and resource-guard-validated at the service edge — a
     /// malformed or hostile spec is a protocol error, never a worker
-    /// panic.
+    /// panic. So is a `par(threads=N){…}` block from an older client:
+    /// the grammar no longer has one.
     pub flow: FlowSpec,
-    /// Worker threads for the job (clamped server-side to
-    /// [`MAX_PAR_THREADS`]; never changes the result).
-    pub threads: usize,
     /// Round cap (clamped server-side to [`MAX_JOB_ROUNDS`]).
     pub max_rounds: usize,
     /// Format of the returned netlist.
@@ -179,7 +176,6 @@ impl Default for OptimizeRequest {
             circuit: String::new(),
             format: None,
             flow: FlowSpec::default(),
-            threads: 1,
             max_rounds: 100,
             output: CircuitFormat::Bristol,
             trace_id: 0,
@@ -188,14 +184,13 @@ impl Default for OptimizeRequest {
 }
 
 impl OptimizeRequest {
-    /// The job this request asks for, with threads and rounds clamped to
-    /// the service caps. The daemon runs it and the router routes by it:
+    /// The job this request asks for, with its round cap clamped to the
+    /// service cap. The daemon runs it and the router routes by it:
     /// both derive the canonical job key from this spec, so the two
     /// tiers agree on the key bytes.
     pub fn job_spec(&self) -> JobSpec {
         JobSpec {
             flow: self.flow.clone(),
-            threads: self.threads.clamp(1, MAX_PAR_THREADS),
             max_rounds: self.max_rounds.clamp(1, MAX_JOB_ROUNDS),
         }
     }
@@ -552,7 +547,6 @@ impl Request {
                 }
                 members.extend([
                     ("flow".to_string(), Json::from(o.flow.to_string())),
-                    ("threads".to_string(), Json::from(o.threads)),
                     ("max_rounds".to_string(), Json::from(o.max_rounds)),
                     ("output".to_string(), Json::from(o.output.name())),
                     ("circuit".to_string(), Json::from(o.circuit.as_str())),
@@ -651,7 +645,6 @@ impl Request {
                     circuit: obj_str(&value, "circuit")?,
                     format,
                     flow,
-                    threads: obj_usize(&value, "threads", 1)?,
                     max_rounds: obj_usize(&value, "max_rounds", 100)?,
                     output,
                     trace_id: obj_u64_or(&value, "trace_id", 0)?,
@@ -1153,16 +1146,13 @@ mod tests {
                 circuit: "module m (a, o0);\n…".to_string(),
                 format: Some(CircuitFormat::Verilog),
                 flow: "compress".parse().expect("alias parses"),
-                threads: 4,
                 max_rounds: 25,
                 output: CircuitFormat::Verilog,
                 trace_id: 0xABCD,
             }),
             Request::Optimize(OptimizeRequest {
                 circuit: "1 3\n1 2\n1 1\n\n2 1 0 1 2 AND\n".to_string(),
-                flow: "mc(cut=5)*2;par(threads=2){xor};cleanup*"
-                    .parse()
-                    .expect("spec parses"),
+                flow: "mc(cut=5)*2;{xor};cleanup*".parse().expect("spec parses"),
                 ..OptimizeRequest::default()
             }),
             Request::Optimize(OptimizeRequest::default()),
@@ -1422,6 +1412,27 @@ mod tests {
             }
             other => panic!("unexpected request: {other:?}"),
         }
+    }
+
+    /// Frames from clients that still send the removed thread knob: a
+    /// `threads` member is ignored like any unknown member, and a
+    /// `par(threads=N){…}` flow is a protocol error naming the unit.
+    #[test]
+    fn thread_knobs_of_older_clients_are_ignored_or_refused() {
+        let with = Request::from_payload(
+            br#"{"type":"optimize","flow":"paper","threads":4,"max_rounds":25,"circuit":"x"}"#,
+        )
+        .expect("an unknown member is ignored");
+        let without = Request::from_payload(
+            br#"{"type":"optimize","flow":"paper","max_rounds":25,"circuit":"x"}"#,
+        )
+        .expect("valid request");
+        assert_eq!(with, without);
+        let err = Request::from_payload(
+            br#"{"type":"optimize","flow":"par(threads=2){mc}","circuit":"x"}"#,
+        )
+        .expect_err("par is no unit of the grammar");
+        assert!(err.contains("unknown pass atom `par`"), "{err}");
     }
 
     /// The observability frames added after PR 8 degrade gracefully

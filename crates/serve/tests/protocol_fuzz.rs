@@ -14,7 +14,8 @@ use mc_serve::protocol::{
 };
 use mc_serve::{Request, Response};
 
-/// One representative payload per request variant (decode side).
+/// One representative payload per request variant (decode side), plus
+/// an `optimize` frame of an older client.
 fn request_payloads() -> Vec<Vec<u8>> {
     vec![
         Request::Optimize(OptimizeRequest {
@@ -22,6 +23,11 @@ fn request_payloads() -> Vec<Vec<u8>> {
             ..OptimizeRequest::default()
         })
         .to_payload(),
+        // An `optimize` frame as clients sent it before the thread knob
+        // was removed: a `threads` member and a `par` block, which the
+        // decoder refuses as an unknown unit.
+        br#"{"type":"optimize","flow":"par(threads=2){mc(cut=6)};cleanup*","threads":4,"max_rounds":100,"output":"bristol","circuit":"2 5\n2 1 1\n1 1\n2 1 0 1 2 AND\n"}"#
+            .to_vec(),
         Request::Status.to_payload(),
         Request::Stats.to_payload(),
         Request::Ping.to_payload(),

@@ -73,7 +73,7 @@ impl Synthesizer {
         frag
     }
 
-    /// Clones the synthesizer for a worker thread, with statistics reset
+    /// Clones the synthesizer for one job's context, with statistics reset
     /// (see [`AffineClassifier::fork`]).
     pub fn fork(&self) -> Synthesizer {
         Synthesizer {
@@ -84,8 +84,8 @@ impl Synthesizer {
 
     /// Merges a fork's cache into this one. Synthesis is deterministic, so
     /// equal keys carry equal fragments and merge order does not matter;
-    /// existing entries are kept. Used to fold worker-local synthesizers
-    /// back into a shared one after a parallel rewriting round.
+    /// existing entries are kept. Used to fold a job's synthesizer back
+    /// into the shared one a daemon keeps across jobs.
     pub fn absorb(&mut self, other: Synthesizer) {
         for (f, frag) in other.cache {
             self.cache.entry(f).or_insert(frag);

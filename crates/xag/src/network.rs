@@ -576,11 +576,10 @@ impl Xag {
     /// (typically a [`Xag::capacity`] value recorded before instantiating a
     /// rewrite candidate), top-down so fanin references cascade.
     ///
-    /// This is the shard-local reclamation primitive of the parallel
-    /// rewriting engine: each commit records the arena watermark before
-    /// instantiating a candidate and rolls back to it when the candidate is
-    /// rejected, so rejected rewrites never leak nodes — regardless of
-    /// which shard proposed them.
+    /// This is the reclamation primitive of the rewriting round: each
+    /// commit records the arena watermark before instantiating a candidate
+    /// and rolls back to it when the candidate is rejected, so rejected
+    /// rewrites never leak nodes.
     pub fn reclaim_above(&mut self, watermark: usize) {
         for id in (watermark..self.capacity()).rev() {
             self.remove_dangling(id as NodeId);

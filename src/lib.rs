@@ -15,8 +15,8 @@
 //! * [`synth`] — MC-oriented synthesis (the on-demand database);
 //! * [`cuts`] — k-feasible cut enumeration;
 //! * [`mc`] — the cut-rewriting optimizer (the paper's Algorithm 1): one
-//!   rewriting round ([`mc::shard`]) that proposes against a snapshot of
-//!   the network and commits deterministically, flows of passes described
+//!   rewriting round ([`mc::round`]) that proposes against a snapshot of
+//!   the network and commits in topological order, flows of passes described
 //!   by [`mc::FlowSpec`] (`{mc(cut=4);mc(cut=6)}*`-style specs, or an
 //!   alias such as `paper`; DESIGN.md §8) and run by its one executor,
 //!   and [`mc::run_job`], the one call every caller uses, over a shared

@@ -34,7 +34,7 @@ fn sixteen_bit_adder_reaches_sixteen_ands() {
     let mut xag = adder(16);
     let reference = xag.cleanup();
     let mut ctx = OptContext::new();
-    FlowSpec::default().run(&mut xag, &mut ctx, 1, 100);
+    FlowSpec::default().run(&mut xag, &mut ctx, 100);
     assert_eq!(xag.num_ands(), 16);
     assert!(equiv_random(&reference, &xag.cleanup(), 0xADDE, 64));
 }

@@ -256,7 +256,7 @@ fn custom_flow_spec_round_trips_with_cluster_wide_cache_affinity() {
     // same canonical bytes must land on the warm backend.
     for variant in [
         " mc( cut = 6 ) ; xor ; cleanup * ",
-        "par(threads=2){mc(cut=6);xor};cleanup*",
+        "{mc(cut=6);xor};cleanup*",
         "{mc(cut=6)};xor;cleanup*",
     ] {
         let hit = submit(variant);

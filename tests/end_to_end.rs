@@ -59,7 +59,7 @@ fn one_round_is_cheaper_than_convergence_but_helps() {
     let mut ctx = OptContext::new();
     let mut one = bar.xag.cleanup();
     let mc = FlowSpec::parse("mc").expect("valid spec");
-    let round = &mc.run(&mut one, &mut ctx, 1, 1).passes[0];
+    let round = &mc.run(&mut one, &mut ctx, 1).passes[0];
     assert!(round.ands_after < round.ands_before, "one round helps");
 
     let mut conv = bar.xag.cleanup();

@@ -47,7 +47,7 @@ fn optimize(seed: u64) -> (Xag, Xag) {
     let reference = random_xag(&golden_config(seed), seed).cleanup();
     let mut work = reference.clone();
     let mut ctx = OptContext::new();
-    FlowSpec::default().run(&mut work, &mut ctx, 1, 30);
+    FlowSpec::default().run(&mut work, &mut ctx, 30);
     (reference, work.cleanup())
 }
 

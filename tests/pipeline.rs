@@ -44,7 +44,7 @@ fn paper_flow_drives_full_adder_to_mc_one() {
     let mut xag = textbook_full_adder();
     let reference = xag.cleanup();
     let mut ctx = OptContext::new();
-    let stats = flow("paper").run(&mut xag, &mut ctx, 1, 100);
+    let stats = flow("paper").run(&mut xag, &mut ctx, 100);
     assert!(stats.converged);
     assert_eq!(xag.num_ands(), 1, "paper: full adder has MC 1");
     assert!(equiv_exhaustive(&reference, &xag.cleanup()));
@@ -77,7 +77,7 @@ fn xor_reduce_after_mc_rewrite_shrinks_xors_without_touching_ands() {
     let reference = xag.cleanup();
     let mut ctx = OptContext::new();
 
-    let stats = flow("mc(cut=4);mc(cut=6);xor").run(&mut xag, &mut ctx, 1, 100);
+    let stats = flow("mc(cut=4);mc(cut=6);xor").run(&mut xag, &mut ctx, 100);
 
     for pass in &stats.passes {
         assert_eq!(
@@ -106,7 +106,7 @@ fn xor_reduce_after_mc_rewrite_shrinks_xors_without_touching_ands() {
 fn stats_accumulate_per_pass() {
     let mut xag = adder_chain(6);
     let mut ctx = OptContext::new();
-    let stats = flow("{mc(cut=4);mc(cut=6);xor;cleanup}*").run(&mut xag, &mut ctx, 1, 100);
+    let stats = flow("{mc(cut=4);mc(cut=6);xor;cleanup}*").run(&mut xag, &mut ctx, 100);
 
     let summary = stats.per_pass();
     // Every executed pass shows up, keyed by name, in first-run order.
@@ -151,7 +151,7 @@ fn composed_flows_preserve_equivalence() {
             let reference = source.cleanup();
             let mut xag = source;
             let before = xag.num_ands();
-            flow(spec).run(&mut xag, &mut ctx, 1, 100);
+            flow(spec).run(&mut xag, &mut ctx, 100);
             assert!(xag.num_ands() <= before, "flow {name} raised the AND count");
             assert!(
                 equiv_exhaustive(&reference, &xag.cleanup()),
@@ -170,7 +170,7 @@ fn compress_reduces_total_gates_and_run_once_runs_each_pass_once() {
 
     // The compress passes, each run once.
     let once = flow("size(cut=4);size(cut=6);xor");
-    let sweep = once.run(&mut xag, &mut ctx, 1, 100);
+    let sweep = once.run(&mut xag, &mut ctx, 100);
     assert_eq!(sweep.passes.len() as u64, once.worst_case_passes());
     assert!(sweep.converged, "a plain sequence runs to completion");
     assert!(xag.num_gates() <= before);

@@ -54,7 +54,6 @@ fn case_line(spec: &str, seed: u64, max_rounds: usize) -> String {
     let job = JobSpec {
         flow: FlowSpec::parse(spec).unwrap_or_else(|e| panic!("{spec}: {e}")),
         max_rounds,
-        ..JobSpec::default()
     };
     let result = run_job(&mut xag, &mut ctx, &job);
     let mut netlist = Vec::new();

@@ -1,31 +1,24 @@
 //! Concurrency-schedule fuzzing: the same workloads, replayed under
 //! hundreds of seeded thread-interleaving perturbations.
 //!
-//! `mc_rng::sched` plants yield points inside the job queue, the
-//! coalescing cache, and the sharded rewrite engine. Enabling the hook
-//! with a seed makes each run take a *different* interleaving —
-//! `yield_now` and microsecond sleeps at the contended spots — which
-//! surfaces lost-wakeup, double-compute, and commit-order bugs that the
-//! default scheduler almost never exhibits. The invariants:
+//! `mc_rng::sched` plants yield points inside the job queue and the
+//! coalescing cache. Enabling the hook with a seed makes each run take a
+//! *different* interleaving — `yield_now` and microsecond sleeps at the
+//! contended spots — which surfaces lost-wakeup and double-compute bugs
+//! that the default scheduler almost never exhibits. The invariants:
 //!
 //! * **queue**: every pushed job is popped exactly once, under any
 //!   schedule;
 //! * **coalescing**: per key, exactly one thread computes; every other
-//!   thread gets the identical entry (hit or coalesced wait);
-//! * **propose/commit**: the parallel rewrite engine's result is
-//!   byte-identical to the unperturbed baseline across 200 schedules.
+//!   thread gets the identical entry (hit or coalesced wait).
 //!
 //! The hook is global process state, so every test serializes on one
 //! mutex and disables the hook on exit (panic included) via a guard.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread;
 
-use mc_repro::mc::{run_job, JobSpec, OptContext};
-use mc_repro::network::fuzz::{random_xag, FuzzConfig};
-use mc_repro::network::{write_verilog, Xag};
 use mc_rng::sched;
 use mc_serve::{CacheEntry, CoalescingCache, JobQueue, Plan};
 
@@ -163,56 +156,4 @@ fn coalescing_computes_each_key_exactly_once() {
             );
         }
     }
-}
-
-// ---------------------------------------------------------------------
-// Scenario 3: the parallel propose/commit round is schedule-invariant.
-// ---------------------------------------------------------------------
-
-fn netlist(xag: &Xag) -> Vec<u8> {
-    let mut buf = Vec::new();
-    write_verilog(&xag.cleanup(), "m", &mut buf).expect("in-memory write");
-    buf
-}
-
-fn optimize(base: &Xag, threads: usize) -> Vec<u8> {
-    let mut xag = base.cleanup();
-    let job = JobSpec {
-        threads,
-        ..JobSpec::default()
-    };
-    run_job(&mut xag, &mut OptContext::new(), &job);
-    netlist(&xag)
-}
-
-#[test]
-fn parallel_commits_are_byte_identical_across_200_schedules() {
-    let _session = SchedSession::begin();
-    // Three structurally different networks; the schedule seeds are
-    // split across them so the suite still replays 200 interleavings.
-    let configs = [
-        FuzzConfig::default(),
-        FuzzConfig::xor_heavy(),
-        FuzzConfig::and_heavy(),
-    ];
-    let mut schedules_run = 0u32;
-    let mut distinct: BTreeMap<usize, Vec<u8>> = BTreeMap::new();
-    for (ci, cfg) in configs.iter().enumerate() {
-        let base = random_xag(cfg, 0xda_c19 + ci as u64);
-        sched::disable();
-        let baseline = optimize(&base, 2);
-        distinct.insert(ci, baseline.clone());
-        let seeds = if ci == 0 { 68 } else { 66 };
-        for seed in 0..seeds {
-            sched::enable((seed as u64) << 8 | (ci as u64 + 1));
-            let perturbed = optimize(&base, 2);
-            assert_eq!(
-                perturbed, baseline,
-                "config {ci}, schedule seed {seed}: parallel rewrite diverged from baseline"
-            );
-            schedules_run += 1;
-        }
-    }
-    assert_eq!(schedules_run, 200);
-    assert!(distinct.len() == configs.len());
 }

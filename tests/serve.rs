@@ -188,7 +188,7 @@ fn alias_and_expanded_spec_share_one_cache_entry() {
     for variant in [
         "{mc(cut=4);mc(cut=6)}*",
         " { mc( cut = 4 ) ; mc( cut = 6 ) } * ",
-        "par(threads=2){mc(cut=4);mc(cut=6)}*",
+        "{{mc(cut=4);mc(cut=6)}}*",
         "paper_flow",
     ] {
         let hit = submit(&mut client, variant);
