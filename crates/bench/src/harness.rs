@@ -182,12 +182,27 @@ pub fn parse_arg<T: FromStr>(value: &str, what: &str, usage: &str) -> T {
     })
 }
 
-/// The first argument of `args` (index 0, the binary, excluded) that a
-/// binary accepting `positional` bare arguments, the value-less
-/// `switches` and the one-value `options` cannot take, described for its
-/// usage error; `None` when all are accepted. Bare arguments must come
-/// before the first flag, and an option must have its value.
-pub fn arg_error(
+/// Checks `args` (index 0, the binary, excluded) against what a binary
+/// takes: at most `positional` bare arguments, all before the first flag,
+/// the value-less `switches` and the one-value `options`. Anything else —
+/// an unknown flag, a surplus or late bare argument, an option without
+/// its value — prints `usage` and exits with status 2.
+pub fn check_args(
+    args: &[String],
+    positional: usize,
+    switches: &[&str],
+    options: &[&str],
+    usage: &str,
+) {
+    if let Some(error) = arg_error(args, positional, switches, options) {
+        eprintln!("{error}");
+        exit_usage(usage)
+    }
+}
+
+/// The first argument [`check_args`] refuses, described for the usage
+/// error; `None` when the binary takes them all.
+fn arg_error(
     args: &[String],
     positional: usize,
     switches: &[&str],
@@ -211,21 +226,6 @@ pub fn arg_error(
         }
     }
     None
-}
-
-/// Checks `args` with [`arg_error`]; an argument the binary cannot take
-/// prints `usage` and exits with status 2.
-pub fn check_args(
-    args: &[String],
-    positional: usize,
-    switches: &[&str],
-    options: &[&str],
-    usage: &str,
-) {
-    if let Some(error) = arg_error(args, positional, switches, options) {
-        eprintln!("{error}");
-        exit_usage(usage)
-    }
 }
 
 /// The value of `flag` in `args` parsed as `T`; `None` when the flag is
@@ -432,33 +432,22 @@ mod tests {
         assert_eq!(json_path_from_args(&args[..2]), None);
         let dangling = strings(&["--json"]);
         assert_eq!(json_path_from_args(&dangling), None);
-    }
-
-    #[test]
-    fn args_a_binary_does_not_take_are_errors() {
-        let table1 = |args: &[&str]| arg_error(&strings(args), 0, &["--full"], &["--json"]);
-        assert_eq!(table1(&["table1", "--full", "--json", "out.json"]), None);
-        assert_eq!(table1(&["table1"]), None);
-        // The removed thread knob and unknown flags are refused by name.
-        for flag in ["--threads", "--bogus"] {
-            let error = table1(&["table1", flag, "4"]).expect("refused");
+        // `table1` takes these arguments, but refuses an unknown flag and
+        // the removed thread knob by name, a bare argument, and an option
+        // without its value.
+        let table1 = |args: &[String]| arg_error(args, 0, &["--full"], &["--json"]);
+        assert_eq!(table1(&args), None);
+        for flag in ["--bogus", "--threads"] {
+            let error = table1(&strings(&["table1", flag, "4"])).expect("refused");
             assert!(error.contains(flag), "{error}");
         }
-        assert!(table1(&["table1", "4"]).is_some(), "no bare arguments");
-        assert!(
-            table1(&["table1", "--json"]).is_some(),
-            "a value is missing"
-        );
-        // `hotpath_bench` times a fixed sample count and takes none.
-        let hotpath = |args: &[&str]| arg_error(&strings(args), 0, &["--alloc-check"], &["--json"]);
-        assert!(hotpath(&["hotpath_bench", "--samples", "3"]).is_some());
-        // Bare arguments come first, at most as many as the binary takes.
+        assert!(table1(&strings(&["table1", "4"])).is_some());
+        assert!(table1(&strings(&["table1", "--json"])).is_some());
+        // Bare arguments come first, at most as many as the binary takes:
+        // `debug_adder` takes two and no longer a thread count.
         let adder = |args: &[&str]| arg_error(&strings(args), 2, &[], &["--json"]);
         assert_eq!(adder(&["debug_adder", "8", "4", "--json", "a.json"]), None);
-        assert!(
-            adder(&["debug_adder", "8", "4", "1"]).is_some(),
-            "the old threads argument"
-        );
+        assert!(adder(&["debug_adder", "8", "4", "1"]).is_some());
         assert!(adder(&["debug_adder", "--json", "a.json", "8"]).is_some());
     }
 
