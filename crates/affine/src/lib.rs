@@ -68,7 +68,7 @@ pub struct Classification {
 /// The cache mirrors the paper's §4.1: "we maintain a cache of computed
 /// representatives and affine operations for all considered Boolean
 /// functions during rewriting", so no function is classified twice.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct AffineClassifier {
     cache: FxHashMap<Tt, Entry>,
     hits: u64,
@@ -76,7 +76,7 @@ pub struct AffineClassifier {
 }
 
 /// A memoized classification of the entry's key.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Entry {
     classification: Classification,
     /// The beam search restarted from the key returns the key itself, so
@@ -174,29 +174,15 @@ impl AffineClassifier {
         (self.hits, self.misses)
     }
 
-    /// Clones the classifier for one job's context: the fork keeps the whole
-    /// memoization cache but starts its hit/miss statistics at zero, so a
-    /// later [`AffineClassifier::absorb`] adds exactly the work the fork
-    /// did (instead of double-counting the parent's history).
-    pub fn fork(&self) -> AffineClassifier {
-        AffineClassifier {
-            cache: self.cache.clone(),
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    /// Merges a fork's memoized results into this classifier. Both compute
-    /// identical results for identical inputs (the search is
-    /// deterministic), so merge order does not matter; existing entries
-    /// are kept. Used to fold a job's classifier back into the shared one
-    /// a daemon keeps across jobs.
-    pub fn absorb(&mut self, other: AffineClassifier) {
-        for (f, e) in other.cache {
-            self.cache.entry(f).or_insert(e);
-        }
-        self.hits = self.hits.saturating_add(other.hits);
-        self.misses = self.misses.saturating_add(other.misses);
+    /// Classifies a function of at most four variables exactly, from
+    /// the process-wide orbit tables, without a cache: the answer
+    /// [`AffineClassifier::classify`] gives for it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `f` has more than four variables.
+    pub fn classify_exact(f: Tt) -> Classification {
+        exact::classify(f)
     }
 
     /// Number of distinct affine classes among all functions of `n ≤ 4`

@@ -16,6 +16,16 @@ use xag_tt::Tt;
 /// every later pass and benchmark, so the database amortizes exactly like
 /// the paper's precomputed one (DESIGN.md §3).
 ///
+/// A context is never copied. `mc-serve` gives each worker thread one
+/// context for the worker's whole life and runs every job the worker pops
+/// on it, so no lock is held while a job runs. Classification and
+/// synthesis are deterministic, so a context returns the same candidate
+/// for the same cut function whatever it ran before: its history changes
+/// speed, never results. That holds while the beam classifier's fixpoint
+/// loop never stops at its cap (see [`AffineClassifier::classify`]),
+/// which it has not done on any network measured so far (DESIGN.md §5).
+/// A round's candidate memo is no part of the context.
+///
 /// # Examples
 ///
 /// ```
@@ -29,7 +39,7 @@ use xag_tt::Tt;
 /// assert_eq!(frag.eval_tt(), maj);
 /// assert_eq!(ctx.db_size(), 1);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct OptContext {
     classifier: AffineClassifier,
     synth: Synthesizer,
@@ -46,41 +56,6 @@ impl OptContext {
     /// Number of distinct representatives currently in the database.
     pub fn db_size(&self) -> usize {
         self.db.len()
-    }
-
-    /// Clones the context for one job: the fork starts with all of this
-    /// context's memoized state, so representatives synthesized by earlier
-    /// jobs stay amortized inside it. `mc-serve` forks its shared context
-    /// per job, so no lock is held while the job runs, and absorbs the fork
-    /// back afterwards.
-    ///
-    /// Classification and synthesis are deterministic, so a fork produces
-    /// the same candidate for the same cut function as its parent — cache
-    /// state only affects speed, never results. That holds while the beam
-    /// classifier's fixpoint loop never stops at its cap (see
-    /// [`AffineClassifier::classify`]), which it has not done on any
-    /// network measured so far (DESIGN.md §5). Cache-hit statistics start
-    /// at zero in the fork, so absorbing it back adds only the fork's own
-    /// work. A round's candidate memo is no part of the context, so a fork
-    /// does not copy it.
-    pub fn fork(&self) -> OptContext {
-        OptContext {
-            classifier: self.classifier.fork(),
-            synth: self.synth.fork(),
-            db: self.db.clone(),
-        }
-    }
-
-    /// Merges a job's fork back ([`OptContext::fork`]): database entries,
-    /// classification cache, and synthesis cache discovered by the job are
-    /// kept; entries the parent already has win ties (they are equal
-    /// anyway, by determinism).
-    pub fn absorb(&mut self, fork: OptContext) {
-        for (tt, frag) in fork.db {
-            self.db.entry(tt).or_insert(frag);
-        }
-        self.classifier.absorb(fork.classifier);
-        self.synth.absorb(fork.synth);
     }
 
     /// AND-gate counts of the database entries, as `(ands, entries)` pairs

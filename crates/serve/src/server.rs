@@ -13,11 +13,12 @@
 //!   *is* the backpressure — and the reader then waits on the job's
 //!   reply channel, so each connection has at most one job in flight and
 //!   responses stay ordered.
-//! * **Workers** — `workers` threads popping jobs. Each job forks the
-//!   shared [`OptContext`], runs `xag_mc::run_job`, absorbs the fork back
-//!   (so representatives synthesized for one client amortize across all
-//!   of them), stores both export formats in the semantic cache, and
-//!   sends the result to the waiting reader.
+//! * **Workers** — `workers` threads popping jobs. Each worker owns one
+//!   [`OptContext`] for its whole life and runs every job it pops with
+//!   `xag_mc::run_job` on that context (so representatives synthesized
+//!   for one client amortize across every later job on the worker),
+//!   stores both export formats in the semantic cache, and sends the
+//!   result to the waiting reader.
 //!
 //! Shutdown (a `shutdown` request or [`ServerHandle::shutdown`]) sets the
 //! flag and closes the queue: the listener stops accepting, workers drain
@@ -56,7 +57,9 @@ pub struct ServeConfig {
     /// Listen address; use port 0 for an ephemeral port (the bound
     /// address is reported by [`ServerHandle::local_addr`]).
     pub addr: String,
-    /// Worker threads in the pool.
+    /// Worker threads in the pool. Each worker holds its own
+    /// [`OptContext`] for the daemon's life, so the memory of the
+    /// classifier, synthesizer and database memos scales with this count.
     pub workers: usize,
     /// Bound of the semantic result cache (LRU).
     pub cache_capacity: usize,
@@ -156,7 +159,6 @@ pub(crate) struct Shared {
     /// The semantic cache plus the coalescing pending map; internally
     /// locked — see [`CoalescingCache`].
     cache: CoalescingCache,
-    ctx: Mutex<OptContext>,
     stats: Mutex<ServiceStats>,
     /// This daemon's metric-history ring: its sampler feeds it, the
     /// `MetricsHistory` frame reads it.
@@ -236,7 +238,6 @@ impl Server {
         let shared = Arc::new(Shared {
             queue: JobQueue::new(QUEUE_CAPACITY),
             cache: CoalescingCache::new(config.cache_capacity),
-            ctx: Mutex::new(OptContext::new()),
             stats: Mutex::new(ServiceStats::new()),
             history: History::default(),
             shutdown: AtomicBool::new(false),
@@ -531,6 +532,7 @@ fn worker_loop(shared: &Arc<Shared>) {
     // so `Metrics` is live even between sampler ticks.
     let queue_gauge = mc_obs::registry().gauge("serve_queue_depth");
     let busy_gauge = mc_obs::registry().gauge("serve_workers_busy");
+    let mut ctx = OptContext::new();
     while let Some(job) = shared.queue.pop() {
         let busy = shared.busy.fetch_add(1, Ordering::Relaxed) + 1;
         busy_gauge.set(busy as u64);
@@ -550,7 +552,7 @@ fn worker_loop(shared: &Arc<Shared>) {
             wait_us,
             format!("job={}", job.id),
         );
-        let entry = compute(shared, job.id, job.xag, &job.spec);
+        let entry = compute(&mut ctx, job.id, job.xag, &job.spec);
         // Commit into the coalescing cache; waiters racing this cold key
         // are woken from the committed entry (exactly one compute).
         shared.cache.commit(&job.key, &entry);
@@ -574,21 +576,20 @@ fn worker_loop(shared: &Arc<Shared>) {
     }
 }
 
-fn compute(shared: &Arc<Shared>, job_id: u64, mut xag: Xag, spec: &JobSpec) -> CacheEntry {
-    // Fork the shared context so the optimization itself runs without
-    // holding any lock; absorb afterwards so every worker benefits from
-    // the representatives this job synthesized.
-    let mut ctx = lock_unpoisoned(&shared.ctx).fork();
+/// Runs one job on the worker's own context and serializes the answer.
+/// The context only memoizes deterministic classification and synthesis,
+/// so which worker ran a job, and what it ran before, changes how fast
+/// the answer comes, never the answer.
+fn compute(ctx: &mut OptContext, job_id: u64, mut xag: Xag, spec: &JobSpec) -> CacheEntry {
     let run_start = Instant::now();
     let result = {
         let mut run_span = mc_obs::span("serve:run");
         run_span.detail(format!("job={job_id} flow={}", spec.flow.normalized()));
-        run_job(&mut xag, &mut ctx, spec)
+        run_job(&mut xag, ctx, spec)
     };
     mc_obs::registry()
         .histogram("serve_run_us")
         .record(run_start.elapsed().as_micros() as u64);
-    lock_unpoisoned(&shared.ctx).absorb(ctx);
 
     let serialize_start = Instant::now();
     let serialize_span = mc_obs::span("serve:serialize");

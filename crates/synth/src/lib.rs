@@ -53,10 +53,9 @@ const EXACT_SEARCH_MAX_VARS: usize = 4;
 ///
 /// The cache plays the role of the paper's `XAG_DB`: each (pseudo-)
 /// representative is synthesized at most once per process.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct Synthesizer {
     cache: FxHashMap<Tt, XagFragment>,
-    classifier: AffineClassifier,
 }
 
 impl Synthesizer {
@@ -71,26 +70,6 @@ impl Synthesizer {
         let frag = self.synth_inner(f);
         debug_assert_eq!(frag.eval_tt(), f, "synthesized fragment mismatch");
         frag
-    }
-
-    /// Clones the synthesizer for one job's context, with statistics reset
-    /// (see [`AffineClassifier::fork`]).
-    pub fn fork(&self) -> Synthesizer {
-        Synthesizer {
-            cache: self.cache.clone(),
-            classifier: self.classifier.fork(),
-        }
-    }
-
-    /// Merges a fork's cache into this one. Synthesis is deterministic, so
-    /// equal keys carry equal fragments and merge order does not matter;
-    /// existing entries are kept. Used to fold a job's synthesizer back
-    /// into the shared one a daemon keeps across jobs.
-    pub fn absorb(&mut self, other: Synthesizer) {
-        for (f, frag) in other.cache {
-            self.cache.entry(f).or_insert(frag);
-        }
-        self.classifier.absorb(other.classifier);
     }
 
     pub(crate) fn synth_inner(&mut self, f: Tt) -> XagFragment {
@@ -131,9 +110,10 @@ impl Synthesizer {
         // Multiplicative complexity is affine-invariant: synthesize the
         // class representative (sparser, often lower apparent complexity)
         // and replay the operations as free XOR/NOT/wiring gates. The exact
-        // classifier covers up to four variables.
+        // classifier covers up to four variables; it needs no cache of its
+        // own, since `synth_inner` caches every function reaching here.
         if f.vars() <= 4 {
-            let c = self.classifier.classify(f);
+            let c = AffineClassifier::classify_exact(f);
             // Guard against ping-ponging with the polarity canonicalization
             // in `synth_inner`: when the representative is just the
             // complement, the ladder below handles the function directly.
