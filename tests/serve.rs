@@ -6,7 +6,9 @@
 use std::time::Instant;
 
 use mc_serve::{Client, OptimizeRequest, ServeConfig, Server};
-use xag_mc::FlowSpec;
+use xag_circuits::epfl::{epfl_suite, Scale};
+use xag_circuits::parse_circuit;
+use xag_mc::{run_job, FlowSpec, OptContext};
 use xag_network::fuzz::{random_xag, FuzzConfig};
 use xag_network::{equiv_exhaustive, read_bristol, write_bristol, Xag};
 
@@ -469,5 +471,95 @@ fn verilog_round_trip_through_the_daemon() {
     assert!(equiv_exhaustive(&input, &back));
 
     client.shutdown().expect("shutdown");
+    handle.join();
+}
+
+/// The answer the daemon must serve for `req`: its circuit text parsed,
+/// optimized by `run_job` with a fresh context, cleaned up and written as
+/// Bristol, the steps a worker takes.
+fn fresh_answer(req: &OptimizeRequest) -> String {
+    let mut xag = parse_circuit(&req.circuit, req.format).expect("parse");
+    run_job(&mut xag, &mut OptContext::new(), &req.job_spec());
+    bristol_text(&xag.cleanup())
+}
+
+/// Submits `reqs` from two concurrent clients, so both workers of a
+/// two-worker daemon take jobs, and returns every served netlist in
+/// request order.
+fn serve_split(addr: std::net::SocketAddr, reqs: &[OptimizeRequest]) -> Vec<String> {
+    let (even, odd): (Vec<_>, Vec<_>) = reqs.iter().enumerate().partition(|(i, _)| i % 2 == 0);
+    let mut served = vec![String::new(); reqs.len()];
+    std::thread::scope(|s| {
+        let runs: Vec<_> = [even, odd]
+            .into_iter()
+            .map(|half| {
+                s.spawn(move || {
+                    let mut client = Client::connect(addr).expect("connect");
+                    half.into_iter()
+                        .map(|(i, req)| {
+                            let result = client.optimize(req.clone()).expect("optimize");
+                            assert!(!result.cached, "request {i} must be computed, not a hit");
+                            (i, result.netlist)
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        for run in runs {
+            for (i, netlist) in run.join().expect("client thread") {
+                served[i] = netlist;
+            }
+        }
+    });
+    served
+}
+
+/// An answer does not depend on which worker computed it or on what that
+/// worker's context memoized before: after both workers of a daemon have
+/// warmed up on other circuits, every served netlist is byte-identical to
+/// a fresh-context run of the same text.
+#[test]
+fn served_answers_match_a_fresh_context() {
+    let handle = boot(2);
+    let addr = handle.local_addr();
+    let request = |xag: &Xag| OptimizeRequest {
+        circuit: bristol_text(xag),
+        ..OptimizeRequest::default()
+    };
+
+    let warm_up: Vec<_> = (0..16u64)
+        .map(|seed| {
+            let cfg = if seed % 2 == 0 {
+                FuzzConfig::default()
+            } else {
+                FuzzConfig::xor_heavy()
+            };
+            request(&random_xag(&cfg, 7000 + seed))
+        })
+        .collect();
+    serve_split(addr, &warm_up);
+
+    let mut checked: Vec<_> = (0..8u64)
+        .map(|seed| request(&random_xag(&FuzzConfig::and_heavy(), 8000 + seed)))
+        .collect();
+    checked.extend(
+        epfl_suite(Scale::Reduced)
+            .iter()
+            .filter(|b| ["adder", "max", "ctrl", "cavlc"].contains(&b.name))
+            .map(|b| request(&b.xag)),
+    );
+    assert_eq!(checked.len(), 12);
+    let served = serve_split(addr, &checked);
+    for (i, (req, netlist)) in checked.iter().zip(&served).enumerate() {
+        assert!(
+            *netlist == fresh_answer(req),
+            "request {i}: the served netlist differs from a fresh-context run"
+        );
+    }
+
+    Client::connect(addr)
+        .expect("connect")
+        .shutdown()
+        .expect("shutdown");
     handle.join();
 }
