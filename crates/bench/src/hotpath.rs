@@ -202,8 +202,9 @@ pub fn run_hotpath(samples: usize, alloc_check: bool) -> Vec<BenchRecord> {
             );
         }
 
-        // Allocation profile of the sweep: the dense arena allocates only
-        // for vector growth — O(log cuts) doublings — never per cut.
+        // Allocation profile of the sweep: the dense arena is reserved
+        // once and only the per-node scratch grows, so nothing allocates
+        // per cut.
         let (allocs, _) = count_allocs(|| enumerate_cuts_for(xag, &order, &params).total());
         println!(
             "  {:<32} {} heap allocations for {} cuts",
