@@ -474,88 +474,48 @@ fn verilog_round_trip_through_the_daemon() {
     handle.join();
 }
 
-/// The answer the daemon must serve for `req`: its circuit text parsed,
-/// optimized by `run_job` with a fresh context, cleaned up and written as
-/// Bristol, the steps a worker takes.
-fn fresh_answer(req: &OptimizeRequest) -> String {
-    let mut xag = parse_circuit(&req.circuit, req.format).expect("parse");
-    run_job(&mut xag, &mut OptContext::new(), &req.job_spec());
-    bristol_text(&xag.cleanup())
-}
-
-/// Submits `reqs` from two concurrent clients, so both workers of a
-/// two-worker daemon take jobs, and returns every served netlist in
-/// request order.
-fn serve_split(addr: std::net::SocketAddr, reqs: &[OptimizeRequest]) -> Vec<String> {
-    let (even, odd): (Vec<_>, Vec<_>) = reqs.iter().enumerate().partition(|(i, _)| i % 2 == 0);
-    let mut served = vec![String::new(); reqs.len()];
-    std::thread::scope(|s| {
-        let runs: Vec<_> = [even, odd]
-            .into_iter()
-            .map(|half| {
-                s.spawn(move || {
-                    let mut client = Client::connect(addr).expect("connect");
-                    half.into_iter()
-                        .map(|(i, req)| {
-                            let result = client.optimize(req.clone()).expect("optimize");
-                            assert!(!result.cached, "request {i} must be computed, not a hit");
-                            (i, result.netlist)
-                        })
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for run in runs {
-            for (i, netlist) in run.join().expect("client thread") {
-                served[i] = netlist;
-            }
-        }
-    });
-    served
-}
-
 /// An answer does not depend on which worker computed it or on what that
-/// worker's context memoized before: after both workers of a daemon have
-/// warmed up on other circuits, every served netlist is byte-identical to
-/// a fresh-context run of the same text.
+/// worker's context memoized before. Two clients feed a two-worker daemon
+/// a warm-up set, then fuzz networks and four reduced Table 1 rows, and
+/// every served netlist must be byte-identical to what a worker makes of
+/// the same text with a fresh context: parse, `run_job`, clean up, write.
 #[test]
 fn served_answers_match_a_fresh_context() {
     let handle = boot(2);
     let addr = handle.local_addr();
-    let request = |xag: &Xag| OptimizeRequest {
-        circuit: bristol_text(xag),
-        ..OptimizeRequest::default()
-    };
-
-    let warm_up: Vec<_> = (0..16u64)
-        .map(|seed| {
-            let cfg = if seed % 2 == 0 {
-                FuzzConfig::default()
-            } else {
-                FuzzConfig::xor_heavy()
-            };
-            request(&random_xag(&cfg, 7000 + seed))
+    let warm_up = (0..16).map(|seed| random_xag(&FuzzConfig::xor_heavy(), 7000 + seed));
+    let fuzz = (0..8).map(|seed| random_xag(&FuzzConfig::and_heavy(), 8000 + seed));
+    let rows = epfl_suite(Scale::Reduced)
+        .into_iter()
+        .filter(|b| ["adder", "max", "ctrl", "cavlc"].contains(&b.name))
+        .map(|b| b.xag);
+    let requests: Vec<_> = warm_up
+        .chain(fuzz)
+        .chain(rows)
+        .map(|xag| OptimizeRequest {
+            circuit: bristol_text(&xag),
+            ..OptimizeRequest::default()
         })
         .collect();
-    serve_split(addr, &warm_up);
-
-    let mut checked: Vec<_> = (0..8u64)
-        .map(|seed| request(&random_xag(&FuzzConfig::and_heavy(), 8000 + seed)))
-        .collect();
-    checked.extend(
-        epfl_suite(Scale::Reduced)
-            .iter()
-            .filter(|b| ["adder", "max", "ctrl", "cavlc"].contains(&b.name))
-            .map(|b| request(&b.xag)),
-    );
-    assert_eq!(checked.len(), 12);
-    let served = serve_split(addr, &checked);
-    for (i, (req, netlist)) in checked.iter().zip(&served).enumerate() {
-        assert!(
-            *netlist == fresh_answer(req),
-            "request {i}: the served netlist differs from a fresh-context run"
-        );
-    }
+    assert_eq!(requests.len(), 28);
+    std::thread::scope(|s| {
+        for first in 0..2 {
+            let requests = &requests;
+            s.spawn(move || {
+                let mut client = Client::connect(addr).expect("connect");
+                for (i, req) in requests.iter().enumerate().skip(first).step_by(2) {
+                    let served = client.optimize(req.clone()).expect("optimize");
+                    assert!(!served.cached, "request {i} must be computed");
+                    let mut xag = parse_circuit(&req.circuit, req.format).expect("parse");
+                    run_job(&mut xag, &mut OptContext::new(), &req.job_spec());
+                    assert!(
+                        served.netlist == bristol_text(&xag.cleanup()),
+                        "request {i}: the served netlist differs from a fresh-context run"
+                    );
+                }
+            });
+        }
+    });
 
     Client::connect(addr)
         .expect("connect")
