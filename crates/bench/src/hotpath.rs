@@ -202,9 +202,8 @@ pub fn run_hotpath(samples: usize, alloc_check: bool) -> Vec<BenchRecord> {
             );
         }
 
-        // Allocation profile of the sweep: the dense arena is reserved
-        // once and only the per-node scratch grows, so nothing allocates
-        // per cut.
+        // Allocation profile of the sweep: the arena is reserved once and
+        // only the per-node scratch grows, so nothing allocates per cut.
         let (allocs, _) = count_allocs(|| enumerate_cuts_for(xag, &order, &params).total());
         println!(
             "  {:<32} {} heap allocations for {} cuts",

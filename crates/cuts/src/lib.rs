@@ -329,11 +329,8 @@ pub fn enumerate_cuts_for(xag: &Xag, order: &[NodeId], params: &CutParams) -> Cu
         (1..=MAX_CUT_SIZE).contains(&params.cut_size),
         "cut size must be within 1..=6"
     );
-    // Reserve the arena's bound (each gate keeps at most CUT_LIMIT merges
-    // plus its trivial cut), so it never reallocates: a growing arena
-    // copies itself at every doubling, and the allocator may keep the
-    // freed copies resident. Capacity that is never written is never
-    // resident.
+    // Reserved at its bound (CUT_LIMIT merges plus the trivial cut per gate):
+    // a doubling arena's freed copies could stay resident (DESIGN.md §9).
     let bound = (CUT_LIMIT + 1) * order.len() + xag.num_inputs() + 1;
     let mut sets = CutSets {
         spans: vec![(0, 0); xag.capacity()],

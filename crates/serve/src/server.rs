@@ -577,9 +577,8 @@ fn worker_loop(shared: &Arc<Shared>) {
 }
 
 /// Runs one job on the worker's own context and serializes the answer.
-/// The context only memoizes deterministic classification and synthesis,
-/// so which worker ran a job, and what it ran before, changes how fast
-/// the answer comes, never the answer.
+/// What the context ran before changes how fast the answer comes, never
+/// the answer: it memoizes only deterministic classification and synthesis.
 fn compute(ctx: &mut OptContext, job_id: u64, mut xag: Xag, spec: &JobSpec) -> CacheEntry {
     let run_start = Instant::now();
     let result = {
