@@ -31,7 +31,9 @@
 //! job is retried on the next backend in ring order — safe because
 //! `optimize` is idempotent (same key, same result; at worst a surviving
 //! backend recomputes what the dead one never delivered). A backend
-//! that answers "shutting down" is treated the same way. A job tries at
+//! that answers "shutting down" is treated the same way. Any other error
+//! answer — a failed job included — is the job's own and goes to the
+//! client, and the backend stays up. A job tries at
 //! most four distinct backends (three retries) before the client sees an
 //! error. The bound matters: every failed dispatch marks its backend
 //! down, so it caps how many backends one failing job can take out.
@@ -794,5 +796,91 @@ fn cluster_stats(shared: &RouterShared) -> ClusterStatsInfo {
         affinity_fallbacks: shared.affinity_fallbacks.load(Ordering::Relaxed),
         health: lock_unpoisoned(&shared.health).clone(),
         backends,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use mc_serve::protocol::ERR_JOB_FAILED;
+    use mc_serve::ClientError;
+    use xag_network::{write_bristol, Xag};
+
+    use super::*;
+
+    #[test]
+    fn only_shutdown_errors_fail_over() {
+        assert!(is_shutdown_error(ERR_SHUTTING_DOWN));
+        assert!(is_shutdown_error(ERR_JOB_DROPPED));
+        assert!(!is_shutdown_error(ERR_JOB_FAILED));
+    }
+
+    /// A backend on which every job fails, and which is otherwise healthy.
+    struct FailingBackend {
+        shutdown: AtomicBool,
+    }
+
+    impl Dispatch for FailingBackend {
+        fn shutdown_flag(&self) -> &AtomicBool {
+            &self.shutdown
+        }
+
+        fn dispatch(&self, request: Request) -> Response {
+            match request {
+                Request::Optimize(_) => Response::Error {
+                    message: ERR_JOB_FAILED.to_string(),
+                },
+                _ => Response::Pong,
+            }
+        }
+    }
+
+    /// A failed job is the job's fault, not the backend's: the router
+    /// passes the error to its client, retries nothing and keeps the
+    /// backend up.
+    #[test]
+    fn a_failed_job_reaches_the_client_and_keeps_its_backend_up() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind the backend");
+        let backend_addr = listener.local_addr().expect("backend address");
+        listener.set_nonblocking(true).expect("non-blocking accept");
+        let backend = Arc::new(FailingBackend {
+            shutdown: AtomicBool::new(false),
+        });
+        let accept = {
+            let backend = Arc::clone(&backend);
+            std::thread::spawn(move || accept_loop(listener, &backend, "failing-backend"))
+        };
+        let router = Router::bind(RouterConfig::default()).expect("bind the router");
+        let id = router
+            .shared
+            .registry
+            .register(&backend_addr.to_string(), 1, 64);
+
+        let mut xag = Xag::new();
+        let (a, b) = (xag.input(), xag.input());
+        let g = xag.and(a, b);
+        xag.output(g);
+        let mut text = Vec::new();
+        write_bristol(&xag, &mut text).expect("in-memory write");
+        let err = Client::connect(router.local_addr())
+            .expect("connect")
+            .optimize(OptimizeRequest {
+                circuit: String::from_utf8(text).expect("bristol is ASCII"),
+                ..OptimizeRequest::default()
+            })
+            .expect_err("every job fails on this backend");
+        assert!(
+            matches!(&err, ClientError::Server(message) if message == ERR_JOB_FAILED),
+            "{err}"
+        );
+        assert_eq!(router.shared.jobs_retried.load(Ordering::Relaxed), 0);
+        let backends = router.shared.registry.snapshot();
+        assert!(
+            backends.iter().any(|b| b.id == id && b.up),
+            "the backend stays up: {backends:?}"
+        );
+
+        router.shutdown();
+        backend.shutdown.store(true, Ordering::SeqCst);
+        accept.join().expect("backend accept loop");
     }
 }

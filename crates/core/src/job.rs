@@ -81,7 +81,7 @@ impl Default for JobSpec {
 }
 
 /// Gate-count, depth, and convergence summary of one executed job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct JobResult {
     /// AND gates before optimization.
     pub ands_before: usize,

@@ -1,5 +1,4 @@
-//! The semantic result cache: a bounded LRU map over the canonical
-//! network key.
+//! The job key and the cached result it maps to.
 //!
 //! The key itself — [`canonical_form`] / [`job_key`] / [`fingerprint`] —
 //! lives in `xag_mc::canon` and is re-exported here, because the cluster
@@ -7,17 +6,16 @@
 //! backend ring: key agreement between the tiers is what makes an
 //! isomorphic resubmission land on the backend whose cache is warm.
 //!
-//! [`SemanticCache`] bounds the map with least-recently-used eviction and
-//! counts hits, misses, and evictions for the `stats` endpoint. The
-//! server coalesces concurrent misses on the same key (only the first
-//! racer computes; the rest wait on the commit) and reports the waiters
-//! as hits via [`SemanticCache::note_coalesced_hit`].
+//! A [`CacheEntry`] is what one computation of a key leaves behind. The
+//! map from keys to entries, with its LRU bound, its counters and the
+//! coalescing of concurrent misses, is [`crate::coalesce`]'s
+//! `CoalescingCache`; hits and waiters share one entry through an `Arc`.
 
 pub use xag_mc::canon::{canonical_form, fingerprint, job_key};
-use xag_tt::hash::FxHashMap;
+use xag_mc::JobResult;
 
 /// One cached optimization result: both export formats plus the summary
-/// the original computation reported.
+/// of the run that computed them.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CacheEntry {
     /// Id of the job that computed the entry.
@@ -26,182 +24,13 @@ pub struct CacheEntry {
     pub bristol: String,
     /// Optimized netlist, structural Verilog.
     pub verilog: String,
-    /// AND gates before optimization.
-    pub ands_before: usize,
-    /// XOR gates before optimization.
-    pub xors_before: usize,
-    /// Multiplicative depth before optimization.
-    pub depth_before: usize,
-    /// AND gates after optimization.
-    pub ands_after: usize,
-    /// XOR gates after optimization.
-    pub xors_after: usize,
-    /// Multiplicative depth after optimization.
-    pub depth_after: usize,
-    /// Pass executions the computation used.
-    pub rounds: usize,
-    /// Whether the flow converged.
-    pub converged: bool,
+    /// What `run_job` reported for the computation.
+    pub result: JobResult,
+}
+
+impl CacheEntry {
     /// Wall-clock milliseconds of the original computation.
-    pub millis: u64,
-}
-
-struct Slot {
-    entry: CacheEntry,
-    last_used: u64,
-}
-
-/// A bounded LRU map from job keys to results, with hit/miss/eviction
-/// counters. Not thread-safe by itself — the server wraps it in a mutex.
-pub struct SemanticCache {
-    map: FxHashMap<Vec<u8>, Slot>,
-    capacity: usize,
-    tick: u64,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-}
-
-impl SemanticCache {
-    /// Creates a cache bounded at `capacity` entries (min 1).
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            map: FxHashMap::default(),
-            capacity: capacity.max(1),
-            tick: 0,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-        }
-    }
-
-    /// Looks a key up, counting a hit or miss and refreshing recency.
-    pub fn get(&mut self, key: &[u8]) -> Option<CacheEntry> {
-        self.tick += 1;
-        match self.map.get_mut(key) {
-            Some(slot) => {
-                slot.last_used = self.tick;
-                self.hits += 1;
-                Some(slot.entry.clone())
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Inserts (or replaces) an entry, evicting the least recently used
-    /// one when the bound is exceeded.
-    pub fn insert(&mut self, key: Vec<u8>, entry: CacheEntry) {
-        self.tick += 1;
-        let tick = self.tick;
-        self.map.insert(
-            key,
-            Slot {
-                entry,
-                last_used: tick,
-            },
-        );
-        if self.map.len() > self.capacity {
-            if let Some(lru) = self
-                .map
-                .iter()
-                .min_by_key(|(_, slot)| slot.last_used)
-                .map(|(k, _)| k.clone())
-            {
-                self.map.remove(&lru);
-                self.evictions += 1;
-            }
-        }
-    }
-
-    /// Counts one hit without a lookup — used for a request that raced a
-    /// cold cache, was coalesced onto the in-flight computation, and was
-    /// served from its commit: semantically a hit, but the entry was
-    /// delivered through the waiters list rather than through
-    /// [`SemanticCache::get`].
-    pub fn note_coalesced_hit(&mut self) {
-        self.hits += 1;
-    }
-
-    /// Entries currently cached.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True iff nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// The LRU bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Lookups that found an entry (including coalesced hits).
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Lookups that found nothing.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Entries evicted by the bound.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn entry(id: u64) -> CacheEntry {
-        CacheEntry {
-            job_id: id,
-            bristol: String::new(),
-            verilog: String::new(),
-            ands_before: 0,
-            xors_before: 0,
-            depth_before: 0,
-            ands_after: 0,
-            xors_after: 0,
-            depth_after: 0,
-            rounds: 0,
-            converged: true,
-            millis: 0,
-        }
-    }
-
-    #[test]
-    fn lru_evicts_least_recently_used() {
-        let mut cache = SemanticCache::new(2);
-        cache.insert(b"a".to_vec(), entry(1));
-        cache.insert(b"b".to_vec(), entry(2));
-        // Touch `a` so `b` becomes the LRU.
-        assert!(cache.get(b"a").is_some());
-        cache.insert(b"c".to_vec(), entry(3));
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.evictions(), 1);
-        assert!(cache.get(b"b").is_none(), "b was the LRU");
-        assert!(cache.get(b"a").is_some());
-        assert!(cache.get(b"c").is_some());
-    }
-
-    #[test]
-    fn counters_track_hits_and_misses() {
-        let mut cache = SemanticCache::new(4);
-        assert!(cache.get(b"k").is_none());
-        cache.insert(b"k".to_vec(), entry(1));
-        assert_eq!(cache.get(b"k").map(|e| e.job_id), Some(1));
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
-        cache.note_coalesced_hit();
-        assert_eq!((cache.hits(), cache.misses()), (2, 1));
-        assert!(!cache.is_empty());
-        assert_eq!(cache.capacity(), 4);
+    pub fn millis(&self) -> u64 {
+        self.result.elapsed.as_millis() as u64
     }
 }

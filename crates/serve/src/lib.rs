@@ -18,10 +18,16 @@
 //!   [`Request`]/[`Response`] messages (`optimize`, `status`, `stats`,
 //!   `shutdown`);
 //! * [`queue`] — the bounded blocking job queue (backpressure);
-//! * [`cache`] — canonical network hashing + the LRU result cache;
+//! * [`cache`] — the canonical job key and the cached result entry;
+//! * [`coalesce`] — the one map from job key to a pending or ready
+//!   result, under one lock: the LRU bound, the hit/miss counters, and
+//!   the coalescing of concurrent misses — every answer, computed or
+//!   coalesced, reaches its request through this map;
 //! * [`endpoint`] — the accept loop and per-connection frame loop the
 //!   daemon and the `mc-cluster` router share;
-//! * [`server`] — the daemon's request dispatch and worker pool;
+//! * [`server`] — the daemon's request dispatch and worker pool; a job
+//!   that panics fails with [`protocol::ERR_JOB_FAILED`], for its
+//!   submitter and every coalesced request, and its worker carries on;
 //! * [`client`] — a blocking client library, used by the `mc-client` CLI
 //!   binary, the end-to-end tests, and the `serve_bench` load generator.
 //!
@@ -71,7 +77,7 @@ pub mod server;
 #[doc(hidden)]
 pub mod sync;
 
-pub use cache::{canonical_form, fingerprint, job_key, CacheEntry, SemanticCache};
+pub use cache::{canonical_form, fingerprint, job_key, CacheEntry};
 pub use client::{Client, ClientError};
 pub use coalesce::{CoalescingCache, Plan};
 pub use protocol::{

@@ -37,6 +37,12 @@ pub const ERR_SHUTTING_DOWN: &str = "daemon is shutting down";
 /// Stable for the same reason as [`ERR_SHUTTING_DOWN`].
 pub const ERR_JOB_DROPPED: &str = "job was dropped during shutdown";
 
+/// Error message for a job whose computation failed (the optimizer
+/// panicked on it). **Stable**, and deliberately *not* a failover signal:
+/// the same job would fail on every backend, so the cluster router passes
+/// it to the client and keeps the backend up.
+pub const ERR_JOB_FAILED: &str = "job failed during optimization";
+
 /// Failure reading a frame from the wire.
 #[derive(Debug)]
 pub enum FrameError {

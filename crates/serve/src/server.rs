@@ -8,17 +8,21 @@
 //!   connection gets its own reader thread.
 //! * **Connection readers** — read one frame at a time and answer it
 //!   through this daemon's [`Dispatch`] implementation. Cheap requests
-//!   (`status`, `stats`, cache hits) are answered inline; a cache miss
-//!   becomes a job pushed onto the bounded queue — blocking there
-//!   *is* the backpressure — and the reader then waits on the job's
-//!   reply channel, so each connection has at most one job in flight and
+//!   (`status`, `stats`, cache hits) are answered inline. A request whose
+//!   key is in flight waits for its answer; a first miss also becomes a
+//!   job pushed onto the bounded queue — blocking there *is* the
+//!   backpressure. Either way the reader then blocks on its waiter
+//!   channel in the [`CoalescingCache`], the one path every answer
+//!   arrives on, so each connection has at most one job in flight and
 //!   responses stay ordered.
 //! * **Workers** — `workers` threads popping jobs. Each worker owns one
 //!   [`OptContext`] for its whole life and runs every job it pops with
 //!   `xag_mc::run_job` on that context (so representatives synthesized
-//!   for one client amortize across every later job on the worker),
-//!   stores both export formats in the semantic cache, and sends the
-//!   result to the waiting reader.
+//!   for one client amortize across every later job on the worker), then
+//!   commits both export formats to the cache, which wakes every waiter
+//!   of the key. A job that panics fails only itself: the worker catches
+//!   the panic, aborts the key with [`ERR_JOB_FAILED`], swaps in a fresh
+//!   context and pops the next job.
 //!
 //! Shutdown (a `shutdown` request or [`ServerHandle::shutdown`]) sets the
 //! flag and closes the queue: the listener stops accepting, workers drain
@@ -27,8 +31,9 @@
 
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -42,9 +47,9 @@ use crate::coalesce::{CoalescingCache, Plan};
 use crate::endpoint::{accept_loop, sliced_sleep, Dispatch};
 use crate::protocol::{
     FlowTiming, OptimizeRequest, OptimizeResult, Request, Response, StatsInfo, StatusInfo,
-    ERR_JOB_DROPPED, ERR_SHUTTING_DOWN,
+    ERR_JOB_DROPPED, ERR_JOB_FAILED, ERR_SHUTTING_DOWN,
 };
-use crate::queue::JobQueue;
+use crate::queue::{Closed, JobQueue};
 use crate::sync::lock_unpoisoned;
 
 /// Bound of the job queue: pushes beyond it block. `status` and the
@@ -95,13 +100,16 @@ impl Default for ServeConfig {
     }
 }
 
-/// One queued optimization job.
+/// One queued optimization job. Its answer goes through the cache: the
+/// worker commits or aborts `key`, which wakes every waiter of the key.
 struct Job {
     id: u64,
     xag: Xag,
     spec: JobSpec,
+    /// `spec.flow`, normalized once: the progress board, the `serve:run`
+    /// span and the per-flow row all name the job's flow by it.
+    flow: String,
     key: Vec<u8>,
-    reply: mpsc::Sender<CacheEntry>,
     /// Trace ID the job runs under (request-supplied or server-assigned).
     trace_id: u64,
     /// When the job entered the queue; the worker's pop time minus this
@@ -132,32 +140,27 @@ struct ServiceStats {
 }
 
 impl ServiceStats {
-    /// Starts with the canonical flows' rows pre-seeded: they always
-    /// satisfy the `contains_key` check in the worker loop, so custom-
-    /// spec churn can never displace a canonical flow into the
-    /// catch-all row.
+    /// Starts with zero-filled rows for the canonical flows, keyed by
+    /// their normalized specs: they keep the per-flow breakdown complete
+    /// for the router and `serve_bench`, and they always satisfy the
+    /// `contains_key` check in the worker loop, so custom-spec churn can
+    /// never displace a canonical flow into the catch-all row.
     fn new() -> Self {
         Self {
             jobs_served: 0,
-            per_flow: canonical_flow_rows(),
+            per_flow: FlowSpec::aliases()
+                .iter()
+                .filter_map(|(alias, _)| FlowSpec::named(alias))
+                .map(|spec| (spec.normalized(), (0, 0)))
+                .collect(),
         }
     }
 }
 
-/// Zero-filled per-flow rows for the canonical aliases, keyed by their
-/// normalized specs.
-fn canonical_flow_rows() -> BTreeMap<String, (u64, u64)> {
-    FlowSpec::aliases()
-        .iter()
-        .filter_map(|(alias, _)| FlowSpec::named(alias))
-        .map(|spec| (spec.normalized(), (0, 0)))
-        .collect()
-}
-
 pub(crate) struct Shared {
     queue: JobQueue<Job>,
-    /// The semantic cache plus the coalescing pending map; internally
-    /// locked — see [`CoalescingCache`].
+    /// The job-key map, pending or ready; internally locked — see
+    /// [`CoalescingCache`].
     cache: CoalescingCache,
     stats: Mutex<ServiceStats>,
     /// This daemon's metric-history ring: its sampler feeds it, the
@@ -189,14 +192,6 @@ impl Shared {
     fn stats(&self) -> StatsInfo {
         let cache = self.cache.counters();
         let stats = lock_unpoisoned(&self.stats);
-        // Zero-filled rows for the canonical flows keep the per-flow
-        // breakdown complete for the router and `serve_bench`; rows are
-        // keyed by normalized spec, so alias and expansion submissions
-        // aggregate into one row (custom specs get their own).
-        let mut per_flow = canonical_flow_rows();
-        for (flow, &counts) in &stats.per_flow {
-            per_flow.insert(flow.clone(), counts);
-        }
         StatsInfo {
             uptime_secs: self.started.elapsed().as_secs(),
             jobs_served: stats.jobs_served,
@@ -206,7 +201,10 @@ impl Shared {
             cache_entries: cache.entries,
             cache_capacity: cache.capacity,
             queue_depth: self.queue.len(),
-            flows: per_flow
+            // Rows are keyed by normalized spec, so alias and expansion
+            // submissions aggregate into one row.
+            flows: stats
+                .per_flow
                 .iter()
                 .map(|(flow, &(jobs, total_millis))| FlowTiming {
                     flow: flow.clone(),
@@ -408,12 +406,17 @@ impl Dispatch for Shared {
     }
 }
 
-fn entry_to_result(
+/// Counts one served job and answers it from `entry`.
+fn serve_entry(
+    shared: &Shared,
     entry: &CacheEntry,
     cached: bool,
     output: CircuitFormat,
     trace_id: u64,
 ) -> Response {
+    mc_obs::registry().counter("serve_jobs_served_total").inc();
+    lock_unpoisoned(&shared.stats).jobs_served += 1;
+    let r = &entry.result;
     Response::Result(OptimizeResult {
         job_id: entry.job_id,
         cached,
@@ -423,15 +426,15 @@ fn entry_to_result(
             CircuitFormat::Verilog => entry.verilog.clone(),
         },
         output,
-        ands_before: entry.ands_before,
-        xors_before: entry.xors_before,
-        ands_after: entry.ands_after,
-        xors_after: entry.xors_after,
-        depth_before: entry.depth_before,
-        depth_after: entry.depth_after,
-        rounds: entry.rounds,
-        converged: entry.converged,
-        millis: entry.millis,
+        ands_before: r.ands_before,
+        xors_before: r.xors_before,
+        ands_after: r.ands_after,
+        xors_after: r.xors_after,
+        depth_before: r.depth_before,
+        depth_after: r.depth_after,
+        rounds: r.rounds,
+        converged: r.converged,
+        millis: entry.millis(),
     })
 }
 
@@ -467,9 +470,8 @@ fn handle_optimize(shared: &Shared, req: OptimizeRequest) -> Response {
 
     // Atomic lookup-or-register in the coalescing cache: a hit answers
     // immediately; a key with an in-flight computation parks a waiter (a
-    // coalesced hit, answered at commit); only a genuinely first miss
-    // proceeds to compute.
-    match shared.cache.plan(&key) {
+    // coalesced hit); only a genuinely first miss queues a job.
+    let (answer, cached) = match shared.cache.plan(&key) {
         Plan::Hit(entry) => {
             // The whole hit path is the locked lookup above — record it,
             // so "how fast is a warm job really" has an answer.
@@ -477,53 +479,46 @@ fn handle_optimize(shared: &Shared, req: OptimizeRequest) -> Response {
                 .histogram("serve_cache_hit_us")
                 .record(lookup_start.elapsed().as_micros() as u64);
             mc_obs::registry().counter("serve_cache_hits_total").inc();
-            mc_obs::registry().counter("serve_jobs_served_total").inc();
             mc_obs::instant("serve:cache_hit", format!("job={}", entry.job_id));
-            lock_unpoisoned(&shared.stats).jobs_served += 1;
-            entry_to_result(&entry, true, req.output, trace_id)
+            return serve_entry(shared, &entry, true, req.output, trace_id);
         }
-        Plan::Wait(rx) => match rx.recv() {
-            Ok(entry) => {
-                mc_obs::registry()
-                    .histogram("serve_coalesced_wait_us")
-                    .record(lookup_start.elapsed().as_micros() as u64);
-                mc_obs::registry().counter("serve_cache_hits_total").inc();
-                mc_obs::registry().counter("serve_jobs_served_total").inc();
-                mc_obs::instant("serve:coalesced_hit", format!("job={}", entry.job_id));
-                lock_unpoisoned(&shared.stats).jobs_served += 1;
-                entry_to_result(&entry, true, req.output, trace_id)
-            }
-            Err(_) => optimize_error(ERR_JOB_DROPPED.to_string()),
-        },
-        Plan::Compute => {
+        Plan::Wait(answer) => (answer, true),
+        Plan::Compute(answer) => {
             mc_obs::registry().counter("serve_cache_misses_total").inc();
-            let id = shared.next_job_id.fetch_add(1, Ordering::Relaxed);
-            let (reply_tx, reply_rx) = mpsc::channel();
             let job = Job {
-                id,
+                id: shared.next_job_id.fetch_add(1, Ordering::Relaxed),
                 xag,
+                flow: spec.flow.normalized(),
                 spec,
-                key: key.clone(),
-                reply: reply_tx,
+                key,
                 trace_id,
                 enqueued: Instant::now(),
             };
             // This push blocking on a full queue is the backpressure path.
-            if shared.queue.push(job).is_err() {
-                // Unregister the pending key; dropping its waiter senders
-                // wakes every coalesced request with the same error.
-                shared.cache.abort(&key);
+            if let Err(Closed(job)) = shared.queue.push(job) {
+                // Release the key: every request coalesced onto it learns
+                // that its job was dropped.
+                shared.cache.abort(&job.key, ERR_JOB_DROPPED);
                 return optimize_error(ERR_SHUTTING_DOWN.to_string());
             }
-            match reply_rx.recv() {
-                Ok(entry) => {
-                    mc_obs::registry().counter("serve_jobs_served_total").inc();
-                    lock_unpoisoned(&shared.stats).jobs_served += 1;
-                    entry_to_result(&entry, false, req.output, trace_id)
-                }
-                Err(_) => optimize_error(ERR_JOB_DROPPED.to_string()),
-            }
+            (answer, false)
         }
+    };
+    // Computed and coalesced answers arrive alike, from the worker's
+    // commit or abort of the key; a sender dropped unsent means the
+    // daemon went away under the job.
+    match answer.recv().unwrap_or(Err(ERR_JOB_DROPPED)) {
+        Ok(entry) => {
+            if cached {
+                mc_obs::registry()
+                    .histogram("serve_coalesced_wait_us")
+                    .record(lookup_start.elapsed().as_micros() as u64);
+                mc_obs::registry().counter("serve_cache_hits_total").inc();
+                mc_obs::instant("serve:coalesced_hit", format!("job={}", entry.job_id));
+            }
+            serve_entry(shared, &entry, cached, req.output, trace_id)
+        }
+        Err(reason) => optimize_error(reason.to_string()),
     }
 }
 
@@ -541,7 +536,7 @@ fn worker_loop(shared: &Arc<Shared>) {
         // wait, every pass boundary, and the serialize span all join one
         // timeline, and the progress board answers `Status` mid-run.
         let _trace = mc_obs::trace_scope(job.trace_id);
-        let _progress = mc_obs::job_scope(job.id, job.trace_id, job.spec.flow.normalized());
+        let _progress = mc_obs::job_scope(job.id, job.trace_id, job.flow.clone());
         let wait_us = job.enqueued.elapsed().as_micros() as u64;
         mc_obs::registry()
             .histogram("serve_queue_wait_us")
@@ -552,38 +547,47 @@ fn worker_loop(shared: &Arc<Shared>) {
             wait_us,
             format!("job={}", job.id),
         );
-        let entry = compute(&mut ctx, job.id, job.xag, &job.spec);
-        // Commit into the coalescing cache; waiters racing this cold key
-        // are woken from the committed entry (exactly one compute).
-        shared.cache.commit(&job.key, &entry);
+        // A panicking job fails only itself. Its context may have been
+        // left mid-update, so the worker goes on with a fresh one.
+        let computed = panic::catch_unwind(AssertUnwindSafe(|| {
+            compute(&mut ctx, job.id, job.xag, &job.spec, &job.flow)
+        }));
+        let busy = shared.busy.fetch_sub(1, Ordering::Relaxed) - 1;
+        busy_gauge.set(busy as u64);
+        let Ok(entry) = computed else {
+            mc_obs::instant("serve:job_failed", format!("job={}", job.id));
+            ctx = OptContext::new();
+            shared.cache.abort(&job.key, ERR_JOB_FAILED);
+            continue;
+        };
         {
             let mut stats = lock_unpoisoned(&shared.stats);
-            let key = job.spec.flow.normalized();
-            let key = if stats.per_flow.contains_key(&key) || stats.per_flow.len() < MAX_FLOW_ROWS {
-                key
+            let full = stats.per_flow.len() >= MAX_FLOW_ROWS;
+            let row = if !full || stats.per_flow.contains_key(&job.flow) {
+                job.flow
             } else {
                 FLOW_ROW_OTHER.to_string()
             };
-            let slot = stats.per_flow.entry(key).or_insert((0, 0));
+            let slot = stats.per_flow.entry(row).or_insert((0, 0));
             slot.0 += 1;
-            slot.1 += entry.millis;
+            slot.1 += entry.millis();
         }
-        // The reader may have vanished (client hung up); the cache entry
-        // is still useful, so ignore the send failure.
-        let _ = job.reply.send(entry);
-        let busy = shared.busy.fetch_sub(1, Ordering::Relaxed) - 1;
-        busy_gauge.set(busy as u64);
+        // The commit wakes the submitter and every request coalesced onto
+        // this cold key (exactly one compute).
+        shared.cache.commit(&job.key, entry);
     }
 }
 
 /// Runs one job on the worker's own context and serializes the answer.
 /// What the context ran before changes how fast the answer comes, never
 /// the answer: it memoizes only deterministic classification and synthesis.
-fn compute(ctx: &mut OptContext, job_id: u64, mut xag: Xag, spec: &JobSpec) -> CacheEntry {
+fn compute(ctx: &mut OptContext, id: u64, mut xag: Xag, spec: &JobSpec, flow: &str) -> CacheEntry {
+    #[cfg(test)]
+    tests::poison_hook(&xag);
     let run_start = Instant::now();
     let result = {
         let mut run_span = mc_obs::span("serve:run");
-        run_span.detail(format!("job={job_id} flow={}", spec.flow.normalized()));
+        run_span.detail(format!("job={id} flow={flow}"));
         run_job(&mut xag, ctx, spec)
     };
     mc_obs::registry()
@@ -599,6 +603,9 @@ fn compute(ctx: &mut OptContext, job_id: u64, mut xag: Xag, spec: &JobSpec) -> C
     let mut verilog = Vec::new();
     // lint: allow(no-panic-in-request-path): Vec<u8> sink; io::Write cannot fail in memory
     write_verilog(&clean, "optimized", &mut verilog).expect("in-memory write cannot fail");
+    // The netlists live on in the cache: drop the writers' growth slack.
+    bristol.shrink_to_fit();
+    verilog.shrink_to_fit();
     drop(serialize_span);
     mc_obs::registry()
         .histogram("serve_serialize_us")
@@ -607,19 +614,125 @@ fn compute(ctx: &mut OptContext, job_id: u64, mut xag: Xag, spec: &JobSpec) -> C
         .counter("serve_jobs_computed_total")
         .inc();
     CacheEntry {
-        job_id,
+        job_id: id,
         // lint: allow(no-panic-in-request-path): both writers emit ASCII only
         bristol: String::from_utf8(bristol).expect("bristol writer emits ASCII"),
         // lint: allow(no-panic-in-request-path): both writers emit ASCII only
         verilog: String::from_utf8(verilog).expect("verilog writer emits ASCII"),
-        ands_before: result.ands_before,
-        xors_before: result.xors_before,
-        depth_before: result.depth_before,
-        ands_after: result.ands_after,
-        xors_after: result.xors_after,
-        depth_after: result.depth_after,
-        rounds: result.rounds,
-        converged: result.converged,
-        millis: result.elapsed.as_millis() as u64,
+        result,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::mpsc;
+
+    use super::*;
+    use crate::client::{Client, ClientError};
+
+    /// Input count of the circuits `compute` panics on (`usize::MAX`:
+    /// none). While a test holds the lock, every job waits at the hook.
+    static POISON_INPUTS: Mutex<usize> = Mutex::new(usize::MAX);
+
+    /// Runs at the top of `compute` in test builds only.
+    pub(super) fn poison_hook(xag: &Xag) {
+        let poison = *lock_unpoisoned(&POISON_INPUTS);
+        if xag.num_inputs() == poison {
+            panic!("poisoned job: {poison} inputs");
+        }
+    }
+
+    /// A request for the AND of `inputs` fresh inputs.
+    fn and_chain(inputs: usize) -> OptimizeRequest {
+        let mut xag = Xag::new();
+        let first = xag.input();
+        let and = (1..inputs).fold(first, |acc, _| {
+            let x = xag.input();
+            xag.and(acc, x)
+        });
+        xag.output(and);
+        let mut text = Vec::new();
+        write_bristol(&xag, &mut text).expect("in-memory write");
+        OptimizeRequest {
+            circuit: String::from_utf8(text).expect("bristol is ASCII"),
+            ..OptimizeRequest::default()
+        }
+    }
+
+    /// Submits `request` on its own connection and thread, so that a hung
+    /// answer fails the test instead of stalling it.
+    fn submit(
+        addr: SocketAddr,
+        request: &OptimizeRequest,
+    ) -> mpsc::Receiver<Result<OptimizeResult, ClientError>> {
+        let (tx, rx) = mpsc::channel();
+        let request = request.clone();
+        std::thread::spawn(move || {
+            let answer = Client::connect(addr)
+                .map_err(ClientError::Io)
+                .and_then(|mut client| client.optimize(request));
+            let _ = tx.send(answer);
+        });
+        rx
+    }
+
+    fn failed(answer: &mpsc::Receiver<Result<OptimizeResult, ClientError>>) -> bool {
+        match answer.recv_timeout(Duration::from_secs(60)) {
+            Ok(Err(ClientError::Server(message))) => message == ERR_JOB_FAILED,
+            Ok(other) => panic!("want {ERR_JOB_FAILED:?}, got {other:?}"),
+            Err(e) => panic!("no answer within 60 s: {e}"),
+        }
+    }
+
+    /// A job that panics answers `ERR_JOB_FAILED` to its submitter and to
+    /// every request coalesced onto it, releases its key and its worker,
+    /// and leaves the daemon serving.
+    #[test]
+    fn a_panicking_job_fails_only_itself() {
+        const POISONED: usize = 13;
+        let handle = Server::bind(ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        })
+        .expect("bind on an ephemeral port");
+        let addr = handle.local_addr();
+        let poisoned = and_chain(POISONED);
+        let spec = poisoned.job_spec();
+        let xag = parse_circuit(&poisoned.circuit, poisoned.format).expect("parse");
+        let key = job_key(&xag, &spec.flow, spec.max_rounds);
+
+        // Hold the one worker at the hook until a duplicate has coalesced
+        // onto the poisoned job.
+        let mut gate = lock_unpoisoned(&POISON_INPUTS);
+        *gate = POISONED;
+        let first = submit(addr, &poisoned);
+        let duplicate = submit(addr, &poisoned);
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while handle.shared.cache.waiters(&key) < 2 {
+            assert!(Instant::now() < deadline, "the duplicate never coalesced");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        drop(gate);
+        assert!(failed(&first), "the poisoned job fails");
+        assert!(failed(&duplicate), "its coalesced duplicate fails with it");
+
+        let mut client = Client::connect(addr).expect("connect");
+        assert_eq!(client.status().expect("status").busy, 0);
+        let stats = client.stats().expect("stats");
+        assert_eq!((stats.cache_misses, stats.cache_hits), (1, 0));
+
+        // The worker survived, and the key was released: a normal job
+        // computes, and the poisoned circuit fails again instead of
+        // waiting forever.
+        let normal = submit(addr, &and_chain(3))
+            .recv_timeout(Duration::from_secs(60))
+            .expect("answered")
+            .expect("a normal job computes");
+        assert!(!normal.cached);
+        assert!(failed(&submit(addr, &poisoned)), "the resubmission fails");
+
+        *lock_unpoisoned(&POISON_INPUTS) = usize::MAX;
+        client.shutdown().expect("shutdown");
+        handle.join();
     }
 }

@@ -9,8 +9,11 @@
 //!
 //! * **queue**: every pushed job is popped exactly once, under any
 //!   schedule;
-//! * **coalescing**: per key, exactly one thread computes; every other
-//!   thread gets the identical entry (hit or coalesced wait).
+//! * **coalescing**: per committed key, exactly one thread computes;
+//!   every other thread gets the identical entry (hit or coalesced
+//!   wait). A key whose computation is aborted instead wakes every
+//!   waiter with the abort's reason and is released, so its next plan
+//!   computes afresh; no thread stays blocked.
 //!
 //! The hook is global process state, so every test serializes on one
 //! mutex and disables the hook on exit (panic included) via a guard.
@@ -18,6 +21,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread;
+use std::time::{Duration, Instant};
 
 use mc_rng::sched;
 use mc_serve::{CacheEntry, CoalescingCache, JobQueue, Plan};
@@ -97,8 +101,12 @@ fn queue_loses_no_jobs_under_perturbed_schedules() {
 }
 
 // ---------------------------------------------------------------------
-// Scenario 2: coalescing computes each key exactly once.
+// Scenario 2: coalescing computes each committed key exactly once, and
+// an aborted key fails all its waiters and is released.
 // ---------------------------------------------------------------------
+
+/// The reason a computing thread gives when it aborts its key.
+const ABORTED: &str = "aborted by the schedule fuzzer";
 
 fn entry_for(key_idx: usize) -> CacheEntry {
     CacheEntry {
@@ -109,6 +117,22 @@ fn entry_for(key_idx: usize) -> CacheEntry {
     }
 }
 
+/// Joins `handles`, failing the test if one is still running after 60 s:
+/// a waiter nobody wakes blocks forever.
+fn join_bounded(handles: Vec<thread::JoinHandle<()>>, seed: u64) {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while !handles.iter().all(thread::JoinHandle::is_finished) {
+        assert!(
+            Instant::now() < deadline,
+            "seed {seed}: a thread is still blocked after 60 s"
+        );
+        thread::sleep(Duration::from_millis(1));
+    }
+    for h in handles {
+        h.join().expect("worker");
+    }
+}
+
 #[test]
 fn coalescing_computes_each_key_exactly_once() {
     let _session = SchedSession::begin();
@@ -116,6 +140,13 @@ fn coalescing_computes_each_key_exactly_once() {
     let threads = 8usize;
     for seed in 0..40u64 {
         sched::enable(seed.wrapping_mul(0x517c_c1b7).wrapping_add(1));
+        // Every third key, shifted by the seed, is aborted by whichever
+        // thread computes it and never committed.
+        let aborted: Arc<Vec<bool>> = Arc::new(
+            (0..keys)
+                .map(|k| (k as u64 + seed).is_multiple_of(3))
+                .collect(),
+        );
         let cache = Arc::new(CoalescingCache::new(64));
         let computes: Arc<Vec<AtomicUsize>> =
             Arc::new((0..keys).map(|_| AtomicUsize::new(0)).collect());
@@ -124,36 +155,49 @@ fn coalescing_computes_each_key_exactly_once() {
         for t in 0..threads {
             let cache = Arc::clone(&cache);
             let computes = Arc::clone(&computes);
+            let aborted = Arc::clone(&aborted);
             handles.push(thread::spawn(move || {
                 // Each thread walks the keys from a different offset so
                 // first-planner races differ per schedule.
                 for step in 0..keys {
                     let k = (t + step) % keys;
                     let key = format!("key-{k}").into_bytes();
-                    let got = match cache.plan(&key) {
-                        Plan::Hit(entry) => entry,
-                        Plan::Wait(rx) => rx.recv().expect("computing thread commits"),
-                        Plan::Compute => {
+                    let answer = match cache.plan(&key) {
+                        Plan::Hit(entry) => Ok(entry),
+                        Plan::Wait(rx) => rx.recv().expect("the computing thread answers"),
+                        Plan::Compute(rx) => {
                             computes[k].fetch_add(1, Ordering::SeqCst);
-                            let entry = entry_for(k);
-                            cache.commit(&key, &entry);
-                            entry
+                            if aborted[k] {
+                                cache.abort(&key, ABORTED);
+                            } else {
+                                cache.commit(&key, entry_for(k));
+                            }
+                            rx.recv().expect("the computing thread waits like the rest")
                         }
                     };
-                    assert_eq!(got, entry_for(k), "wrong entry for key {k}");
+                    if aborted[k] {
+                        assert_eq!(answer, Err(ABORTED), "key {k} was aborted");
+                    } else {
+                        assert_eq!(answer.as_deref(), Ok(&entry_for(k)), "key {k}");
+                    }
                 }
             }));
         }
-        for h in handles {
-            h.join().expect("worker");
-        }
+        join_bounded(handles, seed);
         for (k, count) in computes.iter().enumerate() {
-            assert_eq!(
-                count.load(Ordering::SeqCst),
-                1,
-                "seed {seed}: key {k} computed {} times (want exactly 1)",
-                count.load(Ordering::SeqCst)
-            );
+            if aborted[k] {
+                let key = format!("key-{k}").into_bytes();
+                assert!(
+                    matches!(cache.plan(&key), Plan::Compute(_)),
+                    "seed {seed}: aborted key {k} was not released"
+                );
+            } else {
+                let count = count.load(Ordering::SeqCst);
+                assert_eq!(
+                    count, 1,
+                    "seed {seed}: key {k} computed {count} times (want exactly 1)"
+                );
+            }
         }
     }
 }
