@@ -321,3 +321,37 @@ fn router_rejects_malformed_uploads_at_the_edge() {
     }
     router.shutdown();
 }
+
+/// The load a backend reports reaches the router's aggregate `status`
+/// and the backend's `cluster_stats` row. Nothing listens at the
+/// registered address; the lenient miss threshold keeps it up for the
+/// test's lifetime.
+#[test]
+fn reported_load_reaches_status_and_cluster_stats() {
+    let router = lenient_router();
+    let mut client = Client::connect(router.local_addr()).expect("connect");
+    let addr = "127.0.0.1:1";
+    let id = client.register(addr, 3, 64).expect("register");
+    client.heartbeat(id, 5, 2).expect("report load");
+
+    let status = client.status().expect("status");
+    assert_eq!(status.workers, 3);
+    assert_eq!(status.queue_capacity, 64);
+    assert_eq!(status.queue_depth, 5);
+    assert_eq!(status.busy, 2);
+
+    let cstats = client.cluster_stats().expect("cluster_stats");
+    let row = cstats
+        .backends
+        .iter()
+        .find(|b| b.addr == addr)
+        .expect("a row for the registered address");
+    assert!(row.up);
+    assert_eq!(row.capacity, 3);
+    assert_eq!(row.queue_depth, 5);
+    assert_eq!(row.busy, 2);
+    assert_eq!(row.in_flight, 0);
+    assert_eq!(row.jobs_routed, 0);
+
+    router.shutdown();
+}
