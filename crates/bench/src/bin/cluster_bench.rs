@@ -51,7 +51,6 @@ fn boot_cluster(backends: usize, workers: usize) -> (RouterHandle, Vec<ServerHan
     let router = Router::bind(RouterConfig {
         // Lenient health bounds: bench boxes may stall arbitrarily, and
         // a spuriously downed backend would corrupt the measurement.
-        heartbeat_timeout: Duration::from_secs(60),
         miss_threshold: 100,
         ..RouterConfig::default()
     })

@@ -3,8 +3,7 @@
 //! Usage:
 //!
 //! ```text
-//! mc-cluster [--addr HOST:PORT] [--port-file PATH]
-//!            [--heartbeat-timeout-ms N] [--health-interval-ms N]
+//! mc-cluster [--addr HOST:PORT] [--port-file PATH] [--health-interval-ms N]
 //!            [--sample-ms N] [--slo SPEC] [--slo-eval-ms N]
 //! ```
 //!
@@ -12,10 +11,8 @@
 //!   (default `127.0.0.1:4520`).
 //! * `--port-file` — write the bound address to this file once
 //!   listening, for scripts that start the router with port 0.
-//! * `--heartbeat-timeout-ms` — liveness-signal age before a backend is
-//!   marked down (default 2000).
 //! * `--health-interval-ms` — pause between health-check rounds
-//!   (default 500).
+//!   (default 500); three missed pings in a row mark a backend down.
 //! * `--sample-ms` — metrics-history sampling interval of the router's
 //!   own counters (default 1000).
 //! * `--slo` — watchdog thresholds as comma-separated `key=value` pairs
@@ -39,8 +36,8 @@ use mc_cluster::{Router, RouterConfig};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: mc-cluster [--addr HOST:PORT] [--port-file PATH] [--heartbeat-timeout-ms N] \
-         [--health-interval-ms N] [--sample-ms N] [--slo SPEC] [--slo-eval-ms N]"
+        "usage: mc-cluster [--addr HOST:PORT] [--port-file PATH] [--health-interval-ms N] \
+         [--sample-ms N] [--slo SPEC] [--slo-eval-ms N]"
     );
     std::process::exit(2);
 }
@@ -59,10 +56,6 @@ fn main() {
         match arg.as_str() {
             "--addr" => config.addr = value(),
             "--port-file" => port_file = Some(value()),
-            "--heartbeat-timeout-ms" => {
-                let ms: u64 = value().parse().unwrap_or_else(|_| usage());
-                config.heartbeat_timeout = Duration::from_millis(ms.max(1));
-            }
             "--health-interval-ms" => {
                 let ms: u64 = value().parse().unwrap_or_else(|_| usage());
                 config.health_interval = Duration::from_millis(ms.max(1));

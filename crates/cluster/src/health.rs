@@ -1,18 +1,16 @@
 //! The router's active health checks.
 //!
-//! Heartbeats alone cannot distinguish "backend died" from "backend's
-//! join agent died"; a router-initiated `ping` over a fresh connection
-//! probes the thing that matters — whether the backend still answers the
-//! frame protocol. The router's health thread runs three detectors every
-//! interval:
+//! A backend's registrations cannot distinguish "backend died" from
+//! "backend's join agent died"; a router-initiated `ping` over a fresh
+//! connection probes the thing that matters — whether the backend still
+//! answers the frame protocol. So the ping is the router's one failure
+//! detector besides a failed dispatch. The router's health thread runs
+//! two steps every interval:
 //!
-//! 1. **sweep** — backends whose `last_seen` (registration, heartbeat,
-//!    or successful ping) aged past the heartbeat timeout are marked
-//!    down;
-//! 2. **probe** — every registered backend is pinged with a short
+//! 1. **probe** — every registered backend is pinged with a short
 //!    timeout; a success refreshes liveness (and revives a down
 //!    backend), a failure counts toward the miss threshold;
-//! 3. **evict** — backends that stayed down for a minute are
+//! 2. **evict** — backends that stayed down for a minute are
 //!    deregistered entirely, so ephemeral-port restarts do not leak a
 //!    dead entry (and a doomed probe per round) forever.
 //!
@@ -70,8 +68,8 @@ pub fn ping_addr(addr: &str, timeout: Duration) -> bool {
     )
 }
 
-/// Runs sweep + probe + evict rounds every `config.health_interval`
-/// until `shutdown` is set; `on_down` fires once per backend transition
+/// Runs probe + evict rounds every `config.health_interval` until
+/// `shutdown` is set; `on_down` fires once per backend transition
 /// to down *and* per eviction, so the router can discard pooled
 /// connections. Sleeps in short slices so router shutdown is never
 /// blocked on a full interval.
@@ -81,14 +79,10 @@ pub(crate) fn health_loop(
     config: &RouterConfig,
     on_down: &dyn Fn(u64),
 ) {
-    let heartbeat_timeout_ms = config.heartbeat_timeout.as_millis() as u64;
     while !shutdown.load(Ordering::SeqCst) {
         sliced_sleep(shutdown, config.health_interval);
         if shutdown.load(Ordering::SeqCst) {
             return;
-        }
-        for id in registry.sweep_stale(heartbeat_timeout_ms) {
-            on_down(id);
         }
         for backend in registry.snapshot() {
             if shutdown.load(Ordering::SeqCst) {

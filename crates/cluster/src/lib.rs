@@ -4,11 +4,11 @@
 //! multiplies it horizontally while *preserving cache locality*. The
 //! router sits in front of N backends, speaks the existing frame
 //! protocol to clients unchanged (`mc-client` pointed at the router just
-//! works), and adds a backend-side membership handshake: backends
-//! started with `--join <router>` register their address and capacity,
-//! then heartbeat; the router health-checks them, marks them down after
-//! missed heartbeats or failed pings, and transparently retries failed
-//! dispatches on a surviving backend.
+//! works), and adds one backend-side membership frame: backends started
+//! with `--join <router>` register their address, capacity and current
+//! load, again every heartbeat interval; the router pings them, marks
+//! them down after missed pings or a failed dispatch, and transparently
+//! retries failed dispatches on a surviving backend.
 //!
 //! Scheduling is **cache-affine**: the router computes the same
 //! canonical structural job key as the PR 3 semantic cache
@@ -26,7 +26,7 @@
 //!
 //! * [`ring`] — the consistent-hash ring (virtual points, stable under
 //!   membership change);
-//! * [`registry`] — membership, the heartbeat/ping health state
+//! * [`registry`] — membership, the registration/ping health state
 //!   machine, load tracking, and backend selection;
 //! * [`health`] — the router-initiated probe loop;
 //! * [`router`] — request dispatch on mc-serve's frame endpoint,

@@ -3,23 +3,26 @@
 //!
 //! One [`Registry`] owns everything the router knows about its backends:
 //! the id ↔ address map, announced capacity, the health state machine,
-//! live load (in-flight dispatches, last-heartbeat queue depth), and the
-//! consistent-hash [`HashRing`] the *up* backends populate.
+//! live load (in-flight dispatches, reported queue depth and busy
+//! workers), and the consistent-hash [`HashRing`] the *up* backends
+//! populate.
 //!
 //! # Health state machine
 //!
 //! A backend is **up** from registration. Three things feed the state:
 //!
-//! * **Heartbeats** (backend → router) refresh `last_seen` and carry
-//!   load; a backend whose heartbeats stop is marked down once
-//!   `last_seen` ages past the router's heartbeat timeout (the sweep).
+//! * **Registrations** (backend → router, every heartbeat interval)
+//!   refresh `last_seen`, capacity and load, and bring a down backend
+//!   back up.
 //! * **Health-check pings** (router → backend) refresh `last_seen` on
-//!   success; consecutive failures past the miss threshold mark the
-//!   backend down. A successful ping or heartbeat (or a re-register)
-//!   brings a down backend back up.
+//!   success and bring a down backend back up; consecutive failures
+//!   past the miss threshold mark the backend down.
 //! * **Dispatch failures** mark the backend down immediately — the
 //!   router observed a broken connection first-hand, and waiting for the
 //!   health loop would route more jobs into the hole.
+//!
+//! Only the last two mark a backend down: a backend that stops
+//! registering but still answers pings stays up.
 //!
 //! Down backends leave the ring (so affine targets fail over to the ring
 //! successor) but stay registered: recovery re-inserts them and the
@@ -29,6 +32,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::Mutex;
 use std::time::Instant;
 
+use mc_serve::protocol::RegisterInfo;
 use mc_serve::sync::lock_unpoisoned;
 
 use crate::ring::HashRing;
@@ -53,15 +57,16 @@ pub struct Backend {
     pub up: bool,
     /// Consecutive failed health checks since the last success.
     pub missed: u32,
-    /// Last registration, heartbeat, or successful ping.
+    /// Last registration or successful ping; a down backend is evicted
+    /// once this ages past the eviction grace.
     pub last_seen: Instant,
     /// Router dispatches currently outstanding.
     pub in_flight: usize,
     /// Lifetime dispatches routed to this backend.
     pub jobs_routed: u64,
-    /// Queue depth from the last heartbeat.
+    /// Queue depth from the last registration.
     pub queue_depth: usize,
-    /// Busy workers from the last heartbeat.
+    /// Busy workers from the last registration.
     pub busy: usize,
 }
 
@@ -102,24 +107,24 @@ impl Registry {
         lock_unpoisoned(&self.state)
     }
 
-    /// Registers (or re-registers) the backend at `addr`; returns its id.
-    /// Re-registration refreshes capacity, clears the missed count, and
-    /// marks the backend up.
-    pub fn register(&self, addr: &str, capacity: usize, queue_capacity: usize) -> u64 {
+    /// Registers (or re-registers) the backend at `info.addr`; returns
+    /// its id. Re-registration refreshes capacity and load, clears the
+    /// missed count, and marks the backend up.
+    pub fn register(&self, info: &RegisterInfo) -> u64 {
         let mut s = self.lock();
-        let id = match s.by_addr.get(addr) {
+        let id = match s.by_addr.get(&info.addr) {
             Some(&id) => id,
             None => {
                 s.last_id += 1;
                 let id = s.last_id;
-                s.by_addr.insert(addr.to_string(), id);
+                s.by_addr.insert(info.addr.clone(), id);
                 s.backends.insert(
                     id,
                     Backend {
                         id,
-                        addr: addr.to_string(),
-                        capacity: capacity.max(1),
-                        queue_capacity,
+                        addr: info.addr.clone(),
+                        capacity: info.capacity.max(1),
+                        queue_capacity: info.queue_capacity,
                         up: false, // marked up just below
                         missed: 0,
                         last_seen: Instant::now(),
@@ -134,8 +139,10 @@ impl Registry {
         };
         // lint: allow(no-panic-in-request-path): id was just looked up or inserted under this same lock
         let b = s.backends.get_mut(&id).expect("registered above");
-        b.capacity = capacity.max(1);
-        b.queue_capacity = queue_capacity;
+        b.capacity = info.capacity.max(1);
+        b.queue_capacity = info.queue_capacity;
+        b.queue_depth = info.queue_depth;
+        b.busy = info.busy;
         b.missed = 0;
         b.last_seen = Instant::now();
         if !b.up {
@@ -143,24 +150,6 @@ impl Registry {
             s.ring.insert(id);
         }
         id
-    }
-
-    /// Records a heartbeat. Returns false for an unknown id (the router
-    /// restarted; the backend should re-register).
-    pub fn heartbeat(&self, id: u64, queue_depth: usize, busy: usize) -> bool {
-        let mut s = self.lock();
-        let Some(b) = s.backends.get_mut(&id) else {
-            return false;
-        };
-        b.queue_depth = queue_depth;
-        b.busy = busy;
-        b.missed = 0;
-        b.last_seen = Instant::now();
-        if !b.up {
-            b.up = true;
-            s.ring.insert(id);
-        }
-        true
     }
 
     /// Records a successful health-check ping (counts as liveness).
@@ -202,25 +191,6 @@ impl Registry {
                 s.ring.remove(id);
             }
         }
-    }
-
-    /// Marks every up backend whose `last_seen` is older than
-    /// `timeout_ms` milliseconds down; returns the newly-down ids.
-    pub fn sweep_stale(&self, timeout_ms: u64) -> Vec<u64> {
-        let mut s = self.lock();
-        let stale: Vec<u64> = s
-            .backends
-            .values()
-            .filter(|b| b.up && b.last_seen.elapsed().as_millis() as u64 > timeout_ms)
-            .map(|b| b.id)
-            .collect();
-        for &id in &stale {
-            if let Some(b) = s.backends.get_mut(&id) {
-                b.up = false;
-            }
-            s.ring.remove(id);
-        }
-        stale
     }
 
     /// Deregisters every *down* backend whose `last_seen` is older than
@@ -316,13 +286,28 @@ mod tests {
         r.snapshot().iter().filter(|b| b.up).count()
     }
 
+    /// A registration with no load reported.
+    fn info(addr: &str, capacity: usize, queue_capacity: usize) -> RegisterInfo {
+        RegisterInfo {
+            addr: addr.to_string(),
+            capacity,
+            queue_capacity,
+            queue_depth: 0,
+            busy: 0,
+        }
+    }
+
     #[test]
     fn registration_is_stable_per_address() {
         let r = Registry::new();
-        let a = r.register("127.0.0.1:1000", 4, 64);
-        let b = r.register("127.0.0.1:2000", 4, 64);
+        let a = r.register(&info("127.0.0.1:1000", 4, 64));
+        let b = r.register(&info("127.0.0.1:2000", 4, 64));
         assert_ne!(a, b);
-        assert_eq!(r.register("127.0.0.1:1000", 8, 64), a, "same addr, same id");
+        assert_eq!(
+            r.register(&info("127.0.0.1:1000", 8, 64)),
+            a,
+            "same addr, same id"
+        );
         let snap = r.snapshot();
         assert_eq!(snap.len(), 2);
         assert_eq!(snap[0].capacity, 8, "re-register refreshes capacity");
@@ -332,7 +317,7 @@ mod tests {
     #[test]
     fn missed_pings_mark_down_and_recovery_marks_up() {
         let r = Registry::new();
-        let id = r.register("127.0.0.1:1000", 2, 64);
+        let id = r.register(&info("127.0.0.1:1000", 2, 64));
         assert!(!r.note_ping_failed(id, 3));
         assert!(!r.note_ping_failed(id, 3));
         assert!(
@@ -341,29 +326,17 @@ mod tests {
         );
         assert_eq!(up(&r), 0);
         assert_eq!(r.choose(99, &[]), None, "no up backend to choose");
-        // A heartbeat brings it back.
-        assert!(r.heartbeat(id, 1, 1));
+        // A registration brings it back.
+        assert_eq!(r.register(&info("127.0.0.1:1000", 2, 64)), id);
         assert_eq!(up(&r), 1);
         assert!(r.choose(99, &[]).is_some());
-        // Unknown ids are rejected so stale backends re-register.
-        assert!(!r.heartbeat(id + 100, 0, 0));
-    }
-
-    #[test]
-    fn sweep_marks_stale_backends_down() {
-        let r = Registry::new();
-        let id = r.register("127.0.0.1:1000", 2, 64);
-        assert!(r.sweep_stale(60_000).is_empty(), "fresh backend survives");
-        std::thread::sleep(std::time::Duration::from_millis(30));
-        assert_eq!(r.sweep_stale(10), vec![id]);
-        assert_eq!(up(&r), 0);
     }
 
     #[test]
     fn long_dead_backends_are_evicted_but_fresh_down_ones_survive() {
         let r = Registry::new();
-        let dead = r.register("127.0.0.1:1000", 2, 64);
-        let alive = r.register("127.0.0.1:2000", 2, 64);
+        let dead = r.register(&info("127.0.0.1:1000", 2, 64));
+        let alive = r.register(&info("127.0.0.1:2000", 2, 64));
         r.mark_down(dead);
         assert!(
             r.evict_dead(60_000).is_empty(),
@@ -372,9 +345,8 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(30));
         assert_eq!(r.evict_dead(10), vec![dead]);
         assert_eq!(r.snapshot().len(), 1, "only the live backend remains");
-        assert!(!r.heartbeat(dead, 0, 0), "evicted id is unknown");
         // The evicted address re-registers as a brand-new backend.
-        let again = r.register("127.0.0.1:1000", 2, 64);
+        let again = r.register(&info("127.0.0.1:1000", 2, 64));
         assert_ne!(again, dead);
         assert_ne!(again, alive);
         assert_eq!(up(&r), 2);
@@ -383,8 +355,8 @@ mod tests {
     #[test]
     fn affine_choice_follows_the_ring_and_failover_excludes() {
         let r = Registry::new();
-        let a = r.register("127.0.0.1:1000", 2, 64);
-        let b = r.register("127.0.0.1:2000", 2, 64);
+        let a = r.register(&info("127.0.0.1:1000", 2, 64));
+        let b = r.register(&info("127.0.0.1:2000", 2, 64));
         for hash in 0..100u64 {
             let h = hash.wrapping_mul(0x9e37_79b9_7f4a_7c15);
             let first = r.choose(h, &[]).unwrap();
@@ -400,8 +372,8 @@ mod tests {
     #[test]
     fn saturation_spills_to_the_least_loaded_backend() {
         let r = Registry::new();
-        let a = r.register("127.0.0.1:1000", 1, 64); // capacity 1, saturates at 2
-        let b = r.register("127.0.0.1:2000", 1, 64);
+        let a = r.register(&info("127.0.0.1:1000", 1, 64)); // capacity 1, saturates at 2
+        let b = r.register(&info("127.0.0.1:2000", 1, 64));
         // Find a hash whose affine target is `a`.
         let hash = (0..)
             .map(|k: u64| k.wrapping_mul(0x9e37_79b9_7f4a_7c15))

@@ -5,8 +5,9 @@
 //!
 //! Clients speak to the router exactly as they would to a single
 //! backend — same frames, same semantics (`mc-client` pointed at the
-//! router just works). Backends additionally speak the registration
-//! handshake: `register` once, `heartbeat` periodically.
+//! router just works). Backends additionally speak one membership
+//! frame, `register`, which each resends every heartbeat interval with
+//! its current load; the router answers it with `pong`.
 //!
 //! # Routing
 //!
@@ -69,9 +70,6 @@ const RETRY_LIMIT: usize = 3;
 pub struct RouterConfig {
     /// Listen address; port 0 picks an ephemeral port.
     pub addr: String,
-    /// Age of the last liveness signal past which a backend is marked
-    /// down.
-    pub heartbeat_timeout: Duration,
     /// Pause between health-check rounds.
     pub health_interval: Duration,
     /// Consecutive failed pings before a backend is marked down.
@@ -89,7 +87,6 @@ impl Default for RouterConfig {
     fn default() -> Self {
         Self {
             addr: "127.0.0.1:0".to_string(),
-            heartbeat_timeout: Duration::from_secs(2),
             health_interval: Duration::from_millis(500),
             miss_threshold: 3,
             sample_interval: Duration::from_secs(1),
@@ -275,22 +272,9 @@ impl Dispatch for RouterShared {
     fn dispatch(&self, request: Request) -> Response {
         match request {
             Request::Ping => Response::Pong,
-            Request::Register(r) => Response::Registered {
-                backend_id: self
-                    .registry
-                    .register(&r.addr, r.capacity, r.queue_capacity),
-            },
-            Request::Heartbeat(h) => {
-                if self.registry.heartbeat(h.backend_id, h.queue_depth, h.busy) {
-                    Response::Pong
-                } else {
-                    Response::Error {
-                        message: format!(
-                            "unknown backend id {} (router restarted?): re-register",
-                            h.backend_id
-                        ),
-                    }
-                }
+            Request::Register(r) => {
+                self.registry.register(&r);
+                Response::Pong
             }
             Request::Status => Response::Status(aggregate_status(self)),
             Request::Stats => Response::Stats(aggregate_stats(self)),
@@ -496,8 +480,9 @@ fn poll_all_stats(shared: &RouterShared) -> Vec<(Backend, Option<StatsInfo>)> {
         .collect()
 }
 
-/// `status` against a router: heartbeat-carried occupancy summed over up
-/// backends — no live polling, so it is always fast.
+/// `status` against a router: the occupancy each up backend last
+/// reported with its registration, summed — no live polling, so it is
+/// always fast.
 fn aggregate_status(shared: &RouterShared) -> StatusInfo {
     let mut status = StatusInfo {
         queue_depth: 0,
@@ -505,7 +490,7 @@ fn aggregate_status(shared: &RouterShared) -> StatusInfo {
         workers: 0,
         busy: 0,
         // Per-job progress lives on the backends; the router's status
-        // stays heartbeat-only so it never blocks on a poll.
+        // reads only reported load so it never blocks on a poll.
         running: Vec::new(),
     };
     for b in shared.registry.snapshot() {
@@ -675,7 +660,7 @@ fn cluster_prof(shared: &RouterShared) -> Vec<PhaseStat> {
 /// The router's own history sampler: snapshots the routing counters and
 /// dispatch-latency histogram into the router's ring every `interval`,
 /// and keeps the cluster occupancy gauges (queue depth and busy workers
-/// summed over up backends, from heartbeats) current. This
+/// summed over up backends, as last reported) current. This
 /// local history backs the SLO evaluator; the `metrics-history` frame
 /// serves the backend merge instead (see [`cluster_history`]).
 fn sampler_loop(shared: &RouterShared, interval: Duration) {
@@ -801,7 +786,7 @@ fn cluster_stats(shared: &RouterShared) -> ClusterStatsInfo {
 
 #[cfg(test)]
 mod tests {
-    use mc_serve::protocol::ERR_JOB_FAILED;
+    use mc_serve::protocol::{RegisterInfo, ERR_JOB_FAILED};
     use mc_serve::ClientError;
     use xag_network::{write_bristol, Xag};
 
@@ -850,10 +835,13 @@ mod tests {
             std::thread::spawn(move || accept_loop(listener, &backend, "failing-backend"))
         };
         let router = Router::bind(RouterConfig::default()).expect("bind the router");
-        let id = router
-            .shared
-            .registry
-            .register(&backend_addr.to_string(), 1, 64);
+        let id = router.shared.registry.register(&RegisterInfo {
+            addr: backend_addr.to_string(),
+            capacity: 1,
+            queue_capacity: 64,
+            queue_depth: 0,
+            busy: 0,
+        });
 
         let mut xag = Xag::new();
         let (a, b) = (xag.input(), xag.input());

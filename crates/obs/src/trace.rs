@@ -1,7 +1,7 @@
 //! Span-based structured tracing with job-scoped trace IDs.
 //!
-//! The model is deliberately small: a *trace ID* is a nonzero `u64`
-//! carried in a thread-local; a *span* is a named interval recorded when
+//! The model is deliberately small: a *trace ID* is a nonzero integer
+//! below 2^53 carried in a thread-local; a *span* is a named interval recorded when
 //! its guard drops; an *instant* is a zero-duration event. Events land in
 //! a bounded per-thread ring buffer, so recording contends only with the
 //! dump path (a `TraceDump` request), never with other worker threads.
@@ -133,11 +133,13 @@ pub fn current_trace_id() -> u64 {
     CURRENT_TRACE.with(|c| c.get())
 }
 
-/// A fresh nonzero trace ID. Seeded from the wall clock and process id,
-/// then sequential — unique enough to keep concurrent jobs apart, with
-/// no coordination.
+/// A fresh nonzero trace ID below 2^53. Seeded from the wall clock and
+/// process id, then sequential — unique enough to keep concurrent jobs
+/// apart, with no coordination. The bound keeps an ID exact on the
+/// wire, where JSON numbers are read as `f64`.
 pub fn next_trace_id() -> u64 {
     use std::sync::atomic::{AtomicU64, Ordering};
+    const LIMIT: u64 = 1 << 53;
     static NEXT: OnceLock<AtomicU64> = OnceLock::new();
     let next = NEXT.get_or_init(|| {
         let seed = SystemTime::now()
@@ -145,13 +147,14 @@ pub fn next_trace_id() -> u64 {
             .map(|d| d.as_nanos() as u64)
             .unwrap_or(1)
             ^ ((std::process::id() as u64) << 32);
-        AtomicU64::new(seed | 1)
+        AtomicU64::new(seed)
     });
-    let mut id = next.fetch_add(1, Ordering::Relaxed);
-    if id == 0 {
-        id = next.fetch_add(1, Ordering::Relaxed);
+    loop {
+        let id = next.fetch_add(1, Ordering::Relaxed) % LIMIT;
+        if id != 0 {
+            return id;
+        }
     }
-    id
 }
 
 /// Sets the thread's current trace ID for the guard's lifetime,
@@ -381,5 +384,6 @@ mod tests {
         assert_ne!(a, 0);
         assert_ne!(b, 0);
         assert_ne!(a, b);
+        assert!(a < 1 << 53 && b < 1 << 53, "{a} or {b} is not exact as f64");
     }
 }

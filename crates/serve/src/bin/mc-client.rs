@@ -48,7 +48,7 @@
 use mc_serve::{Client, OptimizeRequest};
 use xag_circuits::epfl::Scale;
 use xag_circuits::CircuitFormat;
-use xag_mc::FlowSpec;
+use xag_mc::{FlowSpec, JobSpec};
 use xag_network::fuzz::{random_xag, FuzzConfig};
 use xag_network::{write_bristol, Xag};
 
@@ -113,7 +113,7 @@ fn main() {
     let mut circuit: Option<String> = None;
     let mut format: Option<CircuitFormat> = None;
     let mut flow = FlowSpec::default();
-    let mut max_rounds = 100usize;
+    let mut max_rounds = JobSpec::default().max_rounds;
     let mut output = CircuitFormat::Bristol;
     let mut out: Option<String> = None;
     let mut action: Option<&str> = None;

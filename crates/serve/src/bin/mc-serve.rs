@@ -16,12 +16,13 @@
 //! * `--port-file` — write the bound address to this file once
 //!   listening, for scripts that start the daemon with port 0.
 //! * `--join` — address of an `mc-cluster` router; the daemon registers
-//!   itself there and heartbeats until it shuts down.
+//!   itself there, with its current load, every heartbeat interval until
+//!   it shuts down.
 //! * `--advertise` — the address to announce to the router (required
 //!   with `--join` when binding a wildcard address; defaults to the
 //!   bound address).
-//! * `--heartbeat-ms` — heartbeat interval toward the joined router
-//!   (default 500).
+//! * `--heartbeat-ms` — heartbeat interval: the pause between two
+//!   registrations with the joined router (default 500).
 //! * `--sample-ms` — metrics-history sampling interval (default 1000);
 //!   the ring keeps 720 samples, so the default covers 12 minutes.
 //!

@@ -3,15 +3,17 @@
 //! One [`Client`] wraps one TCP connection and speaks the frame protocol
 //! synchronously: each method sends a request and blocks for its
 //! response (the server guarantees responses in request order per
-//! connection). The `mc-client` CLI, the end-to-end tests, and the
-//! `serve_bench` load generator are all built on this type.
+//! connection). The `mc-client` CLI, the end-to-end tests, the
+//! `serve_bench` load generator, the router's dispatches and the
+//! daemon's `--join` agent, which resends [`Client::register`] on one
+//! kept connection, are all built on this type.
 
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
 use crate::protocol::{
-    read_frame, write_frame, ClusterStatsInfo, FrameError, HeartbeatInfo, OptimizeRequest,
-    OptimizeResult, RegisterInfo, Request, Response, StatsInfo, StatusInfo,
+    read_frame, write_frame, ClusterStatsInfo, FrameError, OptimizeRequest, OptimizeResult,
+    RegisterInfo, Request, Response, StatsInfo, StatusInfo,
 };
 
 /// Failure of a client call.
@@ -190,50 +192,16 @@ impl Client {
         })
     }
 
-    /// Backend → router: announces `addr` (where the router should send
-    /// jobs) and `capacity` (worker-pool size); returns the assigned
-    /// backend id. Re-registering the same address returns the same id.
+    /// Backend → router: announces where the router should send jobs,
+    /// the backend's capacity and its current load. Registering again
+    /// from the same address refreshes that backend's entry.
     ///
     /// # Errors
     ///
     /// See [`ClientError`]; a plain `mc-serve` daemon answers with a
     /// server error naming itself.
-    pub fn register(
-        &mut self,
-        addr: &str,
-        capacity: usize,
-        queue_capacity: usize,
-    ) -> Result<u64, ClientError> {
-        let request = Request::Register(RegisterInfo {
-            addr: addr.to_string(),
-            capacity,
-            queue_capacity,
-        });
-        self.call(&request, |response| match response {
-            Response::Registered { backend_id } => Ok(backend_id),
-            other => Err(other),
-        })
-    }
-
-    /// Backend → router: reports liveness and load under the id from
-    /// [`Client::register`].
-    ///
-    /// # Errors
-    ///
-    /// A router that no longer knows the id (it restarted) answers with
-    /// a server error — the caller should reconnect and re-register.
-    pub fn heartbeat(
-        &mut self,
-        backend_id: u64,
-        queue_depth: usize,
-        busy: usize,
-    ) -> Result<(), ClientError> {
-        let request = Request::Heartbeat(HeartbeatInfo {
-            backend_id,
-            queue_depth,
-            busy,
-        });
-        self.call(&request, |response| match response {
+    pub fn register(&mut self, info: RegisterInfo) -> Result<(), ClientError> {
+        self.call(&Request::Register(info), |response| match response {
             Response::Pong => Ok(()),
             other => Err(other),
         })

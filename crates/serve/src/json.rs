@@ -64,11 +64,13 @@ impl Json {
         }
     }
 
-    /// The numeric payload as a non-negative integer, if it is one
-    /// (rejects negatives, NaN, and fractions).
+    /// The numeric payload as a non-negative integer, if it is one that
+    /// an `f64` holds exactly (rejects negatives, NaN, fractions, and
+    /// anything at or above 2^53, which may have been rounded).
     pub fn as_u64(&self) -> Option<u64> {
+        const LIMIT: f64 = (1u64 << 53) as f64;
         let n = self.as_f64()?;
-        (n >= 0.0 && n.fract() == 0.0 && n <= u64::MAX as f64).then_some(n as u64)
+        (n >= 0.0 && n.fract() == 0.0 && n < LIMIT).then_some(n as u64)
     }
 
     /// The array payload, if this is an array.
@@ -491,6 +493,11 @@ mod tests {
         assert_eq!(v.get("b").and_then(Json::as_f64), Some(-1.0));
         assert_eq!(v.get("c").and_then(Json::as_u64), None);
         assert_eq!(v.get("missing"), None);
+        // Integers stay exact below 2^53 and are refused from there on.
+        let v = parse(r#"{"a": 9007199254740991, "b": 9007199254740992, "c": 1.8e18}"#).unwrap();
+        assert_eq!(v.get("a").and_then(Json::as_u64), Some((1 << 53) - 1));
+        assert_eq!(v.get("b").and_then(Json::as_u64), None);
+        assert_eq!(v.get("c").and_then(Json::as_u64), None);
         assert_eq!(Json::from(42u64).encode(), "42");
         assert_eq!(Json::Num(2.5).encode(), "2.5");
     }

@@ -81,7 +81,7 @@ pub use cache::{canonical_form, fingerprint, job_key, CacheEntry};
 pub use client::{Client, ClientError};
 pub use coalesce::{CoalescingCache, Plan};
 pub use protocol::{
-    read_frame, write_frame, BackendStats, ClusterStatsInfo, FlowTiming, FrameError, HeartbeatInfo,
+    read_frame, write_frame, BackendStats, ClusterStatsInfo, FlowTiming, FrameError,
     OptimizeRequest, OptimizeResult, RegisterInfo, Request, Response, StatsInfo, StatusInfo,
     MAX_FRAME_LEN, MAX_JOB_ROUNDS,
 };

@@ -11,6 +11,13 @@
 //! `"type": "result"`, …); [`Request`] and [`Response`] are the typed
 //! forms with lossless [`Request::to_json`] / [`Request::from_payload`]
 //! conversions (and likewise for responses), covered by round-trip tests.
+//!
+//! Cluster membership is one frame: a backend joined to an `mc-cluster`
+//! router sends `register` ([`RegisterInfo`]: address, capacity and
+//! current load) every heartbeat interval, and the router answers
+//! `pong`. Integers cross the wire as JSON numbers, which readers hold
+//! as `f64`, so the decoders take none at or above 2^53; trace ids stay
+//! below that bound.
 
 use std::io::{Read, Write};
 
@@ -178,11 +185,12 @@ pub struct OptimizeRequest {
 
 impl Default for OptimizeRequest {
     fn default() -> Self {
+        let JobSpec { flow, max_rounds } = JobSpec::default();
         Self {
             circuit: String::new(),
             format: None,
-            flow: FlowSpec::default(),
-            max_rounds: 100,
+            flow,
+            max_rounds,
             output: CircuitFormat::Bristol,
             trace_id: 0,
         }
@@ -202,7 +210,9 @@ impl OptimizeRequest {
     }
 }
 
-/// A backend announcing itself to the cluster router.
+/// A backend announcing itself and its current load to the cluster
+/// router. The join agent resends it every heartbeat interval: each one
+/// refreshes the backend's liveness, capacity and load.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RegisterInfo {
     /// The address clients of the router can reach the backend at.
@@ -213,13 +223,6 @@ pub struct RegisterInfo {
     /// The backend's job-queue bound, so the router can aggregate a
     /// meaningful `status` for the whole cluster.
     pub queue_capacity: usize,
-}
-
-/// A periodic liveness-and-load report from a registered backend.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HeartbeatInfo {
-    /// The id the router assigned at registration.
-    pub backend_id: u64,
     /// Jobs waiting in the backend's queue.
     pub queue_depth: usize,
     /// Workers currently running a job.
@@ -239,12 +242,9 @@ pub enum Request {
     /// cluster router health-checks backends with it, and `Client::ping`
     /// exposes the round-trip time.
     Ping,
-    /// Backend → router: join the cluster (answered with
-    /// [`Response::Registered`]).
+    /// Backend → router: join the cluster or report liveness and load,
+    /// every heartbeat interval (answered with [`Response::Pong`]).
     Register(RegisterInfo),
-    /// Backend → router: periodic liveness/load report (answered with
-    /// [`Response::Pong`]).
-    Heartbeat(HeartbeatInfo),
     /// Report the router's per-backend breakdown (answered with
     /// [`Response::ClusterStats`]; a plain backend answers with an
     /// error).
@@ -393,9 +393,9 @@ pub struct BackendStats {
     pub in_flight: usize,
     /// Jobs the router has routed to it over its lifetime.
     pub jobs_routed: u64,
-    /// Queue depth from the last heartbeat.
+    /// Queue depth from the last registration.
     pub queue_depth: usize,
-    /// Busy workers from the last heartbeat.
+    /// Busy workers from the last registration.
     pub busy: usize,
     /// `jobs_served` polled live from the backend.
     pub jobs_served: u64,
@@ -450,15 +450,8 @@ pub enum Response {
     Status(StatusInfo),
     /// Answer to [`Request::Stats`].
     Stats(StatsInfo),
-    /// Answer to [`Request::Ping`] and [`Request::Heartbeat`].
+    /// Answer to [`Request::Ping`] and [`Request::Register`].
     Pong,
-    /// Answer to [`Request::Register`]: the id the router will expect in
-    /// heartbeats.
-    Registered {
-        /// Router-assigned backend id (stable across re-registrations
-        /// from the same address).
-        backend_id: u64,
-    },
     /// Answer to [`Request::ClusterStats`].
     ClusterStats(ClusterStatsInfo),
     /// Answer to [`Request::Metrics`]: the registry rendered as
@@ -567,12 +560,8 @@ impl Request {
                 ("addr".to_string(), Json::from(r.addr.as_str())),
                 ("capacity".to_string(), Json::from(r.capacity)),
                 ("queue_capacity".to_string(), Json::from(r.queue_capacity)),
-            ]),
-            Request::Heartbeat(h) => Json::Obj(vec![
-                ("type".to_string(), Json::from("heartbeat")),
-                ("backend_id".to_string(), Json::from(h.backend_id)),
-                ("queue_depth".to_string(), Json::from(h.queue_depth)),
-                ("busy".to_string(), Json::from(h.busy)),
+                ("queue_depth".to_string(), Json::from(r.queue_depth)),
+                ("busy".to_string(), Json::from(r.busy)),
             ]),
             Request::ClusterStats => {
                 Json::Obj(vec![("type".to_string(), Json::from("cluster_stats"))])
@@ -651,7 +640,7 @@ impl Request {
                     circuit: obj_str(&value, "circuit")?,
                     format,
                     flow,
-                    max_rounds: obj_usize(&value, "max_rounds", 100)?,
+                    max_rounds: obj_usize(&value, "max_rounds", JobSpec::default().max_rounds)?,
                     output,
                     trace_id: obj_u64_or(&value, "trace_id", 0)?,
                 }))
@@ -663,9 +652,6 @@ impl Request {
                 addr: obj_str(&value, "addr")?,
                 capacity: obj_usize(&value, "capacity", 1)?,
                 queue_capacity: obj_usize(&value, "queue_capacity", 0)?,
-            })),
-            "heartbeat" => Ok(Request::Heartbeat(HeartbeatInfo {
-                backend_id: obj_u64(&value, "backend_id")?,
                 queue_depth: obj_usize(&value, "queue_depth", 0)?,
                 busy: obj_usize(&value, "busy", 0)?,
             })),
@@ -812,10 +798,6 @@ impl Response {
                 ),
             ]),
             Response::Pong => Json::Obj(vec![("type".to_string(), Json::from("pong"))]),
-            Response::Registered { backend_id } => Json::Obj(vec![
-                ("type".to_string(), Json::from("registered")),
-                ("backend_id".to_string(), Json::from(*backend_id)),
-            ]),
             Response::ClusterStats(c) => {
                 let mut members = vec![
                     ("type".to_string(), Json::from("cluster_stats")),
@@ -1005,9 +987,6 @@ impl Response {
                 }))
             }
             "pong" => Ok(Response::Pong),
-            "registered" => Ok(Response::Registered {
-                backend_id: obj_u64(&value, "backend_id")?,
-            }),
             "cluster_stats" => {
                 let backends = value
                     .get("backends")
@@ -1169,9 +1148,6 @@ mod tests {
                 addr: "127.0.0.1:4519".to_string(),
                 capacity: 4,
                 queue_capacity: 64,
-            }),
-            Request::Heartbeat(HeartbeatInfo {
-                backend_id: 3,
                 queue_depth: 2,
                 busy: 1,
             }),
@@ -1238,7 +1214,6 @@ mod tests {
                 }],
             }),
             Response::Pong,
-            Response::Registered { backend_id: 2 },
             Response::ClusterStats(ClusterStatsInfo {
                 uptime_secs: 17,
                 jobs_routed: 40,
@@ -1520,13 +1495,12 @@ mod tests {
     }
 
     #[test]
-    fn heartbeat_requires_a_backend_id() {
-        assert!(Request::from_payload(br#"{"type":"heartbeat"}"#).is_err());
+    fn register_requires_an_address() {
         assert!(
             Request::from_payload(br#"{"type":"register"}"#).is_err(),
             "no addr"
         );
-        // Register defaults capacity but never the address.
+        // Register defaults capacity and load but never the address.
         let r = Request::from_payload(br#"{"type":"register","addr":"127.0.0.1:1"}"#).unwrap();
         assert_eq!(
             r,
@@ -1534,6 +1508,8 @@ mod tests {
                 addr: "127.0.0.1:1".to_string(),
                 capacity: 1,
                 queue_capacity: 0,
+                queue_depth: 0,
+                busy: 0,
             })
         );
     }

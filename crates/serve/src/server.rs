@@ -68,16 +68,17 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Bound of the semantic result cache (LRU).
     pub cache_capacity: usize,
-    /// Address of an `mc-cluster` router to join: the daemon registers
-    /// itself there once listening and heartbeats for as long as it
-    /// runs. `None` (the default) serves stand-alone.
+    /// Address of an `mc-cluster` router to join: once listening, the
+    /// daemon registers itself there, with its current load, every
+    /// [`heartbeat_interval`](Self::heartbeat_interval) for as long as
+    /// it runs. `None` (the default) serves stand-alone.
     pub join: Option<String>,
     /// The address to *announce* to the joined router. Defaults to the
     /// bound address, which is only correct for a concrete bind — a
     /// daemon bound to a wildcard (`0.0.0.0:…`) must set this to the
     /// address the router can actually reach it at.
     pub advertise: Option<String>,
-    /// Interval between heartbeats to the joined router.
+    /// Interval between registrations with the joined router.
     pub heartbeat_interval: Duration,
     /// Interval between metric-history snapshots (the sampler thread).
     pub sample_interval: Duration,
@@ -379,11 +380,9 @@ impl Dispatch for Shared {
             Request::Ping => Response::Pong,
             // Cluster-handshake frames are the router's business; a plain
             // backend names itself so a misdirected `--join` is obvious.
-            Request::Register(_) | Request::Heartbeat(_) | Request::ClusterStats => {
-                Response::Error {
-                    message: "not a cluster router (this is an mc-serve backend)".to_string(),
-                }
-            }
+            Request::Register(_) | Request::ClusterStats => Response::Error {
+                message: "not a cluster router (this is an mc-serve backend)".to_string(),
+            },
             Request::Metrics => Response::Metrics {
                 text: mc_obs::registry().render(),
             },

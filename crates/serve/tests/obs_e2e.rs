@@ -76,3 +76,35 @@ fn one_job_is_traced_end_to_end_under_one_trace_id() {
     client.shutdown().unwrap();
     handle.join();
 }
+
+/// A job sent without a trace ID runs under one the daemon assigns, and
+/// the ID its result echoes finds the job's events: the assigned ID must
+/// cross the wire exactly.
+#[test]
+fn the_trace_id_a_daemon_assigns_finds_the_job() {
+    let handle = Server::bind(ServeConfig::default()).unwrap();
+    let mut client = Client::connect(handle.local_addr()).unwrap();
+    let result = client
+        .optimize(OptimizeRequest {
+            circuit: two_and_circuit(),
+            ..OptimizeRequest::default()
+        })
+        .unwrap();
+    assert!(!result.cached);
+    assert_ne!(result.trace_id, 0, "the daemon assigns a trace ID");
+
+    let events = client.trace_dump(Some(result.trace_id)).unwrap();
+    assert!(
+        events.iter().any(|e| e.span == "serve:queue_wait"),
+        "no queue wait under the echoed trace ID {}: {events:?}",
+        result.trace_id
+    );
+    assert!(
+        events.iter().any(|e| e.span.starts_with("pass:")),
+        "no pass under the echoed trace ID {}: {events:?}",
+        result.trace_id
+    );
+
+    client.shutdown().unwrap();
+    handle.join();
+}

@@ -9,8 +9,7 @@
 
 use mc_rng::Rng;
 use mc_serve::protocol::{
-    read_frame, write_frame, FrameError, HeartbeatInfo, OptimizeRequest, RegisterInfo,
-    MAX_FRAME_LEN,
+    read_frame, write_frame, FrameError, OptimizeRequest, RegisterInfo, MAX_FRAME_LEN,
 };
 use mc_serve::{Request, Response};
 
@@ -35,10 +34,14 @@ fn request_payloads() -> Vec<Vec<u8>> {
             addr: "127.0.0.1:7171".to_string(),
             capacity: 4,
             queue_capacity: 64,
+            queue_depth: 0,
+            busy: 0,
         })
         .to_payload(),
-        Request::Heartbeat(HeartbeatInfo {
-            backend_id: 3,
+        Request::Register(RegisterInfo {
+            addr: "127.0.0.1:7171".to_string(),
+            capacity: 4,
+            queue_capacity: 64,
             queue_depth: 2,
             busy: 1,
         })
@@ -111,7 +114,15 @@ fn mutated_request_payloads_decode_to_errors_never_panic() {
 fn mutated_response_payloads_decode_to_errors_never_panic() {
     let payloads = [
         Response::Pong.to_payload(),
-        Response::Registered { backend_id: 9 }.to_payload(),
+        // A backend's `register` frame, which no response decoder takes.
+        Request::Register(RegisterInfo {
+            addr: "127.0.0.1:7171".to_string(),
+            capacity: 4,
+            queue_capacity: 64,
+            queue_depth: 2,
+            busy: 1,
+        })
+        .to_payload(),
         Response::Error {
             message: "queue full".to_string(),
         }

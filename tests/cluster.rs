@@ -6,7 +6,7 @@
 use std::time::Duration;
 
 use mc_cluster::{Router, RouterConfig};
-use mc_serve::{Client, OptimizeRequest, ServeConfig, Server, ServerHandle};
+use mc_serve::{Client, OptimizeRequest, RegisterInfo, ServeConfig, Server, ServerHandle};
 use xag_network::fuzz::{random_xag, FuzzConfig};
 use xag_network::{equiv_exhaustive, read_bristol, write_bristol, Xag};
 
@@ -21,7 +21,6 @@ fn bristol_text(xag: &Xag) -> String {
 /// first-hand dispatch failures, which need no health-loop timing.
 fn lenient_router() -> mc_cluster::RouterHandle {
     Router::bind(RouterConfig {
-        heartbeat_timeout: Duration::from_secs(60),
         miss_threshold: 100,
         health_interval: Duration::from_millis(200),
         ..RouterConfig::default()
@@ -322,6 +321,45 @@ fn router_rejects_malformed_uploads_at_the_edge() {
     router.shutdown();
 }
 
+/// A job routed without a trace ID runs under the one the router assigns
+/// at the edge, and the ID its result echoes finds, through the router,
+/// both the router's dispatch and the backend's passes.
+#[test]
+fn the_trace_id_a_router_assigns_finds_dispatch_and_passes() {
+    let router = lenient_router();
+    let addr = router.local_addr();
+    let backends = boot_backends(&addr.to_string(), 1, 1);
+    let mut client = Client::connect(addr).expect("connect");
+    wait_for_backends(&mut client, 1);
+
+    let input = random_xag(&FuzzConfig::default(), 31);
+    let result = client
+        .optimize(OptimizeRequest {
+            circuit: bristol_text(&input),
+            ..OptimizeRequest::default()
+        })
+        .expect("optimize through the router");
+    assert!(!result.cached);
+    let events = client
+        .trace_dump(Some(result.trace_id))
+        .expect("trace_dump through the router");
+    assert!(
+        events.iter().any(|e| e.span == "cluster:dispatch"),
+        "no dispatch under the echoed trace ID {}: {events:?}",
+        result.trace_id
+    );
+    assert!(
+        events.iter().any(|e| e.span.starts_with("pass:")),
+        "no backend pass under the echoed trace ID {}: {events:?}",
+        result.trace_id
+    );
+
+    for b in backends {
+        b.shutdown();
+    }
+    router.shutdown();
+}
+
 /// The load a backend reports reaches the router's aggregate `status`
 /// and the backend's `cluster_stats` row. Nothing listens at the
 /// registered address; the lenient miss threshold keeps it up for the
@@ -331,8 +369,15 @@ fn reported_load_reaches_status_and_cluster_stats() {
     let router = lenient_router();
     let mut client = Client::connect(router.local_addr()).expect("connect");
     let addr = "127.0.0.1:1";
-    let id = client.register(addr, 3, 64).expect("register");
-    client.heartbeat(id, 5, 2).expect("report load");
+    client
+        .register(RegisterInfo {
+            addr: addr.to_string(),
+            capacity: 3,
+            queue_capacity: 64,
+            queue_depth: 5,
+            busy: 2,
+        })
+        .expect("register and report load");
 
     let status = client.status().expect("status");
     assert_eq!(status.workers, 3);

@@ -119,7 +119,6 @@ fn daemon_endpoint_answers_bad_frames_and_keeps_serving() {
 #[test]
 fn router_endpoint_answers_bad_frames_and_keeps_serving() {
     let router = Router::bind(RouterConfig {
-        heartbeat_timeout: Duration::from_secs(60),
         miss_threshold: 100,
         ..RouterConfig::default()
     })

@@ -420,7 +420,13 @@ fn ping_round_trips_and_cluster_frames_are_rejected() {
     }
 
     let err = client
-        .register("127.0.0.1:1", 1, 64)
+        .register(mc_serve::RegisterInfo {
+            addr: "127.0.0.1:1".to_string(),
+            capacity: 1,
+            queue_capacity: 64,
+            queue_depth: 0,
+            busy: 0,
+        })
         .expect_err("a backend is not a router");
     assert!(matches!(err, mc_serve::ClientError::Server(_)), "{err}");
     let err = client.cluster_stats().expect_err("no cluster stats here");
