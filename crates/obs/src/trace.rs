@@ -1,15 +1,15 @@
 //! Span-based structured tracing with job-scoped trace IDs.
 //!
 //! The model is deliberately small: a *trace ID* is a nonzero integer
-//! below 2^53 carried in a thread-local; a *span* is a named interval recorded when
-//! its guard drops; an *instant* is a zero-duration event. Events land in
-//! a bounded per-thread ring buffer, so recording contends only with the
-//! dump path (a `TraceDump` request), never with other worker threads.
-//! When a ring fills, the oldest events are dropped — tracing must never
-//! stall or grow the process. A thread that exits bequeaths its
-//! remaining events to a shared orphan ring (same bound), so the spans
-//! of short-lived threads such as connection handlers survive until a
-//! dump reads them.
+//! below 2^53 carried in a thread-local; a *span* is a named interval
+//! recorded when its guard drops; an *instant* is a zero-duration event.
+//! Events land in a bounded per-thread ring buffer, so recording contends
+//! only with the dump path (a `TraceDump` request), never with other
+//! worker threads. When a ring fills, the oldest events are dropped —
+//! tracing must never stall or grow the process. A thread that exits
+//! bequeaths its remaining events to a shared orphan ring (same bound),
+//! so the spans of short-lived threads such as connection handlers
+//! survive until a dump reads them.
 //!
 //! Timestamps are microseconds since `UNIX_EPOCH`, not a process-local
 //! `Instant`, so events recorded on a router and on a backend line up on

@@ -4,9 +4,9 @@
 //! synchronously: each method sends a request and blocks for its
 //! response (the server guarantees responses in request order per
 //! connection). The `mc-client` CLI, the end-to-end tests, the
-//! `serve_bench` load generator, the router's dispatches and the
-//! daemon's `--join` agent, which resends [`Client::register`] on one
-//! kept connection, are all built on this type.
+//! `serve_bench` load generator and the daemon's `--join` agent, which
+//! resends [`Client::register`] on one kept connection, are all built
+//! on this type.
 
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
