@@ -13,6 +13,12 @@
 //! `pipeline` phase, is reported through [`crate::observe`], and yields
 //! one [`PassStats`] in the run's [`FlowStats`].
 //!
+//! A round that commits nothing hands its [`Carry`] to the next atom: a
+//! next round with the same objective and a larger cut size grows the
+//! carried cut sets and skips the cuts the carry proved ([`crate::round`]).
+//! Any other atom drops it, `xor` and `cleanup` before they rebuild, so a
+//! carry never outlives one run.
+//!
 //! # Examples
 //!
 //! The paper's flow, driving the textbook full adder to its known
@@ -63,7 +69,7 @@ use xag_network::Xag;
 
 use crate::context::OptContext;
 use crate::flow::{FlowItem, FlowUnit, Repeat};
-use crate::round;
+use crate::round::{self, Carry};
 use crate::stats::{FlowStats, PassStats};
 use crate::xor_reduce::reduce_xors;
 use crate::Objective;
@@ -82,6 +88,7 @@ pub(crate) fn run(
         budget: max_rounds.max(1),
         passes: Vec::new(),
         converged: true,
+        carry: None,
     };
     run.items(items);
     FlowStats {
@@ -98,6 +105,8 @@ struct Executor<'a> {
     budget: usize,
     passes: Vec<PassStats>,
     converged: bool,
+    /// What the last round proved, if it committed nothing.
+    carry: Option<Carry>,
 }
 
 impl Executor<'_> {
@@ -160,7 +169,7 @@ impl Executor<'_> {
     fn atom(&mut self, atom: &FlowUnit) -> &PassStats {
         let stats = {
             let _root = mc_obs::prof::phase("pipeline");
-            run_atom(atom, self.xag, self.ctx)
+            run_atom(atom, self.xag, self.ctx, &mut self.carry)
         };
         crate::observe::pass_boundary(&stats);
         self.passes.push(stats);
@@ -186,16 +195,27 @@ fn flatten<'s>(items: &'s [FlowItem], out: &mut Vec<&'s FlowUnit>) {
 }
 
 /// Executes one pass atom: `mc`/`size` as a rewriting round
-/// ([`round`]), `xor` and `cleanup` as whole-network rebuilds.
-fn run_atom(atom: &FlowUnit, xag: &mut Xag, ctx: &mut OptContext) -> PassStats {
+/// ([`round`]), which takes `carry` and leaves its own, and `xor` and
+/// `cleanup` as whole-network rebuilds, which drop it.
+fn run_atom(
+    atom: &FlowUnit,
+    xag: &mut Xag,
+    ctx: &mut OptContext,
+    carry: &mut Option<Carry>,
+) -> PassStats {
     let (objective, cut, name) = match *atom {
         FlowUnit::Mc { cut } => (Objective::MultiplicativeComplexity, cut, "mc-rewrite"),
         FlowUnit::Size { cut } => (Objective::Size, cut, "size-rewrite"),
-        _ => return rebuild(atom, xag),
+        _ => {
+            *carry = None;
+            return rebuild(atom, xag);
+        }
     };
     let cut_params = CutParams { cut_size: cut };
     let name = format!("{name}<{cut}>");
-    round::round(xag, ctx, &cut_params, objective, &name)
+    let (stats, next) = round::round(xag, ctx, &cut_params, objective, &name, carry.take());
+    *carry = next;
+    stats
 }
 
 /// `xor` (Paar reduction; `rewrites_applied` counts removed XOR gates)
@@ -281,6 +301,29 @@ mod tests {
         assert_eq!(summary[1].name, "xor");
         assert_eq!(summary[1].runs, 1);
         assert_eq!(summary[1].ands_saved, 0);
+    }
+
+    #[test]
+    fn only_a_commit_free_round_leaves_a_carry_and_rebuilds_drop_it() {
+        // A full adder already at its optimum: every round commits nothing.
+        let mut xag = Xag::new();
+        let (a, b, c) = (xag.input(), xag.input(), xag.input());
+        let m = xag.maj(a, b, c);
+        let s = xag.xor(a, b);
+        let s = xag.xor(s, c);
+        xag.output(m);
+        xag.output(s);
+        let mut ctx = OptContext::new();
+        let mut carry = None;
+        let mc4 = FlowUnit::Mc { cut: 4 };
+        let stats = run_atom(&mc4, &mut xag, &mut ctx, &mut carry);
+        assert_eq!(stats.rewrites_applied, 0);
+        assert!(carry.is_some(), "a commit-free round left no carry");
+        run_atom(&FlowUnit::Xor, &mut xag, &mut ctx, &mut carry);
+        assert!(carry.is_none(), "xor kept the carry");
+        run_atom(&mc4, &mut xag, &mut ctx, &mut carry);
+        run_atom(&FlowUnit::Cleanup, &mut xag, &mut ctx, &mut carry);
+        assert!(carry.is_none(), "cleanup kept the carry");
     }
 
     #[test]

@@ -37,6 +37,14 @@
 //! the rewrites before it have left it: here a rewrite committed early in
 //! a round cannot enable a proposal later in the same round, so some
 //! gains wait for the next round (DESIGN.md §5).
+//!
+//! A round that commits nothing leaves the network as it found it, and
+//! hands the next round a [`Carry`]: its cut sets, their order and the
+//! roots where it proposed. A next round with the same objective and a
+//! larger cut size grows those sets in place ([`CutSets::grow`]) instead
+//! of enumerating, and skips every cut no larger than the carried size at
+//! each root where the carried round proposed nothing: the same cut, table,
+//! context and snapshot already scored a gain ≤ 0 there (DESIGN.md §5).
 
 use std::collections::hash_map::Entry;
 use std::time::Instant;
@@ -51,7 +59,7 @@ use crate::stats::PassStats;
 use crate::Objective;
 
 /// A rewrite proposed against the snapshot, waiting for commit.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct Proposal {
     /// The root gate the candidate replaces.
     root: NodeId,
@@ -61,6 +69,27 @@ struct Proposal {
     frag: XagFragment,
     /// The cut leaves, in the order `frag` expects its inputs.
     leaves: Vec<NodeId>,
+}
+
+/// What a round that committed nothing proved about the network it left
+/// unchanged, kept for the next round of the same flow run.
+#[derive(Debug)]
+pub(crate) struct Carry {
+    objective: Objective,
+    /// The topological order the sets were enumerated over.
+    order: Vec<NodeId>,
+    sets: CutSets,
+    /// The roots where the round proposed, in `order`.
+    proposed: Vec<NodeId>,
+}
+
+/// Cuts a round need not evaluate: at every root outside `proposed`, the
+/// cuts of at most `cut_size` leaves scored a gain ≤ 0 one round earlier
+/// on the same snapshot.
+#[derive(Debug)]
+struct Proven {
+    cut_size: usize,
+    proposed: Vec<NodeId>,
 }
 
 /// Reusable state for [`frozen_mffc_with`]: epoch-stamped per-node
@@ -249,19 +278,31 @@ fn estimate_new_gates(
 /// [`OptContext`], so it adds nothing to a daemon's memory. Its keys come
 /// from uploaded circuits, like the classifier cache's, so FxHash serves
 /// it for the same reason.
+///
+/// With `proven`, the cuts it names are counted as considered and skipped
+/// like the MFFC-bounded ones. That is exact: a root's cuts come smallest
+/// first, so its proven cuts precede the rest, and each of them would
+/// leave the root's best empty, as it did one round earlier.
 fn propose(
     xag: &Xag,
     ctx: &mut OptContext,
     sets: &CutSets,
     order: &[NodeId],
     objective: Objective,
+    proven: Option<&Proven>,
 ) -> (Vec<Proposal>, usize) {
     let mut memo: FxHashMap<Tt, XagFragment> = FxHashMap::default();
     let mut mffc = MffcScratch::default();
     let mut outs: Vec<Option<Signal>> = Vec::new();
     let mut proposals = Vec::new();
     let mut considered = 0usize;
+    // Both walk `order`, so the carried proposers are met in turn.
+    let mut carried_proposers = proven.map_or(&[][..], |p| &p.proposed).iter().peekable();
     for &root in order {
+        let proven_size = match proven {
+            Some(p) if carried_proposers.next_if_eq(&&root).is_none() => p.cut_size,
+            _ => 0,
+        };
         let mut best: Option<(i64, Proposal)> = None;
         let tts = sets.functions_of(root);
         for (ci, cut) in sets.of(root).iter().enumerate() {
@@ -273,6 +314,9 @@ fn propose(
                 continue;
             }
             considered += 1;
+            if cut.size() <= proven_size {
+                continue;
+            }
             let (freed_ands, freed_total) = frozen_mffc_with(xag, root, cut.leaves(), &mut mffc);
             let freed = match objective {
                 Objective::MultiplicativeComplexity => freed_ands,
@@ -439,32 +483,77 @@ fn count_gates(xag: &Xag, order: &[NodeId]) -> (usize, usize) {
     (ands, order.len() - ands)
 }
 
-/// One rewriting round over every gate: enumerate, propose against the
-/// snapshot, commit in topological order.
+/// The first phase of a round: the live gates in topological order and
+/// their cut sets.
+///
+/// A `carry` from a commit-free round with the same objective and a
+/// smaller cut size is grown in place, and what it proved comes back for
+/// [`propose`]; any other carry is dropped before this round's arena is
+/// allocated.
+fn cut_sets(
+    xag: &Xag,
+    cut_params: &CutParams,
+    objective: Objective,
+    carry: Option<Carry>,
+) -> (Vec<NodeId>, CutSets, Option<Proven>) {
+    let carry =
+        carry.filter(|c| c.objective == objective && c.sets.cut_size() < cut_params.cut_size);
+    match carry {
+        Some(Carry {
+            order,
+            mut sets,
+            proposed,
+            ..
+        }) => {
+            debug_assert_eq!(
+                order,
+                xag.live_gates(),
+                "a carried round changed the network it proved"
+            );
+            let proven = Proven {
+                cut_size: sets.cut_size(),
+                proposed,
+            };
+            {
+                let _p = mc_obs::prof::phase("cut_enum");
+                sets.grow(xag, &order, cut_params);
+            }
+            (order, sets, Some(proven))
+        }
+        None => {
+            let order = xag.live_gates();
+            let sets = {
+                let _p = mc_obs::prof::phase("cut_enum");
+                enumerate_cuts_for(xag, &order, cut_params)
+            };
+            (order, sets, None)
+        }
+    }
+}
+
+/// One rewriting round over every gate: enumerate (or grow the `carry`),
+/// propose against the snapshot, commit in topological order. A round
+/// that commits nothing returns the [`Carry`] for the next round.
 pub(crate) fn round(
     xag: &mut Xag,
     ctx: &mut OptContext,
     cut_params: &CutParams,
     objective: Objective,
     pass_name: &str,
-) -> PassStats {
+    carry: Option<Carry>,
+) -> (PassStats, Option<Carry>) {
     let _round = mc_obs::prof::phase("par_rewrite");
     // lint: allow(determinism): wall-clock feeds PassStats/metrics timing only; never branches on it
     let start = Instant::now();
-    let order = xag.live_gates();
+    let (order, sets, proven) = cut_sets(xag, cut_params, objective, carry);
     let (ands_before, xors_before) = count_gates(xag, &order);
-
-    let sets = {
-        let _p = mc_obs::prof::phase("cut_enum");
-        enumerate_cuts_for(xag, &order, cut_params)
-    };
 
     // lint: allow(determinism): wall-clock feeds PassStats/metrics timing only; never branches on it
     let propose_start = Instant::now();
     let mut propose_span = mc_obs::span("shard:propose");
     let (proposals, considered) = {
         let _p = mc_obs::prof::phase("propose");
-        propose(xag, ctx, &sets, &order, objective)
+        propose(xag, ctx, &sets, &order, objective, proven.as_ref())
     };
     propose_span.detail(format!(
         "proposals={} considered={considered}",
@@ -478,6 +567,7 @@ pub(crate) fn round(
     // lint: allow(determinism): wall-clock feeds PassStats/metrics timing only; never branches on it
     let commit_start = Instant::now();
     let num_proposals = proposals.len();
+    let proposed: Vec<NodeId> = proposals.iter().map(|p| p.root).collect();
     let applied = {
         let _p = mc_obs::prof::phase("commit_validate");
         commit_proposals(xag, proposals, objective)
@@ -496,7 +586,7 @@ pub(crate) fn round(
     );
 
     let (ands_after, xors_after) = count_gates(xag, &xag.live_gates());
-    PassStats {
+    let stats = PassStats {
         pass: pass_name.to_string(),
         ands_before,
         xors_before,
@@ -505,7 +595,14 @@ pub(crate) fn round(
         rewrites_applied: applied,
         cuts_considered: considered,
         elapsed: start.elapsed(),
-    }
+    };
+    let carry = (applied == 0).then_some(Carry {
+        objective,
+        order,
+        sets,
+        proposed,
+    });
+    (stats, carry)
 }
 
 #[cfg(test)]
@@ -568,25 +665,21 @@ mod tests {
         }
     }
 
-    #[test]
-    fn commit_rejects_a_rewrite_that_would_close_a_cycle() {
-        // r = a·b feeds o = r ⊕ c; both are outputs.
+    /// r = a·b feeds o = r ⊕ c, both outputs, with a proposal at r that
+    /// only the cycle check can turn down: (a·b ⊕ c) ⊕ c computes r, but
+    /// its first two gates hash to r and o, so the fresh third gate reads
+    /// o, which reads r. It frees r's AND and adds only a XOR (gain +1).
+    fn cyclic_proposal() -> (Xag, Proposal) {
         let mut xag = Xag::new();
         let (a, b, c) = (xag.input(), xag.input(), xag.input());
         let r = xag.and(a, b);
         let o = xag.xor(r, c);
         xag.output(o);
         xag.output(r);
-        let reference = xag.cleanup();
-        let gates = xag.num_gates();
         let leaves = vec![a.node(), b.node(), c.node()];
         let tt = xag
             .cone_tt(r.node(), &leaves)
             .expect("the cut covers the root");
-        // (a·b ⊕ c) ⊕ c computes r, but its first two gates hash to r and
-        // o, so the fresh third gate reads o, which reads r. It frees r's
-        // AND and adds only a XOR (gain +1), so only the cycle check can
-        // turn it down.
         let mut frag = XagFragment::new(3);
         let g0 = frag.and(XagFragment::input(0), XagFragment::input(1));
         let g1 = frag.xor(g0, XagFragment::input(2));
@@ -599,6 +692,14 @@ mod tests {
             frag,
             leaves,
         };
+        (xag, proposal)
+    }
+
+    #[test]
+    fn commit_rejects_a_rewrite_that_would_close_a_cycle() {
+        let (mut xag, proposal) = cyclic_proposal();
+        let reference = xag.cleanup();
+        let gates = xag.num_gates();
         let applied = commit_proposals(
             &mut xag,
             vec![proposal],
@@ -609,6 +710,159 @@ mod tests {
         assert!(equiv_exhaustive(&reference, &xag.cleanup()));
     }
 
+    /// Every live gate with its kind and fanins, then the outputs.
+    fn structure(xag: &Xag) -> (Vec<(NodeId, bool, Signal, Signal)>, Vec<Signal>) {
+        let gates = xag
+            .live_gates()
+            .into_iter()
+            .map(|n| {
+                let (f0, f1) = xag.fanins(n);
+                (n, xag.kind(n) == NodeKind::And, f0, f1)
+            })
+            .collect();
+        let outputs = (0..xag.num_outputs())
+            .map(|i| xag.output_signal(i))
+            .collect();
+        (gates, outputs)
+    }
+
+    /// Runs the cut-6 round after a commit-free round that left `carry`
+    /// on `xag` twice, with the carry and without it, and requires the
+    /// same proposals, the same `PassStats` (elapsed aside) and the same
+    /// network. `again` re-runs the commit-free round for a second carry.
+    fn assert_carry_is_exact(
+        at: &str,
+        xag: &Xag,
+        ctx: &mut OptContext,
+        objective: Objective,
+        carry: Carry,
+        again: impl FnOnce(&mut Xag, &mut OptContext) -> Carry,
+    ) {
+        let six = CutParams { cut_size: 6 };
+        let (order, sets, proven) = cut_sets(xag, &six, objective, Some(carry));
+        assert!(proven.is_some(), "{at}: the carry was not taken");
+        let carried = propose(xag, ctx, &sets, &order, objective, proven.as_ref());
+        let (order, sets, _) = cut_sets(xag, &six, objective, None);
+        let fresh = propose(xag, ctx, &sets, &order, objective, None);
+        assert_eq!(carried, fresh, "{at}: proposals or cuts considered differ");
+
+        let mut with = xag.clone();
+        let carry = again(&mut with, ctx);
+        let (with_stats, _) = round(&mut with, ctx, &six, objective, "r6", Some(carry));
+        let mut without = xag.clone();
+        let (without_stats, _) = round(&mut without, ctx, &six, objective, "r6", None);
+        let mut without_stats = without_stats;
+        without_stats.elapsed = with_stats.elapsed;
+        assert_eq!(with_stats, without_stats, "{at}: pass stats differ");
+        assert_eq!(
+            structure(&with),
+            structure(&without),
+            "{at}: networks differ"
+        );
+    }
+
+    /// Runs cut-4 rounds until one commits nothing, and returns its carry
+    /// (none if the budget runs out first).
+    fn converge_cut_4(xag: &mut Xag, ctx: &mut OptContext, objective: Objective) -> Option<Carry> {
+        let four = CutParams { cut_size: 4 };
+        for _ in 0..20 {
+            let (stats, carry) = round(xag, ctx, &four, objective, "r4", None);
+            if stats.rewrites_applied == 0 {
+                return carry;
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn a_carried_cut_6_round_equals_a_fresh_one() {
+        let mut networks: Vec<(String, Xag)> = xag_circuits::epfl::epfl_suite(Default::default())
+            .into_iter()
+            .map(|b| (b.name.to_string(), b.xag))
+            .collect();
+        for seed in 0..24u64 {
+            networks.push((
+                format!("fuzz {seed}"),
+                random_network(seed, 30 + seed as usize * 5),
+            ));
+        }
+        let mut ctx = OptContext::new();
+        let mut carried = 0;
+        for (name, network) in &networks {
+            for objective in [Objective::MultiplicativeComplexity, Objective::Size] {
+                let mut xag = network.clone();
+                let Some(carry) = converge_cut_4(&mut xag, &mut ctx, objective) else {
+                    continue;
+                };
+                carried += 1;
+                let at = format!("{name} {objective:?}");
+                assert_carry_is_exact(&at, &xag, &mut ctx, objective, carry, |xag, ctx| {
+                    converge_cut_4(xag, ctx, objective).expect("the round stays commit-free")
+                });
+            }
+        }
+        assert!(carried >= networks.len(), "only {carried} carried rounds");
+    }
+
+    #[test]
+    fn a_carry_whose_only_proposal_was_rejected_is_exact() {
+        // The carried round proposed only at r, and its commit was turned
+        // down: the network is unchanged but for a reclaimed node above
+        // the arena the carried sets were built for.
+        let objective = Objective::MultiplicativeComplexity;
+        let (mut xag, proposal) = cyclic_proposal();
+        let root = proposal.root;
+        let carry_of = move |xag: &mut Xag, _: &mut OptContext| {
+            let order = xag.live_gates();
+            let sets = enumerate_cuts_for(xag, &order, &CutParams { cut_size: 4 });
+            Carry {
+                objective,
+                order,
+                sets,
+                proposed: vec![root],
+            }
+        };
+        let mut ctx = OptContext::new();
+        let carry = carry_of(&mut xag, &mut ctx);
+        let capacity = xag.capacity();
+        assert_eq!(commit_proposals(&mut xag, vec![proposal], objective), 0);
+        assert!(
+            xag.capacity() > capacity,
+            "the rejected commit left no node"
+        );
+        assert_carry_is_exact("cycle", &xag, &mut ctx, objective, carry, carry_of);
+    }
+
+    #[test]
+    fn a_carry_keeps_every_cut_at_a_root_that_proposed() {
+        // Each carry stands for a round whose proposals were all turned
+        // down at commit: its sets and proposers come from a cut-4 propose
+        // on networks that have rewrites left, so the carried proposers
+        // hold real proposals that the next round must find again.
+        let objective = Objective::MultiplicativeComplexity;
+        let carry_of = |xag: &mut Xag, ctx: &mut OptContext| {
+            let order = xag.live_gates();
+            let sets = enumerate_cuts_for(xag, &order, &CutParams { cut_size: 4 });
+            let (proposals, _) = propose(xag, ctx, &sets, &order, objective, None);
+            Carry {
+                objective,
+                order,
+                sets,
+                proposed: proposals.iter().map(|p| p.root).collect(),
+            }
+        };
+        let mut ctx = OptContext::new();
+        let mut proposers = 0;
+        for seed in 1..9u64 {
+            let mut xag = random_network(seed, 40);
+            let carry = carry_of(&mut xag, &mut ctx);
+            proposers += carry.proposed.len();
+            let at = format!("seed {seed}");
+            assert_carry_is_exact(&at, &xag, &mut ctx, objective, carry, &carry_of);
+        }
+        assert!(proposers > 0, "no carried round proposed");
+    }
+
     #[test]
     fn round_preserves_function_and_reduces_ands() {
         for seed in [1u64, 2, 3, 4] {
@@ -616,12 +870,13 @@ mod tests {
             let reference = xag.cleanup();
             let before = xag.num_ands();
             let mut ctx = OptContext::new();
-            let stats = round(
+            let (stats, _) = round(
                 &mut xag,
                 &mut ctx,
                 &CutParams::default(),
                 Objective::MultiplicativeComplexity,
                 "round-test",
+                None,
             );
             assert!(xag.num_ands() <= before);
             assert_eq!(stats.ands_after, xag.num_ands());

@@ -21,7 +21,10 @@
 //!   per-cut heap allocation anywhere in the enumeration;
 //! * [`CutSets`] is a flat arena indexed by dense node id — per-node spans
 //!   into one shared `Vec<Cut>`, so fanin cut sets are merged by index
-//!   instead of being cloned;
+//!   instead of being cloned. Every gate owns a fixed block of
+//!   `CUT_LIMIT + 1` slots, so [`CutSets::grow`] raises the cut size of
+//!   the sets where they lie: one kernel fills a fresh block and extends a
+//!   grown one, and growth walks only the merges larger than the old size;
 //! * every cut's local function is computed *during* enumeration in the same
 //!   bottom-up sweep ([`CutSets::functions_of`]): a merged cut's truth table
 //!   is the gate operator applied to the fanin cuts' tables lifted onto the
@@ -259,13 +262,19 @@ impl Default for CutParams {
 ///
 /// A flat arena: one shared `Vec<Cut>` plus a per-node `(start, end)` span
 /// indexed by dense node id, with a parallel `Vec<Tt>` holding each cut's
-/// local function computed during enumeration.
+/// local function computed during enumeration. Every gate owns a fixed
+/// block of `CUT_LIMIT + 1` slots, laid out in the enumeration order, so a
+/// node's set can grow where it lies ([`CutSets::grow`]).
 #[derive(Debug)]
 pub struct CutSets {
     spans: Vec<(u32, u32)>,
     cuts: Vec<Cut>,
     tts: Vec<Tt>,
+    cut_size: usize,
 }
+
+/// Slots of one gate's block: [`CUT_LIMIT`] merges and the trivial cut.
+const BLOCK: usize = CUT_LIMIT + 1;
 
 impl CutSets {
     #[inline]
@@ -296,7 +305,13 @@ impl CutSets {
 
     /// Total number of stored cuts.
     pub fn total(&self) -> usize {
-        self.cuts.len()
+        self.spans.iter().map(|&(s, e)| (e - s) as usize).sum()
+    }
+
+    /// The largest cut the sets hold: the cut size they were enumerated or
+    /// last grown to.
+    pub fn cut_size(&self) -> usize {
+        self.cut_size
     }
 
     /// Iterates over `(node, cuts)` pairs in increasing node order.
@@ -306,6 +321,143 @@ impl CutSets {
             .enumerate()
             .filter(|(_, &(s, e))| e > s)
             .map(|(n, &(s, e))| (n as NodeId, &self.cuts[s as usize..e as usize]))
+    }
+
+    /// Grows the sets in place to `params.cut_size`, giving exactly what
+    /// [`enumerate_cuts_for`] returns at that size. `xag` and `order` must
+    /// be the network and the order the sets were enumerated over.
+    ///
+    /// Every node's set at the larger size begins with its set at the
+    /// smaller one (the prefix property): the keep walk takes merges
+    /// smallest first, a merge larger than the old size never dominates a
+    /// smaller cut, and the merges no larger than it arrive in the same
+    /// relative order from the grown fanin sets as from the old ones. So
+    /// only the larger merges are walked, checked for dominance against
+    /// the kept prefix and given tables, and a node whose prefix already
+    /// holds [`CUT_LIMIT`] cuts does no merge work.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `params.cut_size` is above [`CutSets::cut_size`] and
+    /// at most 6.
+    pub fn grow(&mut self, xag: &Xag, order: &[NodeId], params: &CutParams) {
+        assert!(
+            (self.cut_size + 1..=MAX_CUT_SIZE).contains(&params.cut_size),
+            "cut sets of size {} cannot grow to {}",
+            self.cut_size,
+            params.cut_size
+        );
+        self.extend(xag, order, self.cut_size + 1, params.cut_size);
+    }
+
+    /// The one enumeration kernel: adds to every gate of `order` the
+    /// merges of `lo..=hi` leaves its set does not hold yet, in the keep
+    /// walk's order, after the prefix its block already holds (none on a
+    /// fresh arena, where `lo` is 0).
+    fn extend(&mut self, xag: &Xag, order: &[NodeId], lo: usize, hi: usize) {
+        // One reusable scratch for the per-node merges; cuts are `Copy`, so
+        // nothing below allocates once it has grown. Each candidate remembers
+        // the fanin-cut pair it merged — functions are computed only for the
+        // cuts that are kept.
+        let mut merged: Vec<(Cut, u32, u32)> = Vec::new();
+        let mut kept = [(Cut::empty(), 0u32, 0u32); CUT_LIMIT];
+        for &n in order {
+            let (start, end) = self.span(n);
+            // The prefix is every cut but the trivial one, which ends a
+            // grown set; a fresh block is empty.
+            let prefix = end.saturating_sub(start + 1);
+            if prefix == CUT_LIMIT {
+                continue;
+            }
+            merged.clear();
+            let (f0, f1) = xag.fanins(n);
+            let is_and = xag.kind(n) == NodeKind::And;
+            let (s0, e0) = self.span(f0.node());
+            let (s1, e1) = self.span(f1.node());
+            // Bit `s` is set iff some merge has `s` leaves.
+            let mut sizes = 0u8;
+            for i0 in s0..e0 {
+                let c0 = self.cuts[i0];
+                for i1 in s1..e1 {
+                    let c1 = self.cuts[i1];
+                    // A union has at most as many leaves as both cuts
+                    // together, so this pair cannot reach `lo`.
+                    if c0.size() + c1.size() < lo {
+                        continue;
+                    }
+                    // Early size filter: the signature popcount never exceeds
+                    // the true union size (64-aliasing only collapses bits),
+                    // so this rejects only genuinely infeasible merges.
+                    if (c0.signature | c1.signature).count_ones() as usize > hi {
+                        continue;
+                    }
+                    if let Some(cut) = c0.merge(&c1, hi) {
+                        if cut.size() >= lo {
+                            sizes |= 1 << cut.size();
+                            merged.push((cut, i0 as u32, i1 as u32));
+                        }
+                    }
+                }
+            }
+            if merged.is_empty() && end > start {
+                continue;
+            }
+            // Keep rule: walk the merges by size, smallest first, and in
+            // arrival order within a size; keep a merge iff no kept cut
+            // dominates it (is a subset of it or equal to it), and stop at
+            // CUT_LIMIT. A strict subset is smaller, so the walk reaches it
+            // first. Hence a merge with no strict subset among the merges is
+            // kept at its first arrival and its later copies are dropped,
+            // and every other merge is dropped for a kept strict subset: the
+            // walk keeps the dominance-free merges, each from its first
+            // arrival, and of those the first CUT_LIMIT by (size, arrival).
+            // The prefix holds the walk's result below `lo`.
+            for (slot, &cut) in kept.iter_mut().zip(&self.cuts[start..start + prefix]) {
+                slot.0 = cut;
+            }
+            let mut len = prefix;
+            'walk: for size in lo..=hi {
+                if sizes >> size & 1 == 0 {
+                    continue;
+                }
+                for &candidate in merged.iter().filter(|m| m.0.size() == size) {
+                    if kept[..len].iter().any(|k| k.0.dominates(&candidate.0)) {
+                        continue;
+                    }
+                    kept[len] = candidate;
+                    len += 1;
+                    if len == CUT_LIMIT {
+                        break 'walk;
+                    }
+                }
+            }
+            // A fresh block is written here first, in enumeration order;
+            // the arena was reserved at its bound, so this never reallocates.
+            if self.cuts.len() < start + BLOCK {
+                self.cuts.resize(start + BLOCK, Cut::empty());
+                self.tts.resize(start + BLOCK, Tt::zero(1));
+            }
+            for (slot, &(cut, i0, i1)) in (start + prefix..).zip(&kept[prefix..len]) {
+                // Fused cut function: replay the merge to recover each leaf's
+                // position in the union, lift both fanin tables onto the
+                // merged leaf set, and apply the gate operator.
+                let (c0, c1) = (self.cuts[i0 as usize], self.cuts[i1 as usize]);
+                let (u, p0, p1) = c0
+                    .merge_with_positions(&c1, hi)
+                    .expect("cut was produced by this merge");
+                debug_assert_eq!(u, cut);
+                let t0 = self.tts[i0 as usize].expand(&p0[..c0.size()], cut.size());
+                let t1 = self.tts[i1 as usize].expand(&p1[..c1.size()], cut.size());
+                let t0 = if f0.is_complement() { !t0 } else { t0 };
+                let t1 = if f1.is_complement() { !t1 } else { t1 };
+                self.cuts[slot] = cut;
+                self.tts[slot] = if is_and { t0 & t1 } else { t0 ^ t1 };
+            }
+            self.cuts[start + len] = Cut::trivial(n);
+            self.tts[start + len] = Tt::projection(0, 1);
+            self.spans[n as usize] = (start as u32, (start + len + 1) as u32);
+        }
+        self.cut_size = hi;
     }
 }
 
@@ -329,13 +481,14 @@ pub fn enumerate_cuts_for(xag: &Xag, order: &[NodeId], params: &CutParams) -> Cu
         (1..=MAX_CUT_SIZE).contains(&params.cut_size),
         "cut size must be within 1..=6"
     );
-    // Reserved at its bound (CUT_LIMIT merges plus the trivial cut per gate):
-    // a doubling arena's freed copies could stay resident (DESIGN.md §9).
-    let bound = (CUT_LIMIT + 1) * order.len() + xag.num_inputs() + 1;
+    // Reserved at its bound, one block per gate: a doubling arena's freed
+    // copies could stay resident (DESIGN.md §9).
+    let bound = BLOCK * order.len() + xag.num_inputs() + 1;
     let mut sets = CutSets {
         spans: vec![(0, 0); xag.capacity()],
         cuts: Vec::with_capacity(bound),
         tts: Vec::with_capacity(bound),
+        cut_size: 0,
     };
     // Constant node: empty cut. Inputs: trivial cut only.
     push_one(&mut sets, 0, Cut::empty(), Tt::zero(1));
@@ -343,82 +496,12 @@ pub fn enumerate_cuts_for(xag: &Xag, order: &[NodeId], params: &CutParams) -> Cu
         let n = xag.input_signal(i).node();
         push_one(&mut sets, n, Cut::trivial(n), Tt::projection(0, 1));
     }
-    // One reusable scratch for the per-node merges; cuts are `Copy`, so
-    // nothing below allocates once it has grown. Each candidate remembers
-    // the fanin-cut pair it merged — functions are computed only for the
-    // cuts that are kept.
-    let mut merged: Vec<(Cut, u32, u32)> = Vec::new();
-    let mut kept = [(Cut::empty(), 0u32, 0u32); CUT_LIMIT];
-    for &n in order {
-        merged.clear();
-        let (f0, f1) = xag.fanins(n);
-        let is_and = xag.kind(n) == NodeKind::And;
-        let (s0, e0) = sets.span(f0.node());
-        let (s1, e1) = sets.span(f1.node());
-        // Bit `s` is set iff some merge has `s` leaves.
-        let mut sizes = 0u8;
-        for i0 in s0..e0 {
-            let c0 = sets.cuts[i0];
-            for i1 in s1..e1 {
-                let c1 = sets.cuts[i1];
-                // Early size filter: the signature popcount never exceeds the
-                // true union size (64-aliasing only collapses bits), so this
-                // rejects only genuinely infeasible merges.
-                if (c0.signature | c1.signature).count_ones() as usize > params.cut_size {
-                    continue;
-                }
-                if let Some(cut) = c0.merge(&c1, params.cut_size) {
-                    sizes |= 1 << cut.size();
-                    merged.push((cut, i0 as u32, i1 as u32));
-                }
-            }
-        }
-        // Keep rule: walk the merges by size, smallest first, and in arrival
-        // order within a size; keep a merge iff no kept cut dominates it
-        // (is a subset of it or equal to it), and stop at CUT_LIMIT. A
-        // strict subset is smaller, so the walk reaches it first. Hence a
-        // merge with no strict subset among the merges is kept at its first
-        // arrival and its later copies are dropped, and every other merge is
-        // dropped for a kept strict subset: the walk keeps the
-        // dominance-free merges, each from its first arrival, and of those
-        // the first CUT_LIMIT by (size, arrival).
-        let mut len = 0usize;
-        'walk: for size in 0..=params.cut_size {
-            if sizes >> size & 1 == 0 {
-                continue;
-            }
-            for &candidate in merged.iter().filter(|m| m.0.size() == size) {
-                if kept[..len].iter().any(|k| k.0.dominates(&candidate.0)) {
-                    continue;
-                }
-                kept[len] = candidate;
-                len += 1;
-                if len == CUT_LIMIT {
-                    break 'walk;
-                }
-            }
-        }
-        let start = sets.cuts.len() as u32;
-        for &(cut, i0, i1) in &kept[..len] {
-            // Fused cut function: replay the merge to recover each leaf's
-            // position in the union, lift both fanin tables onto the merged
-            // leaf set, and apply the gate operator.
-            let (c0, c1) = (sets.cuts[i0 as usize], sets.cuts[i1 as usize]);
-            let (u, p0, p1) = c0
-                .merge_with_positions(&c1, params.cut_size)
-                .expect("cut was produced by this merge");
-            debug_assert_eq!(u, cut);
-            let t0 = sets.tts[i0 as usize].expand(&p0[..c0.size()], cut.size());
-            let t1 = sets.tts[i1 as usize].expand(&p1[..c1.size()], cut.size());
-            let t0 = if f0.is_complement() { !t0 } else { t0 };
-            let t1 = if f1.is_complement() { !t1 } else { t1 };
-            sets.cuts.push(cut);
-            sets.tts.push(if is_and { t0 & t1 } else { t0 ^ t1 });
-        }
-        sets.cuts.push(Cut::trivial(n));
-        sets.tts.push(Tt::projection(0, 1));
-        sets.spans[n as usize] = (start, sets.cuts.len() as u32);
+    // Each gate's block starts empty, in enumeration order.
+    for (k, &n) in order.iter().enumerate() {
+        let start = (sets.cuts.len() + k * BLOCK) as u32;
+        sets.spans[n as usize] = (start, start);
     }
+    sets.extend(xag, order, 0, params.cut_size);
     sets
 }
 

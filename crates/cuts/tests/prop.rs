@@ -2,7 +2,9 @@
 //! a valid cut whose function matches brute-force cone evaluation.
 
 use mc_rng::Rng;
-use xag_cuts::{cut_function, enumerate_cuts, CutParams, CUT_LIMIT};
+use xag_cuts::{
+    cut_function, enumerate_cuts, enumerate_cuts_for, CutParams, CUT_LIMIT, MAX_CUT_SIZE,
+};
 use xag_network::{Signal, Xag};
 
 #[derive(Debug, Clone)]
@@ -80,4 +82,51 @@ fn smaller_cut_sizes_give_subsets() {
             }
         }
     }
+}
+
+/// Every node's cuts and tables, in the order the sets store them.
+fn contents(x: &Xag, sets: &xag_cuts::CutSets) -> Vec<(u32, Vec<xag_cuts::Cut>, Vec<u64>)> {
+    x.live_gates()
+        .into_iter()
+        .map(|n| {
+            let tables = sets.functions_of(n).iter().map(|t| t.bits()).collect();
+            (n, sets.of(n).to_vec(), tables)
+        })
+        .collect()
+}
+
+#[test]
+fn growing_in_place_equals_a_fresh_enumeration() {
+    let mut rng = Rng::seed_from_u64(0xC07_0003);
+    for case in 0..48 {
+        let recipe = arb_recipe(&mut rng);
+        let x = build(&recipe);
+        let order = x.live_gates();
+        for from in 1..MAX_CUT_SIZE {
+            for to in from + 1..=MAX_CUT_SIZE {
+                let mut grown = enumerate_cuts_for(&x, &order, &CutParams { cut_size: from });
+                grown.grow(&x, &order, &CutParams { cut_size: to });
+                let fresh = enumerate_cuts_for(&x, &order, &CutParams { cut_size: to });
+                assert_eq!(grown.cut_size(), to);
+                assert_eq!(grown.total(), fresh.total(), "case {case}: {from} -> {to}");
+                assert_eq!(
+                    contents(&x, &grown),
+                    contents(&x, &fresh),
+                    "case {case}: {from} -> {to}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "cannot grow")]
+fn growing_to_a_size_already_held_panics() {
+    let mut x = Xag::new();
+    let (a, b) = (x.input(), x.input());
+    let g = x.and(a, b);
+    x.output(g);
+    let order = x.live_gates();
+    let mut sets = enumerate_cuts_for(&x, &order, &CutParams { cut_size: 4 });
+    sets.grow(&x, &order, &CutParams { cut_size: 4 });
 }

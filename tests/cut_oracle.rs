@@ -8,11 +8,12 @@
 //! of its fused truth table. The file is data, not a snapshot this suite
 //! refreshes: a change to which cuts a node keeps, to their order, or to
 //! a single table bit fails here, so a faster enumeration has to prove
-//! that it changed nothing.
+//! that it changed nothing. Cut-4 sets grown in place to cut 6
+//! ([`CutSets::grow`]) must give the recorded cut-6 lines too.
 
 use mc_repro::circuits::{aes, des, hash, keccak};
-use mc_repro::cuts::{enumerate_cuts_for, CutParams};
-use mc_repro::network::Xag;
+use mc_repro::cuts::{enumerate_cuts_for, CutParams, CutSets};
+use mc_repro::network::{NodeId, Xag};
 
 /// The cut sizes of the paper's flow: 4 for the first passes, 6 after.
 const CUT_SIZES: [usize; 2] = [4, 6];
@@ -37,12 +38,10 @@ impl Fnv {
     }
 }
 
-fn case_line(name: &str, xag: &Xag, cut_size: usize) -> String {
-    let order = xag.live_gates();
-    let sets = enumerate_cuts_for(xag, &order, &CutParams { cut_size });
+fn case_line(name: &str, order: &[NodeId], sets: &CutSets) -> String {
     let mut fnv = Fnv::new();
     let mut cuts = 0usize;
-    for &n in &order {
+    for &n in order {
         let (node_cuts, tts) = (sets.of(n), sets.functions_of(n));
         fnv.word(n as u64);
         fnv.word(node_cuts.len() as u64);
@@ -57,33 +56,38 @@ fn case_line(name: &str, xag: &Xag, cut_size: usize) -> String {
         cuts += node_cuts.len();
     }
     format!(
-        "{name}\t{cut_size}\t{}\t{cuts}\t{:016x}",
+        "{name}\t{}\t{}\t{cuts}\t{:016x}",
+        sets.cut_size(),
         order.len(),
         fnv.0
     )
 }
 
-fn oracle_lines() -> Vec<String> {
-    let circuits = [
+fn circuits() -> [(&'static str, Xag); 4] {
+    [
         ("MD5", hash::md5()),
         ("AES (Key Expansion)", aes::aes128(false)),
         ("DES (No Key Expansion)", des::des(true)),
         ("Keccak-f[400]", keccak::keccak_f(16)),
-    ];
-    let mut lines = Vec::new();
-    for (name, xag) in &circuits {
-        for cut_size in CUT_SIZES {
-            lines.push(case_line(name, xag, cut_size));
-        }
-    }
-    lines
+    ]
+}
+
+fn golden_lines() -> Vec<String> {
+    let golden = std::fs::read_to_string("tests/golden/cut_digests.txt").expect("oracle committed");
+    golden.lines().map(str::to_string).collect()
 }
 
 #[test]
 fn enumeration_reproduces_every_recorded_cut_set() {
-    let golden = std::fs::read_to_string("tests/golden/cut_digests.txt").expect("oracle committed");
-    let expected: Vec<&str> = golden.lines().collect();
-    let actual = oracle_lines();
+    let expected = golden_lines();
+    let mut actual = Vec::new();
+    for (name, xag) in &circuits() {
+        let order = xag.live_gates();
+        for cut_size in CUT_SIZES {
+            let sets = enumerate_cuts_for(xag, &order, &CutParams { cut_size });
+            actual.push(case_line(name, &order, &sets));
+        }
+    }
     assert_eq!(
         expected.len(),
         actual.len(),
@@ -102,4 +106,23 @@ fn enumeration_reproduces_every_recorded_cut_set() {
         expected.len(),
         diverged.join("\n")
     );
+}
+
+#[test]
+fn growing_cut_4_sets_in_place_reproduces_the_recorded_cut_6_sets() {
+    let expected = golden_lines();
+    for (name, xag) in &circuits() {
+        let order = xag.live_gates();
+        let mut sets = enumerate_cuts_for(xag, &order, &CutParams { cut_size: 4 });
+        sets.grow(xag, &order, &CutParams { cut_size: 6 });
+        let got = case_line(name, &order, &sets);
+        let want = expected
+            .iter()
+            .find(|line| line.starts_with(&format!("{name}\t6\t")))
+            .expect("the oracle records every circuit at cut 6");
+        assert_eq!(
+            *want, got,
+            "{name}: grown cut-6 sets differ from the record"
+        );
+    }
 }
