@@ -5,7 +5,8 @@
 //! stack whose joined names form a path (`pipeline;mc_rewrite;cut_enum`),
 //! exactly the folded-stack format flamegraph tools consume. Each exit
 //! accumulates the phase's *total* time and its *self* time (total minus
-//! the time spent in child phases) into a thread-local table; the table
+//! the time spent in child phases) into a thread-local table, at the path
+//! index its frame found at enter, so an exit hashes nothing; the table
 //! flushes into the process-global profile only when the thread's stack
 //! empties — once per pass, not once per phase — so the global lock never
 //! shows up in a profile of the profiler.
@@ -18,7 +19,6 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
@@ -47,34 +47,20 @@ struct Totals {
     self_us: u64,
 }
 
-/// A phase path, compared and hashed by the addresses of its static names
-/// rather than their text: comparing the text made up most of the cost of
-/// a phase exit. Copies of one name at two addresses make two entries
-/// here, which the flush merges under their common path string.
-#[derive(Clone, Copy)]
-struct PathKey([&'static str; MAX_DEPTH]);
-
-impl PartialEq for PathKey {
-    fn eq(&self, other: &Self) -> bool {
-        self.0
-            .iter()
-            .zip(&other.0)
-            .all(|(a, b)| std::ptr::eq(*a, *b))
-    }
-}
-
-impl Eq for PathKey {}
-
-impl Hash for PathKey {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        for name in &self.0 {
-            state.write_usize(name.as_ptr() as usize);
-        }
-    }
+/// One phase path of a thread's phase tree: its last name and the path
+/// above it. Children are told apart by the addresses of their static
+/// names rather than their text: comparing the text made up most of the
+/// cost of a phase exit. Copies of one name at two addresses make two
+/// nodes here, which the flush merges under their common path string.
+struct PathNode {
+    name: &'static str,
+    parent: Option<usize>,
+    children: Vec<usize>,
 }
 
 struct Frame {
-    name: &'static str,
+    /// Index of the frame's path in [`ProfLocal::paths`], found at enter.
+    path: usize,
     start: Instant,
     child_us: u64,
 }
@@ -82,27 +68,64 @@ struct Frame {
 #[derive(Default)]
 struct ProfLocal {
     stack: Vec<Frame>,
-    acc: HashMap<PathKey, Totals>,
+    /// The thread's phase tree, kept across flushes.
+    paths: Vec<PathNode>,
+    /// Indices of the paths of one name.
+    roots: Vec<usize>,
+    /// Per path, what its exits added since the last flush.
+    totals: Vec<Totals>,
 }
 
 impl ProfLocal {
+    /// The index of the path `name` extends the current stack to,
+    /// added on first use.
+    fn path_of(&mut self, name: &'static str) -> usize {
+        let parent = self.stack.last().map(|f| f.path);
+        let siblings = match parent {
+            Some(p) => &self.paths[p].children,
+            None => &self.roots,
+        };
+        if let Some(&i) = siblings
+            .iter()
+            .find(|&&i| std::ptr::eq(self.paths[i].name, name))
+        {
+            return i;
+        }
+        let i = self.paths.len();
+        self.paths.push(PathNode {
+            name,
+            parent,
+            children: Vec::new(),
+        });
+        self.totals.push(Totals::default());
+        match parent {
+            Some(p) => self.paths[p].children.push(i),
+            None => self.roots.push(i),
+        }
+        i
+    }
+
     fn flush(&mut self) {
-        if self.acc.is_empty() {
+        if self.totals.iter().all(|t| t.count == 0) {
             return;
         }
         let mut global = global().lock().expect("prof lock poisoned");
-        for (key, t) in self.acc.drain() {
-            let path = key
-                .0
-                .iter()
-                .take_while(|n| !n.is_empty())
-                .copied()
-                .collect::<Vec<_>>()
-                .join(";");
-            let entry = global.entry(path).or_default();
+        for (i, t) in self.totals.iter_mut().enumerate() {
+            if t.count == 0 {
+                continue;
+            }
+            let mut names = Vec::new();
+            let mut at = Some(i);
+            while let Some(n) = at {
+                names.push(self.paths[n].name);
+                at = self.paths[n].parent;
+            }
+            names.reverse();
+            let entry = global.entry(names.join(";")).or_default();
             entry.count += t.count;
             entry.total_us += t.total_us;
             entry.self_us += t.self_us;
+            *t = Totals::default();
         }
     }
 }
@@ -150,8 +173,9 @@ pub fn phase(name: &'static str) -> PhaseGuard {
             if local.stack.len() >= MAX_DEPTH {
                 return false;
             }
+            let path = local.path_of(name);
             local.stack.push(Frame {
-                name,
+                path,
                 start: Instant::now(),
                 child_us: 0,
             });
@@ -177,18 +201,16 @@ impl Drop for PhaseGuard {
             let Some(frame) = local.stack.pop() else {
                 return;
             };
-            debug_assert_eq!(frame.name, name, "phase guards dropped out of order");
+            debug_assert_eq!(
+                local.paths[frame.path].name, name,
+                "phase guards dropped out of order"
+            );
             let total_us = frame.start.elapsed().as_micros() as u64;
             let self_us = total_us.saturating_sub(frame.child_us);
             if let Some(parent) = local.stack.last_mut() {
                 parent.child_us += total_us;
             }
-            let mut key = PathKey([""; MAX_DEPTH]);
-            for (slot, f) in key.0.iter_mut().zip(local.stack.iter()) {
-                *slot = f.name;
-            }
-            key.0[local.stack.len()] = frame.name;
-            let t = local.acc.entry(key).or_default();
+            let t = &mut local.totals[frame.path];
             t.count += 1;
             t.total_us += total_us;
             t.self_us += self_us;

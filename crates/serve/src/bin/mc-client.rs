@@ -42,9 +42,11 @@
 //! (optionally filtered with `--trace-id N`). On an optimize, `--trace-id N`
 //! runs the job under that trace ID so a later `--trace-dump --trace-id N`
 //! shows it end to end; without it the server assigns one, reported in
-//! the summary line. `--ping --ping-count N` reports min/p50/p99 RTT
+//! the summary line. An N at or above 2^53 is refused before anything is
+//! sent, since the wire carries integers exactly only below that. `--ping --ping-count N` reports min/p50/p99 RTT
 //! over N samples.
 
+use mc_serve::json::EXACT_INT_LIMIT;
 use mc_serve::{Client, OptimizeRequest};
 use xag_circuits::epfl::Scale;
 use xag_circuits::CircuitFormat;
@@ -158,7 +160,15 @@ fn main() {
             }
             "--out" => out = Some(value()),
             "--retry" => retries = value().parse().unwrap_or_else(|_| usage()),
-            "--trace-id" => trace_id = Some(value().parse().unwrap_or_else(|_| usage())),
+            "--trace-id" => {
+                let id: u64 = value().parse().unwrap_or_else(|_| usage());
+                if id >= EXACT_INT_LIMIT {
+                    fail(format_args!(
+                        "--trace-id {id} is out of range: trace ids must be below 2^53"
+                    ));
+                }
+                trace_id = Some(id);
+            }
             "--ping-count" => ping_count = value().parse().unwrap_or_else(|_| usage()),
             "--status" => action = Some("status"),
             "--stats" => action = Some("stats"),

@@ -14,6 +14,10 @@ use std::collections::VecDeque;
 /// rather than risking a stack overflow on hostile frames.
 const MAX_DEPTH: usize = 64;
 
+/// The first integer an `f64` number may not hold exactly, 2^53: the wire
+/// carries integers below it and refuses the rest.
+pub const EXACT_INT_LIMIT: u64 = 1 << 53;
+
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -66,11 +70,11 @@ impl Json {
 
     /// The numeric payload as a non-negative integer, if it is one that
     /// an `f64` holds exactly (rejects negatives, NaN, fractions, and
-    /// anything at or above 2^53, which may have been rounded).
+    /// anything at or above [`EXACT_INT_LIMIT`], which may have been
+    /// rounded).
     pub fn as_u64(&self) -> Option<u64> {
-        const LIMIT: f64 = (1u64 << 53) as f64;
         let n = self.as_f64()?;
-        (n >= 0.0 && n.fract() == 0.0 && n < LIMIT).then_some(n as u64)
+        (n >= 0.0 && n.fract() == 0.0 && n < EXACT_INT_LIMIT as f64).then_some(n as u64)
     }
 
     /// The array payload, if this is an array.

@@ -25,7 +25,7 @@ use mc_obs::{HistoryWindow, JobProgress, PhaseStat, TraceEvent};
 use xag_circuits::CircuitFormat;
 use xag_mc::{FlowSpec, JobSpec};
 
-use crate::json::{self, Json};
+use crate::json::{self, Json, EXACT_INT_LIMIT};
 
 /// Hard cap on a frame payload. A Bristol netlist of a few million gates
 /// fits comfortably; anything larger is rejected before allocation.
@@ -499,29 +499,35 @@ fn obj_str(value: &Json, key: &str) -> Result<String, String> {
         .ok_or_else(|| format!("missing or non-string field: {key}"))
 }
 
+/// A wire integer, or an error that names the [`EXACT_INT_LIMIT`] for a
+/// whole number at or above it and reads `otherwise` for anything else.
+fn wire_u64(v: Option<&Json>, key: &str, otherwise: &str) -> Result<u64, String> {
+    if let Some(n) = v.and_then(Json::as_u64) {
+        return Ok(n);
+    }
+    match v.and_then(Json::as_f64) {
+        Some(n) if n >= EXACT_INT_LIMIT as f64 => Err(format!(
+            "out-of-range field: {key} (integers must be below 2^53)"
+        )),
+        _ => Err(format!("{otherwise}: {key}")),
+    }
+}
+
 fn obj_usize(value: &Json, key: &str, default: usize) -> Result<usize, String> {
     match value.get(key) {
         None | Some(Json::Null) => Ok(default),
-        Some(v) => v
-            .as_u64()
-            .map(|n| n as usize)
-            .ok_or_else(|| format!("non-integer field: {key}")),
+        v => wire_u64(v, key, "non-integer field").map(|n| n as usize),
     }
 }
 
 fn obj_u64(value: &Json, key: &str) -> Result<u64, String> {
-    value
-        .get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("missing or non-integer field: {key}"))
+    wire_u64(value.get(key), key, "missing or non-integer field")
 }
 
 fn obj_u64_or(value: &Json, key: &str, default: u64) -> Result<u64, String> {
     match value.get(key) {
         None | Some(Json::Null) => Ok(default),
-        Some(v) => v
-            .as_u64()
-            .ok_or_else(|| format!("non-integer field: {key}")),
+        v => wire_u64(v, key, "non-integer field"),
     }
 }
 
@@ -662,7 +668,7 @@ impl Request {
             "trace_dump" => Ok(Request::TraceDump {
                 trace_id: match value.get("trace_id") {
                     None | Some(Json::Null) => None,
-                    Some(v) => Some(v.as_u64().ok_or("non-integer field: trace_id")?),
+                    v => Some(wire_u64(v, "trace_id", "non-integer field")?),
                 },
             }),
             "shutdown" => Ok(Request::Shutdown),
@@ -1492,6 +1498,48 @@ mod tests {
         stats.affinity_hits = 9;
         stats.affinity_fallbacks = 3;
         assert!((stats.affinity_rate() - 0.75).abs() < 1e-12);
+    }
+
+    #[test]
+    fn integers_past_2_pow_53_are_refused_as_out_of_range() {
+        let range = "out-of-range field: trace_id (integers must be below 2^53)";
+        let error = |payload: &str| Request::from_payload(payload.as_bytes()).unwrap_err();
+        for ty in ["optimize", "trace_dump"] {
+            let at = |id: &str| {
+                let circuit = if ty == "optimize" {
+                    r#","circuit":"x""#
+                } else {
+                    ""
+                };
+                format!(r#"{{"type":"{ty}"{circuit},"trace_id":{id}}}"#)
+            };
+            assert_eq!(error(&at("9007199254740992")), range, "{ty}: 2^53");
+            assert_eq!(error(&at("18446744073709551615")), range, "{ty}: u64::MAX");
+            assert_eq!(
+                error(&at("1.5")),
+                "non-integer field: trace_id",
+                "{ty}: a fraction"
+            );
+            assert_eq!(
+                error(&at("-1")),
+                "non-integer field: trace_id",
+                "{ty}: a negative"
+            );
+        }
+        let below = Request::from_payload(br#"{"type":"trace_dump","trace_id":9007199254740991}"#);
+        assert_eq!(
+            below,
+            Ok(Request::TraceDump {
+                trace_id: Some(EXACT_INT_LIMIT - 1)
+            })
+        );
+        let event = |id: &str| {
+            let payload =
+                format!(r#"{{"type":"trace_dump","events":[{{"trace_id":{id},"span":"s"}}]}}"#);
+            Response::from_payload(payload.as_bytes())
+        };
+        assert_eq!(event("9007199254740992").unwrap_err(), range);
+        assert_eq!(event("0.5").unwrap_err(), "non-integer field: trace_id");
     }
 
     #[test]
