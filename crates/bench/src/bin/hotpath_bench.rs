@@ -26,13 +26,19 @@
 //!   ≤4-input cut functions from a cold cache, then the pure cache-hit
 //!   path, which is dominated by truth-table hashing;
 //! * `classify_wide` — classification of the support-reduced five- and
-//!   six-input cut functions from a cold cache: the beam search.
+//!   six-input cut functions from a cold cache: the beam search;
+//! * `grow` / `grow_speedup` — cut-4 sets grown in place to cut 6
+//!   ([`xag_cuts::CutSets::grow`], what a round after a commit-free cut-4
+//!   round runs), and the median per-sample ratio of a fresh cut-6
+//!   enumeration over it; the grown sets hold the same cut total as
+//!   `enum`.
 //!
 //! Every run records how many heap allocations `enumerate_cuts_for`
 //! performs (`allocs/*` rows); with `--alloc-check` it additionally
 //! *asserts* the count stays O(log) in the number of cuts (vector
 //! doubling only — zero allocations per cut), which is the overhaul's
-//! allocation guarantee in executable form.
+//! allocation guarantee in executable form, and holds the growth to the
+//! same budget.
 //!
 //! The measurement loop itself lives in [`xag_bench::hotpath::run_hotpath`],
 //! shared with the `bench_gate` CI gate so the gate replays exactly what

@@ -106,11 +106,14 @@ impl Default for GateTolerance {
 }
 
 /// True for rows whose `wall_s` is a dimensionless speedup ratio rather
-/// than a time: the hot-path `speedup/*` rows and the profiler-overhead
-/// off/on ratio (named outside `speedup/` so the geomean row stays a pure
+/// than a time: the hot-path `speedup/*` rows, the fresh-over-grown
+/// `grow_speedup/*` rows and the profiler-overhead off/on ratio (the last
+/// two named outside `speedup/` so the geomean row stays a pure
 /// legacy-vs-new aggregate).
 pub fn is_ratio_row(r: &BenchRecord) -> bool {
-    r.name.starts_with("speedup/") || r.name.starts_with("prof_overhead/")
+    ["speedup/", "grow_speedup/", "prof_overhead/"]
+        .iter()
+        .any(|prefix| r.name.starts_with(prefix))
 }
 
 /// True for rows whose numbers are all deterministic (no timing at all):

@@ -90,14 +90,30 @@ impl BenchGroup {
         ratio_name: &str,
         mut f: impl FnMut(usize) -> R,
     ) -> ([Duration; 2], f64) {
-        let _ = std_black_box(f(0)); // warm-up, untimed
-        let _ = std_black_box(f(1));
+        self.bench_ratio_prepared(names, ratio_name, |_| (), |side, ()| f(side))
+    }
+
+    /// [`BenchGroup::bench_ratio_timed`] where each call `run(side, input)`
+    /// takes an input `prepare(side)` builds untimed right before it, for
+    /// a measurement that consumes what it works on.
+    pub fn bench_ratio_prepared<S, R>(
+        &mut self,
+        names: [&str; 2],
+        ratio_name: &str,
+        mut prepare: impl FnMut(usize) -> S,
+        mut run: impl FnMut(usize, S) -> R,
+    ) -> ([Duration; 2], f64) {
+        for side in [0, 1] {
+            let input = prepare(side);
+            let _ = std_black_box(run(side, input)); // warm-up, untimed
+        }
         let mut times = [Vec::new(), Vec::new()];
         let mut ratios = Vec::new();
         for i in 0..self.sample_size {
             let mut sample = [Duration::ZERO; 2];
             for side in [i % 2, 1 - i % 2] {
-                sample[side] = time(|| f(side));
+                let input = prepare(side);
+                sample[side] = time(|| run(side, input));
             }
             times[0].push(sample[0]);
             times[1].push(sample[1]);

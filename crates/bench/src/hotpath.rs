@@ -218,14 +218,67 @@ pub fn run_hotpath(samples: usize, alloc_check: bool) -> Vec<BenchRecord> {
             allocs as usize,
             0.0,
         );
+        let budget = 64 + 4 * (usize::BITS - total_cuts.leading_zeros()) as u64;
         if alloc_check {
-            let budget = 64 + 4 * (usize::BITS - total_cuts.leading_zeros()) as u64;
             assert!(
                 allocs <= budget,
                 "{}: enumerate_cuts_for made {allocs} heap allocations for \
                  {total_cuts} cuts (budget {budget}) — the per-cut \
                  allocation-free guarantee regressed",
                 w.name
+            );
+        }
+
+        // Growth in place, as a round after a commit-free cut-4 round runs
+        // it: cut-4 sets grown to cut 6 against a fresh cut-6 enumeration,
+        // interleaved. Each growth starts from cut-4 sets enumerated
+        // untimed right before it.
+        let four = CutParams { cut_size: 4 };
+        let cut_4_sets = || enumerate_cuts_for(xag, &order, &four);
+        let ([_, t_grow], grow_speedup) = group.bench_ratio_prepared(
+            ["enum_fresh", "grow"],
+            "grow speedup (fresh/grown)",
+            |side| (side == 1).then(cut_4_sets),
+            |_, sets| match sets {
+                Some(mut sets) => {
+                    sets.grow(xag, &order, &params);
+                    black_box(sets.total())
+                }
+                None => black_box(enumerate_cuts_for(xag, &order, &params).total()),
+            },
+        );
+        let mut grown = cut_4_sets();
+        let (grow_allocs, ()) = count_allocs(|| grown.grow(xag, &order, &params));
+        assert_eq!(
+            grown.total(),
+            total_cuts,
+            "{}: growing cut-4 sets gave another cut total than enumerating",
+            w.name
+        );
+        println!(
+            "  {:<32} {} heap allocations for {} cuts",
+            format!("{}/grow_allocs", w.name),
+            grow_allocs,
+            total_cuts
+        );
+        if alloc_check {
+            assert!(
+                grow_allocs <= budget,
+                "{}: CutSets::grow made {grow_allocs} heap allocations for \
+                 {total_cuts} cuts (budget {budget})",
+                w.name
+            );
+        }
+        for (row, wall) in [
+            ("grow", t_grow.as_secs_f64()),
+            ("grow_speedup", grow_speedup),
+        ] {
+            record(
+                &mut records,
+                format!("{row}/{}", w.name),
+                gates,
+                total_cuts,
+                wall,
             );
         }
 
