@@ -14,10 +14,7 @@
 //! of functions classified, `size_after` the resulting database entry
 //! count (the depth/mc fields do not apply to this tool and are 0).
 
-use xag_bench::{
-    check_args, json_path_from_args, logical_cores, parse_arg, write_bench_json, BenchRecord,
-    PhaseTimes,
-};
+use xag_bench::{check_args, json_path_from_args, parse_arg, write_bench_json, BenchRecord};
 use xag_mc::OptContext;
 use xag_tt::Tt;
 
@@ -74,21 +71,12 @@ fn main() {
          the run touched)"
     );
     if let Some(path) = json_path_from_args(&args) {
+        // db_stats measures classification, not a flow.
         let record = BenchRecord {
-            bench: "db_stats".to_string(),
-            name: format!("classify-{samples}"),
             size_before: 256 + samples,
             size_after: ctx.db_size(),
-            depth_before: 0,
-            depth_after: 0,
-            mc_before: 0,
-            mc_after: 0,
             wall_s: t0.elapsed().as_secs_f64(),
-            threads: 1,
-            logical_cores: logical_cores(),
-            // db_stats measures classification, not a flow.
-            flow: String::new(),
-            phases: PhaseTimes::default(),
+            ..BenchRecord::new("db_stats", format!("classify-{samples}"))
         };
         write_bench_json(&path, std::slice::from_ref(&record)).expect("write --json output");
         println!("wrote 1 record to {}", path.display());

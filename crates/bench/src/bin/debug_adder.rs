@@ -8,8 +8,7 @@
 //! `--json PATH` one before/after record of the run is written.
 
 use xag_bench::{
-    check_args, json_path_from_args, logical_cores, parse_arg, write_bench_json, BenchRecord,
-    PhaseTimes,
+    check_args, json_path_from_args, parse_arg, write_bench_json, BenchRecord, PhaseTimes,
 };
 use xag_circuits::arith::{add_ripple, input_word, output_word};
 use xag_mc::{FlowSpec, OptContext};
@@ -74,8 +73,6 @@ fn main() {
     println!("final: {} AND {} XOR ({stats})", x.num_ands(), x.num_xors());
     if let Some(path) = json_path_from_args(&argv) {
         let record = BenchRecord {
-            bench: "debug_adder".to_string(),
-            name: format!("adder{bits}"),
             size_before,
             size_after: x.num_gates(),
             depth_before,
@@ -83,10 +80,9 @@ fn main() {
             mc_before,
             mc_after: x.num_ands(),
             wall_s: stats.total_time().as_secs_f64(),
-            threads: 1,
-            logical_cores: logical_cores(),
             flow: flow.normalized(),
             phases,
+            ..BenchRecord::new("debug_adder", format!("adder{bits}"))
         };
         write_bench_json(&path, std::slice::from_ref(&record)).expect("write --json output");
         println!("wrote 1 record to {}", path.display());

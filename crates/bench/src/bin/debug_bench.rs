@@ -1,16 +1,19 @@
-//! Developer tool: run the experiment flow phases on one named EPFL
-//! benchmark with verbose progress, to localize pathological behaviour.
+//! Developer tool: rewrite one named EPFL benchmark round by round with
+//! verbose progress, to localize pathological behaviour.
 //!
-//! The phases are driven round by round — `size(cut=6)` for the
-//! baseline, then `mc(cut=6)` rounds — over one shared [`OptContext`],
-//! mirroring the stages `run_flow` runs as whole flows.
+//! Over one shared [`OptContext`] it runs two `size(cut=6)` rounds, then
+//! `mc(cut=6)` rounds until one applies nothing (at most 30), printing
+//! each. This is not `run_flow`'s schedule, which runs
+//! `{size(cut=4);size(cut=6)}*` for the baseline, then one `mc(cut=6)`
+//! round for the "One round" column and `paper`
+//! (`{mc(cut=4);mc(cut=6)}*`) from the same baseline, each as a whole
+//! flow.
 //!
 //! Usage: `debug_bench [name] [--json PATH]` — with `--json PATH` one
 //! before/after record of the whole phase trace is written.
 
 use xag_bench::{
-    check_args, exit_usage, json_path_from_args, logical_cores, write_bench_json, BenchRecord,
-    PhaseTimes,
+    check_args, exit_usage, json_path_from_args, write_bench_json, BenchRecord, PhaseTimes,
 };
 use xag_circuits::epfl::{epfl_suite, Scale};
 use xag_mc::{FlowSpec, OptContext, PassStats};
@@ -71,8 +74,6 @@ fn main() {
     });
     if let Some(path) = json_path_from_args(&args) {
         let record = BenchRecord {
-            bench: "debug_bench".to_string(),
-            name: name.clone(),
             size_before,
             size_after: xag.num_gates(),
             depth_before,
@@ -80,12 +81,11 @@ fn main() {
             mc_before,
             mc_after: xag.num_ands(),
             wall_s: t0.elapsed().as_secs_f64(),
-            threads: 1,
-            logical_cores: logical_cores(),
             // The phase trace above: two size-baseline rounds, then up
             // to 30 mc rounds (early-exit when a round applies nothing).
             flow: "size(cut=6)*2;mc(cut=6)*30".to_string(),
             phases,
+            ..BenchRecord::new("debug_bench", &name)
         };
         write_bench_json(&path, std::slice::from_ref(&record)).expect("write --json output");
         println!("wrote 1 record to {}", path.display());

@@ -16,7 +16,7 @@ use xag_circuits::mpc::mpc_suite;
 use xag_mc::{FlowSpec, FlowStats, OptContext};
 use xag_network::{equiv, Xag};
 
-use crate::harness::{logical_cores, BenchRecord, PhaseTimes};
+use crate::harness::{BenchRecord, PhaseTimes};
 
 /// The "Initial" stage: the unit-cost size rewriter, small cuts first.
 const BASELINE_FLOW: &str = "{size(cut=4);size(cut=6)}*";
@@ -61,8 +61,6 @@ impl FlowResult {
     /// and its phase split.
     pub fn record(&self, table: &str, name: &str, input: &Xag) -> BenchRecord {
         BenchRecord {
-            bench: table.to_string(),
-            name: name.to_string(),
             size_before: input.num_gates(),
             size_after: self.optimized.num_gates(),
             depth_before: input.and_depth(),
@@ -70,10 +68,9 @@ impl FlowResult {
             mc_before: input.num_ands(),
             mc_after: self.converged.0,
             wall_s: self.converged.2,
-            threads: 1,
-            logical_cores: logical_cores(),
             flow: FlowSpec::default().normalized(),
             phases: self.converged_phases,
+            ..BenchRecord::new(table, name)
         }
     }
 }

@@ -259,11 +259,14 @@ pub fn flag_value<T: FromStr>(args: &[String], flag: &str, usage: &str) -> Optio
 /// One machine-readable benchmark record: the metrics every experiment
 /// binary can report uniformly (gate counts are totals, `mc_*` is the
 /// AND count — the paper's objective — and `depth_*` the multiplicative
-/// depth). Binaries for which a field is meaningless write 0 and say so
-/// in their docs.
+/// depth). Emitters build every row from [`BenchRecord::new`]; binaries
+/// for which a field is meaningless keep its default and say so in their
+/// docs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchRecord {
-    /// The emitting binary (`table1`, `serve_bench`, …).
+    /// The bench the row belongs to: the emitting binary (`table1`,
+    /// `serve_bench`, …), or `cluster_bench` for the rows of
+    /// `serve_bench --backends`.
     pub bench: String,
     /// The row within the binary (benchmark name, phase, …).
     pub name: String,
@@ -281,13 +284,14 @@ pub struct BenchRecord {
     pub mc_after: usize,
     /// Wall-clock seconds of the measured work.
     pub wall_s: f64,
-    /// Concurrent clients (`serve_bench`) or backends (`cluster_bench`)
-    /// of a load bench; 1 on every other row.
+    /// Concurrent clients of a `serve_bench` row, or backends of a
+    /// `cluster_bench` row; 1 on every other row.
     pub threads: usize,
-    /// Logical cores of the recording host ([`logical_cores`]), so that
-    /// `threads` and the speedup rows can be read; 0 in files recorded
-    /// before rows carried it (`BENCH_17.json` and older). Informational:
-    /// the bench gate never compares it.
+    /// Logical cores of the recording host, as
+    /// [`std::thread::available_parallelism`] reports them, so that
+    /// `threads` and the speedup rows can be read; 0 when it cannot tell,
+    /// and in files recorded before rows carried it (`BENCH_17.json` and
+    /// older). Informational: the bench gate never compares it.
     pub logical_cores: usize,
     /// The normalized FlowSpec the record measured
     /// (`xag_mc::FlowSpec::normalized`), so rows from custom `--flow`
@@ -298,13 +302,6 @@ pub struct BenchRecord {
     /// for records that run no flow and for the service benches, whose
     /// `wall_s` times a stream of requests rather than one run.
     pub phases: PhaseTimes,
-}
-
-/// Logical cores of this host, as [`std::thread::available_parallelism`]
-/// reports them (0 when it cannot tell): the value every emitted
-/// [`BenchRecord`] carries.
-pub fn logical_cores() -> usize {
-    std::thread::available_parallelism().map_or(0, std::num::NonZeroUsize::get)
 }
 
 /// Self times, in seconds, of the rewriting round's named `mc_obs::prof`
@@ -362,6 +359,28 @@ pub fn json_path_from_args(args: &[String]) -> Option<PathBuf> {
 }
 
 impl BenchRecord {
+    /// Row `name` of `bench` with what every row carries: this host's
+    /// logical cores, `threads` 1, zero counts and wall time, no flow and
+    /// zero phases. Emitters set the rest with struct update syntax.
+    pub fn new(bench: &str, name: impl Into<String>) -> Self {
+        Self {
+            bench: bench.to_string(),
+            name: name.into(),
+            size_before: 0,
+            size_after: 0,
+            depth_before: 0,
+            depth_after: 0,
+            mc_before: 0,
+            mc_after: 0,
+            wall_s: 0.0,
+            threads: 1,
+            logical_cores: std::thread::available_parallelism()
+                .map_or(0, std::num::NonZeroUsize::get),
+            flow: String::new(),
+            phases: PhaseTimes::default(),
+        }
+    }
+
     fn to_json(&self) -> Json {
         Json::Obj(vec![
             ("bench".to_string(), Json::from(self.bench.as_str())),

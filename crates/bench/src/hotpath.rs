@@ -17,7 +17,7 @@ use xag_network::Xag;
 use xag_tt::Tt;
 
 use crate::harness::{black_box, BenchGroup};
-use crate::{logical_cores, BenchRecord, PhaseTimes};
+use crate::BenchRecord;
 
 /// A [`System`] wrapper that counts allocations while armed. Counting is
 /// off by default — one relaxed load per allocation — so setup and
@@ -139,19 +139,10 @@ pub fn run_hotpath(samples: usize, alloc_check: bool) -> Vec<BenchRecord> {
                   size_after: usize,
                   wall: f64| {
         records.push(BenchRecord {
-            bench: "hotpath".to_string(),
-            name,
             size_before,
             size_after,
-            depth_before: 0,
-            depth_after: 0,
-            mc_before: 0,
-            mc_after: 0,
             wall_s: wall,
-            threads: 1,
-            logical_cores: logical_cores(),
-            flow: String::new(),
-            phases: PhaseTimes::default(),
+            ..BenchRecord::new("hotpath", name)
         });
     };
 

@@ -25,6 +25,6 @@ pub use experiment::{
 };
 pub use gate::{compare, read_bench_json, GateTolerance};
 pub use harness::{
-    check_args, exit_usage, flag_value, json_path_from_args, logical_cores, parse_arg,
-    write_bench_json, BenchRecord, PhaseTimes,
+    check_args, exit_usage, flag_value, json_path_from_args, parse_arg, write_bench_json,
+    BenchRecord, PhaseTimes,
 };

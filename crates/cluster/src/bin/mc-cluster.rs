@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! mc-cluster [--addr HOST:PORT] [--port-file PATH] [--health-interval-ms N]
-//!            [--sample-ms N] [--slo SPEC] [--slo-eval-ms N]
+//!            [--sample-ms N] [--slo SPEC]
 //! ```
 //!
 //! * `--addr` — listen address; port 0 picks an ephemeral port
@@ -14,13 +14,11 @@
 //! * `--health-interval-ms` — pause between health-check rounds
 //!   (default 500); three missed pings in a row mark a backend down.
 //! * `--sample-ms` — metrics-history sampling interval of the router's
-//!   own counters (default 1000).
+//!   own counters (default 1000), and so the SLO watchdog's tick.
 //! * `--slo` — watchdog thresholds as comma-separated `key=value` pairs
 //!   (`p99_ms=400,hit_rate=0.5,error_rate=0.01`); repeatable, later
-//!   flags merge. Without it no watchdog runs and `cluster_stats`
-//!   reports no health summary.
-//! * `--slo-eval-ms` — pause between SLO evaluation ticks (default
-//!   1000).
+//!   flags merge. Each sample is followed by one evaluation. Without it
+//!   no watchdog runs and `cluster_stats` reports no health summary.
 //!
 //! Placement is fixed: 32 ring points per backend, an affine target
 //! spills to least-loaded placement at 2 in-flight jobs per worker, and
@@ -37,7 +35,7 @@ use mc_cluster::{Router, RouterConfig};
 fn usage() -> ! {
     eprintln!(
         "usage: mc-cluster [--addr HOST:PORT] [--port-file PATH] [--health-interval-ms N] \
-         [--sample-ms N] [--slo SPEC] [--slo-eval-ms N]"
+         [--sample-ms N] [--slo SPEC]"
     );
     std::process::exit(2);
 }
@@ -69,10 +67,6 @@ fn main() {
                     eprintln!("mc-cluster: {e}");
                     usage();
                 }
-            }
-            "--slo-eval-ms" => {
-                let ms: u64 = value().parse().unwrap_or_else(|_| usage());
-                config.slo_eval_interval = Duration::from_millis(ms.max(1));
             }
             _ => usage(),
         }

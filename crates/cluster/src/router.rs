@@ -76,11 +76,10 @@ pub struct RouterConfig {
     pub miss_threshold: u32,
     /// Metrics-history sampling interval of the router's own counters.
     pub sample_interval: Duration,
-    /// SLO thresholds; when empty no watchdog thread runs and
-    /// `cluster_stats` reports no health summary.
+    /// SLO thresholds, evaluated on every sampler tick right after its
+    /// snapshot; when empty nothing is evaluated and `cluster_stats`
+    /// reports no health summary.
     pub slo: SloThresholds,
-    /// Pause between SLO evaluation ticks.
-    pub slo_eval_interval: Duration,
 }
 
 impl Default for RouterConfig {
@@ -91,7 +90,6 @@ impl Default for RouterConfig {
             miss_threshold: 3,
             sample_interval: Duration::from_secs(1),
             slo: SloThresholds::default(),
-            slo_eval_interval: Duration::from_secs(1),
         }
     }
 }
@@ -176,7 +174,7 @@ impl Router {
             }),
         });
 
-        let mut threads = Vec::with_capacity(4);
+        let mut threads = Vec::with_capacity(3);
         {
             let shared = Arc::clone(&shared);
             let config = config.clone();
@@ -205,25 +203,12 @@ impl Router {
         }
         {
             let shared = Arc::clone(&shared);
-            let interval = config.sample_interval;
             threads.push(
                 std::thread::Builder::new()
                     .name("mc-cluster-sampler".to_string())
-                    .spawn(move || sampler_loop(&shared, interval))
+                    .spawn(move || sampler_loop(&shared, config.sample_interval, &config.slo))
                     // lint: allow(no-panic-in-request-path): bind-time startup; no client connection exists yet
                     .expect("spawn sampler thread"),
-            );
-        }
-        if !config.slo.is_empty() {
-            let shared = Arc::clone(&shared);
-            let thresholds = config.slo;
-            let interval = config.slo_eval_interval;
-            threads.push(
-                std::thread::Builder::new()
-                    .name("mc-cluster-slo".to_string())
-                    .spawn(move || slo_loop(&shared, &thresholds, interval))
-                    // lint: allow(no-panic-in-request-path): bind-time startup; no client connection exists yet
-                    .expect("spawn slo thread"),
             );
         }
 
@@ -659,12 +644,19 @@ fn cluster_prof(shared: &RouterShared) -> Vec<PhaseStat> {
 
 /// The router's own history sampler: snapshots the routing counters and
 /// dispatch-latency histogram into the router's ring every `interval`,
-/// and keeps the cluster occupancy gauges (queue depth and busy workers
-/// summed over up backends, as last reported) current. This
-/// local history backs the SLO evaluator; the `metrics-history` frame
-/// serves the backend merge instead (see [`cluster_history`]).
-fn sampler_loop(shared: &RouterShared, interval: Duration) {
+/// keeps the cluster occupancy gauges (queue depth and busy workers
+/// summed over up backends, as last reported) current and, when
+/// `thresholds` are set, runs the SLO watchdog right after each snapshot
+/// ([`slo_tick`]). This local history backs the watchdog alone; the
+/// `metrics-history` frame serves the backend merge instead (see
+/// [`cluster_history`]).
+fn sampler_loop(shared: &RouterShared, interval: Duration, thresholds: &SloThresholds) {
     let reg = mc_obs::registry();
+    let mut slo = (!thresholds.is_empty()).then(|| {
+        let state_gauge = reg.gauge("slo_state");
+        state_gauge.set(SloState::Ok.severity());
+        (SloMachine::new(), state_gauge)
+    });
     let queue_gauge = reg.gauge("cluster_queue_depth");
     let busy_gauge = reg.gauge("cluster_workers_busy");
     let source = mc_obs::HistorySource {
@@ -690,63 +682,65 @@ fn sampler_loop(shared: &RouterShared, interval: Duration) {
         shared
             .history
             .push(source.sample(mc_obs::epoch_us() / 1000));
+        if let Some((machine, state_gauge)) = &mut slo {
+            slo_tick(shared, thresholds, machine, state_gauge);
+        }
         sliced_sleep(&shared.shutdown, interval);
     }
 }
 
-/// The SLO watchdog thread: every tick, derives the observed rates from
-/// the 10-second windows — p99 dispatch latency and error rate from the
+/// One tick of the SLO watchdog: derives the observed rates from the
+/// 10-second windows — p99 dispatch latency and error rate from the
 /// router's own history (they measure what *clients* experience,
 /// including failover), cache hit-rate from the merged backend windows
 /// (the router has no cache) — and feeds the verdict to the hysteresis
 /// machine. Transitions move the `slo_state` gauge, count in
 /// `slo_transitions_total`, leave an instant trace event, and rewrite
 /// the health summary `cluster_stats` reports.
-fn slo_loop(shared: &RouterShared, thresholds: &SloThresholds, interval: Duration) {
-    let reg = mc_obs::registry();
-    let state_gauge = reg.gauge("slo_state");
-    state_gauge.set(SloState::Ok.severity());
-    let mut machine = SloMachine::new();
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        let local = shared
-            .history
-            .standard_windows()
+fn slo_tick(
+    shared: &RouterShared,
+    thresholds: &SloThresholds,
+    machine: &mut SloMachine,
+    state_gauge: &mc_obs::Gauge,
+) {
+    let local = shared
+        .history
+        .standard_windows()
+        .into_iter()
+        .find(|w| w.window_secs == 10)
+        .unwrap_or_else(|| HistoryWindow::empty(10));
+    let p99_us = (local.lat_count > 0).then(|| local.p99_us());
+    let error_rate = (local.jobs + local.errors > 0).then(|| local.error_rate());
+    let hit_rate = if thresholds.hit_rate.is_some() {
+        cluster_history(shared)
             .into_iter()
             .find(|w| w.window_secs == 10)
-            .unwrap_or_else(|| HistoryWindow::empty(10));
-        let p99_us = (local.lat_count > 0).then(|| local.p99_us());
-        let error_rate = (local.jobs + local.errors > 0).then(|| local.error_rate());
-        let hit_rate = if thresholds.hit_rate.is_some() {
-            cluster_history(shared)
-                .into_iter()
-                .find(|w| w.window_secs == 10)
-                .filter(|w| w.hits + w.misses > 0)
-                .map(|w| w.hit_rate())
-        } else {
-            None
-        };
-        let violations = thresholds.violations(p99_us, hit_rate, error_rate);
-        let detail = violations.join(", ");
-        if let Some((from, to)) = machine.tick(!violations.is_empty()) {
-            state_gauge.set(to.severity());
-            reg.counter(&format!(
+            .filter(|w| w.hits + w.misses > 0)
+            .map(|w| w.hit_rate())
+    } else {
+        None
+    };
+    let violations = thresholds.violations(p99_us, hit_rate, error_rate);
+    let detail = violations.join(", ");
+    if let Some((from, to)) = machine.tick(!violations.is_empty()) {
+        state_gauge.set(to.severity());
+        mc_obs::registry()
+            .counter(&format!(
                 "slo_transitions_total{{state=\"{}\"}}",
                 to.as_str()
             ))
             .inc();
-            mc_obs::instant(
-                "slo:transition",
-                format!("{} -> {}: {}", from.as_str(), to.as_str(), detail),
-            );
-        }
-        let summary = match machine.state() {
-            SloState::Ok => SloState::Ok.as_str().to_string(),
-            state if detail.is_empty() => format!("{}: recovering", state.as_str()),
-            state => format!("{}: {detail}", state.as_str()),
-        };
-        *lock_unpoisoned(&shared.health) = summary;
-        sliced_sleep(&shared.shutdown, interval);
+        mc_obs::instant(
+            "slo:transition",
+            format!("{} -> {}: {}", from.as_str(), to.as_str(), detail),
+        );
     }
+    let summary = match machine.state() {
+        SloState::Ok => SloState::Ok.as_str().to_string(),
+        state if detail.is_empty() => format!("{}: recovering", state.as_str()),
+        state => format!("{}: {detail}", state.as_str()),
+    };
+    *lock_unpoisoned(&shared.health) = summary;
 }
 
 fn cluster_stats(shared: &RouterShared) -> ClusterStatsInfo {

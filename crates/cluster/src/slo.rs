@@ -2,9 +2,10 @@
 //! machine behind the cluster's `health` summary.
 //!
 //! An operator hands the router `--slo p99_ms=400,hit_rate=0.5,
-//! error_rate=0.01`; the evaluator thread checks the configured
-//! thresholds against the 10-second metric-history window every tick and
-//! feeds the verdict to an [`SloMachine`]. The machine debounces:
+//! error_rate=0.01`; on every tick of its metric-history sampler, right
+//! after the snapshot, the router checks the configured thresholds
+//! against the 10-second window and feeds the verdict to an
+//! [`SloMachine`]. The machine debounces:
 //! `ok → warn` on the first bad tick (operators want the early signal),
 //! but `warn → breach` only after [`BREACH_AFTER`] *consecutive* bad
 //! ticks, and each recovery step (`breach → warn`, `warn → ok`) only

@@ -39,7 +39,7 @@
 //! gains wait for the next round (DESIGN.md §5).
 //!
 //! A round that commits nothing leaves the network as it found it, and
-//! hands the next round a [`Carry`]: its cut sets, their order and the
+//! hands the next round a `Carry`: its cut sets, their order and the
 //! roots where it proposed. A next round with the same objective and a
 //! larger cut size grows those sets in place ([`CutSets::grow`]) instead
 //! of enumerating, and skips every cut no larger than the carried size at
@@ -710,8 +710,11 @@ mod tests {
         assert!(equiv_exhaustive(&reference, &xag.cleanup()));
     }
 
+    /// A live gate: its id, whether it is an AND, and its fanins.
+    type Gate = (NodeId, bool, Signal, Signal);
+
     /// Every live gate with its kind and fanins, then the outputs.
-    fn structure(xag: &Xag) -> (Vec<(NodeId, bool, Signal, Signal)>, Vec<Signal>) {
+    fn structure(xag: &Xag) -> (Vec<Gate>, Vec<Signal>) {
         let gates = xag
             .live_gates()
             .into_iter()
@@ -858,7 +861,7 @@ mod tests {
             let carry = carry_of(&mut xag, &mut ctx);
             proposers += carry.proposed.len();
             let at = format!("seed {seed}");
-            assert_carry_is_exact(&at, &xag, &mut ctx, objective, carry, &carry_of);
+            assert_carry_is_exact(&at, &xag, &mut ctx, objective, carry, carry_of);
         }
         assert!(proposers > 0, "no carried round proposed");
     }

@@ -11,7 +11,7 @@
 //!   error reply and the connection stays open; a `ShuttingDown` reply
 //!   closes the connection once it is sent;
 //! * [`sliced_sleep`] — the shutdown-aware sleep of every background
-//!   thread (samplers, heartbeats, health checks, the SLO watchdog).
+//!   thread (samplers, heartbeats, health checks).
 
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};

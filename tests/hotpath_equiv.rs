@@ -6,19 +6,14 @@
 //! full paper flow, 30-round cap, on twelve seeded fuzz networks across
 //! three structural shapes. The overhaul — dense cut arena, fused
 //! one-sweep cut functions, FxHash interior maps, dense side-tables in
-//! `pass`/`shard`/`canon` — claims *byte-identical* outputs, so the
-//! current implementation must reproduce every golden file exactly:
+//! the rewriting round and `canon` — claims *byte-identical* outputs, so
+//! the current implementation must reproduce every golden file exactly:
 //! same gates, same wiring, same polarity, same emission order.
 //!
 //! The cut-set level of the same guarantee (identical leaves and
 //! per-node cut order vs. a legacy reimplementation, 100 networks) is
-//! pinned by `crates/cuts/tests/differential.rs`; equivalence and
-//! thread-count determinism have their own suites (`fuzz_equiv.rs`,
-//! `parallel.rs`).
-
-// Note: the goldens pin the paper flow at one thread. The rewriting round
-// is bit-identical across thread counts, which `tests/parallel.rs` pins
-// separately.
+//! pinned by `crates/cuts/tests/differential.rs`; equivalence has its own
+//! suite (`fuzz_equiv.rs`).
 
 use mc_repro::mc::{FlowSpec, OptContext};
 use mc_repro::network::fuzz::{random_xag, FuzzConfig};
