@@ -19,16 +19,20 @@
 //! its running jobs, and renders: the SLO health line, per-backend
 //! health/load rows, throughput and hit-rate sparklines fed by the
 //! 10-second window, the running jobs with their trace IDs, and the
-//! hottest profiler phases by self time. Plain ANSI only: clear-screen,
-//! home, and bold — no TUI dependency, per the workspace's offline
-//! std-only policy.
+//! hottest profiler phases by self time. The windows are the polled
+//! service's own: through a router they show the jobs it routed, the
+//! routed results backends answered from cache, its dispatch retries and
+//! errors, and dispatch latency — the rates its SLO health line judges;
+//! against a daemon, its jobs served, cache lookups and run latency.
+//! Plain ANSI only: clear-screen, home, and bold — no TUI dependency,
+//! per the workspace's offline std-only policy.
 
 use std::collections::VecDeque;
 use std::time::Duration;
 
 use mc_obs::{HistoryWindow, JobProgress, PhaseStat};
 use mc_serve::json::Json;
-use mc_serve::protocol::BackendStats;
+use mc_serve::protocol::{backend_row, job_row, phase_row, window_row, BackendStats};
 use mc_serve::Client;
 
 fn usage() -> ! {
@@ -231,96 +235,54 @@ fn render(snapshot: &Snapshot, jobs_spark: &VecDeque<f64>, hits_spark: &VecDeque
     out
 }
 
+/// A window's protocol row with the rates mc-top derives from it.
 fn window_json(w: &HistoryWindow) -> Json {
-    Json::Obj(vec![
-        ("window_secs".to_string(), Json::Num(w.window_secs as f64)),
-        ("span_ms".to_string(), Json::Num(w.span_ms as f64)),
-        ("jobs".to_string(), Json::Num(w.jobs as f64)),
-        ("jobs_per_sec".to_string(), Json::Num(w.jobs_per_sec())),
-        ("hit_rate".to_string(), Json::Num(w.hit_rate())),
-        ("retry_rate".to_string(), Json::Num(w.retry_rate())),
-        ("error_rate".to_string(), Json::Num(w.error_rate())),
-        ("p50_us".to_string(), Json::Num(w.p50_us() as f64)),
-        ("p99_us".to_string(), Json::Num(w.p99_us() as f64)),
-        ("queue_depth".to_string(), Json::Num(w.queue_depth as f64)),
-        ("busy".to_string(), Json::Num(w.busy as f64)),
-    ])
+    let mut row = window_row(w);
+    row.extend([
+        ("jobs_per_sec".to_string(), Json::from(w.jobs_per_sec())),
+        ("hit_rate".to_string(), Json::from(w.hit_rate())),
+        ("retry_rate".to_string(), Json::from(w.retry_rate())),
+        ("error_rate".to_string(), Json::from(w.error_rate())),
+        ("p50_us".to_string(), Json::from(w.p50_us())),
+        ("p99_us".to_string(), Json::from(w.p99_us())),
+    ]);
+    Json::Obj(row)
 }
 
 fn snapshot_json(snapshot: &Snapshot) -> Json {
+    let rows =
+        |rows: Vec<Vec<(String, Json)>>| Json::Arr(rows.into_iter().map(Json::Obj).collect());
     Json::Obj(vec![
-        ("at_ms".to_string(), Json::Num(snapshot.at_ms as f64)),
-        ("health".to_string(), Json::Str(snapshot.health.clone())),
-        (
-            "queue_depth".to_string(),
-            Json::Num(snapshot.queue_depth as f64),
-        ),
-        ("workers".to_string(), Json::Num(snapshot.workers as f64)),
-        ("busy".to_string(), Json::Num(snapshot.busy as f64)),
+        ("at_ms".to_string(), Json::from(snapshot.at_ms)),
+        ("health".to_string(), Json::from(snapshot.health.as_str())),
+        ("queue_depth".to_string(), Json::from(snapshot.queue_depth)),
+        ("workers".to_string(), Json::from(snapshot.workers)),
+        ("busy".to_string(), Json::from(snapshot.busy)),
         (
             "windows".to_string(),
             Json::Arr(snapshot.windows.iter().map(window_json).collect()),
         ),
         (
             "backends".to_string(),
-            Json::Arr(
-                snapshot
-                    .backends
-                    .iter()
-                    .map(|b| {
-                        Json::Obj(vec![
-                            ("id".to_string(), Json::Num(b.id as f64)),
-                            ("addr".to_string(), Json::Str(b.addr.clone())),
-                            ("up".to_string(), Json::Bool(b.up)),
-                            ("capacity".to_string(), Json::Num(b.capacity as f64)),
-                            ("busy".to_string(), Json::Num(b.busy as f64)),
-                            ("queue_depth".to_string(), Json::Num(b.queue_depth as f64)),
-                            ("in_flight".to_string(), Json::Num(b.in_flight as f64)),
-                            ("jobs_routed".to_string(), Json::Num(b.jobs_routed as f64)),
-                            ("jobs_served".to_string(), Json::Num(b.jobs_served as f64)),
-                            ("cache_hits".to_string(), Json::Num(b.cache_hits as f64)),
-                            ("cache_misses".to_string(), Json::Num(b.cache_misses as f64)),
-                        ])
-                    })
-                    .collect(),
-            ),
+            rows(snapshot.backends.iter().map(backend_row).collect()),
         ),
         (
             "running".to_string(),
-            Json::Arr(
+            rows(
                 snapshot
                     .running
                     .iter()
                     .map(|(addr, j)| {
-                        Json::Obj(vec![
-                            ("job_id".to_string(), Json::Num(j.job_id as f64)),
-                            ("trace_id".to_string(), Json::Num(j.trace_id as f64)),
-                            ("flow".to_string(), Json::Str(j.flow.clone())),
-                            ("pass".to_string(), Json::Str(j.pass.clone())),
-                            ("round".to_string(), Json::Num(j.round as f64)),
-                            ("elapsed_ms".to_string(), Json::Num(j.elapsed_ms as f64)),
-                            ("backend".to_string(), Json::Str(addr.clone())),
-                        ])
+                        let mut row = job_row(j);
+                        row.push(("backend".to_string(), Json::from(addr.as_str())));
+                        row
                     })
                     .collect(),
             ),
         ),
         (
             "phases".to_string(),
-            Json::Arr(
-                snapshot
-                    .phases
-                    .iter()
-                    .map(|p| {
-                        Json::Obj(vec![
-                            ("path".to_string(), Json::Str(p.path.clone())),
-                            ("count".to_string(), Json::Num(p.count as f64)),
-                            ("total_us".to_string(), Json::Num(p.total_us as f64)),
-                            ("self_us".to_string(), Json::Num(p.self_us as f64)),
-                        ])
-                    })
-                    .collect(),
-            ),
+            rows(snapshot.phases.iter().map(phase_row).collect()),
         ),
     ])
 }

@@ -41,12 +41,12 @@
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use mc_obs::{History, HistoryWindow, PhaseStat};
+use mc_obs::{Counter, Histogram, History, PhaseStat, Sample};
 use mc_serve::client::Client;
 use mc_serve::endpoint::{accept_loop, sliced_sleep, Dispatch};
 use mc_serve::protocol::{
@@ -94,20 +94,58 @@ impl Default for RouterConfig {
     }
 }
 
+/// The router's routing counts, each kept once: `cluster_stats`, the
+/// history ring and the router's `metrics` section all read them.
+#[derive(Default)]
+struct Routing {
+    /// Jobs answered from a backend, errors included.
+    routed: Counter,
+    /// Routed results a backend answered from its cache.
+    cached: Counter,
+    /// Routed results a backend computed.
+    computed: Counter,
+    /// Dispatch attempts that failed and were retried elsewhere.
+    retries: Counter,
+    /// Error answers: the router's refusals and backends' job errors.
+    errors: Counter,
+    /// Dispatches that went to the ring-affine target.
+    affinity_hits: Counter,
+    /// Dispatches diverted to a fallback backend.
+    affinity_fallbacks: Counter,
+    /// Dispatch latency of this router alone, for its ring. The process
+    /// registry's `cluster_dispatch_us` records the same dispatches for
+    /// every router in the process, which is what the benchmark reads.
+    dispatch_us: Histogram,
+}
+
+impl Routing {
+    /// The counts' lines of the router's `metrics` section.
+    fn render(&self) -> String {
+        [
+            ("cluster_affinity_fallbacks_total", &self.affinity_fallbacks),
+            ("cluster_affinity_hits_total", &self.affinity_hits),
+            ("cluster_dispatch_retries_total", &self.retries),
+            ("cluster_errors_total", &self.errors),
+            ("cluster_jobs_routed_total", &self.routed),
+        ]
+        .iter()
+        .map(|(name, count)| format!("{name} {}\n", count.get()))
+        .collect()
+    }
+}
+
 struct RouterShared {
     registry: Registry,
     shutdown: AtomicBool,
     started: Instant,
-    jobs_routed: AtomicU64,
-    jobs_retried: AtomicU64,
-    affinity_hits: AtomicU64,
-    affinity_fallbacks: AtomicU64,
+    routing: Routing,
     /// Idle pooled connections per backend; a warm connection saves the
     /// connect round trip on every affine re-dispatch.
     pool: Mutex<HashMap<u64, Vec<Client>>>,
     stats_poll_timeout: Duration,
-    /// The router's own metric-history ring (routing counters and
-    /// dispatch latency), read by the SLO watchdog.
+    /// The router's metric-history ring (its routing counts, dispatch
+    /// latency and the load backends report), read by the SLO watchdog
+    /// and the `metrics-history` frame.
     history: History,
     /// The SLO watchdog's current verdict for `cluster_stats`: empty
     /// when no SLO is configured, else `ok` / `warn: …` / `breach: …`.
@@ -138,6 +176,26 @@ impl RouterShared {
     fn pool_drop(&self, id: u64) {
         lock_unpoisoned(&self.pool).remove(&id);
     }
+
+    /// One snapshot of the router's own counts for its history ring, with
+    /// the load its up backends last reported.
+    fn sample(&self) -> Sample {
+        let load = aggregate_status(self);
+        let routing = &self.routing;
+        Sample {
+            at_ms: mc_obs::epoch_us() / 1000,
+            jobs: routing.routed.get(),
+            hits: routing.cached.get(),
+            misses: routing.computed.get(),
+            retries: routing.retries.get(),
+            errors: routing.errors.get(),
+            queue_depth: load.queue_depth as u64,
+            busy: load.busy as u64,
+            lat_count: routing.dispatch_us.count(),
+            lat_sum: routing.dispatch_us.sum(),
+            lat_buckets: routing.dispatch_us.bucket_counts(),
+        }
+    }
 }
 
 /// The router daemon's entry point; see [`Router::bind`].
@@ -160,10 +218,7 @@ impl Router {
             registry: Registry::new(),
             shutdown: AtomicBool::new(false),
             started: Instant::now(),
-            jobs_routed: AtomicU64::new(0),
-            jobs_retried: AtomicU64::new(0),
-            affinity_hits: AtomicU64::new(0),
-            affinity_fallbacks: AtomicU64::new(0),
+            routing: Routing::default(),
             pool: Mutex::new(HashMap::new()),
             stats_poll_timeout: Duration::from_secs(2),
             history: History::default(),
@@ -269,7 +324,7 @@ impl Dispatch for RouterShared {
             },
             Request::MetricsHistory => Response::MetricsHistory {
                 at_ms: mc_obs::epoch_us() / 1000,
-                windows: cluster_history(self),
+                windows: self.history.standard_windows(),
             },
             Request::ProfDump => Response::ProfDump {
                 phases: cluster_prof(self),
@@ -353,14 +408,14 @@ fn forward(shared: &RouterShared, choice: &Choice, req: &OptimizeRequest) -> For
 /// Builds a client-facing error response, counting it in
 /// `cluster_errors_total` so the history windows and the SLO error rate
 /// see every refusal the router produced.
-fn router_error(message: String) -> Response {
-    mc_obs::registry().counter("cluster_errors_total").inc();
+fn router_error(shared: &RouterShared, message: String) -> Response {
+    shared.routing.errors.inc();
     Response::Error { message }
 }
 
 fn route_optimize(shared: &RouterShared, mut req: OptimizeRequest) -> Response {
     if shared.shutdown.load(Ordering::SeqCst) {
-        return router_error("router is shutting down".to_string());
+        return router_error(shared, "router is shutting down".to_string());
     }
     // The trace is born at the cluster edge: assign an ID unless the
     // client brought one, and forward it in the frame, so router dispatch
@@ -373,7 +428,7 @@ fn route_optimize(shared: &RouterShared, mut req: OptimizeRequest) -> Response {
     // never consumes a backend dispatch.
     let xag = match parse_circuit(&req.circuit, req.format) {
         Ok(xag) => xag,
-        Err(e) => return router_error(e.to_string()),
+        Err(e) => return router_error(shared, e.to_string()),
     };
     // The backend derives its key from the same clamped spec. The flow
     // contributes its *normalized* spec (the typed request was already
@@ -385,18 +440,13 @@ fn route_optimize(shared: &RouterShared, mut req: OptimizeRequest) -> Response {
     let mut excluded: Vec<u64> = Vec::new();
     for _attempt in 0..=RETRY_LIMIT {
         let Some(choice) = shared.registry.choose(hash, &excluded) else {
-            return router_error("no live backend in the cluster".to_string());
+            return router_error(shared, "no live backend in the cluster".to_string());
         };
+        let routing = &shared.routing;
         if choice.affine {
-            shared.affinity_hits.fetch_add(1, Ordering::Relaxed);
-            mc_obs::registry()
-                .counter("cluster_affinity_hits_total")
-                .inc();
+            routing.affinity_hits.inc();
         } else {
-            shared.affinity_fallbacks.fetch_add(1, Ordering::Relaxed);
-            mc_obs::registry()
-                .counter("cluster_affinity_fallbacks_total")
-                .inc();
+            routing.affinity_fallbacks.inc();
         }
         shared.registry.begin_dispatch(choice.id);
         let dispatch_start = Instant::now();
@@ -409,18 +459,19 @@ fn route_optimize(shared: &RouterShared, mut req: OptimizeRequest) -> Response {
         ));
         let outcome = forward(shared, &choice, &req);
         drop(dispatch_span);
+        let dispatch_us = dispatch_start.elapsed().as_micros() as u64;
         mc_obs::registry()
             .histogram("cluster_dispatch_us")
-            .record(dispatch_start.elapsed().as_micros() as u64);
+            .record(dispatch_us);
+        routing.dispatch_us.record(dispatch_us);
         shared.registry.end_dispatch(choice.id);
         match outcome {
             Forward::Reply(response) => {
-                shared.jobs_routed.fetch_add(1, Ordering::Relaxed);
-                mc_obs::registry()
-                    .counter("cluster_jobs_routed_total")
-                    .inc();
-                if matches!(response, Response::Error { .. }) {
-                    mc_obs::registry().counter("cluster_errors_total").inc();
+                routing.routed.inc();
+                match &response {
+                    Response::Result(r) if r.cached => routing.cached.inc(),
+                    Response::Result(_) => routing.computed.inc(),
+                    _ => routing.errors.inc(),
                 }
                 return response;
             }
@@ -429,14 +480,13 @@ fn route_optimize(shared: &RouterShared, mut req: OptimizeRequest) -> Response {
                 // notice recovery later.
                 shared.registry.mark_down(choice.id);
                 shared.pool_drop(choice.id);
-                shared.jobs_retried.fetch_add(1, Ordering::Relaxed);
-                let reg = mc_obs::registry();
-                reg.counter("cluster_dispatch_retries_total").inc();
-                reg.counter(&format!(
-                    "cluster_failovers_total{{backend=\"{}\"}}",
-                    choice.addr
-                ))
-                .inc();
+                routing.retries.inc();
+                mc_obs::registry()
+                    .counter(&format!(
+                        "cluster_failovers_total{{backend=\"{}\"}}",
+                        choice.addr
+                    ))
+                    .inc();
                 mc_obs::instant(
                     "cluster:failover",
                     format!("backend={} marked down, retrying", choice.addr),
@@ -445,10 +495,11 @@ fn route_optimize(shared: &RouterShared, mut req: OptimizeRequest) -> Response {
             }
         }
     }
-    router_error(format!(
+    let message = format!(
         "job failed on {} backend(s); no further retry",
         excluded.len()
-    ))
+    );
+    router_error(shared, message)
 }
 
 /// Polls every *up* backend's `stats` concurrently (a wedged backend
@@ -563,11 +614,13 @@ fn poll_up_backends(shared: &RouterShared, request: &Request) -> Vec<(Backend, O
     })
 }
 
-/// `metrics` against a router: the router's own registry first, then one
-/// section per backend headed by a comment line keying it — cluster-wide
-/// scrape in one round trip, no backend left unlabeled.
+/// `metrics` against a router: the router's routing counts and the
+/// process registry first, then one section per backend headed by a
+/// comment line keying it — cluster-wide scrape in one round trip, no
+/// backend left unlabeled.
 fn cluster_metrics(shared: &RouterShared) -> String {
     let mut text = String::from("# router\n");
+    text.push_str(&shared.routing.render());
     text.push_str(&mc_obs::registry().render());
     for (b, polled) in poll_up_backends(shared, &Request::Metrics) {
         use core::fmt::Write as _;
@@ -581,7 +634,9 @@ fn cluster_metrics(shared: &RouterShared) -> String {
 
 /// `trace-dump` against a router: the router's own events merged with
 /// every live backend's onto one wall-clock timeline (all tiers stamp
-/// microseconds since the epoch, so a plain sort aligns them).
+/// microseconds since the epoch, so a plain sort aligns them). A backend
+/// in the router's process dumps the same process-wide rings the router
+/// did, so exact duplicates are dropped.
 fn cluster_trace_dump(shared: &RouterShared, trace_id: Option<u64>) -> Vec<TraceEvent> {
     let mut events = mc_obs::trace_dump(trace_id);
     for (_, polled) in poll_up_backends(shared, &Request::TraceDump { trace_id }) {
@@ -589,32 +644,12 @@ fn cluster_trace_dump(shared: &RouterShared, trace_id: Option<u64>) -> Vec<Trace
             events.extend(more);
         }
     }
-    events.sort_by_key(|e| (e.start_us, e.dur_us));
+    events.sort_by(|a, b| {
+        (a.start_us, a.dur_us, a.trace_id, &a.span, &a.detail)
+            .cmp(&(b.start_us, b.dur_us, b.trace_id, &b.span, &b.detail))
+    });
+    events.dedup();
     events
-}
-
-/// `metrics-history` against a router: every up backend's windows merged
-/// per window length. The merge is *exact* — windows carry raw counter
-/// deltas and per-bucket histogram deltas, both of which add — so the
-/// cluster window equals what one process observing every backend would
-/// have computed. The router's own windows are deliberately left out:
-/// every routed job is also a served job on some backend, and merging
-/// both tiers would double-count the cluster's throughput.
-fn cluster_history(shared: &RouterShared) -> Vec<HistoryWindow> {
-    let mut merged: Vec<HistoryWindow> = mc_obs::WINDOWS_SECS
-        .iter()
-        .map(|&w| HistoryWindow::empty(w))
-        .collect();
-    for (_, polled) in poll_up_backends(shared, &Request::MetricsHistory) {
-        if let Some(Response::MetricsHistory { windows, .. }) = polled {
-            for w in windows {
-                if let Some(slot) = merged.iter_mut().find(|m| m.window_secs == w.window_secs) {
-                    slot.merge(&w);
-                }
-            }
-        }
-    }
-    merged
 }
 
 /// `prof-dump` against a router: the router's own phase profile (usually
@@ -642,14 +677,12 @@ fn cluster_prof(shared: &RouterShared) -> Vec<PhaseStat> {
     by_path.into_values().collect()
 }
 
-/// The router's own history sampler: snapshots the routing counters and
-/// dispatch-latency histogram into the router's ring every `interval`,
-/// keeps the cluster occupancy gauges (queue depth and busy workers
-/// summed over up backends, as last reported) current and, when
-/// `thresholds` are set, runs the SLO watchdog right after each snapshot
-/// ([`slo_tick`]). This local history backs the watchdog alone; the
-/// `metrics-history` frame serves the backend merge instead (see
-/// [`cluster_history`]).
+/// The router's history sampler: every `interval`, pushes one snapshot
+/// of the routing counts, the dispatch latency and the cluster occupancy
+/// (queue depth and busy workers summed over up backends, as last
+/// reported) into the router's ring, sets the occupancy gauges from it
+/// and, when `thresholds` are set, runs the SLO watchdog right after the
+/// snapshot ([`slo_tick`]).
 fn sampler_loop(shared: &RouterShared, interval: Duration, thresholds: &SloThresholds) {
     let reg = mc_obs::registry();
     let mut slo = (!thresholds.is_empty()).then(|| {
@@ -659,29 +692,13 @@ fn sampler_loop(shared: &RouterShared, interval: Duration, thresholds: &SloThres
     });
     let queue_gauge = reg.gauge("cluster_queue_depth");
     let busy_gauge = reg.gauge("cluster_workers_busy");
-    let source = mc_obs::HistorySource {
-        jobs: reg.counter("cluster_jobs_routed_total"),
-        hits: reg.counter("cluster_affinity_hits_total"),
-        misses: reg.counter("cluster_affinity_fallbacks_total"),
-        retries: reg.counter("cluster_dispatch_retries_total"),
-        errors: reg.counter("cluster_errors_total"),
-        queue_depth: Arc::clone(&queue_gauge),
-        busy: Arc::clone(&busy_gauge),
-        latency: reg.histogram("cluster_dispatch_us"),
-    };
+    // Registered up front, so a scrape shows it before the first dispatch.
+    reg.histogram("cluster_dispatch_us");
     while !shared.shutdown.load(Ordering::SeqCst) {
-        let (mut queue, mut busy) = (0u64, 0u64);
-        for b in shared.registry.snapshot() {
-            if b.up {
-                queue += b.queue_depth as u64;
-                busy += b.busy as u64;
-            }
-        }
-        queue_gauge.set(queue);
-        busy_gauge.set(busy);
-        shared
-            .history
-            .push(source.sample(mc_obs::epoch_us() / 1000));
+        let sample = shared.sample();
+        queue_gauge.set(sample.queue_depth);
+        busy_gauge.set(sample.busy);
+        shared.history.push(sample);
         if let Some((machine, state_gauge)) = &mut slo {
             slo_tick(shared, thresholds, machine, state_gauge);
         }
@@ -690,36 +707,22 @@ fn sampler_loop(shared: &RouterShared, interval: Duration, thresholds: &SloThres
 }
 
 /// One tick of the SLO watchdog: derives the observed rates from the
-/// 10-second windows — p99 dispatch latency and error rate from the
-/// router's own history (they measure what *clients* experience,
-/// including failover), cache hit-rate from the merged backend windows
-/// (the router has no cache) — and feeds the verdict to the hysteresis
-/// machine. Transitions move the `slo_state` gauge, count in
-/// `slo_transitions_total`, leave an instant trace event, and rewrite
-/// the health summary `cluster_stats` reports.
+/// router's 10-second window — p99 dispatch latency, error rate and the
+/// share of routed results answered from a backend cache, all as
+/// *clients* experience them, failover included — and feeds the verdict
+/// to the hysteresis machine. Transitions move the `slo_state` gauge,
+/// count in `slo_transitions_total`, leave an instant trace event, and
+/// rewrite the health summary `cluster_stats` reports.
 fn slo_tick(
     shared: &RouterShared,
     thresholds: &SloThresholds,
     machine: &mut SloMachine,
     state_gauge: &mc_obs::Gauge,
 ) {
-    let local = shared
-        .history
-        .standard_windows()
-        .into_iter()
-        .find(|w| w.window_secs == 10)
-        .unwrap_or_else(|| HistoryWindow::empty(10));
-    let p99_us = (local.lat_count > 0).then(|| local.p99_us());
-    let error_rate = (local.jobs + local.errors > 0).then(|| local.error_rate());
-    let hit_rate = if thresholds.hit_rate.is_some() {
-        cluster_history(shared)
-            .into_iter()
-            .find(|w| w.window_secs == 10)
-            .filter(|w| w.hits + w.misses > 0)
-            .map(|w| w.hit_rate())
-    } else {
-        None
-    };
+    let w = shared.history.window(mc_obs::epoch_us() / 1000, 10);
+    let p99_us = (w.lat_count > 0).then(|| w.p99_us());
+    let hit_rate = (w.hits + w.misses > 0).then(|| w.hit_rate());
+    let error_rate = (w.jobs + w.errors > 0).then(|| w.error_rate());
     let violations = thresholds.violations(p99_us, hit_rate, error_rate);
     let detail = violations.join(", ");
     if let Some((from, to)) = machine.tick(!violations.is_empty()) {
@@ -769,10 +772,10 @@ fn cluster_stats(shared: &RouterShared) -> ClusterStatsInfo {
         .collect();
     ClusterStatsInfo {
         uptime_secs: shared.started.elapsed().as_secs(),
-        jobs_routed: shared.jobs_routed.load(Ordering::Relaxed),
-        jobs_retried: shared.jobs_retried.load(Ordering::Relaxed),
-        affinity_hits: shared.affinity_hits.load(Ordering::Relaxed),
-        affinity_fallbacks: shared.affinity_fallbacks.load(Ordering::Relaxed),
+        jobs_routed: shared.routing.routed.get(),
+        jobs_retried: shared.routing.retries.get(),
+        affinity_hits: shared.routing.affinity_hits.get(),
+        affinity_fallbacks: shared.routing.affinity_fallbacks.get(),
         health: lock_unpoisoned(&shared.health).clone(),
         backends,
     }
@@ -854,7 +857,7 @@ mod tests {
             matches!(&err, ClientError::Server(message) if message == ERR_JOB_FAILED),
             "{err}"
         );
-        assert_eq!(router.shared.jobs_retried.load(Ordering::Relaxed), 0);
+        assert_eq!(router.shared.routing.retries.get(), 0);
         let backends = router.shared.registry.snapshot();
         assert!(
             backends.iter().any(|b| b.id == id && b.up),

@@ -2,27 +2,27 @@
 //! sliding-window derivations.
 //!
 //! The live registry ([`crate::metrics`]) only answers "how much since
-//! process start". Operators ask a different question — "what is the
-//! cluster doing *right now*" — which needs rates: jobs/s, cache
+//! process start". Operators ask a different question — "what is this
+//! service doing *right now*" — which needs rates: jobs/s, cache
 //! hit-rate, retry rate, latency quantiles over the last 10 seconds, not
 //! the last week. The daemon and the router each own one [`History`],
-//! and each one's sampler thread pushes a cumulative [`Sample`] of that
-//! service's counters every interval; a window is then the *delta*
-//! between the newest sample and the oldest sample inside the window, so
-//! rates never need per-event bookkeeping on the hot path.
+//! and each one's sampler thread pushes a cumulative [`Sample`] of counts
+//! that service keeps for itself every interval; a window is then the
+//! *delta* between the newest sample and the oldest sample inside the
+//! window, so rates never need per-event bookkeeping on the hot path.
 //!
-//! Everything is built for exact cluster-wide aggregation: a
-//! [`HistoryWindow`] is raw deltas (counts and per-bucket latency
-//! counts), not derived rates, so the router can merge per-backend
-//! windows by plain addition — associative and commutative, same
-//! argument as [`crate::metrics::Histogram::merge`] — and derive rates
-//! once at the edge. Timestamps come in from the caller, which keeps the
-//! window math testable against a synthetic clock.
+//! A sample reads the service's own counts, never the process-wide
+//! registry: two services in one process (a router and its backends in a
+//! test, or two daemons) would otherwise each count the other's jobs.
+//! A [`HistoryWindow`] carries raw deltas (counts and per-bucket latency
+//! counts) and derives rates on demand. Timestamps come in from the
+//! caller, which keeps the window math testable against a synthetic
+//! clock.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
-use crate::metrics::{bucket_quantile, Counter, Gauge, Histogram, BUCKETS};
+use crate::metrics::{bucket_quantile, BUCKETS};
 
 /// The standard window lengths, in seconds: 10s / 1m / 5m.
 pub const WINDOWS_SECS: [u64; 3] = [10, 60, 300];
@@ -31,21 +31,22 @@ pub const WINDOWS_SECS: [u64; 3] = [10, 60, 300];
 /// longest (5 m) window.
 const CAPACITY: usize = 720;
 
-/// One cumulative snapshot of the service counters, stamped with an
+/// One cumulative snapshot of a service's own counts, stamped with an
 /// epoch-milliseconds clock supplied by the caller.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Sample {
     /// Epoch milliseconds at which the snapshot was taken.
     pub at_ms: u64,
-    /// Jobs completed since process start.
+    /// Jobs completed since the service started.
     pub jobs: u64,
-    /// Cache hits since process start.
+    /// Cache hits since the service started.
     pub hits: u64,
-    /// Cache misses since process start.
+    /// Cache misses since the service started.
     pub misses: u64,
-    /// Dispatch retries since process start (routers; zero on backends).
+    /// Dispatch retries since the service started (routers; zero on
+    /// backends).
     pub retries: u64,
-    /// Errors since process start.
+    /// Errors since the service started.
     pub errors: u64,
     /// Instantaneous queue depth.
     pub queue_depth: u64,
@@ -59,71 +60,8 @@ pub struct Sample {
     pub lat_buckets: [u64; BUCKETS],
 }
 
-impl Sample {
-    /// An all-zero sample at `at_ms`.
-    pub fn zero(at_ms: u64) -> Self {
-        Self {
-            at_ms,
-            jobs: 0,
-            hits: 0,
-            misses: 0,
-            retries: 0,
-            errors: 0,
-            queue_depth: 0,
-            busy: 0,
-            lat_count: 0,
-            lat_sum: 0,
-            lat_buckets: [0; BUCKETS],
-        }
-    }
-}
-
-/// The metric handles a sampler reads each tick. Each service wires its
-/// own names (the daemon's `serve_*`, the router's `cluster_*`); handles
-/// are cached `Arc`s so a tick is a handful of relaxed loads.
-pub struct HistorySource {
-    /// Completed-jobs counter.
-    pub jobs: Arc<Counter>,
-    /// Cache-hit counter.
-    pub hits: Arc<Counter>,
-    /// Cache-miss counter.
-    pub misses: Arc<Counter>,
-    /// Retry counter.
-    pub retries: Arc<Counter>,
-    /// Error counter.
-    pub errors: Arc<Counter>,
-    /// Queue-depth gauge.
-    pub queue_depth: Arc<Gauge>,
-    /// Busy-workers gauge.
-    pub busy: Arc<Gauge>,
-    /// Job-latency histogram.
-    pub latency: Arc<Histogram>,
-}
-
-impl HistorySource {
-    /// Reads every handle into a snapshot stamped `at_ms`.
-    pub fn sample(&self, at_ms: u64) -> Sample {
-        Sample {
-            at_ms,
-            jobs: self.jobs.get(),
-            hits: self.hits.get(),
-            misses: self.misses.get(),
-            retries: self.retries.get(),
-            errors: self.errors.get(),
-            queue_depth: self.queue_depth.get(),
-            busy: self.busy.get(),
-            lat_count: self.latency.count(),
-            lat_sum: self.latency.sum(),
-            lat_buckets: self.latency.bucket_counts(),
-        }
-    }
-}
-
-/// Raw deltas over one sliding window — the wire and merge unit.
-///
-/// Merging is field-wise addition (span takes the max), so cluster-wide
-/// aggregation is exact and order-independent; rates are derived *after*
-/// merging via [`HistoryWindow::jobs_per_sec`] and friends.
+/// Raw deltas over one sliding window — the wire unit. Rates are derived
+/// on demand via [`HistoryWindow::jobs_per_sec`] and friends.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistoryWindow {
     /// Nominal window length in seconds.
@@ -141,9 +79,9 @@ pub struct HistoryWindow {
     pub retries: u64,
     /// Errors inside the window.
     pub errors: u64,
-    /// Queue depth at the newest sample (summed across a cluster).
+    /// Queue depth at the newest sample.
     pub queue_depth: u64,
-    /// Busy workers at the newest sample (summed across a cluster).
+    /// Busy workers at the newest sample.
     pub busy: u64,
     /// Latency observations inside the window.
     pub lat_count: u64,
@@ -191,29 +129,6 @@ impl HistoryWindow {
             lat_buckets: (0..BUCKETS)
                 .map(|b| newest.lat_buckets[b].saturating_sub(oldest.lat_buckets[b]))
                 .collect(),
-        }
-    }
-
-    /// Adds `other` into `self`: field-wise addition, span takes the max.
-    /// Associative and commutative, so cluster aggregation order does not
-    /// matter.
-    pub fn merge(&mut self, other: &HistoryWindow) {
-        debug_assert_eq!(self.window_secs, other.window_secs);
-        self.span_ms = self.span_ms.max(other.span_ms);
-        self.jobs += other.jobs;
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.retries += other.retries;
-        self.errors += other.errors;
-        self.queue_depth += other.queue_depth;
-        self.busy += other.busy;
-        self.lat_count += other.lat_count;
-        self.lat_sum += other.lat_sum;
-        if self.lat_buckets.len() < other.lat_buckets.len() {
-            self.lat_buckets.resize(other.lat_buckets.len(), 0);
-        }
-        for (b, n) in other.lat_buckets.iter().enumerate() {
-            self.lat_buckets[b] += n;
         }
     }
 
@@ -298,58 +213,40 @@ impl History {
         samples.push_back(sample);
     }
 
-    /// Number of retained samples.
-    pub fn len(&self) -> usize {
-        self.samples.lock().expect("history lock poisoned").len()
-    }
-
-    /// True when no sample has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The newest retained sample, if any.
-    pub fn newest(&self) -> Option<Sample> {
-        self.samples
-            .lock()
-            .expect("history lock poisoned")
-            .back()
-            .cloned()
-    }
-
-    /// The window deltas ending at the newest sample, one per entry of
-    /// `windows_secs`, evaluated at synthetic time `now_ms`. A window
-    /// needs two samples inside it to carry a delta; otherwise it comes
-    /// back empty (all zeros, span 0).
-    pub fn windows(&self, now_ms: u64, windows_secs: &[u64]) -> Vec<HistoryWindow> {
+    /// The delta over the last `secs` seconds, ending at the newest
+    /// sample, evaluated at synthetic time `now_ms`. A window needs two
+    /// samples inside it to carry a delta; otherwise it comes back empty
+    /// (all zeros, span 0).
+    pub fn window(&self, now_ms: u64, secs: u64) -> HistoryWindow {
         let samples = self.samples.lock().expect("history lock poisoned");
-        windows_secs
-            .iter()
-            .map(|&w| {
-                let horizon = now_ms.saturating_sub(w.saturating_mul(1000));
-                let newest = match samples.back() {
-                    Some(s) if s.at_ms >= horizon => s,
-                    _ => return HistoryWindow::empty(w),
-                };
-                let oldest = samples.iter().find(|s| s.at_ms >= horizon);
-                match oldest {
-                    Some(o) if o.at_ms < newest.at_ms => HistoryWindow::between(w, o, newest),
-                    _ => HistoryWindow::empty(w),
-                }
-            })
-            .collect()
+        let horizon = now_ms.saturating_sub(secs.saturating_mul(1000));
+        let newest = match samples.back() {
+            Some(s) if s.at_ms >= horizon => s,
+            _ => return HistoryWindow::empty(secs),
+        };
+        match samples.iter().find(|s| s.at_ms >= horizon) {
+            Some(oldest) if oldest.at_ms < newest.at_ms => {
+                HistoryWindow::between(secs, oldest, newest)
+            }
+            _ => HistoryWindow::empty(secs),
+        }
     }
 
-    /// [`History::windows`] over the standard 10s/1m/5m windows at the
+    /// [`History::window`] over the standard 10s/1m/5m windows at the
     /// wall clock.
     pub fn standard_windows(&self) -> Vec<HistoryWindow> {
-        self.windows(crate::epoch_us() / 1000, &WINDOWS_SECS)
+        let now_ms = crate::epoch_us() / 1000;
+        WINDOWS_SECS
+            .iter()
+            .map(|&secs| self.window(now_ms, secs))
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::Histogram;
 
     fn sample(at_ms: u64, jobs: u64, hits: u64, misses: u64, lat: &[u64]) -> Sample {
         let h = Histogram::new();
@@ -378,10 +275,9 @@ mod tests {
         for i in 0..=newest {
             h.push(sample(i * 1000, i, 0, 0, &[]));
         }
-        assert_eq!(h.len(), CAPACITY);
         // Only t=6 s onwards is retained: a window reaching back past the
         // start spans exactly those samples.
-        let w = &h.windows(newest * 1000, &[100_000])[0];
+        let w = h.window(newest * 1000, 100_000);
         assert_eq!(w.jobs, newest - 6);
         assert_eq!(w.span_ms, (newest - 6) * 1000);
     }
@@ -390,9 +286,11 @@ mod tests {
     fn out_of_order_samples_are_dropped() {
         let h = History::default();
         h.push(sample(5_000, 5, 0, 0, &[]));
+        h.push(sample(6_000, 6, 0, 0, &[]));
+        // The clock went backwards: the window still ends at t=6 s.
         h.push(sample(4_000, 9, 0, 0, &[]));
-        assert_eq!(h.len(), 1);
-        assert_eq!(h.newest().unwrap().at_ms, 5_000);
+        let w = h.window(6_000, 10);
+        assert_eq!((w.jobs, w.span_ms), (1, 1_000));
     }
 
     #[test]
@@ -403,30 +301,31 @@ mod tests {
             h.push(sample(i * 1000, 2 * i, i, i, &[]));
         }
         let now = 30_000;
-        let ws = h.windows(now, &[10, 60]);
         // 10 s window: samples at t=20..30 → 10 s span, 20 jobs.
-        assert_eq!(ws[0].span_ms, 10_000);
-        assert_eq!(ws[0].jobs, 20);
-        assert!((ws[0].jobs_per_sec() - 2.0).abs() < 1e-9);
-        assert!((ws[0].hit_rate() - 0.5).abs() < 1e-9);
+        let w = h.window(now, 10);
+        assert_eq!(w.span_ms, 10_000);
+        assert_eq!(w.jobs, 20);
+        assert!((w.jobs_per_sec() - 2.0).abs() < 1e-9);
+        assert!((w.hit_rate() - 0.5).abs() < 1e-9);
         // 60 s window: only 30 s of history exists; rate still exact
         // because it divides by the actual span.
-        assert_eq!(ws[1].span_ms, 30_000);
-        assert_eq!(ws[1].jobs, 60);
-        assert!((ws[1].jobs_per_sec() - 2.0).abs() < 1e-9);
+        let w = h.window(now, 60);
+        assert_eq!(w.span_ms, 30_000);
+        assert_eq!(w.jobs, 60);
+        assert!((w.jobs_per_sec() - 2.0).abs() < 1e-9);
     }
 
     #[test]
     fn single_sample_and_stale_windows_are_empty() {
         let h = History::default();
-        assert!(h.windows(1_000, &[10])[0].jobs == 0);
+        assert!(h.window(1_000, 10).jobs == 0);
         h.push(sample(500, 7, 0, 0, &[]));
         // One sample in window: no delta.
-        let w = &h.windows(1_000, &[10])[0];
+        let w = h.window(1_000, 10);
         assert_eq!((w.jobs, w.span_ms), (0, 0));
         // Sampler stalled: newest sample fell out of the window.
         h.push(sample(900, 9, 0, 0, &[]));
-        let w = &h.windows(60_000, &[10])[0];
+        let w = h.window(60_000, 10);
         assert_eq!((w.jobs, w.span_ms), (0, 0));
     }
 
@@ -435,7 +334,7 @@ mod tests {
         let h = History::default();
         h.push(sample(0, 100, 0, 0, &[]));
         h.push(sample(1_000, 3, 0, 0, &[])); // process restarted
-        let w = &h.windows(1_000, &[10])[0];
+        let w = h.window(1_000, 10);
         assert_eq!(w.jobs, 0);
     }
 
@@ -449,48 +348,11 @@ mod tests {
         let mut all = slow.clone();
         all.extend(vec![10u64; 100]);
         h.push(sample(10_000, 0, 0, 0, &all));
-        let w = &h.windows(10_000, &[10])[0];
+        let w = h.window(10_000, 10);
         assert_eq!(w.lat_count, 100);
         // The window only saw the fast observations.
         assert_eq!(w.p50_us(), 15);
         assert_eq!(w.p99_us(), 15);
-    }
-
-    #[test]
-    fn merge_is_associative_and_commutative() {
-        let mk = |jobs, hits, lat: &[u64]| {
-            let old = sample(0, 0, 0, 0, &[]);
-            let new = sample(10_000, jobs, hits, 1, lat);
-            HistoryWindow::between(10, &old, &new)
-        };
-        let (a, b, c) = (mk(4, 1, &[5, 9]), mk(9, 2, &[1000]), mk(0, 0, &[]));
-        let digest = |w: &HistoryWindow| {
-            (
-                w.jobs,
-                w.hits,
-                w.misses,
-                w.lat_count,
-                w.lat_sum,
-                w.p50_us(),
-                w.p99_us(),
-                w.lat_buckets.clone(),
-            )
-        };
-        // (a + b) + c == a + (b + c)
-        let mut left = a.clone();
-        left.merge(&b);
-        left.merge(&c);
-        let mut bc = b.clone();
-        bc.merge(&c);
-        let mut right = a.clone();
-        right.merge(&bc);
-        assert_eq!(digest(&left), digest(&right));
-        // a + b == b + a
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(digest(&ab), digest(&ba));
     }
 
     #[test]
@@ -501,28 +363,5 @@ mod tests {
         assert_eq!(w.retry_rate(), 0.0);
         assert_eq!(w.error_rate(), 0.0);
         assert_eq!(w.p99_us(), 0);
-    }
-
-    #[test]
-    fn source_samples_registry_handles() {
-        let r = crate::Registry::new();
-        let source = HistorySource {
-            jobs: r.counter("jobs"),
-            hits: r.counter("hits"),
-            misses: r.counter("misses"),
-            retries: r.counter("retries"),
-            errors: r.counter("errors"),
-            queue_depth: r.gauge("queue"),
-            busy: r.gauge("busy"),
-            latency: r.histogram("lat_us"),
-        };
-        r.counter("jobs").add(3);
-        r.gauge("queue").set(5);
-        r.histogram("lat_us").record(100);
-        let s = source.sample(42);
-        assert_eq!(s.at_ms, 42);
-        assert_eq!(s.jobs, 3);
-        assert_eq!(s.queue_depth, 5);
-        assert_eq!(s.lat_count, 1);
     }
 }

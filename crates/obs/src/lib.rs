@@ -3,7 +3,7 @@
 //! Five pieces, each usable alone:
 //!
 //! - [`metrics`]: a lock-light registry of atomic counters, gauges, and
-//!   log2-bucket histograms with mergeable quantiles, rendered as
+//!   log2-bucket histograms with quantile readout, rendered as
 //!   Prometheus-style text.
 //! - [`trace`]: span-based structured tracing — job-scoped trace IDs in
 //!   a thread-local, bounded per-thread event rings, and a cross-thread
@@ -11,8 +11,8 @@
 //! - [`progress`]: a board of running jobs updated at pipeline pass
 //!   boundaries and snapshotted by `Status`.
 //! - [`history`]: a fixed-capacity ring of timestamped metric snapshots
-//!   with 10s/1m/5m sliding-window rates — one ring per service, merged
-//!   cluster-wide by the `MetricsHistory` endpoint.
+//!   with 10s/1m/5m sliding-window rates — one ring per service, counting
+//!   that service alone, answered by its `MetricsHistory` endpoint.
 //! - [`prof`]: the continuous phase profiler — per-phase self/total time
 //!   by folded-stack path for the `ProfDump` endpoint.
 //!
@@ -27,7 +27,7 @@ pub mod prof;
 pub mod progress;
 pub mod trace;
 
-pub use history::{History, HistorySource, HistoryWindow, Sample, WINDOWS_SECS};
+pub use history::{History, HistoryWindow, Sample, WINDOWS_SECS};
 pub use metrics::{Counter, Gauge, Histogram, Registry};
 pub use prof::{phase, PhaseStat};
 pub use progress::{job_scope, snapshot as progress_snapshot, update_current, JobProgress};

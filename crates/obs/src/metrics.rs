@@ -10,12 +10,11 @@
 //!
 //! Histograms use fixed power-of-two buckets: bucket `b` counts values
 //! `v` with `2^(b-1) <= v < 2^b` (bucket 0 counts zero). That makes
-//! [`Histogram::merge`] a plain per-bucket add — associative and
-//! commutative, which is what lets a cluster router sum per-backend
-//! histograms without loss — and quantile readout a single cumulative
-//! walk. The price is resolution (a quantile is only exact up to its
-//! bucket's upper bound), which is the right trade for latencies: the
-//! interesting differences are multiplicative.
+//! quantile readout a single cumulative walk, and lets the history ring
+//! subtract two snapshots bucket by bucket. The price is resolution (a
+//! quantile is only exact up to its bucket's upper bound), which is the
+//! right trade for latencies: the interesting differences are
+//! multiplicative.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -148,20 +147,6 @@ impl Histogram {
         self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
-    }
-
-    /// Adds every observation of `other` into `self`. Bucket-wise
-    /// addition, so merging is associative and commutative — the property
-    /// that makes cluster-wide aggregation exact (up to bucket
-    /// resolution, which per-node recording already paid).
-    pub fn merge(&self, other: &Histogram) {
-        for (mine, theirs) in self.buckets.iter().zip(&other.buckets) {
-            mine.fetch_add(theirs.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-        self.count
-            .fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.sum
-            .fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
     }
 
     /// A snapshot of the per-bucket counts. The history ring stores these
@@ -359,40 +344,6 @@ mod tests {
         assert_eq!(h.quantile(0.90), 15);
         assert_eq!(h.quantile(0.99), 1023);
         assert_eq!(h.quantile(1.0), 1023);
-    }
-
-    #[test]
-    fn merge_is_associative_and_commutative() {
-        let observations: [&[u64]; 3] = [&[1, 2, 3, 400], &[7, 7, 7], &[0, 1 << 50]];
-        let fill = |obs: &[u64]| {
-            let h = Histogram::new();
-            for &v in obs {
-                h.record(v);
-            }
-            h
-        };
-        let snapshot = |h: &Histogram| {
-            let mut s = vec![h.count(), h.sum()];
-            for q in [0.1, 0.5, 0.9, 0.99, 1.0] {
-                s.push(h.quantile(q));
-            }
-            s
-        };
-        // (a + b) + c == a + (b + c)
-        let left = fill(observations[0]);
-        left.merge(&fill(observations[1]));
-        left.merge(&fill(observations[2]));
-        let bc = fill(observations[1]);
-        bc.merge(&fill(observations[2]));
-        let right = fill(observations[0]);
-        right.merge(&bc);
-        assert_eq!(snapshot(&left), snapshot(&right));
-        // a + b == b + a
-        let ab = fill(observations[0]);
-        ab.merge(&fill(observations[1]));
-        let ba = fill(observations[1]);
-        ba.merge(&fill(observations[0]));
-        assert_eq!(snapshot(&ab), snapshot(&ba));
     }
 
     #[test]

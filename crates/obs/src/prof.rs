@@ -51,7 +51,7 @@ struct Totals {
 /// above it. Children are told apart by the addresses of their static
 /// names rather than their text: comparing the text made up most of the
 /// cost of a phase exit. Copies of one name at two addresses make two
-/// nodes here, which the flush merges under their common path string.
+/// nodes here, which the flush adds up under their common path string.
 struct PathNode {
     name: &'static str,
     parent: Option<usize>,

@@ -13,7 +13,7 @@
 //!
 //! Timestamps are microseconds since `UNIX_EPOCH`, not a process-local
 //! `Instant`, so events recorded on a router and on a backend line up on
-//! one timeline when the router merges trace dumps.
+//! one timeline when the router sorts their trace dumps together.
 //!
 //! Propagation across threads and processes is explicit: capture
 //! [`current_trace_id`] before spawning (or serialize it into a request

@@ -220,9 +220,9 @@ impl Client {
         })
     }
 
-    /// Fetches the server's metric registry as Prometheus-style text.
-    /// From a cluster router this includes one section per healthy
-    /// backend, keyed by backend id and address.
+    /// Fetches the server's own counts and its process's metric registry
+    /// as Prometheus-style text. From a cluster router this includes one
+    /// section per healthy backend, keyed by backend id and address.
     ///
     /// # Errors
     ///
@@ -236,8 +236,9 @@ impl Client {
 
     /// Fetches the server's metric-history windows (10s/1m/5m sliding
     /// rates derived from the sampler ring) plus the server's clock at
-    /// snapshot time. From a cluster router the windows are the exact
-    /// merge of every healthy backend's.
+    /// snapshot time. The windows count that server alone: from a
+    /// cluster router they count routed jobs, routed results a backend
+    /// answered from its cache, dispatch retries and dispatch latency.
     ///
     /// # Errors
     ///
@@ -264,7 +265,8 @@ impl Client {
 
     /// Fetches recorded trace events, optionally filtered to one trace
     /// ID. From a cluster router this merges the router's own events
-    /// with every healthy backend's, sorted onto one timeline.
+    /// with every healthy backend's, sorted onto one timeline, each
+    /// distinct event once.
     ///
     /// # Errors
     ///

@@ -249,14 +249,16 @@ pub enum Request {
     /// [`Response::ClusterStats`]; a plain backend answers with an
     /// error).
     ClusterStats,
-    /// Report the process's metric registry as Prometheus-style text
-    /// (answered with [`Response::Metrics`]). A router appends every
-    /// healthy backend's section, keyed by backend.
+    /// Report the service's own counts and the process's metric registry
+    /// as Prometheus-style text (answered with [`Response::Metrics`]). A
+    /// router appends every healthy backend's section, keyed by backend.
     Metrics,
-    /// Report the sliding-window metric history (answered with
-    /// [`Response::MetricsHistory`]). A router merges every healthy
-    /// backend's windows by plain addition — exact, because the windows
-    /// carry raw deltas and per-bucket latency counts, not derived rates.
+    /// Report the responder's sliding-window metric history (answered
+    /// with [`Response::MetricsHistory`]). Each service's windows count
+    /// that service alone: a daemon's its jobs served, cache lookups,
+    /// errors and run latency; a router's the jobs it routed (cache hits
+    /// are routed results a backend answered from its cache), its
+    /// dispatch retries, its errors and its dispatch latency.
     MetricsHistory,
     /// Report the accumulated phase profile in folded-stack form
     /// (answered with [`Response::ProfDump`]). A router merges every
@@ -264,7 +266,8 @@ pub enum Request {
     ProfDump,
     /// Report recorded trace events, optionally filtered to one trace ID
     /// (answered with [`Response::TraceDump`]). A router merges its own
-    /// events with every healthy backend's onto one timeline.
+    /// events with every healthy backend's onto one timeline, each
+    /// distinct event once.
     TraceDump {
         /// Restrict the dump to this trace ID; `None` returns everything
         /// still in the rings.
@@ -462,7 +465,7 @@ pub enum Response {
         text: String,
     },
     /// Answer to [`Request::MetricsHistory`]: the 10s/1m/5m window
-    /// deltas, ending at the responder's newest sample.
+    /// deltas of the responder's own ring, ending at its newest sample.
     MetricsHistory {
         /// Epoch milliseconds the responder answered at.
         at_ms: u64,
@@ -677,10 +680,11 @@ impl Request {
     }
 }
 
-/// The JSON form of one history window: raw deltas plus the per-bucket
-/// latency counts, so aggregation stays exact on the wire.
-fn window_to_json(w: &HistoryWindow) -> Json {
-    Json::Obj(vec![
+/// The members of one history window's row in a `metrics_history`
+/// answer: raw deltas plus the per-bucket latency counts, from which a
+/// reader derives rates and quantiles.
+pub fn window_row(w: &HistoryWindow) -> Vec<(String, Json)> {
+    vec![
         ("window_secs".to_string(), Json::from(w.window_secs)),
         ("span_ms".to_string(), Json::from(w.span_ms)),
         ("jobs".to_string(), Json::from(w.jobs)),
@@ -696,7 +700,46 @@ fn window_to_json(w: &HistoryWindow) -> Json {
             "lat_buckets".to_string(),
             Json::Arr(w.lat_buckets.iter().map(|&n| Json::from(n)).collect()),
         ),
-    ])
+    ]
+}
+
+/// The members of one running job's row in a `status` answer.
+pub fn job_row(j: &JobProgress) -> Vec<(String, Json)> {
+    vec![
+        ("job_id".to_string(), Json::from(j.job_id)),
+        ("trace_id".to_string(), Json::from(j.trace_id)),
+        ("flow".to_string(), Json::from(j.flow.as_str())),
+        ("pass".to_string(), Json::from(j.pass.as_str())),
+        ("round".to_string(), Json::from(j.round)),
+        ("elapsed_ms".to_string(), Json::from(j.elapsed_ms)),
+    ]
+}
+
+/// The members of one backend's row in a `cluster_stats` answer.
+pub fn backend_row(b: &BackendStats) -> Vec<(String, Json)> {
+    vec![
+        ("id".to_string(), Json::from(b.id)),
+        ("addr".to_string(), Json::from(b.addr.as_str())),
+        ("up".to_string(), Json::Bool(b.up)),
+        ("capacity".to_string(), Json::from(b.capacity)),
+        ("in_flight".to_string(), Json::from(b.in_flight)),
+        ("jobs_routed".to_string(), Json::from(b.jobs_routed)),
+        ("queue_depth".to_string(), Json::from(b.queue_depth)),
+        ("busy".to_string(), Json::from(b.busy)),
+        ("jobs_served".to_string(), Json::from(b.jobs_served)),
+        ("cache_hits".to_string(), Json::from(b.cache_hits)),
+        ("cache_misses".to_string(), Json::from(b.cache_misses)),
+    ]
+}
+
+/// The members of one phase path's row in a `prof_dump` answer.
+pub fn phase_row(p: &PhaseStat) -> Vec<(String, Json)> {
+    vec![
+        ("path".to_string(), Json::from(p.path.as_str())),
+        ("count".to_string(), Json::from(p.count)),
+        ("total_us".to_string(), Json::from(p.total_us)),
+        ("self_us".to_string(), Json::from(p.self_us)),
+    ]
 }
 
 fn window_from_json(value: &Json) -> Result<HistoryWindow, String> {
@@ -760,21 +803,7 @@ impl Response {
                 ("busy".to_string(), Json::from(s.busy)),
                 (
                     "running".to_string(),
-                    Json::Arr(
-                        s.running
-                            .iter()
-                            .map(|j| {
-                                Json::Obj(vec![
-                                    ("job_id".to_string(), Json::from(j.job_id)),
-                                    ("trace_id".to_string(), Json::from(j.trace_id)),
-                                    ("flow".to_string(), Json::from(j.flow.as_str())),
-                                    ("pass".to_string(), Json::from(j.pass.as_str())),
-                                    ("round".to_string(), Json::from(j.round)),
-                                    ("elapsed_ms".to_string(), Json::from(j.elapsed_ms)),
-                                ])
-                            })
-                            .collect(),
-                    ),
+                    Json::Arr(s.running.iter().map(|j| Json::Obj(job_row(j))).collect()),
                 ),
             ]),
             Response::Stats(s) => Json::Obj(vec![
@@ -824,21 +853,7 @@ impl Response {
                     Json::Arr(
                         c.backends
                             .iter()
-                            .map(|b| {
-                                Json::Obj(vec![
-                                    ("id".to_string(), Json::from(b.id)),
-                                    ("addr".to_string(), Json::from(b.addr.as_str())),
-                                    ("up".to_string(), Json::Bool(b.up)),
-                                    ("capacity".to_string(), Json::from(b.capacity)),
-                                    ("in_flight".to_string(), Json::from(b.in_flight)),
-                                    ("jobs_routed".to_string(), Json::from(b.jobs_routed)),
-                                    ("queue_depth".to_string(), Json::from(b.queue_depth)),
-                                    ("busy".to_string(), Json::from(b.busy)),
-                                    ("jobs_served".to_string(), Json::from(b.jobs_served)),
-                                    ("cache_hits".to_string(), Json::from(b.cache_hits)),
-                                    ("cache_misses".to_string(), Json::from(b.cache_misses)),
-                                ])
-                            })
+                            .map(|b| Json::Obj(backend_row(b)))
                             .collect(),
                     ),
                 ));
@@ -853,26 +868,14 @@ impl Response {
                 ("at_ms".to_string(), Json::from(*at_ms)),
                 (
                     "windows".to_string(),
-                    Json::Arr(windows.iter().map(window_to_json).collect()),
+                    Json::Arr(windows.iter().map(|w| Json::Obj(window_row(w))).collect()),
                 ),
             ]),
             Response::ProfDump { phases } => Json::Obj(vec![
                 ("type".to_string(), Json::from("prof_dump")),
                 (
                     "phases".to_string(),
-                    Json::Arr(
-                        phases
-                            .iter()
-                            .map(|p| {
-                                Json::Obj(vec![
-                                    ("path".to_string(), Json::from(p.path.as_str())),
-                                    ("count".to_string(), Json::from(p.count)),
-                                    ("total_us".to_string(), Json::from(p.total_us)),
-                                    ("self_us".to_string(), Json::from(p.self_us)),
-                                ])
-                            })
-                            .collect(),
-                    ),
+                    Json::Arr(phases.iter().map(|p| Json::Obj(phase_row(p))).collect()),
                 ),
             ]),
             Response::TraceDump { events } => Json::Obj(vec![

@@ -37,7 +37,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use mc_obs::History;
+use mc_obs::{Counter, Histogram, History, Sample};
 use xag_circuits::{parse_circuit, CircuitFormat};
 use xag_mc::{run_job, FlowSpec, JobSpec, OptContext};
 use xag_network::{write_bristol, write_verilog, Xag};
@@ -167,6 +167,13 @@ pub(crate) struct Shared {
     /// This daemon's metric-history ring: its sampler feeds it, the
     /// `MetricsHistory` frame reads it.
     history: History,
+    /// This daemon's errors and run latencies, for its ring alone. The
+    /// process registry's `serve_errors_total` and `serve_run_us` record
+    /// the same events for every daemon in the process, which is what the
+    /// benchmark reads; a window read there would count co-resident
+    /// daemons' jobs as this one's.
+    errors: Counter,
+    run_us: Histogram,
     pub(crate) shutdown: AtomicBool,
     busy: AtomicUsize,
     next_job_id: AtomicU64,
@@ -215,6 +222,36 @@ impl Shared {
                 .collect(),
         }
     }
+
+    /// `metrics` against a daemon: the jobs and cache lookups `stats`
+    /// reports, which the daemon alone counts, then the process registry.
+    fn metrics_text(&self) -> String {
+        let stats = self.stats();
+        let mut text = format!(
+            "serve_cache_hits_total {}\nserve_cache_misses_total {}\nserve_jobs_served_total {}\n",
+            stats.cache_hits, stats.cache_misses, stats.jobs_served
+        );
+        text.push_str(&mc_obs::registry().render());
+        text
+    }
+
+    /// One snapshot of this daemon's own counts for its history ring.
+    fn sample(&self) -> Sample {
+        let cache = self.cache.counters();
+        Sample {
+            at_ms: mc_obs::epoch_us() / 1000,
+            jobs: lock_unpoisoned(&self.stats).jobs_served,
+            hits: cache.hits,
+            misses: cache.misses,
+            retries: 0,
+            errors: self.errors.get(),
+            queue_depth: self.queue.len() as u64,
+            busy: self.busy.load(Ordering::Relaxed) as u64,
+            lat_count: self.run_us.count(),
+            lat_sum: self.run_us.sum(),
+            lat_buckets: self.run_us.bucket_counts(),
+        }
+    }
 }
 
 /// The daemon's entry point; see [`Server::bind`].
@@ -239,6 +276,8 @@ impl Server {
             cache: CoalescingCache::new(config.cache_capacity),
             stats: Mutex::new(ServiceStats::new()),
             history: History::default(),
+            errors: Counter::new(),
+            run_us: Histogram::new(),
             shutdown: AtomicBool::new(false),
             busy: AtomicUsize::new(0),
             next_job_id: AtomicU64::new(1),
@@ -340,30 +379,22 @@ impl ServerHandle {
     }
 }
 
-/// The metrics sampler: every `interval`, refresh the occupancy gauges
-/// from the live pool state and push one cumulative snapshot into this
-/// daemon's history ring — the data behind `MetricsHistory` and
-/// everything `mc-top` draws. Exits with the daemon.
+/// The metrics sampler: every `interval`, push one cumulative snapshot
+/// of this daemon's own counts into its history ring — the data behind
+/// `MetricsHistory` and everything `mc-top` draws — and refresh the
+/// occupancy gauges from it. Exits with the daemon.
 fn sampler_loop(shared: &Arc<Shared>, interval: Duration) {
     let reg = mc_obs::registry();
     let queue_gauge = reg.gauge("serve_queue_depth");
     let busy_gauge = reg.gauge("serve_workers_busy");
-    let source = mc_obs::HistorySource {
-        jobs: reg.counter("serve_jobs_served_total"),
-        hits: reg.counter("serve_cache_hits_total"),
-        misses: reg.counter("serve_cache_misses_total"),
-        retries: reg.counter("serve_retries_total"),
-        errors: reg.counter("serve_errors_total"),
-        queue_depth: Arc::clone(&queue_gauge),
-        busy: Arc::clone(&busy_gauge),
-        latency: reg.histogram("serve_run_us"),
-    };
+    // Registered up front, so a scrape shows them before the first event.
+    reg.counter("serve_errors_total");
+    reg.histogram("serve_run_us");
     while !shared.shutdown.load(Ordering::SeqCst) {
-        queue_gauge.set(shared.queue.len() as u64);
-        busy_gauge.set(shared.busy.load(Ordering::Relaxed) as u64);
-        shared
-            .history
-            .push(source.sample(mc_obs::epoch_us() / 1000));
+        let sample = shared.sample();
+        queue_gauge.set(sample.queue_depth);
+        busy_gauge.set(sample.busy);
+        shared.history.push(sample);
         sliced_sleep(&shared.shutdown, interval);
     }
 }
@@ -384,7 +415,7 @@ impl Dispatch for Shared {
                 message: "not a cluster router (this is an mc-serve backend)".to_string(),
             },
             Request::Metrics => Response::Metrics {
-                text: mc_obs::registry().render(),
+                text: self.metrics_text(),
             },
             Request::MetricsHistory => Response::MetricsHistory {
                 at_ms: mc_obs::epoch_us() / 1000,
@@ -413,7 +444,6 @@ fn serve_entry(
     output: CircuitFormat,
     trace_id: u64,
 ) -> Response {
-    mc_obs::registry().counter("serve_jobs_served_total").inc();
     lock_unpoisoned(&shared.stats).jobs_served += 1;
     let r = &entry.result;
     Response::Result(OptimizeResult {
@@ -437,22 +467,23 @@ fn serve_entry(
     })
 }
 
-/// An `optimize` failure: counted (the history windows and SLO error
-/// rates read the counter) and answered as a protocol error.
-fn optimize_error(message: String) -> Response {
+/// An `optimize` failure: counted (the history window reads the count)
+/// and answered as a protocol error.
+fn optimize_error(shared: &Shared, message: String) -> Response {
     mc_obs::registry().counter("serve_errors_total").inc();
+    shared.errors.inc();
     Response::Error { message }
 }
 
 fn handle_optimize(shared: &Shared, req: OptimizeRequest) -> Response {
     if shared.shutdown.load(Ordering::SeqCst) {
-        return optimize_error(ERR_SHUTTING_DOWN.to_string());
+        return optimize_error(shared, ERR_SHUTTING_DOWN.to_string());
     }
     // A malformed upload is a protocol error, never a worker panic: the
     // parse happens here, behind `Result`, before anything is queued.
     let xag = match parse_circuit(&req.circuit, req.format) {
         Ok(xag) => xag,
-        Err(e) => return optimize_error(e.to_string()),
+        Err(e) => return optimize_error(shared, e.to_string()),
     };
     let spec = req.job_spec();
     let key = job_key(&xag, &spec.flow, spec.max_rounds);
@@ -477,13 +508,11 @@ fn handle_optimize(shared: &Shared, req: OptimizeRequest) -> Response {
             mc_obs::registry()
                 .histogram("serve_cache_hit_us")
                 .record(lookup_start.elapsed().as_micros() as u64);
-            mc_obs::registry().counter("serve_cache_hits_total").inc();
             mc_obs::instant("serve:cache_hit", format!("job={}", entry.job_id));
             return serve_entry(shared, &entry, true, req.output, trace_id);
         }
         Plan::Wait(answer) => (answer, true),
         Plan::Compute(answer) => {
-            mc_obs::registry().counter("serve_cache_misses_total").inc();
             let job = Job {
                 id: shared.next_job_id.fetch_add(1, Ordering::Relaxed),
                 xag,
@@ -498,7 +527,7 @@ fn handle_optimize(shared: &Shared, req: OptimizeRequest) -> Response {
                 // Release the key: every request coalesced onto it learns
                 // that its job was dropped.
                 shared.cache.abort(&job.key, ERR_JOB_DROPPED);
-                return optimize_error(ERR_SHUTTING_DOWN.to_string());
+                return optimize_error(shared, ERR_SHUTTING_DOWN.to_string());
             }
             (answer, false)
         }
@@ -512,12 +541,11 @@ fn handle_optimize(shared: &Shared, req: OptimizeRequest) -> Response {
                 mc_obs::registry()
                     .histogram("serve_coalesced_wait_us")
                     .record(lookup_start.elapsed().as_micros() as u64);
-                mc_obs::registry().counter("serve_cache_hits_total").inc();
                 mc_obs::instant("serve:coalesced_hit", format!("job={}", entry.job_id));
             }
             serve_entry(shared, &entry, cached, req.output, trace_id)
         }
-        Err(reason) => optimize_error(reason.to_string()),
+        Err(reason) => optimize_error(shared, reason.to_string()),
     }
 }
 
@@ -527,7 +555,7 @@ fn worker_loop(shared: &Arc<Shared>) {
     let queue_gauge = mc_obs::registry().gauge("serve_queue_depth");
     let busy_gauge = mc_obs::registry().gauge("serve_workers_busy");
     let mut ctx = OptContext::new();
-    while let Some(job) = shared.queue.pop() {
+    while let Some(mut job) = shared.queue.pop() {
         let busy = shared.busy.fetch_add(1, Ordering::Relaxed) + 1;
         busy_gauge.set(busy as u64);
         queue_gauge.set(shared.queue.len() as u64);
@@ -549,7 +577,7 @@ fn worker_loop(shared: &Arc<Shared>) {
         // A panicking job fails only itself. Its context may have been
         // left mid-update, so the worker goes on with a fresh one.
         let computed = panic::catch_unwind(AssertUnwindSafe(|| {
-            compute(&mut ctx, job.id, job.xag, &job.spec, &job.flow)
+            compute(&mut ctx, &shared.run_us, &mut job)
         }));
         let busy = shared.busy.fetch_sub(1, Ordering::Relaxed) - 1;
         busy_gauge.set(busy as u64);
@@ -577,25 +605,28 @@ fn worker_loop(shared: &Arc<Shared>) {
     }
 }
 
-/// Runs one job on the worker's own context and serializes the answer.
+/// Runs one job on the worker's own context and serializes the answer,
+/// recording the run time in `run_us` as well as the process registry.
 /// What the context ran before changes how fast the answer comes, never
 /// the answer: it memoizes only deterministic classification and synthesis.
-fn compute(ctx: &mut OptContext, id: u64, mut xag: Xag, spec: &JobSpec, flow: &str) -> CacheEntry {
+fn compute(ctx: &mut OptContext, run_us: &Histogram, job: &mut Job) -> CacheEntry {
     #[cfg(test)]
-    tests::poison_hook(&xag);
+    tests::poison_hook(&job.xag);
     let run_start = Instant::now();
     let result = {
         let mut run_span = mc_obs::span("serve:run");
-        run_span.detail(format!("job={id} flow={flow}"));
-        run_job(&mut xag, ctx, spec)
+        run_span.detail(format!("job={} flow={}", job.id, job.flow));
+        run_job(&mut job.xag, ctx, &job.spec)
     };
+    let run_elapsed_us = run_start.elapsed().as_micros() as u64;
     mc_obs::registry()
         .histogram("serve_run_us")
-        .record(run_start.elapsed().as_micros() as u64);
+        .record(run_elapsed_us);
+    run_us.record(run_elapsed_us);
 
     let serialize_start = Instant::now();
     let serialize_span = mc_obs::span("serve:serialize");
-    let clean = xag.cleanup();
+    let clean = job.xag.cleanup();
     let mut bristol = Vec::new();
     // lint: allow(no-panic-in-request-path): Vec<u8> sink; io::Write cannot fail in memory
     write_bristol(&clean, &mut bristol).expect("in-memory write cannot fail");
@@ -613,7 +644,7 @@ fn compute(ctx: &mut OptContext, id: u64, mut xag: Xag, spec: &JobSpec, flow: &s
         .counter("serve_jobs_computed_total")
         .inc();
     CacheEntry {
-        job_id: id,
+        job_id: job.id,
         // lint: allow(no-panic-in-request-path): both writers emit ASCII only
         bristol: String::from_utf8(bristol).expect("bristol writer emits ASCII"),
         // lint: allow(no-panic-in-request-path): both writers emit ASCII only

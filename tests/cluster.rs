@@ -197,6 +197,18 @@ fn killing_a_backend_mid_stream_loses_no_job() {
         cstats.jobs_retried >= 1,
         "at least one post-kill job must have been retried off the dead backend"
     );
+    // The router's own window counts the same retries, once its sampler
+    // has ticked after them.
+    let mut window_retries = 0;
+    for _ in 0..500 {
+        let (_, windows) = client.metrics_history().expect("metrics_history");
+        window_retries = windows.iter().map(|w| w.retries).max().unwrap_or(0);
+        if window_retries >= cstats.jobs_retried {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(window_retries, cstats.jobs_retried);
     assert_eq!(
         cstats.backends.iter().filter(|b| b.up).count(),
         1,
@@ -353,6 +365,11 @@ fn the_trace_id_a_router_assigns_finds_dispatch_and_passes() {
         "no backend pass under the echoed trace ID {}: {events:?}",
         result.trace_id
     );
+    // The backend shares the router's process and its trace rings, yet
+    // the dump lists each event once.
+    for (i, e) in events.iter().enumerate() {
+        assert!(!events[i + 1..].contains(e), "event repeats: {e:?}");
+    }
 
     for b in backends {
         b.shutdown();
